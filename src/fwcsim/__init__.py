@@ -9,7 +9,6 @@ wireless throughput under a total power budget, plus mixed digital-optical
 from .beamform import (
     ArrayGeometry,
     BeamformerSpec,
-    array_factor,
     beam_squint_direction,
     coherent_within_symbol,
     mixed_beamformer,
@@ -32,7 +31,6 @@ from .errors import (
 from .geometry import (
     Association,
     NetworkLayout,
-    Point2D,
     Scenario,
     generate_layout,
     layout_from_csv,
@@ -52,12 +50,10 @@ from .optics import (
     scheme_fading_db,
 )
 from .power import (
-    NodeRole,
     PowerBreakdown,
     PowerParams,
     crossover_length,
     fiber_compensation_power,
-    node_functional_power,
     pa_input_power,
     solve_tx_power,
     system_power,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError, NoRealBeamError, ValidationError
-from .geometry import NetworkLayout, Point2D
+from .geometry import NetworkLayout
 from .units import SPEED_OF_LIGHT_M_S
 
 FIBER_GROUP_INDEX = 1.468  # standard single-mode silica
@@ -25,17 +25,21 @@ def coherent_within_symbol(arrival_times_s, symbol_interval_s: float = SYMBOL_CO
     return max(times) - min(times) <= symbol_interval_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Element positions with a center frequency and operating band."""
+    """Element positions, an (N, 2) array in meters, with a center frequency
+    and operating band."""
 
-    element_positions: tuple[Point2D, ...]
+    element_positions: np.ndarray
     center_freq_hz: float
     band_hz: tuple[float, float]
 
     def __post_init__(self):
-        if len(self.element_positions) < 1:
-            raise ValidationError("array needs at least one element")
+        xy = np.array(self.element_positions, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 1:
+            raise ValidationError("array needs at least one (x, y) element position")
+        xy.flags.writeable = False
+        object.__setattr__(self, "element_positions", xy)
         f_lo, f_hi = self.band_hz
         if not 0 < f_lo <= self.center_freq_hz <= f_hi:
             raise ValidationError(
@@ -56,7 +60,8 @@ class ArrayGeometry:
             raise ValidationError("num_elements must be >= 1")
         if spacing_m <= 0:
             raise ValidationError("spacing must be > 0")
-        positions = tuple(Point2D(i * spacing_m, 0.0) for i in range(num_elements))
+        xs = np.arange(num_elements) * spacing_m
+        positions = np.column_stack([xs, np.zeros(num_elements)])
         if band_hz is None:
             band_hz = (center_freq_hz, center_freq_hz)
         return cls(positions, center_freq_hz, band_hz)
@@ -67,8 +72,8 @@ class ArrayGeometry:
 
     def projections(self, theta_rad: float) -> np.ndarray:
         """Element projections onto the unit direction u = (sin t, cos t)."""
-        ux, uy = math.sin(theta_rad), math.cos(theta_rad)
-        return np.array([p.x * ux + p.y * uy for p in self.element_positions])
+        xy = self.element_positions
+        return xy[:, 0] * math.sin(theta_rad) + xy[:, 1] * math.cos(theta_rad)
 
 
 @dataclass(frozen=True)
@@ -87,37 +92,19 @@ class BeamformerSpec:
             raise ValidationError("weights must be finite")
 
 
-def array_factor(
-    geom: ArrayGeometry, spec: BeamformerSpec, f_hz: float, theta_rad: float
-) -> complex:
-    """AF = sum_m w_m * exp(-j*2*pi*f*tau_m) * exp(j*2*pi*f*(p_m . u)/c)."""
-    if len(spec.weights) != geom.num_elements:
-        raise ValidationError("spec length does not match element count")
-    f_lo, f_hi = geom.band_hz
-    if not f_lo <= f_hz <= f_hi:
-        raise ValidationError(f"frequency {f_hz} outside band {geom.band_hz}")
-    proj = geom.projections(theta_rad)
-    w = np.asarray(spec.weights, dtype=complex)
-    tau = np.asarray(spec.delays_s)
-    terms = w * np.exp(-2j * math.pi * f_hz * tau) * np.exp(
-        2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S
-    )
-    return complex(terms.sum())
-
-
 def array_factor_pattern(
     geom: ArrayGeometry, spec: BeamformerSpec, f_hz: float, thetas_rad: np.ndarray
 ) -> np.ndarray:
-    """Vectorized array factor over a grid of directions."""
+    """AF(theta) = sum_m w_m * exp(-j*2*pi*f*tau_m) * exp(j*2*pi*f*(p_m . u)/c)
+    over a grid of directions u = (sin theta, cos theta)."""
     if len(spec.weights) != geom.num_elements:
         raise ValidationError("spec length does not match element count")
     f_lo, f_hi = geom.band_hz
     if not f_lo <= f_hz <= f_hi:
         raise ValidationError(f"frequency {f_hz} outside band {geom.band_hz}")
     thetas = np.asarray(thetas_rad, dtype=float)
-    xy = np.array([[p.x, p.y] for p in geom.element_positions])
     u = np.stack([np.sin(thetas), np.cos(thetas)])  # (2, T)
-    proj = xy @ u  # (N, T)
+    proj = geom.element_positions @ u  # (N, T)
     w = np.asarray(spec.weights, dtype=complex)
     feed = w * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s))
     return feed @ np.exp(2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S)
@@ -201,10 +188,10 @@ def sync_delays(
         fiber_lengths_km = layout.fiber_length_km
     if len(fiber_lengths_km) != layout.num_raps:
         raise ValidationError("one fiber length per RAP required")
-    ue = layout.ue_positions[target_ue]
+    air_m = layout.distance_matrix()[:, target_ue].tolist()
     totals = [
-        group_index * lk * 1e3 / SPEED_OF_LIGHT_M_S + rap.distance_to(ue) / SPEED_OF_LIGHT_M_S
-        for rap, lk in zip(layout.rap_positions, fiber_lengths_km)
+        group_index * lk * 1e3 / SPEED_OF_LIGHT_M_S + d / SPEED_OF_LIGHT_M_S
+        for d, lk in zip(air_m, fiber_lengths_km)
     ]
     t_max = max(totals)
     return [t_max - t for t in totals]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .geometry import Scenario
+from .geometry import Area
 from .optics import FiberParams, Scheme, SchemeConfig
 from .power import PowerParams
 from .wireless import (
@@ -72,7 +72,7 @@ class SweepParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scenario: Scenario = field(default_factory=Scenario)
+    scenario: Area = field(default_factory=Area)
     fiber: FiberParams = field(default_factory=FiberParams)
     schemes: tuple[Scheme, ...] = (Scheme.BBOF, Scheme.IFOF, Scheme.RFOF)
     scheme_params: SchemeParams = field(default_factory=SchemeParams)
@@ -89,12 +89,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.schemes:
             raise ConfigError("schemes list must be nonempty")
+        for name in ("monte_carlo_drops", "base_seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.monte_carlo_drops < 1:
             raise ConfigError("monte_carlo_drops must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.budget_w <= 0:
-            raise ConfigError("budget_w must be > 0")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
+        if not math.isfinite(self.budget_w) or self.budget_w <= 0:
+            raise ConfigError(f"budget_w must be finite and > 0, got {self.budget_w!r}")
 
     def scheme_config(self, scheme: Scheme) -> SchemeConfig:
         sp = self.scheme_params
@@ -118,21 +124,9 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Every knob, defaults included, as plain JSON-ready values."""
-        out = {
-            "scenario": dataclasses.asdict(self.scenario),
-            "fiber": dataclasses.asdict(self.fiber),
-            "schemes": [s.value for s in self.schemes],
-            "scheme_params": dataclasses.asdict(self.scheme_params),
-            "power": dataclasses.asdict(self.power),
-            "channel": dataclasses.asdict(self.channel),
-            "overhead": dataclasses.asdict(self.overhead),
-            "sweep": dataclasses.asdict(self.sweep),
-            "digitization_bits_per_sample_pair": self.digitization_bits_per_sample_pair,
-            "budget_w": self.budget_w,
-            "monte_carlo_drops": self.monte_carlo_drops,
-            "base_seed": self.base_seed,
-            "workers": self.workers,
-        }
+        out = {group: dataclasses.asdict(getattr(self, group)) for group in _GROUP_TYPES}
+        out.update((key, getattr(self, key)) for key in _SCALAR_KEYS)
+        out["schemes"] = self.schemes
         return _jsonify(out)
 
     def config_hash(self) -> str:
@@ -151,7 +145,7 @@ def _jsonify(value):
 
 
 _GROUP_TYPES = {
-    "scenario": Scenario,
+    "scenario": Area,
     "fiber": FiberParams,
     "scheme_params": SchemeParams,
     "power": PowerParams,

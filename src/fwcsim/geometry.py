@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,91 +16,85 @@ LAYOUT_RNG_STREAM = 0
 
 
 @dataclass(frozen=True)
-class Point2D:
-    """Planar position in meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(f"coordinates must be finite, got ({self.x}, {self.y})")
-
-    def distance_to(self, other: "Point2D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Inputs for one topology draw. J = 0.5*M reproduces the case-study split."""
+class Area:
+    """Rectangular deployment area in meters."""
 
     area_width_m: float = 1000.0
     area_height_m: float = 1000.0
-    num_raps: int = 100
-    num_ues: int = 50
-    fiber_length_km: float | tuple[float, ...] = 19.0  # scalar: uniform; tuple: per RAP
-    rng_seed: int = 1
 
     def __post_init__(self):
         if self.area_width_m <= 0 or self.area_height_m <= 0:
             raise ValidationError("area dimensions must be positive")
+
+
+@dataclass(frozen=True)
+class Scenario(Area):
+    """Inputs for one topology draw. J = 0.5*M reproduces the case-study split."""
+
+    num_raps: int = 100
+    num_ues: int = 50
+    # A scalar is expanded to one equal length per RAP.
+    fiber_length_km: float | tuple[float, ...] = 19.0
+    rng_seed: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.num_raps < 1:
             raise ValidationError(f"num_raps must be >= 1, got {self.num_raps}")
         if self.num_ues < 1:
             raise ValidationError(f"num_ues must be >= 1, got {self.num_ues}")
         fiber = self.fiber_length_km
-        if isinstance(fiber, (list, tuple, np.ndarray)):
-            fiber = tuple(float(v) for v in fiber)
-            object.__setattr__(self, "fiber_length_km", fiber)
-            if len(fiber) != self.num_raps:
-                raise ValidationError(
-                    f"per-RAP fiber list has {len(fiber)} entries for {self.num_raps} RAPs"
-                )
-            if any(v < 0 for v in fiber):
-                raise ValidationError("fiber lengths must be >= 0")
-        else:
-            if fiber < 0:
-                raise ValidationError(f"fiber length must be >= 0, got {fiber}")
-
-    def fiber_lengths(self) -> tuple[float, ...]:
-        if isinstance(self.fiber_length_km, tuple):
-            return self.fiber_length_km
-        return (float(self.fiber_length_km),) * self.num_raps
+        if np.ndim(fiber) == 0:
+            fiber = (fiber,) * self.num_raps
+        fiber = tuple(float(v) for v in fiber)
+        object.__setattr__(self, "fiber_length_km", fiber)
+        if len(fiber) != self.num_raps:
+            raise ValidationError(
+                f"per-RAP fiber list has {len(fiber)} entries for {self.num_raps} RAPs"
+            )
+        if any(v < 0 for v in fiber):
+            raise ValidationError("fiber lengths must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkLayout:
-    """One realized topology: RAP and UE positions plus per-RAP fiber runs."""
+    """One realized topology: RAP and UE positions plus per-RAP fiber runs.
 
-    rap_positions: tuple[Point2D, ...]
-    ue_positions: tuple[Point2D, ...]
+    Positions are read-only float arrays of planar coordinates in meters,
+    ``rap_xy`` of shape (M, 2) and ``ue_xy`` of shape (J, 2).
+    """
+
+    rap_xy: np.ndarray
+    ue_xy: np.ndarray
     fiber_length_km: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.rap_positions) < 1 or len(self.ue_positions) < 1:
-            raise ValidationError("layout needs at least one RAP and one UE")
-        if len(self.fiber_length_km) != len(self.rap_positions):
+        for name in ("rap_xy", "ue_xy"):
+            xy = np.array(getattr(self, name), dtype=float)
+            if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 1:
+                raise ValidationError(
+                    f"{name} must hold at least one (x, y) row, got shape {xy.shape}"
+                )
+            if not np.isfinite(xy).all():
+                raise ValidationError(f"{name} coordinates must be finite")
+            xy.flags.writeable = False
+            object.__setattr__(self, name, xy)
+        if len(self.fiber_length_km) != len(self.rap_xy):
             raise ValidationError("one fiber length per RAP required")
         if any(v < 0 for v in self.fiber_length_km):
             raise ValidationError("fiber lengths must be >= 0")
 
     @property
     def num_raps(self) -> int:
-        return len(self.rap_positions)
+        return len(self.rap_xy)
 
     @property
     def num_ues(self) -> int:
-        return len(self.ue_positions)
-
-    def rap_xy(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.rap_positions], dtype=float)
-
-    def ue_xy(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.ue_positions], dtype=float)
+        return len(self.ue_xy)
 
     def distance_matrix(self) -> np.ndarray:
         """RAP-to-UE distances, shape (num_raps, num_ues)."""
-        diff = self.rap_xy()[:, None, :] - self.ue_xy()[None, :, :]
+        diff = self.rap_xy[:, None, :] - self.ue_xy[None, :, :]
         return np.sqrt((diff**2).sum(axis=2))
 
 
@@ -111,30 +104,17 @@ def generate_layout(scenario: Scenario) -> NetworkLayout:
     m, j = scenario.num_raps, scenario.num_ues
     xs = rng.uniform(0.0, scenario.area_width_m, size=m + j)
     ys = rng.uniform(0.0, scenario.area_height_m, size=m + j)
-    raps = tuple(Point2D(float(x), float(y)) for x, y in zip(xs[:m], ys[:m]))
-    ues = tuple(Point2D(float(x), float(y)) for x, y in zip(xs[m:], ys[m:]))
-    return NetworkLayout(raps, ues, scenario.fiber_lengths())
+    xy = np.column_stack([xs, ys])
+    return NetworkLayout(xy[:m], xy[m:], scenario.fiber_length_km)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Association:
-    """Serving RAP sets per UE. Idle RAPs are those not in any serving set."""
+    """Which RAPs serve which UEs; RAPs outside ``active`` stay silent."""
 
     mode: str
-    serving_sets: tuple[tuple[int, ...], ...]  # RAP indices serving each UE
-    active_raps: tuple[int, ...]  # RAPs that transmit
-    num_raps: int
-
-    @property
-    def num_ues(self) -> int:
-        return len(self.serving_sets)
-
-    @property
-    def ue_to_rap(self) -> tuple[int, ...]:
-        """Single serving RAP per UE; only defined when every set is a singleton."""
-        if any(len(s) != 1 for s in self.serving_sets):
-            raise ValidationError(f"mode {self.mode!r} produced non-singleton serving sets")
-        return tuple(s[0] for s in self.serving_sets)
+    serve: np.ndarray  # (M, J) bool: RAP m serves UE j
+    active: np.ndarray  # (M,) bool: RAP m transmits
 
 
 def udn_association(layout: NetworkLayout, mode: str = "ue_nearest") -> Association:
@@ -143,23 +123,20 @@ def udn_association(layout: NetworkLayout, mode: str = "ue_nearest") -> Associat
     ``ue_nearest`` (default): each UE is served by its closest RAP; unused RAPs
     idle. ``rap_nearest`` (literal reading): every RAP transmits toward its
     closest UE, so a UE may be served by several RAPs or none. Ties break to
-    the lowest RAP index.
+    the lowest index (argmin keeps the first occurrence).
     """
     dist = layout.distance_matrix()
     m, j = dist.shape
+    serve = np.zeros((m, j), dtype=bool)
     if mode == "ue_nearest":
-        nearest = np.argmin(dist, axis=0)  # first occurrence = lowest index
-        sets = tuple((int(nearest[u]),) for u in range(j))
-        active = tuple(sorted(set(int(v) for v in nearest)))
+        serve[np.argmin(dist, axis=0), np.arange(j)] = True
+        active = serve.any(axis=1)
     elif mode == "rap_nearest":
-        target = np.argmin(dist, axis=1)
-        sets = tuple(
-            tuple(r for r in range(m) if int(target[r]) == u) for u in range(j)
-        )
-        active = tuple(range(m))
+        serve[np.arange(m), np.argmin(dist, axis=1)] = True
+        active = np.ones(m, dtype=bool)
     else:
         raise ValidationError(f"unknown association mode {mode!r}")
-    return Association(mode=mode, serving_sets=sets, active_raps=active, num_raps=m)
+    return Association(mode=mode, serve=serve, active=active)
 
 
 def layout_to_csv(layout: NetworkLayout, path: str | Path) -> None:
@@ -167,15 +144,15 @@ def layout_to_csv(layout: NetworkLayout, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LAYOUT_CSV_HEADER)
-        for i, p in enumerate(layout.rap_positions):
-            writer.writerow(["rap", i, repr(p.x), repr(p.y), repr(layout.fiber_length_km[i])])
-        for i, p in enumerate(layout.ue_positions):
-            writer.writerow(["ue", i, repr(p.x), repr(p.y), ""])
+        for i, (x, y) in enumerate(layout.rap_xy.tolist()):
+            writer.writerow(["rap", i, repr(x), repr(y), repr(layout.fiber_length_km[i])])
+        for i, (x, y) in enumerate(layout.ue_xy.tolist()):
+            writer.writerow(["ue", i, repr(x), repr(y), ""])
 
 
 def layout_from_csv(path: str | Path) -> NetworkLayout:
-    raps: list[Point2D] = []
-    ues: list[Point2D] = []
+    raps: list[tuple[float, float]] = []
+    ues: list[tuple[float, float]] = []
     fibers: list[float] = []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -187,10 +164,12 @@ def layout_from_csv(path: str | Path) -> NetworkLayout:
                 raise ValidationError(f"malformed layout row {row!r}")
             kind, _, x, y, fiber = row
             if kind == "rap":
-                raps.append(Point2D(float(x), float(y)))
+                raps.append((float(x), float(y)))
                 fibers.append(float(fiber))
             elif kind == "ue":
-                ues.append(Point2D(float(x), float(y)))
+                ues.append((float(x), float(y)))
             else:
                 raise ValidationError(f"unknown kind {kind!r} in layout CSV")
-    return NetworkLayout(tuple(raps), tuple(ues), tuple(fibers))
+    return NetworkLayout(
+        np.reshape(raps, (-1, 2)), np.reshape(ues, (-1, 2)), tuple(fibers)
+    )

@@ -1,11 +1,6 @@
 """Per-scheme power consumption model, budget solving, and crossover planning.
 
-Module placement mirrors the three fronthaul architectures:
-
-    BBoF  CU {BBU, E-O}                   RAP {O-E, DUC, DPD, DAC, RFU, CM, PA}
-    IFoF  CU {BBU, DUC, DAC, IFM, E-O}    RAP {O-E, RFU, CM, PA}
-    RFoF  CU {BBU, DUC, DAC, RFU, E-O}    RAP {O-E, PA}
-
+Module placement mirrors the three fronthaul architectures (``PLACEMENT``).
 Digital pre-distortion exists only in BBoF, which is also why its PA
 efficiency is higher.
 """
@@ -13,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .errors import InfeasibleBudgetError, ValidationError
 from .optics import FiberParams, Scheme, SchemeConfig, attenuation_db, scheme_fading_db
@@ -27,9 +21,26 @@ DEFAULT_P_LINK0_W = 0.1834
 _SOLVER_TOL_W = 1e-9
 
 
-class NodeRole(Enum):
-    CU_SHARE = "cu_share"
-    RAP = "rap"
+# Per scheme: the PowerParams wattage fields placed at the CU, those placed
+# at each RAP (which also draws its PA input), and the PA-efficiency field.
+# Node sums add the fields in the listed order.
+PLACEMENT = {
+    Scheme.BBOF: (
+        ("p_bbu_w", "p_eo_w"),
+        ("p_oe_w", "p_duc_w", "p_dpd_w", "p_dac_w", "p_rfu_w", "p_cm_w"),
+        "pa_eff_bbof",
+    ),
+    Scheme.IFOF: (
+        ("p_bbu_w", "p_duc_w", "p_dac_w", "p_ifm_w", "p_eo_w"),
+        ("p_oe_w", "p_rfu_w", "p_cm_w"),
+        "pa_eff_ifof",
+    ),
+    Scheme.RFOF: (
+        ("p_bbu_w", "p_duc_w", "p_dac_w", "p_rfu_w", "p_eo_w"),
+        ("p_oe_w",),
+        "pa_eff_rfof",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -48,7 +59,6 @@ class PowerParams:
     pa_eff_bbof: float = 0.25
     pa_eff_ifof: float = 0.15
     pa_eff_rfof: float = 0.15
-    pa_gain_db: float = 10.0  # amplifier property; enters no wattage sum
     feeder_loss: float = 0.5  # fraction lost in the PA-to-antenna coax
     supply_loss_frac: float = 0.15
     cooling_frac: float = 0.2
@@ -58,7 +68,7 @@ class PowerParams:
         for name in (
             "p_bbu_w", "p_ifm_w", "p_duc_w", "p_dpd_w", "p_dac_w", "p_rfu_w",
             "p_cm_w", "p_eo_w", "p_oe_w", "supply_loss_frac", "cooling_frac",
-            "p_link0_w", "pa_gain_db",
+            "p_link0_w",
         ):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -70,11 +80,7 @@ class PowerParams:
             raise ValidationError(f"feeder_loss must be in [0, 1), got {self.feeder_loss}")
 
     def pa_efficiency(self, scheme: Scheme) -> float:
-        return {
-            Scheme.BBOF: self.pa_eff_bbof,
-            Scheme.IFOF: self.pa_eff_ifof,
-            Scheme.RFOF: self.pa_eff_rfof,
-        }[Scheme(scheme)]
+        return getattr(self, PLACEMENT[Scheme(scheme)][2])
 
     @property
     def overhead_multiplier(self) -> float:
@@ -99,37 +105,6 @@ def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -
     if p_tx_antenna_w < 0:
         raise ValidationError(f"transmit power must be >= 0, got {p_tx_antenna_w}")
     return p_tx_antenna_w / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
-
-
-def _cu_share_w(scheme: Scheme, params: PowerParams) -> float:
-    if scheme is Scheme.BBOF:
-        return params.p_bbu_w + params.p_eo_w
-    if scheme is Scheme.IFOF:
-        return params.p_bbu_w + params.p_duc_w + params.p_dac_w + params.p_ifm_w + params.p_eo_w
-    return params.p_bbu_w + params.p_duc_w + params.p_dac_w + params.p_rfu_w + params.p_eo_w
-
-
-def _rap_fixed_w(scheme: Scheme, params: PowerParams) -> float:
-    if scheme is Scheme.BBOF:
-        return (
-            params.p_oe_w + params.p_duc_w + params.p_dpd_w + params.p_dac_w
-            + params.p_rfu_w + params.p_cm_w
-        )
-    if scheme is Scheme.IFOF:
-        return params.p_oe_w + params.p_rfu_w + params.p_cm_w
-    return params.p_oe_w
-
-
-def node_functional_power(
-    scheme: Scheme, role: NodeRole, p_tx_w: float, params: PowerParams
-) -> float:
-    """Sum of the modules placed at the node; the RAP adds its PA input."""
-    scheme = Scheme(scheme)
-    if role is NodeRole.CU_SHARE:
-        return _cu_share_w(scheme, params)
-    if role is NodeRole.RAP:
-        return _rap_fixed_w(scheme, params) + pa_input_power(p_tx_w, scheme, params)
-    raise ValidationError(f"unknown node role {role!r}")
 
 
 def fiber_compensation_power(
@@ -158,8 +133,11 @@ def system_power(
     """Total consumption of CU plus num_raps RAPs incl. supply/cooling overhead."""
     if num_raps < 1:
         raise ValidationError(f"num_raps must be >= 1, got {num_raps}")
-    cu = node_functional_power(scheme.scheme, NodeRole.CU_SHARE, 0.0, params)
-    rap = node_functional_power(scheme.scheme, NodeRole.RAP, p_tx_w, params)
+    cu_fields, rap_fields, _ = PLACEMENT[scheme.scheme]
+    cu = sum(getattr(params, name) for name in cu_fields)
+    rap = sum(getattr(params, name) for name in rap_fields) + pa_input_power(
+        p_tx_w, scheme.scheme, params
+    )
     comp = fiber_compensation_power(scheme, fiber, params)
     functional = cu + num_raps * (rap + comp)
     overhead = (params.overhead_multiplier - 1.0) * functional

@@ -32,6 +32,7 @@ from .wireless import (
     cellfree_sinr_components,
     combine_fronthaul_noise,
     draw_channels,
+    sinr_from_components,
     sum_throughput,
     udn_sinr_components,
 )
@@ -146,7 +147,6 @@ def _throughput_drop(cfg: ExperimentConfig, m: int, j: int, drop_seed: int):
         area_height_m=cfg.scenario.area_height_m,
         num_raps=m,
         num_ues=j,
-        fiber_length_km=cfg.fiber.length_km,
         rng_seed=drop_seed,
     )
     layout = generate_layout(scenario)
@@ -216,8 +216,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
                 )
                 per_drop = []
                 for comps in drop_components:
-                    sig, itf = comps[arch]
-                    sinr = p * sig / (p * itf + noise_w)
+                    sinr = sinr_from_components(*comps[arch], p, noise_w)
                     effective = [
                         combine_fronthaul_noise(float(v), fh_linear[s]) for v in sinr
                     ]

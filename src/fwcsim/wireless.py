@@ -62,14 +62,6 @@ class ChannelRealization:
     gains: np.ndarray  # (num_raps, num_ues) complex128
     drop_seed: int
 
-    @property
-    def num_raps(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def num_ues(self) -> int:
-        return self.gains.shape[1]
-
 
 def draw_channels(
     layout: NetworkLayout, model: ChannelModel, drop_seed: int
@@ -86,18 +78,22 @@ def udn_sinr_components(
     realization: ChannelRealization, assignment: Association
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-UE (signal, interference) power coefficients per watt of p_tx."""
-    if assignment.num_raps != realization.num_raps or assignment.num_ues != realization.num_ues:
+    serve = assignment.serve
+    if serve.shape != realization.gains.shape:
         raise ValidationError("assignment does not match realization dimensions")
     p2 = np.abs(realization.gains) ** 2
-    m, j = p2.shape
-    active_mask = np.zeros(m, dtype=bool)
-    active_mask[list(assignment.active_raps)] = True
-    serve_mask = np.zeros((m, j), dtype=bool)
-    for ue, serving in enumerate(assignment.serving_sets):
-        serve_mask[list(serving), ue] = True
-    signal = np.where(serve_mask, p2, 0.0).sum(axis=0)
-    interference = np.where(active_mask[:, None] & ~serve_mask, p2, 0.0).sum(axis=0)
+    signal = np.where(serve, p2, 0.0).sum(axis=0)
+    interference = np.where(assignment.active[:, None] & ~serve, p2, 0.0).sum(axis=0)
     return signal, interference
+
+
+def sinr_from_components(
+    signal: np.ndarray, interference: np.ndarray, p_tx_w: float, noise_power_w: float
+) -> np.ndarray:
+    """SINR = p*s / (p*i + N) from per-watt signal and interference coefficients."""
+    if p_tx_w < 0:
+        raise ValidationError("transmit power must be >= 0")
+    return p_tx_w * signal / (p_tx_w * interference + noise_power_w)
 
 
 def udn_sinr(
@@ -106,15 +102,13 @@ def udn_sinr(
     p_tx_w: float,
     model: ChannelModel,
 ) -> list[float]:
-    """SINR_j = p|g_aj,j|^2 / (sum over other serving RAPs p|g_mj|^2 + noise).
+    """SINR_j = p|g_aj,j|^2 / (sum over other active RAPs p|g_mj|^2 + noise).
 
-    Idle RAPs stay silent. In ``rap_nearest`` mode a UE's serving set may hold
+    Idle RAPs stay silent. In ``rap_nearest`` mode a UE may be served by
     several RAPs; their powers add non-coherently.
     """
-    if p_tx_w < 0:
-        raise ValidationError("transmit power must be >= 0")
     signal, interference = udn_sinr_components(realization, assignment)
-    sinr = p_tx_w * signal / (p_tx_w * interference + model.noise_power_w)
+    sinr = sinr_from_components(signal, interference, p_tx_w, model.noise_power_w)
     return [float(v) for v in sinr]
 
 
@@ -145,10 +139,8 @@ def cellfree_sinr(
     realization: ChannelRealization, p_tx_per_rap_w: float, model: ChannelModel
 ) -> list[float]:
     """Downlink conjugate-beamforming SINR across the whole distributed array."""
-    if p_tx_per_rap_w < 0:
-        raise ValidationError("transmit power must be >= 0")
     signal, interference = cellfree_sinr_components(realization)
-    sinr = p_tx_per_rap_w * signal / (p_tx_per_rap_w * interference + model.noise_power_w)
+    sinr = sinr_from_components(signal, interference, p_tx_per_rap_w, model.noise_power_w)
     return [float(v) for v in sinr]
 
 
@@ -172,7 +164,7 @@ class OverheadModel:
     coherence_block_symbols: float = 200.0
     max_fraction: float = 0.95
 
-    def fraction(self, num_raps: int, num_ues: int) -> float:
+    def fraction(self, num_ues: int) -> float:
         return min(num_ues / self.coherence_block_symbols, self.max_fraction)
 
 
@@ -209,7 +201,7 @@ def sum_throughput(
     if overhead is None:
         overhead = OverheadModel()
     if isinstance(overhead, OverheadModel):
-        fraction = overhead.fraction(num_raps, num_ues)
+        fraction = overhead.fraction(num_ues)
     else:
         fraction = float(overhead)
     if not 0.0 <= fraction < 1.0:

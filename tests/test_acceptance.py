@@ -18,7 +18,7 @@ from fwcsim.sweeps import run_throughput_sweep
 from fwcsim.units import SPEED_OF_LIGHT_M_S
 from fwcsim.wireless import ChannelModel, cellfree_sinr, draw_channels
 
-from test_beamform import brute_force_af
+from test_beamform import array_factor, brute_force_af
 from test_wireless import brute_force_cellfree
 
 FIBER = FiberParams()
@@ -182,7 +182,7 @@ def test_criterion_7_oracle_equivalences():
     geom = ArrayGeometry.ula(8, SPEED_OF_LIGHT_M_S / f0 / 2.0, f0, band_hz=(f0, 2 * f0))
     rng = np.random.default_rng(99)
     af_err = 0.0
-    from fwcsim.beamform import BeamformerSpec, array_factor
+    from fwcsim.beamform import BeamformerSpec
 
     for _ in range(50):
         spec = BeamformerSpec(
@@ -200,9 +200,9 @@ def test_criterion_7_oracle_equivalences():
         lay = generate_layout(Scenario(num_raps=8, num_ues=4, rng_seed=seed))
         assoc = udn_association(lay)
         dist = lay.distance_matrix()
-        for j, rap in enumerate(assoc.ue_to_rap):
-            if dist[rap, j] != dist[:, j].min():
-                assoc_ok = False
+        ues, raps = np.nonzero(assoc.serve.T)  # one serving RAP per UE, in UE order
+        if ues.tolist() != list(range(4)) or (dist[raps, ues] != dist.min(axis=0)).any():
+            assoc_ok = False
     elapsed = time.perf_counter() - start
     ok = cf_err < 1e-9 and af_err < 1e-12 * 8 and assoc_ok and elapsed < 30.0
     report(7, "oracle equivalences", ok,

@@ -7,7 +7,6 @@ import pytest
 from fwcsim.beamform import (
     ArrayGeometry,
     BeamformerSpec,
-    array_factor,
     array_factor_pattern,
     beam_squint_direction,
     coherent_within_symbol,
@@ -18,7 +17,7 @@ from fwcsim.beamform import (
     ttd_weights,
 )
 from fwcsim.errors import DegenerateChannelError, NoRealBeamError, ValidationError
-from fwcsim.geometry import NetworkLayout, Point2D, Scenario, generate_layout
+from fwcsim.geometry import NetworkLayout, Scenario, generate_layout
 from fwcsim.units import SPEED_OF_LIGHT_M_S
 from fwcsim.wireless import ChannelModel, ChannelRealization, draw_channels
 
@@ -28,12 +27,22 @@ GEOM = ArrayGeometry.ula(8, LAMBDA0 / 2, F0, band_hz=(F0, 2 * F0))
 DEG = math.degrees
 
 
+def array_factor(geom, spec, f_hz, theta_rad):
+    """The array factor at a single direction."""
+    return complex(array_factor_pattern(geom, spec, f_hz, np.array([theta_rad]))[0])
+
+
+def air_delay_s(layout, rap, ue):
+    (rx, ry), (ux, uy) = layout.rap_xy[rap], layout.ue_xy[ue]
+    return math.hypot(rx - ux, ry - uy) / SPEED_OF_LIGHT_M_S
+
+
 def brute_force_af(geom, spec, f_hz, theta_rad):
     """Term-by-term summation, no vectorization."""
     ux, uy = math.sin(theta_rad), math.cos(theta_rad)
     total = 0 + 0j
-    for w, tau, p in zip(spec.weights, spec.delays_s, geom.element_positions):
-        proj = p.x * ux + p.y * uy
+    for w, tau, (x, y) in zip(spec.weights, spec.delays_s, geom.element_positions.tolist()):
+        proj = x * ux + y * uy
         total += (
             w
             * cmath.exp(-2j * math.pi * f_hz * tau)
@@ -66,8 +75,9 @@ def test_array_factor_matches_brute_force():
         theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
         got = array_factor(GEOM, spec, f, theta)
         assert abs(got - brute_force_af(GEOM, spec, f, theta)) < 1e-12 * 8
-        pattern = array_factor_pattern(GEOM, spec, f, np.array([theta]))
+        pattern = array_factor_pattern(GEOM, spec, f, np.array([theta, -theta, 0.0]))
         assert abs(pattern[0] - got) < 1e-12 * 8
+        assert abs(pattern[1] - brute_force_af(GEOM, spec, f, -theta)) < 1e-12 * 8
 
 
 def test_phase_only_squints():
@@ -143,7 +153,7 @@ def test_energy_conserved_under_delay_changes():
 
 def test_sync_delays_uniform_layout():
     layout = NetworkLayout(
-        (Point2D(0, 0), Point2D(0, 200)), (Point2D(100, 100),), (19.0, 19.0)
+        np.array([[0.0, 0.0], [0.0, 200.0]]), np.array([[100.0, 100.0]]), (19.0, 19.0)
     )
     # equal fiber, equal air distance
     assert sync_delays(layout, 0) == pytest.approx([0.0, 0.0], abs=1e-18)
@@ -151,7 +161,7 @@ def test_sync_delays_uniform_layout():
 
 def test_sync_delays_air_difference():
     layout = NetworkLayout(
-        (Point2D(0, 0), Point2D(300, 0)), (Point2D(600, 0),), (19.0, 19.0)
+        np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[600.0, 0.0]]), (19.0, 19.0)
     )
     delays = sync_delays(layout, 0)
     assert min(delays) == 0.0
@@ -165,10 +175,9 @@ def test_sync_delays_equalize_arrivals():
     )
     ng = 1.468
     delays = sync_delays(layout, 1, group_index=ng)
-    ue = layout.ue_positions[1]
     arrivals = [
-        ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + rap.distance_to(ue) / SPEED_OF_LIGHT_M_S + d
-        for rap, lk, d in zip(layout.rap_positions, layout.fiber_length_km, delays)
+        ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 1) + d
+        for m, (lk, d) in enumerate(zip(layout.fiber_length_km, delays))
     ]
     assert max(arrivals) - min(arrivals) <= 1e-18
     assert min(delays) == 0.0
@@ -180,9 +189,8 @@ def test_coherence_check():
     )
     ng = 1.468
     raw = [
-        ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + rap.distance_to(layout.ue_positions[0])
-        / SPEED_OF_LIGHT_M_S
-        for rap, lk in zip(layout.rap_positions, layout.fiber_length_km)
+        ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 0)
+        for m, lk in enumerate(layout.fiber_length_km)
     ]
     assert not coherent_within_symbol(raw)  # tens of microseconds of skew
     delays = sync_delays(layout, 0)
@@ -211,7 +219,9 @@ def test_mixed_beamformer_identical_gains_scale():
     gains = np.full((m, 1), 1e-5 + 0j)
     real_m = ChannelRealization(gains=gains, drop_seed=0)
     layout = NetworkLayout(
-        tuple(Point2D(float(i), 0.0) for i in range(m)), (Point2D(2.0, 50.0),), (19.0,) * m
+        np.column_stack([np.arange(m, dtype=float), np.zeros(m)]),
+        np.array([[2.0, 50.0]]),
+        (19.0,) * m,
     )
     spec = mixed_beamformer(real_m, layout, 0, np.ones(m, dtype=complex))
     p = 0.5
@@ -228,12 +238,11 @@ def test_mixed_beamformer_flat_over_band_vs_phase_only():
     real = draw_channels(layout, model, 6)
     fronthaul = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
     spec = mixed_beamformer(real, layout, 0, fronthaul)
-    ue = layout.ue_positions[0]
     ng = 1.468
     path_delay = np.array(
         [
-            ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + rap.distance_to(ue) / SPEED_OF_LIGHT_M_S
-            for rap, lk in zip(layout.rap_positions, layout.fiber_length_km)
+            ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 0)
+            for m, lk in enumerate(layout.fiber_length_km)
         ]
     )
     q = fronthaul * real.gains[:, 0]

@@ -47,6 +47,7 @@ def test_defaults_resolve_completely():
         assert key in resolved
     assert resolved["power"]["p_link0_w"] == pytest.approx(0.1834)
     assert resolved["sweep"]["association_mode"] == "rap_nearest"
+    assert resolved["scenario"] == {"area_width_m": 1000.0, "area_height_m": 1000.0}
     assert len(cfg.config_hash()) == 12
 
 
@@ -172,7 +173,9 @@ def test_throughput_sweep_deterministic_and_thread_invariant():
 
 
 def test_beam_pattern_matches_array_factor():
-    from fwcsim.beamform import ArrayGeometry, phase_only_weights, ttd_weights, array_factor
+    from fwcsim.beamform import (
+        ArrayGeometry, array_factor_pattern, phase_only_weights, ttd_weights,
+    )
     from fwcsim.units import SPEED_OF_LIGHT_M_S
 
     cfg = small_config(
@@ -187,7 +190,7 @@ def test_beam_pattern_matches_array_factor():
     rng = np.random.default_rng(0)
     rows = [table.rows[int(i)] for i in rng.integers(0, len(table.rows), size=40)]
     for mode, f_hz, theta_deg, mag, phase in rows:
-        af = array_factor(geom, specs[mode], f_hz, math.radians(theta_deg))
+        af = array_factor_pattern(geom, specs[mode], f_hz, np.radians([theta_deg]))[0]
         assert mag == pytest.approx(abs(af), rel=1e-12, abs=1e-12)
     ttd_peaks = [p for p in table.metadata["peaks"] if p["mode"] == "ttd"]
     assert all(abs(p["peak_deg"] - 30.0) <= 0.011 for p in ttd_peaks)
@@ -231,6 +234,33 @@ def test_cli_config_error_exit_2(tmp_path):
     cfg_path = write_cfg(tmp_path, {"sweep": {"no_such_knob": 1}})
     code = main(["dispersion-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("throughput-sweep", {"monte_carlo_drops": 2.5}, "monte_carlo_drops must be an integer"),
+        ("throughput-sweep", {"base_seed": 1.5}, "base_seed must be an integer"),
+        ("throughput-sweep", {"base_seed": -1}, "base_seed must be >= 0"),
+        ("throughput-sweep", {"workers": True}, "workers must be an integer"),
+        ("throughput-sweep", {"budget_w": math.nan}, "budget_w must be finite"),
+        ("throughput-sweep", {"budget_w": math.inf}, "budget_w must be finite"),
+        ("dispersion-sweep", {"scenario": {"num_raps": -5}}, "unknown key"),
+        ("dispersion-sweep", {"scenario": {"num_ues": 50}}, "unknown key"),
+        ("dispersion-sweep", {"scenario": {"rng_seed": 1}}, "unknown key"),
+        ("dispersion-sweep", {"scenario": {"fiber_length_km": 19.0}}, "unknown key"),
+        ("power-sweep", {"power": {"pa_gain_db": 10.0}}, "unknown key"),
+    ],
+    ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-true", "budget-nan", "budget-inf",
+         "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
+         "scenario.fiber_length_km", "power.pa_gain_db"],
+)
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message):
+    cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_infeasible_exit_3(tmp_path):

@@ -7,11 +7,9 @@ import pytest
 from fwcsim.errors import InfeasibleBudgetError, ValidationError
 from fwcsim.optics import FiberParams, Scheme, SchemeConfig, null_lengths
 from fwcsim.power import (
-    NodeRole,
     PowerParams,
     crossover_length,
     fiber_compensation_power,
-    node_functional_power,
     pa_input_power,
     solve_tx_power,
     system_power,
@@ -32,20 +30,20 @@ def test_pa_input_power():
         pa_input_power(-1.0, Scheme.BBOF, PARAMS)
 
 
-def test_node_functional_power_placement():
-    assert node_functional_power(Scheme.BBOF, NodeRole.RAP, 1.0, PARAMS) == pytest.approx(22.0)
-    assert node_functional_power(Scheme.RFOF, NodeRole.RAP, 1.0, PARAMS) == pytest.approx(
+def test_placement_node_wattages():
+    assert system_power(BBOF, 1, 1.0, FIBER, PARAMS).per_rap_watts == pytest.approx(22.0)
+    assert system_power(RFOF, 1, 1.0, FIBER, PARAMS).per_rap_watts == pytest.approx(
         14.3333, abs=1e-3
     )
-    assert node_functional_power(Scheme.IFOF, NodeRole.CU_SHARE, 0.0, PARAMS) == pytest.approx(66.0)
-    assert node_functional_power(Scheme.BBOF, NodeRole.CU_SHARE, 0.0, PARAMS) == pytest.approx(59.0)
-    assert node_functional_power(Scheme.RFOF, NodeRole.CU_SHARE, 0.0, PARAMS) == pytest.approx(66.0)
+    assert system_power(IFOF, 1, 0.0, FIBER, PARAMS).cu_watts == pytest.approx(66.0)
+    assert system_power(BBOF, 1, 0.0, FIBER, PARAMS).cu_watts == pytest.approx(59.0)
+    assert system_power(RFOF, 1, 0.0, FIBER, PARAMS).cu_watts == pytest.approx(66.0)
 
 
 def test_rap_wattage_ordering():
-    bbof = node_functional_power(Scheme.BBOF, NodeRole.RAP, 1.0, PARAMS)
-    ifof = node_functional_power(Scheme.IFOF, NodeRole.RAP, 1.0, PARAMS)
-    rfof = node_functional_power(Scheme.RFOF, NodeRole.RAP, 1.0, PARAMS)
+    bbof = system_power(BBOF, 1, 1.0, FIBER, PARAMS).per_rap_watts
+    ifof = system_power(IFOF, 1, 1.0, FIBER, PARAMS).per_rap_watts
+    rfof = system_power(RFOF, 1, 1.0, FIBER, PARAMS).per_rap_watts
     assert bbof > ifof > rfof
 
 
@@ -95,15 +93,6 @@ def test_monotone_in_p_tx_and_m():
     t2 = system_power(RFOF, 10, 1.5, FIBER, PARAMS).total_watts
     t3 = system_power(RFOF, 20, 0.5, FIBER, PARAMS).total_watts
     assert t2 > t1 and t3 > t1
-
-
-def test_pa_gain_never_enters_sums():
-    loud = dataclasses.replace(PARAMS, pa_gain_db=30.0)
-    for scheme in (BBOF, IFOF, RFOF):
-        assert (
-            system_power(scheme, 5, 1.2, FIBER, loud).total_watts
-            == system_power(scheme, 5, 1.2, FIBER, PARAMS).total_watts
-        )
 
 
 def test_solve_tx_power_bbof_case_study():

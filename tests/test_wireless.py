@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fwcsim.errors import ValidationError
-from fwcsim.geometry import NetworkLayout, Point2D, Scenario, generate_layout, udn_association
+from fwcsim.geometry import NetworkLayout, Scenario, generate_layout, udn_association
 from fwcsim.wireless import (
     ChannelModel,
     ChannelRealization,
@@ -73,7 +73,7 @@ def test_pathloss_doubling():
 
 
 def test_udn_single_pair_is_snr():
-    layout = NetworkLayout((Point2D(0, 0),), (Point2D(30, 40),), (19.0,))
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[30.0, 40.0]]), (19.0,))
     real = draw_channels(layout, MODEL, 7)
     assoc = udn_association(layout)
     p = 0.5
@@ -83,13 +83,13 @@ def test_udn_single_pair_is_snr():
 
 def test_udn_two_cells_hand_computed():
     layout = NetworkLayout(
-        (Point2D(0, 0), Point2D(500, 0)),
-        (Point2D(10, 0), Point2D(480, 0)),
+        np.array([[0.0, 0.0], [500.0, 0.0]]),
+        np.array([[10.0, 0.0], [480.0, 0.0]]),
         (19.0, 19.0),
     )
     real = draw_channels(layout, MODEL, 3)
     assoc = udn_association(layout)
-    assert assoc.ue_to_rap == (0, 1)
+    assert assoc.serve.tolist() == [[True, False], [False, True]]
     p = 1.0
     g = np.abs(real.gains) ** 2
     expected0 = p * g[0, 0] / (p * g[1, 0] + MODEL.noise_power_w)
@@ -106,8 +106,8 @@ def test_udn_interference_limited_ceiling():
     hi = udn_sinr(real, assoc, 1e9, MODEL)
     g = np.abs(real.gains) ** 2
     for j, s in enumerate(hi):
-        serving = assoc.ue_to_rap[j]
-        others = [m for m in assoc.active_raps if m != serving]
+        serving = int(np.flatnonzero(assoc.serve[:, j])[0])
+        others = [m for m in np.flatnonzero(assoc.active) if m != serving]
         if others:
             ceiling = g[serving, j] / g[others, j].sum()
             assert s == pytest.approx(ceiling, rel=1e-6)
@@ -115,13 +115,13 @@ def test_udn_interference_limited_ceiling():
 
 def test_rap_nearest_mode_powers_add():
     layout = NetworkLayout(
-        (Point2D(0, 0), Point2D(20, 0), Point2D(900, 900)),
-        (Point2D(10, 0), Point2D(905, 905)),
+        np.array([[0.0, 0.0], [20.0, 0.0], [900.0, 900.0]]),
+        np.array([[10.0, 0.0], [905.0, 905.0]]),
         (19.0,) * 3,
     )
     assoc = udn_association(layout, mode="rap_nearest")
-    assert set(assoc.serving_sets[0]) == {0, 1}
-    assert set(assoc.serving_sets[1]) == {2}
+    assert np.flatnonzero(assoc.serve[:, 0]).tolist() == [0, 1]
+    assert np.flatnonzero(assoc.serve[:, 1]).tolist() == [2]
     real = draw_channels(layout, MODEL, 21)
     g = np.abs(real.gains) ** 2
     p = 2.0
@@ -131,7 +131,7 @@ def test_rap_nearest_mode_powers_add():
 
 
 def test_cellfree_degenerates_to_udn_for_single_pair():
-    layout = NetworkLayout((Point2D(0, 0),), (Point2D(55, 10),), (19.0,))
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[55.0, 10.0]]), (19.0,))
     real = draw_channels(layout, MODEL, 31)
     assoc = udn_association(layout)
     p = 0.7
@@ -182,7 +182,7 @@ def test_combine_never_increases_and_monotone():
 
 def test_sum_throughput_basics():
     assert sum_throughput([1.0, 1.0], 10e6, num_raps=4, num_ues=2, overhead=0.0) == pytest.approx(2e7)
-    ov = OverheadModel().fraction(100, 50)
+    ov = OverheadModel().fraction(50)
     assert ov == pytest.approx(0.25)
     got = sum_throughput([1.0], 10e6, num_raps=100, num_ues=50)
     assert got == pytest.approx(0.75 * 10e6)
@@ -207,7 +207,7 @@ def test_sum_throughput_validation():
 
 
 def test_overhead_clamps():
-    assert OverheadModel().fraction(1000, 500) == pytest.approx(0.95)
+    assert OverheadModel().fraction(500) == pytest.approx(0.95)
 
 
 def test_channel_model_validation():
