@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 from .errors import ConfigError
@@ -33,6 +34,13 @@ class SchemeParams:
     wireless_bandwidth_hz: float = 100e6
     fiber_bit_rate_bps: float = 2.5e9
     fronthaul_snr0_db: float = 40.0
+
+    def __post_init__(self):
+        for name in ("rf_carrier_hz", "if_carrier_hz", "wireless_bandwidth_hz",
+                     "fiber_bit_rate_bps"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,29 @@ class SweepParams:
     num_band_points: int = 5
     theta_grid_deg: tuple[float, float, float] = (-90.0, 90.0, 0.1)
 
+    def __post_init__(self):
+        if not self.fiber_km:
+            raise ConfigError("fiber_km must be nonempty")
+        if not self.m_values:
+            raise ConfigError("m_values must be nonempty")
+        if any(isinstance(m, bool) or not isinstance(m, Integral) or m < 1
+               for m in self.m_values):
+            raise ConfigError(f"m_values must be integers >= 1, got {self.m_values!r}")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ConfigError(f"m_values has duplicates: {self.m_values!r}")
+        points = self.num_band_points
+        if isinstance(points, bool) or not isinstance(points, Integral) or points < 1:
+            raise ConfigError(f"num_band_points must be an integer >= 1, got {points!r}")
+        grid = self.theta_grid_deg
+        if len(grid) != 3 or not all(math.isfinite(v) for v in grid):
+            raise ConfigError(f"theta_grid_deg must be 3 finite numbers, got {grid!r}")
+        start, stop, step = grid
+        if step == 0 or (stop - start) * step < 0:
+            raise ConfigError(
+                f"theta_grid_deg step must be nonzero and lead from start to stop, "
+                f"got {grid!r}"
+            )
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -89,6 +120,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.schemes:
             raise ConfigError("schemes list must be nonempty")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError(
+                f"schemes has duplicates: {[Scheme(s).value for s in self.schemes]}"
+            )
         for name in ("monte_carlo_drops", "base_seed", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

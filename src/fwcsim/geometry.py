@@ -93,9 +93,24 @@ class NetworkLayout:
         return len(self.ue_xy)
 
     def distance_matrix(self) -> np.ndarray:
-        """RAP-to-UE distances, shape (num_raps, num_ues)."""
-        diff = self.rap_xy[:, None, :] - self.ue_xy[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
+        """RAP-to-UE distances, shape (num_raps, num_ues).
+
+        Computed on first use and shared by every later caller (channel
+        draw, association, sync delays), so the result is read-only.
+        sqrt(dx*dx + dy*dy) has the bits of summing squared (x, y)
+        differences over a trailing axis of two.
+        """
+        dist = self.__dict__.get("_distances")
+        if dist is None:
+            dist = self.rap_xy[:, 0, None] - self.ue_xy[None, :, 0]
+            dy = self.rap_xy[:, 1, None] - self.ue_xy[None, :, 1]
+            dist *= dist
+            dy *= dy
+            dist += dy
+            np.sqrt(dist, out=dist)
+            dist.flags.writeable = False
+            object.__setattr__(self, "_distances", dist)
+        return dist
 
 
 def generate_layout(scenario: Scenario) -> NetworkLayout:

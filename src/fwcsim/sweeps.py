@@ -28,6 +28,7 @@ from .power import crossover_length, system_power, solve_tx_power
 from .tables import ResultTable
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
 from .wireless import (
+    ChannelModel,
     bbof_per_rap_cap_bps,
     cellfree_sinr_components,
     combine_fronthaul_noise,
@@ -140,7 +141,8 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     return table
 
 
-def _throughput_drop(cfg: ExperimentConfig, m: int, j: int, drop_seed: int):
+def _throughput_drop(cfg: ExperimentConfig, model: ChannelModel, m: int, j: int,
+                     drop_seed: int):
     """Power-normalized SINR components shared by every scheme at this drop."""
     scenario = Scenario(
         area_width_m=cfg.scenario.area_width_m,
@@ -150,11 +152,12 @@ def _throughput_drop(cfg: ExperimentConfig, m: int, j: int, drop_seed: int):
         rng_seed=drop_seed,
     )
     layout = generate_layout(scenario)
-    realization = draw_channels(layout, cfg.channel_model(), drop_seed)
+    realization = draw_channels(layout, model, drop_seed)
     assoc = udn_association(layout, mode=cfg.sweep.association_mode)
-    ud_sig, ud_itf = udn_sinr_components(realization, assoc)
-    cf_sig, cf_itf = cellfree_sinr_components(realization)
-    return {"udn": (ud_sig, ud_itf), "cellfree": (cf_sig, cf_itf)}
+    return {
+        "udn": udn_sinr_components(realization, assoc),
+        "cellfree": cellfree_sinr_components(realization),
+    }
 
 
 def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -162,7 +165,9 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
 
     A (scheme, M) point whose fixed power already exceeds the budget cannot
     operate and contributes zero-throughput rows; the sweep fails only when no
-    point is feasible at all.
+    point is feasible at all. Each drop yields per-UE (signal, interference)
+    vectors; they are stacked into (drops, J) arrays so that SINR, fronthaul
+    combining and the sum rate run once per (arch, scheme, M).
     """
     table = ResultTable("throughput_sweep", THROUGHPUT_COLUMNS,
                         metadata=_base_metadata(cfg, "throughput_sweep"))
@@ -190,7 +195,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
             f"budget {cfg.budget_w} W infeasible for every scheme and RAP count"
         )
 
-    rates: dict[tuple[str, Scheme, int], list[float]] = {}
+    rates: dict[tuple[str, Scheme, int], np.ndarray] = {}
     j_of_m: dict[int, int] = {}
     for m in cfg.sweep.m_values:
         j = max(1, round(0.5 * m))
@@ -199,14 +204,15 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         if cfg.workers > 1:
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 drop_components = list(
-                    pool.map(lambda seed: _throughput_drop(cfg, m, j, seed), seeds)
+                    pool.map(lambda seed: _throughput_drop(cfg, model, m, j, seed), seeds)
                 )
         else:
-            drop_components = [_throughput_drop(cfg, m, j, seed) for seed in seeds]
+            drop_components = [_throughput_drop(cfg, model, m, j, seed) for seed in seeds]
 
         for arch in ("udn", "cellfree"):
+            signal = np.stack([comps[arch][0] for comps in drop_components])
+            interference = np.stack([comps[arch][1] for comps in drop_components])
             for s, sc in scheme_cfgs.items():
-                p = p_tx[(s, m)]
                 cap = (
                     bbof_per_rap_cap_bps(
                         sc.fiber_bit_rate_bps, cfg.digitization_bits_per_sample_pair
@@ -214,24 +220,17 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
                     if s is Scheme.BBOF
                     else None
                 )
-                per_drop = []
-                for comps in drop_components:
-                    sinr = sinr_from_components(*comps[arch], p, noise_w)
-                    effective = [
-                        combine_fronthaul_noise(float(v), fh_linear[s]) for v in sinr
-                    ]
-                    per_drop.append(
-                        sum_throughput(
-                            effective, sc.wireless_bandwidth_hz, m, j,
-                            overhead=cfg.overhead, per_rap_cap_bps=cap,
-                        )
-                    )
-                rates[(arch, s, m)] = per_drop
+                sinr = sinr_from_components(signal, interference, p_tx[(s, m)], noise_w)
+                rates[(arch, s, m)] = sum_throughput(
+                    combine_fronthaul_noise(sinr, fh_linear[s]),
+                    sc.wireless_bandwidth_hz, m, j,
+                    overhead=cfg.overhead, per_rap_cap_bps=cap,
+                )
 
     for arch in ("udn", "cellfree"):
         for s in cfg.schemes:
             for m in cfg.sweep.m_values:
-                per_drop = np.asarray(rates[(arch, s, m)])
+                per_drop = rates[(arch, s, m)]
                 mean = float(per_drop.mean())
                 ci95 = (
                     float(1.96 * per_drop.std(ddof=1) / math.sqrt(drops))

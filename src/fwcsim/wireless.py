@@ -126,7 +126,9 @@ def cellfree_sinr_components(
     if np.any(denom == 0.0):
         raise ValidationError("a RAP has zero gain to every UE")
     sqrt_eta = 1.0 / np.sqrt(denom)
-    cross = gains.T @ (sqrt_eta[:, None] * np.conj(gains))  # (J, J)
+    weights = np.conj(gains)
+    weights *= sqrt_eta[:, None]  # in place: no second (M, J) complex temporary
+    cross = gains.T @ weights  # (J, J)
     amp = np.real(np.diag(cross))
     signal = amp**2
     inter_sq = np.abs(cross) ** 2
@@ -144,17 +146,26 @@ def cellfree_sinr(
     return [float(v) for v in sinr]
 
 
-def combine_fronthaul_noise(sinr_wireless: float, fronthaul_snr: float) -> float:
-    """Harmonic combination 1 / (1/sinr + 1/snr_fronthaul), both linear."""
-    if sinr_wireless < 0 or fronthaul_snr < 0:
+def combine_fronthaul_noise(
+    sinr_wireless: float | np.ndarray, fronthaul_snr: float | np.ndarray
+) -> float | np.ndarray:
+    """Harmonic combination 1 / (1/sinr + 1/snr_fronthaul), both linear.
+
+    Works elementwise on broadcastable arrays; two scalars give a float.
+    An infinite fronthaul SNR passes the SINR through, an infinite SINR
+    passes the fronthaul SNR through (the first rule wins when both are
+    infinite), and otherwise a zero term gives exactly 0.
+    """
+    s = np.asarray(sinr_wireless, dtype=float)
+    fh = np.asarray(fronthaul_snr, dtype=float)
+    if np.any(s < 0) or np.any(fh < 0):
         raise ValidationError("SINR terms must be >= 0")
-    if math.isinf(fronthaul_snr):
-        return sinr_wireless
-    if math.isinf(sinr_wireless):
-        return fronthaul_snr
-    if sinr_wireless == 0.0 or fronthaul_snr == 0.0:
-        return 0.0
-    return 1.0 / (1.0 / sinr_wireless + 1.0 / fronthaul_snr)
+    with np.errstate(all="ignore"):
+        out = 1.0 / (1.0 / s + 1.0 / fh)
+    out = np.where((s == 0.0) | (fh == 0.0), 0.0, out)
+    out = np.where(np.isinf(s), fh, out)
+    out = np.where(np.isinf(fh), s, out)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -179,25 +190,27 @@ def bbof_per_rap_cap_bps(
 
 
 def sum_throughput(
-    sinrs: Sequence[float],
+    sinrs: Sequence[float] | np.ndarray,
     bandwidth_hz: float,
     num_raps: int,
     num_ues: int | None = None,
     overhead: OverheadModel | float | None = None,
     per_rap_cap_bps: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Overhead-scaled network sum rate sum_j B*(1 - ov)*log2(1 + SINR_j).
 
-    ``overhead`` accepts a model or a literal fraction. ``per_rap_cap_bps``
-    clips the total at num_raps times the cap (the BBoF digitization limit).
+    ``sinrs`` holds one SINR per UE along its last axis: a (J,) sequence
+    gives a float, a (drops, J) array one total per row. ``overhead``
+    accepts a model or a literal fraction. ``per_rap_cap_bps`` clips each
+    total at num_raps times the cap (the BBoF digitization limit).
     """
-    sinr_arr = np.asarray(list(sinrs), dtype=float)
+    sinr_arr = np.asarray(sinrs, dtype=float)
     if np.any(sinr_arr < 0):
         raise ValidationError("SINRs must be >= 0")
     if bandwidth_hz <= 0:
         raise ValidationError("bandwidth must be > 0")
     if num_ues is None:
-        num_ues = len(sinr_arr)
+        num_ues = sinr_arr.shape[-1]
     if overhead is None:
         overhead = OverheadModel()
     if isinstance(overhead, OverheadModel):
@@ -206,7 +219,7 @@ def sum_throughput(
         fraction = float(overhead)
     if not 0.0 <= fraction < 1.0:
         raise ValidationError(f"overhead fraction must be in [0, 1), got {fraction}")
-    total = (1.0 - fraction) * bandwidth_hz * float(np.log2(1.0 + sinr_arr).sum())
+    total = (1.0 - fraction) * bandwidth_hz * np.log2(1.0 + sinr_arr).sum(axis=-1)
     if per_rap_cap_bps is not None:
-        total = min(total, num_raps * per_rap_cap_bps)
-    return total
+        total = np.minimum(total, num_raps * per_rap_cap_bps)
+    return float(total) if total.ndim == 0 else total

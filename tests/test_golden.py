@@ -4,6 +4,7 @@ Refactors must leave these digests unchanged; a model change that moves
 them updates the table below and says why.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -34,3 +35,21 @@ def test_default_csv_bytes_pinned(command, tmp_path):
     assert main([command, "--out", str(out), *extra]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# Every scheme feasible, ue_nearest association, two worker threads: the
+# combining and rate path for finite and infinite fronthaul SNRs.
+FEASIBLE_UE_NEAREST = {
+    "sweep": {"association_mode": "ue_nearest", "m_values": [16, 64]},
+    "budget_w": 1e5,
+}
+FEASIBLE_UE_NEAREST_DIGEST = "9d801268c75e012d2150a0fedb70e831bf56954d90d6ab06e643c337e2ecf2ed"
+
+
+def test_feasible_ue_nearest_throughput_bytes_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FEASIBLE_UE_NEAREST))
+    out = tmp_path / "throughput.csv"
+    args = ["--config", str(cfg), "--out", str(out), "--drops", "5", "--workers", "2"]
+    assert main(["throughput-sweep", *args]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FEASIBLE_UE_NEAREST_DIGEST

@@ -250,10 +250,22 @@ def test_cli_config_error_exit_2(tmp_path):
         ("dispersion-sweep", {"scenario": {"rng_seed": 1}}, "unknown key"),
         ("dispersion-sweep", {"scenario": {"fiber_length_km": 19.0}}, "unknown key"),
         ("power-sweep", {"power": {"pa_gain_db": 10.0}}, "unknown key"),
+        ("throughput-sweep", {"scheme_params": {"wireless_bandwidth_hz": 0}},
+         "wireless_bandwidth_hz must be finite and > 0"),
+        ("beam-pattern", {"sweep": {"theta_grid_deg": [-90.0, 90.0, 0.0]}},
+         "theta_grid_deg step must be nonzero"),
+        ("beam-pattern", {"sweep": {"num_band_points": 0}},
+         "num_band_points must be an integer >= 1"),
+        ("throughput-sweep", {"schemes": ["bbof", "rfof", "bbof"]}, "schemes has duplicates"),
+        ("throughput-sweep", {"sweep": {"m_values": [4, 8, 4]}}, "m_values has duplicates"),
+        ("throughput-sweep", {"sweep": {"m_values": []}}, "m_values must be nonempty"),
+        ("dispersion-sweep", {"sweep": {"fiber_km": []}}, "fiber_km must be nonempty"),
     ],
     ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-true", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
-         "scenario.fiber_length_km", "power.pa_gain_db"],
+         "scenario.fiber_length_km", "power.pa_gain_db", "bandwidth-0", "theta-step-0",
+         "band-points-0", "schemes-duplicate", "m_values-duplicate", "m_values-empty",
+         "fiber_km-empty"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
