@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, InfeasibleBudgetError, NullSentinelError, ValidationError
+from .errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from .sweeps import (
     run_beam_pattern,
     run_dispersion_sweep,
@@ -85,9 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         table.write_meta(meta_path_for(args.out))
         if args.command == "power-sweep":
             _write_crossovers(table, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -1,12 +1,20 @@
-"""Experiment configuration: JSON loading, centralized defaults, resolution."""
+"""Experiment configuration: JSON loading, centralized defaults, resolution.
+
+The dataclass field annotations are the schema: they drive the JSON builder,
+the type check that runs before any range check, and the ``resolved()`` echo.
+"""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import sys
+import typing
 from dataclasses import dataclass, field
-from numbers import Integral
+from enum import Enum
+from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
@@ -39,7 +47,7 @@ class SchemeParams:
         for name in ("rf_carrier_hz", "if_carrier_hz", "wireless_bandwidth_hz",
                      "fiber_bit_rate_bps"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
+            if value <= 0:
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -78,27 +86,22 @@ class SweepParams:
     theta_grid_deg: tuple[float, float, float] = (-90.0, 90.0, 0.1)
 
     def __post_init__(self):
-        if not self.fiber_km:
-            raise ConfigError("fiber_km must be nonempty")
-        if not self.m_values:
-            raise ConfigError("m_values must be nonempty")
-        if any(isinstance(m, bool) or not isinstance(m, Integral) or m < 1
-               for m in self.m_values):
+        for name in ("fiber_km", "frequencies_hz", "m_values"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be nonempty")
+        if any(m < 1 for m in self.m_values):
             raise ConfigError(f"m_values must be integers >= 1, got {self.m_values!r}")
         if len(set(self.m_values)) != len(self.m_values):
             raise ConfigError(f"m_values has duplicates: {self.m_values!r}")
-        points = self.num_band_points
-        if isinstance(points, bool) or not isinstance(points, Integral) or points < 1:
-            raise ConfigError(f"num_band_points must be an integer >= 1, got {points!r}")
-        grid = self.theta_grid_deg
-        if len(grid) != 3 or not all(math.isfinite(v) for v in grid):
-            raise ConfigError(f"theta_grid_deg must be 3 finite numbers, got {grid!r}")
-        start, stop, step = grid
+        if self.num_band_points < 1:
+            raise ConfigError(f"num_band_points must be an integer >= 1, "
+                              f"got {self.num_band_points!r}")
+        if not 0 < self.band_hz[0] <= self.band_hz[1]:
+            raise ConfigError(f"band_hz must satisfy 0 < start <= stop, got {self.band_hz!r}")
+        start, stop, step = self.theta_grid_deg
         if step == 0 or (stop - start) * step < 0:
-            raise ConfigError(
-                f"theta_grid_deg step must be nonzero and lead from start to stop, "
-                f"got {grid!r}"
-            )
+            raise ConfigError("theta_grid_deg step must be nonzero and lead from start to "
+                              f"stop, got {self.theta_grid_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -118,23 +121,17 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _checked(self, ExperimentConfig, "")
         if not self.schemes:
             raise ConfigError("schemes list must be nonempty")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError(
                 f"schemes has duplicates: {[Scheme(s).value for s in self.schemes]}"
             )
-        for name in ("monte_carlo_drops", "base_seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.monte_carlo_drops < 1:
-            raise ConfigError("monte_carlo_drops must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.base_seed < 0:
-            raise ConfigError("base_seed must be >= 0")
-        if not math.isfinite(self.budget_w) or self.budget_w <= 0:
+        for name, least in (("monte_carlo_drops", 1), ("workers", 1), ("base_seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        if self.budget_w <= 0:
             raise ConfigError(f"budget_w must be finite and > 0, got {self.budget_w!r}")
 
     def scheme_config(self, scheme: Scheme) -> SchemeConfig:
@@ -159,83 +156,88 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Every knob, defaults included, as plain JSON-ready values."""
-        out = {group: dataclasses.asdict(getattr(self, group)) for group in _GROUP_TYPES}
-        out.update((key, getattr(self, key)) for key in _SCALAR_KEYS)
-        out["schemes"] = self.schemes
-        return _jsonify(out)
+        return _plain(self)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, Scheme):
-        return value.value
+_FLOAT_MAX = sys.float_info.max
+_NUMBERS = {int: ((int,), Integral, "an integer"), float: ((float, int), Real, "a number")}
+_field_hints = functools.cache(typing.get_type_hints)  # field name -> evaluated annotation
+
+
+def _check_numbers(values, hint, where: str, indexed: bool) -> None:
+    """Hold each of ``values``, in one pass, to a config int (a non-bool
+    Integral) or float (a non-bool finite Real)."""
+    exact, kind, noun = _NUMBERS[hint]
+    for i, v in enumerate(values):
+        if type(v) not in exact and (isinstance(v, bool) or not isinstance(v, kind)):
+            fault = f"must be {noun}"
+        elif hint is float and not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            fault = "must be finite"
+        else:
+            continue
+        raise ConfigError(f"{where}{f'[{i}]' if indexed else ''} {fault}, got {v!r}")
+
+
+def _checked(value, hint, where: str):
+    """``value`` held to the annotation ``hint``: lists become tuples, names become
+    enum members and objects become groups; anything else is a ConfigError."""
+    if hint in (int, float):
+        _check_numbers((value,), hint, where, indexed=False)
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:  # homogeneous: tuple[X, ...] or tuple[X, X, ...]
+        size = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+            count = f" of {size} items" if size else ""
+            raise ConfigError(f"{where} must be a list{count}, got {value!r}")
+        if args[0] in (int, float):
+            _check_numbers(value, args[0], where, indexed=True)
+            return tuple(value)
+        return tuple(_checked(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if type(None) in args:  # X | None
+        return None if value is None else _checked(value, args[0], where)
+    if dataclasses.is_dataclass(hint):  # a group: a JSON object, or an instance to check
+        hints = _field_hints(hint)
+        if isinstance(value, hint):
+            for name, field_hint in hints.items():
+                _checked(getattr(value, name), field_hint, f"{where}.{name}".lstrip("."))
+            return value
+        place = f"config group {where!r}" if where else "the top-level config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{place} must be an object")
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {place}")
+        return hint(**{  # every value is checked before the group's own range checks run
+            key: _checked(v, hints[key], f"{where}.{key}".lstrip("."))
+            for key, v in value.items()
+        })
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            names = [m.value for m in hint]
+            raise ConfigError(f"{where} must be one of {names}, got {value!r}") from None
+    if not isinstance(value, hint):
+        raise ConfigError(f"{where} must be a {hint.__name__}, got {value!r}")
     return value
 
 
-_GROUP_TYPES = {
-    "scenario": Area,
-    "fiber": FiberParams,
-    "scheme_params": SchemeParams,
-    "power": PowerParams,
-    "channel": ChannelParams,
-    "overhead": OverheadModel,
-    "sweep": SweepParams,
-}
-_SCALAR_KEYS = {
-    "digitization_bits_per_sample_pair",
-    "budget_w",
-    "monte_carlo_drops",
-    "base_seed",
-    "workers",
-}
-
-
-def _build_group(cls, data: dict, group: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config group {group!r}")
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in config group {group!r}: {exc}") from exc
+def _plain(value):
+    """Dataclasses as dicts, tuples as lists, enum members as their values."""
+    if dataclasses.is_dataclass(value):
+        return {name: _plain(getattr(value, name)) for name in _field_hints(type(value))}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    unknown = set(data) - set(_GROUP_TYPES) - _SCALAR_KEYS - {"schemes"}
-    if unknown:
-        raise ConfigError(f"unknown top-level config key(s) {sorted(unknown)}")
-    kwargs = {}
-    for group, cls in _GROUP_TYPES.items():
-        if group in data:
-            raw = data[group]
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config group {group!r} must be an object")
-            kwargs[group] = _build_group(cls, raw, group)
-    if "schemes" in data:
-        try:
-            kwargs["schemes"] = tuple(Scheme(s) for s in data["schemes"])
-        except ValueError as exc:
-            raise ConfigError(f"bad scheme name: {exc}") from exc
-    for key in _SCALAR_KEYS:
-        if key in data:
-            kwargs[key] = data[key]
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    return _checked(data, ExperimentConfig, "")
 
 
 def load_config(
@@ -257,14 +259,6 @@ def load_config(
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("top-level config must be a JSON object")
-    cfg = config_from_dict(data)
-    replacements = {}
-    if seed is not None:
-        replacements["base_seed"] = seed
-    if drops is not None:
-        replacements["monte_carlo_drops"] = drops
-    if workers is not None:
-        replacements["workers"] = workers
-    if replacements:
-        cfg = dataclasses.replace(cfg, **replacements)
-    return cfg
+    overrides = {"base_seed": seed, "monte_carlo_drops": drops, "workers": workers}
+    data.update((key, value) for key, value in overrides.items() if value is not None)
+    return config_from_dict(data)

@@ -23,7 +23,7 @@ from .beamform import (
 from .config import ExperimentConfig
 from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError
 from .geometry import Scenario, generate_layout, udn_association
-from .optics import Scheme, dispersion_fading_db, fronthaul_snr_db
+from .optics import FiberParams, Scheme, SchemeConfig, fronthaul_snr_db, scheme_fading_db
 from .power import crossover_length, system_power, solve_tx_power
 from .tables import ResultTable
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
@@ -52,9 +52,28 @@ def _base_metadata(cfg: ExperimentConfig, kind: str) -> dict:
     return {"kind": kind, "config_hash": cfg.config_hash(), "config": cfg.resolved()}
 
 
-def _json_safe(value: float):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+def _curves(cfg: ExperimentConfig):
+    """One scheme config per planning curve: BBoF, IFoF, and RFoF per carrier."""
+    for scheme in cfg.schemes:
+        sc = cfg.scheme_config(scheme)
+        if scheme is Scheme.RFOF:
+            for f_hz in cfg.sweep.frequencies_hz:
+                yield dataclasses.replace(sc, rf_carrier_hz=float(f_hz))
+        else:
+            yield sc
+
+
+def _fiber_axis(cfg: ExperimentConfig) -> list[FiberParams]:
+    return [dataclasses.replace(cfg.fiber, length_km=float(km)) for km in cfg.sweep.fiber_km]
+
+
+def _unless_null(value: float, allow_null: bool, sc: SchemeConfig, fib: FiberParams) -> float:
+    """``value``, unless it is the infinite-loss sentinel and nulls are not allowed."""
+    if math.isinf(value) and not allow_null:
+        raise NullSentinelError(
+            f"dispersion null at {fib.length_km} km for {sc.scheme.value} at "
+            f"{sc.analog_carrier_hz() / 1e9:g} GHz; pass --allow-null to emit the sentinel"
+        )
     return value
 
 
@@ -62,35 +81,13 @@ def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> Res
     """Fading-vs-length curves per scheme; RFoF gets one curve per frequency."""
     table = ResultTable("dispersion_sweep", DISPERSION_COLUMNS,
                         metadata=_base_metadata(cfg, "dispersion_sweep"))
-
-    def fading_at(f_hz: float, length_km: float) -> float:
-        fib = dataclasses.replace(cfg.fiber, length_km=length_km)
-        fading = dispersion_fading_db(fib, f_hz)
-        if math.isinf(fading) and not allow_null:
-            raise NullSentinelError(
-                f"dispersion null at {length_km} km for {f_hz/1e9:g} GHz; "
-                "pass --allow-null to emit the sentinel"
-            )
-        return fading
-
-    for scheme in cfg.schemes:
-        sc = cfg.scheme_config(scheme)
-        if scheme is Scheme.BBOF:
-            for length in cfg.sweep.fiber_km:
-                table.append(scheme.value, 0.0, float(length), 0.0)
-        elif scheme is Scheme.IFOF:
-            for length in cfg.sweep.fiber_km:
-                table.append(
-                    scheme.value, sc.if_carrier_hz, float(length),
-                    fading_at(sc.if_carrier_hz, float(length)),
-                )
-        else:
-            for f_hz in cfg.sweep.frequencies_hz:
-                for length in cfg.sweep.fiber_km:
-                    table.append(
-                        scheme.value, float(f_hz), float(length),
-                        fading_at(float(f_hz), float(length)),
-                    )
+    fibers = _fiber_axis(cfg)
+    for sc in _curves(cfg):
+        carrier = sc.analog_carrier_hz()
+        for fib in fibers:
+            fading = _unless_null(scheme_fading_db(sc, fib), allow_null, sc, fib)
+            table.append(sc.scheme.value, 0.0 if carrier is None else carrier,
+                         fib.length_km, fading)
     return table
 
 
@@ -100,29 +97,15 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
                         metadata=_base_metadata(cfg, "power_sweep"))
     m = cfg.sweep.power_num_raps
     p_tx = cfg.sweep.power_p_tx_w
-
-    def emit(sc, f_rf_hz: float) -> None:
-        for length in cfg.sweep.fiber_km:
-            fib = dataclasses.replace(cfg.fiber, length_km=float(length))
+    fibers = _fiber_axis(cfg)
+    for sc in _curves(cfg):
+        for fib in fibers:
             breakdown = system_power(sc, m, p_tx, fib, cfg.power)
-            if math.isinf(breakdown.total_watts) and not allow_null:
-                raise NullSentinelError(
-                    f"dispersion null at {length} km for {sc.scheme.value}; "
-                    "pass --allow-null to emit the sentinel"
-                )
             table.append(
-                sc.scheme.value, f_rf_hz, float(length), p_tx,
-                breakdown.cu_watts, breakdown.per_rap_watts,
-                breakdown.fiber_comp_watts, breakdown.total_watts,
+                sc.scheme.value, sc.rf_carrier_hz, fib.length_km, p_tx,
+                breakdown.cu_watts, breakdown.per_rap_watts, breakdown.fiber_comp_watts,
+                _unless_null(breakdown.total_watts, allow_null, sc, fib),
             )
-
-    for scheme in cfg.schemes:
-        sc = cfg.scheme_config(scheme)
-        if scheme is Scheme.RFOF:
-            for f_hz in cfg.sweep.frequencies_hz:
-                emit(dataclasses.replace(sc, rf_carrier_hz=float(f_hz)), float(f_hz))
-        else:
-            emit(sc, sc.rf_carrier_hz)
 
     crossovers = []
     if Scheme.RFOF in cfg.schemes and Scheme.BBOF in cfg.schemes:
@@ -249,7 +232,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         for s in cfg.schemes
     }
     table.metadata["fronthaul_snr_db"] = {
-        s.value: _json_safe(fronthaul_snr_db(sc, cfg.fiber))
+        s.value: fronthaul_snr_db(sc, cfg.fiber)
         for s, sc in scheme_cfgs.items()
     }
     return table

@@ -7,8 +7,20 @@ bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+
+def _json_safe(value):
+    """``value`` with every infinite float spelled "inf" or "-inf"."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
 
 
 def format_cell(value) -> str:
@@ -39,7 +51,9 @@ class ResultTable:
         Path(path).write_bytes(("\n".join(lines) + "\n").encode())
 
     def write_meta(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.metadata, sort_keys=True, indent=2) + "\n")
+        """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""
+        text = json.dumps(_json_safe(self.metadata), sort_keys=True, indent=2, allow_nan=False)
+        Path(path).write_text(text + "\n")
 
 
 def meta_path_for(csv_path: str | Path) -> Path:

@@ -17,17 +17,6 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    """dB from a power ratio; 0 maps to -inf."""
-    if value < 0.0:
-        raise ValueError(f"power ratio must be >= 0, got {value}")
-    if value == 0.0:
-        return -math.inf
-    if value == math.inf:
-        return math.inf
-    return 10.0 * math.log10(value)
-
-
 def thermal_noise_w(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
     """Receiver noise power k*T*B scaled by the noise figure."""
     if bandwidth_hz <= 0.0:

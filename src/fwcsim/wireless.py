@@ -175,6 +175,14 @@ class OverheadModel:
     coherence_block_symbols: float = 200.0
     max_fraction: float = 0.95
 
+    def __post_init__(self):
+        if self.coherence_block_symbols <= 0:
+            raise ValidationError(
+                f"coherence_block_symbols must be > 0, got {self.coherence_block_symbols}"
+            )
+        if not 0.0 <= self.max_fraction < 1.0:
+            raise ValidationError(f"max_fraction must be in [0, 1), got {self.max_fraction}")
+
     def fraction(self, num_ues: int) -> float:
         return min(num_ues / self.coherence_block_symbols, self.max_fraction)
 

@@ -1,7 +1,8 @@
-"""Byte-golden CSVs: the default config's outputs are pinned by sha256.
+"""Byte-golden outputs: the CSVs and meta sidecars of fixed runs are pinned by sha256.
 
 Refactors must leave these digests unchanged; a model change that moves
-them updates the table below and says why.
+them updates the table below and says why. The meta digests also pin
+``resolved()`` and ``config_hash``, which every meta sidecar echoes.
 """
 import hashlib
 import json
@@ -13,17 +14,23 @@ from fwcsim.cli import main
 GOLDEN = {
     "dispersion-sweep": ((), {
         "dispersion.csv": "66f125719bcda80239056188943440be4ffc437b04827d324bd2a37eebe63a06",
+        "dispersion.meta.json":
+            "55a7cb4b6862398366bde636c63bd64ee260b0a15e687449b800a79402fa1e57",
     }),
     "power-sweep": ((), {
         "power.csv": "6e9c38c12893cd43136bd65f97a3043e305f373305127dee0033c1b5305a5fc6",
         "power_crossovers.csv":
             "69f7ad421941ebac40eda5c6c0df120bd8f9dec09ba7c653f7bde2ec6f69333b",
+        "power.meta.json": "20b1d34b243f3d5e246a83679288d10a06e40318e86a2a668d49d95cbc713ce8",
     }),
     "beam-pattern": ((), {
         "beam.csv": "7a45c24a681f4860a3962441253fc7918fbc75c13378b268e167ddb070b8a593",
+        "beam.meta.json": "899dfe82db2b88f114d1a7356943fa1df67baed786ebb6f04a8e6d9b3a4012e1",
     }),
     "throughput-sweep": (("--drops", "5"), {
         "throughput.csv": "28ea2affe48dc636fcb9d635ba4f3702eb637e2e6287d2ba7575e8c12c70a868",
+        "throughput.meta.json":
+            "4e737ec52382e357b67d2feeff0fb56decf221978c16a94539ef77f8e51388b0",
     }),
 }
 
@@ -44,6 +51,9 @@ FEASIBLE_UE_NEAREST = {
     "budget_w": 1e5,
 }
 FEASIBLE_UE_NEAREST_DIGEST = "9d801268c75e012d2150a0fedb70e831bf56954d90d6ab06e643c337e2ecf2ed"
+FEASIBLE_UE_NEAREST_META_DIGEST = (
+    "ad2ecda951904eaa207773cb4a10270b0e0a4d881cd782e1c954878094c0023f"
+)
 
 
 def test_feasible_ue_nearest_throughput_bytes_pinned(tmp_path):
@@ -53,3 +63,5 @@ def test_feasible_ue_nearest_throughput_bytes_pinned(tmp_path):
     args = ["--config", str(cfg), "--out", str(out), "--drops", "5", "--workers", "2"]
     assert main(["throughput-sweep", *args]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FEASIBLE_UE_NEAREST_DIGEST
+    meta = out.with_suffix(".meta.json").read_bytes()
+    assert hashlib.sha256(meta).hexdigest() == FEASIBLE_UE_NEAREST_META_DIGEST

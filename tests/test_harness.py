@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fwcsim.cli import main
-from fwcsim.config import ExperimentConfig, config_from_dict, load_config
+from fwcsim.config import ExperimentConfig, SweepParams, config_from_dict, load_config
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
+from fwcsim.geometry import Area
 from fwcsim.optics import (
     Scheme,
     dispersion_fading_db,
@@ -23,7 +24,7 @@ from fwcsim.sweeps import (
     run_power_sweep,
     run_throughput_sweep,
 )
-from fwcsim.tables import meta_path_for
+from fwcsim.tables import ResultTable, meta_path_for
 
 SMALL_SWEEP = {
     "sweep": {"m_values": [4, 8], "fiber_km": [0.0, 1.0, 4.0, 19.0]},
@@ -58,6 +59,18 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"fiber": {"dispersion": 17}})
     with pytest.raises(ConfigError):
         config_from_dict({"schemes": ["bbof", "xfof"]})
+
+
+def test_direct_config_is_type_checked():
+    with pytest.raises(ConfigError, match="budget_w must be finite"):
+        ExperimentConfig(budget_w=math.nan)
+    with pytest.raises(ConfigError, match=r"sweep\.m_values\[1\] must be an integer"):
+        ExperimentConfig(sweep=SweepParams(m_values=(4, True)))
+    with pytest.raises(ConfigError, match=r"scenario\.area_width_m must be finite"):
+        ExperimentConfig(scenario=Area(area_width_m=math.inf))
+    with pytest.raises(ConfigError, match=r"schemes\[0\] must be one of"):
+        ExperimentConfig(schemes=("xfof",))
+    assert ExperimentConfig(sweep=SweepParams(array_spacing_m=None)).sweep.array_spacing_m is None
 
 
 def test_load_config_overrides(tmp_path):
@@ -260,12 +273,35 @@ def test_cli_config_error_exit_2(tmp_path):
         ("throughput-sweep", {"sweep": {"m_values": [4, 8, 4]}}, "m_values has duplicates"),
         ("throughput-sweep", {"sweep": {"m_values": []}}, "m_values must be nonempty"),
         ("dispersion-sweep", {"sweep": {"fiber_km": []}}, "fiber_km must be nonempty"),
+        ("throughput-sweep", {"overhead": {"coherence_block_symbols": 0}},
+         "coherence_block_symbols must be > 0"),
+        ("throughput-sweep", {"overhead": {"max_fraction": 1.5}},
+         "max_fraction must be in [0, 1)"),
+        ("power-sweep", {"sweep": {"frequencies_hz": []}}, "frequencies_hz must be nonempty"),
+        ("throughput-sweep", {"channel": {"noise_figure_db": math.nan}},
+         "channel.noise_figure_db must be finite"),
+        ("throughput-sweep", {"channel": {"pathloss_exponent": "abc"}},
+         "channel.pathloss_exponent must be a number"),
+        ("throughput-sweep", {"scenario": {"area_width_m": math.nan}},
+         "scenario.area_width_m must be finite"),
+        ("dispersion-sweep", {"fiber": {"wavelength_nm": math.inf}},
+         "fiber.wavelength_nm must be finite"),
+        ("power-sweep", {"sweep": {"power_p_tx_w": math.nan}},
+         "sweep.power_p_tx_w must be finite"),
+        ("throughput-sweep", {"scheme_params": {"fronthaul_snr0_db": math.nan}},
+         "scheme_params.fronthaul_snr0_db must be finite"),
+        ("throughput-sweep", {"sweep": {"m_values": [2.5]}},
+         "sweep.m_values[0] must be an integer"),
+        ("beam-pattern", {"sweep": {"band_hz": [0.0, 1e9]}},
+         "band_hz must satisfy 0 < start <= stop"),
     ],
     ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-true", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
          "scenario.fiber_length_km", "power.pa_gain_db", "bandwidth-0", "theta-step-0",
          "band-points-0", "schemes-duplicate", "m_values-duplicate", "m_values-empty",
-         "fiber_km-empty"],
+         "fiber_km-empty", "coherence-block-0", "max-fraction-1.5", "frequencies-empty",
+         "noise-figure-nan", "pathloss-string", "area-width-nan", "wavelength-inf",
+         "power-p-tx-nan", "fronthaul-snr0-nan", "m_values-2.5", "band-start-0"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
@@ -294,6 +330,30 @@ def test_cli_null_sentinel_exit_4(tmp_path):
         == 0
     )
     assert "inf" in out.read_text()
+
+
+def test_cli_power_sweep_null_sentinel_exit_4(tmp_path, capsys):
+    ln = null_lengths(ExperimentConfig().fiber, 30e9, 1)[0]
+    cfg_path = write_cfg(tmp_path, {"sweep": {"fiber_km": [ln], "frequencies_hz": [30e9]}})
+    out = tmp_path / "p.csv"
+    assert main(["power-sweep", "--config", str(cfg_path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "for rfof at 30 GHz" in err, err
+    assert not out.exists()
+    args = ["power-sweep", "--config", str(cfg_path), "--out", str(out), "--allow-null"]
+    assert main(args) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[-1] for r in rows if r[0] == "rfof"] == ["inf"]
+    assert all(math.isfinite(float(r[-1])) for r in rows if r[0] != "rfof")
+
+
+def test_write_meta_is_strict_json(tmp_path):
+    path = tmp_path / "m.meta.json"
+    table = ResultTable("t", ("a",), metadata={"x": [math.inf, -math.inf], "y": {"z": 1.5}})
+    table.write_meta(path)
+    assert json.loads(path.read_text()) == {"x": ["inf", "-inf"], "y": {"z": 1.5}}
+    with pytest.raises(ValueError):
+        ResultTable("t", ("a",), metadata={"x": math.nan}).write_meta(path)
 
 
 def test_cli_power_sweep_writes_crossovers(tmp_path):
