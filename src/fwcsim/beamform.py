@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
@@ -92,22 +93,62 @@ class BeamformerSpec:
             raise ValidationError("weights must be finite")
 
 
-def array_factor_pattern(
-    geom: ArrayGeometry, spec: BeamformerSpec, f_hz: float, thetas_rad: np.ndarray
-) -> np.ndarray:
+def steering_matrix(geom: ArrayGeometry, f_hz: float, thetas_rad: np.ndarray) -> np.ndarray:
+    """exp(j*2*pi*f*(p_m . u)/c) over a grid of directions u = (sin theta, cos theta),
+    shape (N, T).
+
+    Built as cos and sin of the real phase, which has the bits of the complex
+    exp and skips its complex arithmetic. numpy divides a complex array by a real scalar
+    as a multiply by the reciprocal, so the phase is scaled by 1/c, not divided.
+    """
+    thetas = np.asarray(thetas_rad, dtype=float)
+    u = np.stack([np.sin(thetas), np.cos(thetas)])  # (2, T)
+    # The imaginary part of the complex phase, (0*0 + 2*pi*f*p) * (1/c): the
+    # added +0.0 turns a -0.0 into +0.0 as that sum did.
+    phase = geom.element_positions @ u  # (N, T) projections p_m . u
+    phase *= 2 * math.pi * f_hz
+    phase += 0.0
+    phase *= 1.0 / SPEED_OF_LIGHT_M_S
+    steering = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=steering.real)
+    np.sin(phase, out=steering.imag)
+    return steering
+
+
+def array_factor_patterns(
+    geom: ArrayGeometry,
+    specs: Collection[BeamformerSpec],
+    f_hz: float,
+    thetas_rad: np.ndarray,
+) -> list[np.ndarray]:
     """AF(theta) = sum_m w_m * exp(-j*2*pi*f*tau_m) * exp(j*2*pi*f*(p_m . u)/c)
-    over a grid of directions u = (sin theta, cos theta)."""
-    if len(spec.weights) != geom.num_elements:
-        raise ValidationError("spec length does not match element count")
+    for each spec in ``specs``, over a grid of directions u = (sin theta, cos theta).
+
+    The steering matrix depends only on the geometry, f and the grid, so every
+    spec shares one. Each spec applies its feed vector in its own
+    matrix-vector product; one stacked matrix product would not promise the
+    same bits.
+    """
+    for spec in specs:
+        if len(spec.weights) != geom.num_elements:
+            raise ValidationError("spec length does not match element count")
     f_lo, f_hi = geom.band_hz
     if not f_lo <= f_hz <= f_hi:
         raise ValidationError(f"frequency {f_hz} outside band {geom.band_hz}")
-    thetas = np.asarray(thetas_rad, dtype=float)
-    u = np.stack([np.sin(thetas), np.cos(thetas)])  # (2, T)
-    proj = geom.element_positions @ u  # (N, T)
-    w = np.asarray(spec.weights, dtype=complex)
-    feed = w * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s))
-    return feed @ np.exp(2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S)
+    steering = steering_matrix(geom, f_hz, thetas_rad)
+    patterns = []
+    for spec in specs:
+        w = np.asarray(spec.weights, dtype=complex)
+        feed = w * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s))
+        patterns.append(feed @ steering)
+    return patterns
+
+
+def array_factor_pattern(
+    geom: ArrayGeometry, spec: BeamformerSpec, f_hz: float, thetas_rad: np.ndarray
+) -> np.ndarray:
+    """AF of one spec over a grid of directions; see ``array_factor_patterns``."""
+    return array_factor_patterns(geom, (spec,), f_hz, thetas_rad)[0]
 
 
 def phase_only_weights(
@@ -149,15 +190,15 @@ def beam_squint_direction(f_hz: float, f0_hz: float, theta0_rad: float) -> float
     return math.asin(arg)
 
 
-def peak_direction(
+def peak_directions(
     geom: ArrayGeometry,
-    spec: BeamformerSpec,
+    specs: Collection[BeamformerSpec],
     f_hz: float,
     theta_lo_rad: float = -math.pi / 2,
     theta_hi_rad: float = math.pi / 2,
     step_rad: float = math.radians(0.01),
-) -> float:
-    """Grid-search argmax of |AF| over [theta_lo, theta_hi].
+) -> list[float]:
+    """Grid-search argmax of |AF| over [theta_lo, theta_hi], one per spec.
 
     Grating lobes of equal height appear outside the mainlobe half-plane for
     wideband sweeps of half-wavelength arrays; restrict the window to the
@@ -167,8 +208,22 @@ def peak_direction(
         raise ValidationError("empty search window")
     count = int(round((theta_hi_rad - theta_lo_rad) / step_rad)) + 1
     thetas = theta_lo_rad + step_rad * np.arange(count)
-    mags = np.abs(array_factor_pattern(geom, spec, f_hz, thetas))
-    return float(thetas[int(np.argmax(mags))])
+    return [
+        float(thetas[int(np.argmax(np.abs(values)))])
+        for values in array_factor_patterns(geom, specs, f_hz, thetas)
+    ]
+
+
+def peak_direction(
+    geom: ArrayGeometry,
+    spec: BeamformerSpec,
+    f_hz: float,
+    theta_lo_rad: float = -math.pi / 2,
+    theta_hi_rad: float = math.pi / 2,
+    step_rad: float = math.radians(0.01),
+) -> float:
+    """Peak direction of one spec; see ``peak_directions``."""
+    return peak_directions(geom, (spec,), f_hz, theta_lo_rad, theta_hi_rad, step_rad)[0]
 
 
 def sync_delays(

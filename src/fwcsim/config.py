@@ -159,8 +159,13 @@ class ExperimentConfig:
         return _plain(self)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return hash_resolved(self.resolved())
+
+
+def hash_resolved(resolved: dict) -> str:
+    """The 12-hex-digit digest of a ``resolved()`` echo."""
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 _FLOAT_MAX = sys.float_info.max

@@ -14,13 +14,13 @@ import numpy as np
 
 from .beamform import (
     ArrayGeometry,
+    array_factor_patterns,
     beam_squint_direction,
-    peak_direction,
+    peak_directions,
     phase_only_weights,
-    array_factor_pattern,
     ttd_weights,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, hash_resolved
 from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError
 from .geometry import Scenario, generate_layout, udn_association
 from .optics import FiberParams, Scheme, SchemeConfig, fronthaul_snr_db, scheme_fading_db
@@ -49,7 +49,8 @@ BEAM_COLUMNS = ("mode", "f_hz", "theta_deg", "af_mag", "af_phase_rad")
 
 
 def _base_metadata(cfg: ExperimentConfig, kind: str) -> dict:
-    return {"kind": kind, "config_hash": cfg.config_hash(), "config": cfg.resolved()}
+    resolved = cfg.resolved()
+    return {"kind": kind, "config_hash": hash_resolved(resolved), "config": resolved}
 
 
 def _curves(cfg: ExperimentConfig):
@@ -259,29 +260,32 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
 
     table = ResultTable("beam_pattern", BEAM_COLUMNS,
                         metadata=_base_metadata(cfg, "beam_pattern"))
-    for mode, spec in specs.items():
-        for f_hz in freqs:
-            values = array_factor_pattern(geom, spec, float(f_hz), thetas_rad)
-            for theta_deg, af in zip(thetas_deg, values):
-                table.append(
-                    mode, float(f_hz), float(theta_deg), float(abs(af)),
-                    float(np.angle(af)),
-                )
-
     # Peak trajectory, searched on the steering side to dodge grating lobes.
     window = (0.0, math.pi / 2) if theta0 >= 0 else (-math.pi / 2, 0.0)
-    peaks = []
-    for mode, spec in specs.items():
-        for f_hz in freqs:
-            measured = peak_direction(geom, spec, float(f_hz), *window)
+    per_mode = {mode: [] for mode in specs}  # (f_hz, pattern, peak) per frequency
+    for f_hz in freqs.tolist():
+        patterns = array_factor_patterns(geom, specs.values(), f_hz, thetas_rad)
+        peaks = peak_directions(geom, specs.values(), f_hz, *window)
+        for mode, values, measured in zip(specs, patterns, peaks):
+            per_mode[mode].append((f_hz, values, measured))
+
+    theta_col = thetas_deg.tolist()
+    peak_rows = []
+    for mode, results in per_mode.items():
+        for f_hz, values, measured in results:
+            # hypot has the bits of the scalar abs(); np.abs takes a SIMD path that does not.
+            table.extend_columns(
+                [mode] * count, [f_hz] * count, theta_col,
+                np.hypot(values.real, values.imag).tolist(), np.angle(values).tolist(),
+            )
             try:
-                predicted = math.degrees(beam_squint_direction(float(f_hz), f_lo, theta0))
+                predicted = math.degrees(beam_squint_direction(f_hz, f_lo, theta0))
             except NoRealBeamError:
                 predicted = None
-            peaks.append(
-                {"mode": mode, "f_hz": float(f_hz),
+            peak_rows.append(
+                {"mode": mode, "f_hz": f_hz,
                  "peak_deg": math.degrees(measured),
                  "squint_prediction_deg": predicted if mode == "phase_only" else None}
             )
-    table.metadata["peaks"] = peaks
+    table.metadata["peaks"] = peak_rows
     return table

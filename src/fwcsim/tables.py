@@ -31,6 +31,11 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# Cells of exactly these types format as format_cell would, without its checks;
+# bool, numpy scalars and any other type still go through format_cell.
+_EXACT_FORMAT = {float: float.__repr__, str: str, int: int.__repr__}
+
+
 @dataclass
 class ResultTable:
     kind: str
@@ -45,9 +50,18 @@ class ResultTable:
             )
         self.rows.append(tuple(values))
 
+    def extend_columns(self, *columns) -> None:
+        """Append one row per position of the equal-length sequences ``columns``."""
+        if len(columns) != len(self.columns):
+            raise ValueError(
+                f"{len(columns)} columns given for {len(self.columns)} columns"
+            )
+        self.rows.extend(zip(*columns, strict=True))
+
     def write_csv(self, path: str | Path) -> None:
         lines = [",".join(self.columns)]
-        lines.extend(",".join(format_cell(v) for v in row) for row in self.rows)
+        fast = _EXACT_FORMAT.get
+        lines.extend(",".join([fast(type(v), format_cell)(v) for v in row]) for row in self.rows)
         Path(path).write_bytes(("\n".join(lines) + "\n").encode())
 
     def write_meta(self, path: str | Path) -> None:

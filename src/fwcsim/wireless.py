@@ -62,6 +62,19 @@ class ChannelRealization:
     gains: np.ndarray  # (num_raps, num_ues) complex128
     drop_seed: int
 
+    def power_gains(self) -> np.ndarray:
+        """|g_mj|^2, shape (num_raps, num_ues).
+
+        Computed on first use and shared by the UDN and cell-free SINR
+        components of the drop, so the result is read-only.
+        """
+        p2 = self.__dict__.get("_power_gains")
+        if p2 is None:
+            p2 = np.abs(self.gains) ** 2
+            p2.flags.writeable = False
+            object.__setattr__(self, "_power_gains", p2)
+        return p2
+
 
 def draw_channels(
     layout: NetworkLayout, model: ChannelModel, drop_seed: int
@@ -81,7 +94,7 @@ def udn_sinr_components(
     serve = assignment.serve
     if serve.shape != realization.gains.shape:
         raise ValidationError("assignment does not match realization dimensions")
-    p2 = np.abs(realization.gains) ** 2
+    p2 = realization.power_gains()
     signal = np.where(serve, p2, 0.0).sum(axis=0)
     interference = np.where(assignment.active[:, None] & ~serve, p2, 0.0).sum(axis=0)
     return signal, interference
@@ -122,7 +135,7 @@ def cellfree_sinr_components(
     exactly its per-RAP budget.
     """
     gains = realization.gains
-    denom = (np.abs(gains) ** 2).sum(axis=1)
+    denom = realization.power_gains().sum(axis=1)
     if np.any(denom == 0.0):
         raise ValidationError("a RAP has zero gain to every UE")
     sqrt_eta = 1.0 / np.sqrt(denom)

@@ -65,3 +65,31 @@ def test_feasible_ue_nearest_throughput_bytes_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FEASIBLE_UE_NEAREST_DIGEST
     meta = out.with_suffix(".meta.json").read_bytes()
     assert hashlib.sha256(meta).hexdigest() == FEASIBLE_UE_NEAREST_META_DIGEST
+
+
+# Steering to the negative side (the other peak-search window), an explicit
+# element spacing and a band wide enough for phase-only steering to squint.
+NEGATIVE_STEER_BEAM = {
+    "sweep": {
+        "steer_theta_deg": -40.0,
+        "array_elements": 16,
+        "array_spacing_m": 0.012,
+        "band_hz": [10e9, 30e9],
+        "num_band_points": 4,
+        "theta_grid_deg": [-90.0, 90.0, 0.25],
+    },
+}
+NEGATIVE_STEER_BEAM_DIGEST = "202ac0606999236af45f6c595c803dc7bb0b1f5b35284dcfc323010fe8216f32"
+NEGATIVE_STEER_BEAM_META_DIGEST = (
+    "32dc3fe6532665de112dfb6e7be8cbb5ead5c115b2e6ee0dfbbf9b5ea85432ed"
+)
+
+
+def test_negative_steer_beam_pattern_bytes_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NEGATIVE_STEER_BEAM))
+    out = tmp_path / "beam.csv"
+    assert main(["beam-pattern", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NEGATIVE_STEER_BEAM_DIGEST
+    meta = out.with_suffix(".meta.json").read_bytes()
+    assert hashlib.sha256(meta).hexdigest() == NEGATIVE_STEER_BEAM_META_DIGEST
