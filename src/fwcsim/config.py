@@ -5,6 +5,7 @@ the type check that runs before any range check, and the ``resolved()`` echo.
 """
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import hashlib
@@ -121,7 +122,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _checked(self, ExperimentConfig, "")
+        if not _PRECHECKED.get():  # a JSON build checked each value on the way in
+            _checked(self, ExperimentConfig, "")
         if not self.schemes:
             raise ConfigError("schemes list must be nonempty")
         if len(set(self.schemes)) != len(self.schemes):
@@ -169,6 +171,7 @@ def hash_resolved(resolved: dict) -> str:
 
 
 _FLOAT_MAX = sys.float_info.max
+_PRECHECKED = contextvars.ContextVar("prechecked", default=False)  # building checked values
 _NUMBERS = {int: ((int,), Integral, "an integer"), float: ((float, int), Real, "a number")}
 _field_hints = functools.cache(typing.get_type_hints)  # field name -> evaluated annotation
 
@@ -217,10 +220,15 @@ def _checked(value, hint, where: str):
         unknown = set(value) - set(hints)
         if unknown:
             raise ConfigError(f"unknown key(s) {sorted(unknown)} in {place}")
-        return hint(**{  # every value is checked before the group's own range checks run
+        values = {  # every value is checked before the group's own range checks run
             key: _checked(v, hints[key], f"{where}.{key}".lstrip("."))
             for key, v in value.items()
-        })
+        }
+        token = _PRECHECKED.set(True)
+        try:
+            return hint(**values)
+        finally:
+            _PRECHECKED.reset(token)
     if issubclass(hint, Enum):
         try:
             return hint(value)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import UndefinedModelError, ValidationError
 from .units import SPEED_OF_LIGHT_M_S
 
@@ -91,26 +93,41 @@ def attenuation_db(fiber: FiberParams) -> float:
     return fiber.attenuation_db_per_km * fiber.length_km
 
 
-def _phase_rad(fiber: FiberParams, f_hz: float) -> float:
-    d_si = fiber.dispersion_ps_nm_km * 1e-6  # s/m^2
-    lam_si = fiber.wavelength_nm * 1e-9
-    length_si = fiber.length_km * 1e3
-    return math.pi * d_si * length_si * lam_si**2 * f_hz**2 / SPEED_OF_LIGHT_M_S
+def fiber_axis(lengths_km) -> np.ndarray:
+    """The fiber lengths as one float array, held to FiberParams' length check."""
+    axis = np.array(lengths_km, dtype=float)
+    if (axis < 0).any():
+        raise ValidationError("length must be >= 0")
+    return axis
 
 
-def dispersion_fading_db(fiber: FiberParams, f_hz: float) -> float:
-    """Dispersion-induced RF power fading for a double-sideband IM link.
+def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> list[float]:
+    """Dispersion-induced RF power fading of a double-sideband IM link at each
+    length of the float array ``lengths_km``.
 
-    loss_dB = -10*log10(cos^2(pi * D * L * lambda^2 * f^2 / c)); returns
-    math.inf at an exact null. Direct detection of both sidebands makes the
-    carrier fade with the accumulated dispersion phase.
+    loss_dB = -10*log10(cos^2(pi * D * L * lambda^2 * f^2 / c)), math.inf at
+    an exact null: direct detection of both sidebands makes the carrier fade
+    with the accumulated dispersion phase. The phase is one elementwise numpy
+    pass in the scalar operation order; cos, the square and log10 run on
+    Python floats, as numpy's do not promise the bits of ``math``'s.
     """
     if f_hz <= 0:
         raise ValidationError(f"frequency must be > 0, got {f_hz}")
-    cos_sq = math.cos(_phase_rad(fiber, f_hz)) ** 2
-    if cos_sq <= NULL_COS_SQ_FLOOR:
-        return math.inf
-    return max(0.0, -10.0 * math.log10(cos_sq))
+    d_si = fiber.dispersion_ps_nm_km * 1e-6  # s/m^2
+    lam_si = fiber.wavelength_nm * 1e-9
+    with np.errstate(over="ignore"):  # overflow gives inf, as on Python floats
+        phase = math.pi * d_si * (lengths_km * 1e3) * lam_si**2 * f_hz**2 / SPEED_OF_LIGHT_M_S
+    fading = []
+    for cos in map(math.cos, phase.tolist()):
+        cos_sq = cos**2
+        fading.append(math.inf if cos_sq <= NULL_COS_SQ_FLOOR
+                      else max(0.0, -10.0 * math.log10(cos_sq)))
+    return fading
+
+
+def dispersion_fading_db(fiber: FiberParams, f_hz: float) -> float:
+    """``fading_db_over`` at the fiber's own length."""
+    return fading_db_over(fiber, f_hz, fiber_axis([fiber.length_km]))[0]
 
 
 def scheme_fading_db(scheme: SchemeConfig, fiber: FiberParams) -> float:

@@ -9,8 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import InfeasibleBudgetError, ValidationError
-from .optics import FiberParams, Scheme, SchemeConfig, attenuation_db, scheme_fading_db
+from .optics import FiberParams, Scheme, SchemeConfig, fading_db_over, fiber_axis
 from .units import db_to_linear
 
 # Default drive power of the analog optical link at zero fiber loss. Calibrated
@@ -107,20 +109,43 @@ def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -
     return p_tx_antenna_w / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
 
 
+def power_over(scheme: SchemeConfig, num_raps: int, p_tx_w: float, fiber: FiberParams,
+               params: PowerParams, lengths_km: np.ndarray) -> tuple:
+    """``system_power`` at each length of the float array ``lengths_km``: the CU
+    and per-RAP watts, then lists of the compensation, overhead and total watts.
+
+    The fiber compensation is p_link0 * 10^(A_dB/10) with A_dB attenuation plus
+    carrier fading (BBoF needs none; a dispersion null needs math.inf). The
+    sums run elementwise in numpy, in the order of the scalar expressions.
+    """
+    if num_raps < 1:
+        raise ValidationError(f"num_raps must be >= 1, got {num_raps}")
+    cu_fields, rap_fields, _ = PLACEMENT[scheme.scheme]
+    cu = sum(getattr(params, name) for name in cu_fields)
+    rap = sum(getattr(params, name) for name in rap_fields) + pa_input_power(
+        p_tx_w, scheme.scheme, params
+    )
+    overhead_frac = params.overhead_multiplier - 1.0
+    with np.errstate(over="ignore"):  # overflow gives inf, as on Python floats
+        if scheme.scheme is Scheme.BBOF:
+            comp = [0.0] * len(lengths_km)
+        else:
+            fading = fading_db_over(fiber, scheme.analog_carrier_hz(), lengths_km)
+            loss_db = (fiber.attenuation_db_per_km * lengths_km + fading).tolist()
+            comp = [math.inf if fade == math.inf else params.p_link0_w * db_to_linear(loss)
+                    for fade, loss in zip(fading, loss_db)]
+        functional = float(cu) + float(num_raps) * (rap + np.array(comp))
+        # Without overhead fractions an infinite total stays infinite, not 0 * inf.
+        overhead = overhead_frac * functional if overhead_frac else np.zeros(len(comp))
+        total = functional + overhead
+    return cu, rap, comp, overhead.tolist(), total.tolist()
+
+
 def fiber_compensation_power(
     scheme: SchemeConfig, fiber: FiberParams, params: PowerParams
 ) -> float:
-    """Drive power offsetting analog link loss: p_link0 * 10^(A_dB/10).
-
-    A_dB is attenuation plus carrier fading; BBoF needs none. Returns math.inf
-    at a dispersion null.
-    """
-    if scheme.scheme is Scheme.BBOF:
-        return 0.0
-    fading = scheme_fading_db(scheme, fiber)
-    if math.isinf(fading):
-        return math.inf
-    return params.p_link0_w * db_to_linear(attenuation_db(fiber) + fading)
+    """Drive power offsetting analog link loss (see ``power_over``)."""
+    return system_power(scheme, 1, 0.0, fiber, params).fiber_comp_watts
 
 
 def system_power(
@@ -131,24 +156,9 @@ def system_power(
     params: PowerParams,
 ) -> PowerBreakdown:
     """Total consumption of CU plus num_raps RAPs incl. supply/cooling overhead."""
-    if num_raps < 1:
-        raise ValidationError(f"num_raps must be >= 1, got {num_raps}")
-    cu_fields, rap_fields, _ = PLACEMENT[scheme.scheme]
-    cu = sum(getattr(params, name) for name in cu_fields)
-    rap = sum(getattr(params, name) for name in rap_fields) + pa_input_power(
-        p_tx_w, scheme.scheme, params
-    )
-    comp = fiber_compensation_power(scheme, fiber, params)
-    functional = cu + num_raps * (rap + comp)
-    overhead = (params.overhead_multiplier - 1.0) * functional
-    return PowerBreakdown(
-        cu_watts=cu,
-        per_rap_watts=rap,
-        fiber_comp_watts=comp,
-        overhead_watts=overhead,
-        total_watts=functional + overhead,
-        num_raps=num_raps,
-    )
+    axis = fiber_axis([fiber.length_km])
+    cu, rap, comp, overhead, total = power_over(scheme, num_raps, p_tx_w, fiber, params, axis)
+    return PowerBreakdown(cu, rap, comp[0], overhead[0], total[0], num_raps)
 
 
 def solve_tx_power(
@@ -207,35 +217,27 @@ def crossover_length(
         scheme_a = replace(scheme_a, rf_carrier_hz=rf_carrier_hz)
         scheme_b = replace(scheme_b, rf_carrier_hz=rf_carrier_hz)
 
-    def diff(length_km: float) -> float:
-        fib = replace(fiber, length_km=length_km)
-        total_a = system_power(scheme_a, num_raps, p_tx_w, fib, params).total_watts
-        total_b = system_power(scheme_b, num_raps, p_tx_w, fib, params).total_watts
-        if math.isinf(total_a) and math.isinf(total_b):
-            return 0.0
-        if math.isinf(total_a):
-            return math.inf
-        if math.isinf(total_b):
-            return -math.inf
-        return total_a - total_b
+    def exceeds(lengths_km) -> list[bool]:
+        """Whether scheme_a's total is above scheme_b's (False when both are infinite)."""
+        axis = fiber_axis(lengths_km)
+        totals = [power_over(sc, num_raps, p_tx_w, fiber, params, axis)[-1]
+                  for sc in (scheme_a, scheme_b)]
+        return [a > b for a, b in zip(*totals)]
 
+    # The scan is one pass over all its lengths; only the bisection is per length.
     step = (hi - lo) / (num_scan - 1)
-    prev_l, prev_d = lo, diff(lo)
-    if prev_d > 0:
-        return lo
-    for i in range(1, num_scan):
-        cur_l = lo + i * step
-        cur_d = diff(cur_l)
-        if cur_d > 0:
-            break
-        prev_l, prev_d = cur_l, cur_d
-    else:
+    scan_l = [lo] + [lo + i * step for i in range(1, num_scan)]
+    above = exceeds(scan_l)
+    if True not in above:
         return None
+    first = above.index(True)
+    if first == 0:
+        return lo
 
-    lo_l, hi_l = prev_l, cur_l
+    lo_l, hi_l = scan_l[first - 1], scan_l[first]
     for _ in range(80):
         mid = 0.5 * (lo_l + hi_l)
-        if diff(mid) > 0:
+        if exceeds([mid])[0]:
             hi_l = mid
         else:
             lo_l = mid

@@ -23,9 +23,9 @@ from .beamform import (
 from .config import ExperimentConfig, hash_resolved
 from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError
 from .geometry import Scenario, generate_layout, udn_association
-from .optics import FiberParams, Scheme, SchemeConfig, fronthaul_snr_db, scheme_fading_db
-from .power import crossover_length, system_power, solve_tx_power
-from .tables import ResultTable
+from .optics import Scheme, SchemeConfig, fading_db_over, fiber_axis, fronthaul_snr_db
+from .power import crossover_length, power_over, solve_tx_power
+from .tables import Repeat, ResultTable
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
 from .wireless import (
     ChannelModel,
@@ -64,31 +64,29 @@ def _curves(cfg: ExperimentConfig):
             yield sc
 
 
-def _fiber_axis(cfg: ExperimentConfig) -> list[FiberParams]:
-    return [dataclasses.replace(cfg.fiber, length_km=float(km)) for km in cfg.sweep.fiber_km]
-
-
-def _unless_null(value: float, allow_null: bool, sc: SchemeConfig, fib: FiberParams) -> float:
-    """``value``, unless it is the infinite-loss sentinel and nulls are not allowed."""
-    if math.isinf(value) and not allow_null:
+def _unless_null(column: list, allow_null: bool, sc: SchemeConfig, km: list) -> list:
+    """``column``, unless it holds the infinite-loss sentinel and nulls are not allowed."""
+    if math.inf in column and not allow_null:
         raise NullSentinelError(
-            f"dispersion null at {fib.length_km} km for {sc.scheme.value} at "
+            f"dispersion null at {km[column.index(math.inf)]} km for {sc.scheme.value} at "
             f"{sc.analog_carrier_hz() / 1e9:g} GHz; pass --allow-null to emit the sentinel"
         )
-    return value
+    return column
 
 
 def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTable:
     """Fading-vs-length curves per scheme; RFoF gets one curve per frequency."""
     table = ResultTable("dispersion_sweep", DISPERSION_COLUMNS,
                         metadata=_base_metadata(cfg, "dispersion_sweep"))
-    fibers = _fiber_axis(cfg)
+    lengths = fiber_axis(cfg.sweep.fiber_km)
+    km = lengths.tolist()  # one list object: every curve shares its formatted text
     for sc in _curves(cfg):
         carrier = sc.analog_carrier_hz()
-        for fib in fibers:
-            fading = _unless_null(scheme_fading_db(sc, fib), allow_null, sc, fib)
-            table.append(sc.scheme.value, 0.0 if carrier is None else carrier,
-                         fib.length_km, fading)
+        if carrier is None:  # BBoF sees no fading
+            fading, carrier = Repeat(0.0), 0.0
+        else:
+            fading = _unless_null(fading_db_over(cfg.fiber, carrier, lengths), allow_null, sc, km)
+        table.extend_columns(Repeat(sc.scheme.value), Repeat(carrier), km, fading)
     return table
 
 
@@ -98,15 +96,14 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
                         metadata=_base_metadata(cfg, "power_sweep"))
     m = cfg.sweep.power_num_raps
     p_tx = cfg.sweep.power_p_tx_w
-    fibers = _fiber_axis(cfg)
+    lengths = fiber_axis(cfg.sweep.fiber_km)
+    km = lengths.tolist()
     for sc in _curves(cfg):
-        for fib in fibers:
-            breakdown = system_power(sc, m, p_tx, fib, cfg.power)
-            table.append(
-                sc.scheme.value, sc.rf_carrier_hz, fib.length_km, p_tx,
-                breakdown.cu_watts, breakdown.per_rap_watts, breakdown.fiber_comp_watts,
-                _unless_null(breakdown.total_watts, allow_null, sc, fib),
-            )
+        cu, rap, comp, _, total = power_over(sc, m, p_tx, cfg.fiber, cfg.power, lengths)
+        table.extend_columns(
+            Repeat(sc.scheme.value), Repeat(sc.rf_carrier_hz), km, Repeat(p_tx),
+            Repeat(cu), Repeat(rap), comp, _unless_null(total, allow_null, sc, km),
+        )
 
     crossovers = []
     if Scheme.RFOF in cfg.schemes and Scheme.BBOF in cfg.schemes:
@@ -275,7 +272,7 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
         for f_hz, values, measured in results:
             # hypot has the bits of the scalar abs(); np.abs takes a SIMD path that does not.
             table.extend_columns(
-                [mode] * count, [f_hz] * count, theta_col,
+                Repeat(mode), Repeat(f_hz), theta_col,
                 np.hypot(values.real, values.imag).tolist(), np.angle(values).tolist(),
             )
             try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 
@@ -36,33 +37,72 @@ def format_cell(value) -> str:
 _EXACT_FORMAT = {float: float.__repr__, str: str, int: int.__repr__}
 
 
+def _column_text(column) -> list[str]:
+    """Each cell of ``column`` as format_cell writes it; one map when all share a type."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1 and (fmt := _EXACT_FORMAT.get(kinds.pop())):
+        return list(map(fmt, column))
+    return [_EXACT_FORMAT.get(type(v), format_cell)(v) for v in column]
+
+
+@dataclass(frozen=True)
+class Repeat:
+    """One cell value repeated down every row of a column block."""
+
+    value: object
+
+
 @dataclass
 class ResultTable:
+    """A table stored as column blocks, written to CSV one column at a time.
+
+    Each block is (row count, one entry per column). An entry is a sequence
+    with one cell per row or a ``Repeat`` of one cell. A sequence object that
+    several blocks share, such as a common axis, is formatted once per write.
+    """
+
     kind: str
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    blocks: list[tuple[int, tuple]] = field(default_factory=list, repr=False)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The rows as tuples, rebuilt from the blocks on each access."""
+        return [row for n, cells in self.blocks for row in zip(
+            *(repeat(c.value, n) if isinstance(c, Repeat) else c for c in cells))]
 
     def append(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} cells for {len(self.columns)} columns"
-            )
-        self.rows.append(tuple(values))
+        self.extend_columns(*([v] for v in values))
 
     def extend_columns(self, *columns) -> None:
-        """Append one row per position of the equal-length sequences ``columns``."""
+        """Append one row per position of the equal-length sequences in ``columns``;
+        a ``Repeat`` entry puts its value in each of those rows."""
         if len(columns) != len(self.columns):
-            raise ValueError(
-                f"{len(columns)} columns given for {len(self.columns)} columns"
-            )
-        self.rows.extend(zip(*columns, strict=True))
+            raise ValueError(f"{len(columns)} cells or columns for {len(self.columns)} columns")
+        lengths = {len(c) for c in columns if not isinstance(c, Repeat)}
+        if len(lengths) != 1:
+            raise ValueError(f"column lengths {sorted(lengths)} are not one row count")
+        self.blocks.append((lengths.pop(), columns))
 
     def write_csv(self, path: str | Path) -> None:
-        lines = [",".join(self.columns)]
-        fast = _EXACT_FORMAT.get
-        lines.extend(",".join([fast(type(v), format_cell)(v) for v in row]) for row in self.rows)
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+        texts = {}  # id(sequence) -> its formatted cells
+        with open(path, "wb") as fh:
+            fh.write((",".join(self.columns) + "\n").encode())
+            for n, cells in self.blocks:
+                # Cell j of a row sits at 2j, its "," or final "\n" at 2j + 1; each
+                # column fills its slots by one slice assignment. No columns: "\n" rows.
+                width = 2 * len(cells) or 1
+                lines = [","] * (width * n)
+                lines[width - 1::width] = ["\n"] * n
+                for j, cell in enumerate(cells):
+                    if isinstance(cell, Repeat):
+                        lines[2 * j::width] = _column_text([cell.value]) * n
+                        continue
+                    if id(cell) not in texts:
+                        texts[id(cell)] = _column_text(cell)
+                    lines[2 * j::width] = texts[id(cell)]
+                fh.write("".join(lines).encode())
 
     def write_meta(self, path: str | Path) -> None:
         """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""

@@ -9,12 +9,11 @@ ROOM_TEMPERATURE_K = 290.0
 
 
 def db_to_linear(value_db: float) -> float:
-    """Power ratio from dB; -inf maps to 0, +inf stays +inf."""
-    if value_db == -math.inf:
-        return 0.0
-    if value_db == math.inf:
+    """Power ratio from dB; -inf maps to 0, +inf and ratios past the float range to +inf."""
+    try:
+        return 10.0 ** (value_db / 10.0)  # -inf gives 0.0, +inf gives inf
+    except OverflowError:
         return math.inf
-    return 10.0 ** (value_db / 10.0)
 
 
 def thermal_noise_w(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:

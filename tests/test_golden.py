@@ -93,3 +93,50 @@ def test_negative_steer_beam_pattern_bytes_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NEGATIVE_STEER_BEAM_DIGEST
     meta = out.with_suffix(".meta.json").read_bytes()
     assert hashlib.sha256(meta).hexdigest() == NEGATIVE_STEER_BEAM_META_DIGEST
+
+
+# JSON ints where the schema says float (they must print as ints where the old
+# rows kept them: BBoF cu_w sums to 59, p_tx_w stays 1), an int zero length, an
+# int carrier, int beam axes, and a length at the first 30 GHz dispersion null.
+INT_PLANNING = {
+    "power": {"p_bbu_w": 58, "p_eo_w": 1},
+    "sweep": {
+        "fiber_km": [0, 0.5, 2, 4.0590168231933115, 12.5],
+        "frequencies_hz": [10e9, 30000000000],
+        "power_p_tx_w": 1,
+        "crossover_range_km": [3, 25],
+        "steer_theta_deg": 20,
+        "band_hz": [10000000000, 20000000000],
+        "num_band_points": 3,
+        "theta_grid_deg": [-90, 90, 1],
+    },
+}
+INT_PLANNING_DIGESTS = {
+    "dispersion-sweep": {
+        "out.csv": "a05f6346f560b6024e7640e57e134e86cc54fc949ec7d15111f8c9444ba1e82d",
+        "out.meta.json": "254e2067b5e237c99a70518346460e7e2ccd3df81fb15f08363fbd7594bfcaea",
+    },
+    "power-sweep": {  # the 30 GHz crossover is the int range start, 3
+        "out.csv": "8cdf98cda3ef92ba30c03c110567d828c45e8eecbe61cf3eca63d71ca0db87fc",
+        "out.meta.json": "7e86185226f56e644593851718b92c7d7a60559d88dd7349057cb9c0f428fa6b",
+        "out_crossovers.csv":
+            "95faaac95be6c823e5471027a7de0872f2e2b234179254429b9e60c05483c624",
+    },
+    "beam-pattern": {
+        "out.csv": "066ca09168789962bdef13dda28f165167034a44ba0265bce8d95d5778850ece",
+        "out.meta.json": "9abe145dcac1de7ecd38d47309b17f5ffac8060be4cf9e61a4014f16411d339c",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(INT_PLANNING_DIGESTS))
+def test_int_valued_planning_bytes_pinned(command, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(INT_PLANNING))
+    digests = INT_PLANNING_DIGESTS[command]
+    out = tmp_path / "out.csv"
+    null = ("--allow-null",) if command != "beam-pattern" else ()
+    assert main([command, "--config", str(cfg), "--out", str(out), *null]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir()) if p.name != "cfg.json"}
+    assert got == digests

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fwcsim import config as config_module
 from fwcsim.cli import main
 from fwcsim.config import ExperimentConfig, SweepParams, config_from_dict, load_config
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
@@ -71,6 +72,25 @@ def test_direct_config_is_type_checked():
     with pytest.raises(ConfigError, match=r"schemes\[0\] must be one of"):
         ExperimentConfig(schemes=("xfof",))
     assert ExperimentConfig(sweep=SweepParams(array_spacing_m=None)).sweep.array_spacing_m is None
+
+
+def test_json_values_are_checked_once(monkeypatch):
+    seen = []
+    check = config_module._check_numbers
+
+    def counted(values, hint, where, indexed):
+        seen.append(where)
+        return check(values, hint, where, indexed)
+
+    monkeypatch.setattr(config_module, "_check_numbers", counted)
+    cfg = config_from_dict({"sweep": {"fiber_km": [0, 1.5]}, "budget_w": 50})
+    assert seen.count("sweep.fiber_km") == 1 and seen.count("budget_w") == 1
+    assert cfg.sweep.fiber_km == (0, 1.5)
+    seen.clear()
+    ExperimentConfig(sweep=cfg.sweep)  # a directly built config is walked whole
+    assert seen.count("sweep.fiber_km") == 1
+    with pytest.raises(ConfigError, match=r"sweep\.fiber_km\[1\] must be finite"):
+        config_from_dict({"sweep": {"fiber_km": [0.0, math.inf]}})
 
 
 def test_load_config_overrides(tmp_path):
@@ -345,6 +365,24 @@ def test_cli_power_sweep_null_sentinel_exit_4(tmp_path, capsys):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [r[-1] for r in rows if r[0] == "rfof"] == ["inf"]
     assert all(math.isfinite(float(r[-1])) for r in rows if r[0] != "rfof")
+
+
+def test_cli_power_sweep_null_without_overhead_is_inf(tmp_path):
+    # With zero supply and cooling fractions the overhead term is 0 * inf at a
+    # null; the total must still be the infinite sentinel, never NaN.
+    ln = null_lengths(ExperimentConfig().fiber, 30e9, 1)[0]
+    cfg_path = write_cfg(tmp_path, {
+        "power": {"supply_loss_frac": 0, "cooling_frac": 0},
+        "sweep": {"fiber_km": [1.0, ln], "frequencies_hz": [30e9]},
+    })
+    out = tmp_path / "p.csv"
+    assert main(["power-sweep", "--config", str(cfg_path), "--out", str(out)]) == 4
+    assert not out.exists()
+    args = ["power-sweep", "--config", str(cfg_path), "--out", str(out), "--allow-null"]
+    assert main(args) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[2], r[-2], r[-1]) for r in rows if r[0] == "rfof"][1] == (repr(ln), "inf", "inf")
+    assert "nan" not in out.read_text()
 
 
 def test_write_meta_is_strict_json(tmp_path):
