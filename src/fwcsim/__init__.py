@@ -12,7 +12,7 @@ from .beamform import (
     beam_squint_direction,
     coherent_within_symbol,
     mixed_beamformer,
-    peak_direction,
+    peak_directions,
     phase_only_weights,
     sync_delays,
     ttd_weights,
@@ -31,10 +31,7 @@ from .errors import (
 from .geometry import (
     Association,
     NetworkLayout,
-    Scenario,
     generate_layout,
-    layout_from_csv,
-    layout_to_csv,
     udn_association,
 )
 from .optics import (
@@ -53,7 +50,6 @@ from .power import (
     PowerBreakdown,
     PowerParams,
     crossover_length,
-    fiber_compensation_power,
     pa_input_power,
     solve_tx_power,
     system_power,
@@ -69,11 +65,12 @@ from .wireless import (
     ChannelRealization,
     OverheadModel,
     bbof_per_rap_cap_bps,
-    cellfree_sinr,
+    cellfree_sinr_components,
     combine_fronthaul_noise,
     draw_channels,
+    sinr_from_components,
     sum_throughput,
-    udn_sinr,
+    udn_sinr_components,
 )
 
 __version__ = "0.1.0"

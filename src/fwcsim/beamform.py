@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -144,19 +144,9 @@ def array_factor_patterns(
     return patterns
 
 
-def array_factor_pattern(
-    geom: ArrayGeometry, spec: BeamformerSpec, f_hz: float, thetas_rad: np.ndarray
-) -> np.ndarray:
-    """AF of one spec over a grid of directions; see ``array_factor_patterns``."""
-    return array_factor_patterns(geom, (spec,), f_hz, thetas_rad)[0]
-
-
-def phase_only_weights(
-    geom: ArrayGeometry, theta0_rad: float, f0_hz: float | None = None
-) -> BeamformerSpec:
-    """Narrowband steering: w_m = exp(-j*2*pi*f0*(p_m . u0)/c), no delays."""
-    if f0_hz is None:
-        f0_hz = geom.center_freq_hz
+def phase_only_weights(geom: ArrayGeometry, theta0_rad: float) -> BeamformerSpec:
+    """Narrowband steering: w_m = exp(-j*2*pi*f0*(p_m . u0)/c) at f0 = center_freq_hz."""
+    f0_hz = geom.center_freq_hz
     proj = geom.projections(theta0_rad)
     weights = tuple(
         complex(cmath.exp(-2j * math.pi * f0_hz * p / SPEED_OF_LIGHT_M_S)) for p in proj
@@ -214,22 +204,10 @@ def peak_directions(
     ]
 
 
-def peak_direction(
-    geom: ArrayGeometry,
-    spec: BeamformerSpec,
-    f_hz: float,
-    theta_lo_rad: float = -math.pi / 2,
-    theta_hi_rad: float = math.pi / 2,
-    step_rad: float = math.radians(0.01),
-) -> float:
-    """Peak direction of one spec; see ``peak_directions``."""
-    return peak_directions(geom, (spec,), f_hz, theta_lo_rad, theta_hi_rad, step_rad)[0]
-
-
 def sync_delays(
     layout: NetworkLayout,
     target_ue: int,
-    fiber_lengths_km: tuple[float, ...] | None = None,
+    fiber_lengths_km: Sequence[float],
     group_index: float = FIBER_GROUP_INDEX,
 ) -> list[float]:
     """Optical delay-line settings equalizing fiber-plus-air path delays.
@@ -239,10 +217,10 @@ def sync_delays(
     """
     if not 0 <= target_ue < layout.num_ues:
         raise ValidationError(f"target UE {target_ue} out of range")
-    if fiber_lengths_km is None:
-        fiber_lengths_km = layout.fiber_length_km
     if len(fiber_lengths_km) != layout.num_raps:
         raise ValidationError("one fiber length per RAP required")
+    if not all(0.0 <= lk < math.inf for lk in fiber_lengths_km):
+        raise ValidationError("fiber lengths must be finite and >= 0")
     air_m = layout.distance_matrix()[:, target_ue].tolist()
     totals = [
         group_index * lk * 1e3 / SPEED_OF_LIGHT_M_S + d / SPEED_OF_LIGHT_M_S
@@ -257,10 +235,11 @@ def mixed_beamformer(
     layout: NetworkLayout,
     target_ue: int,
     fronthaul_gains,
+    fiber_lengths_km: Sequence[float],
     group_index: float = FIBER_GROUP_INDEX,
 ) -> BeamformerSpec:
     """Digital conjugate weights over the composite optical*wireless channel,
-    with TTD delays compensating per-RAP propagation.
+    with TTD delays compensating per-RAP fiber and air propagation.
 
     Weights are unit magnitude per RAP (a RAP with zero composite gain stays
     silent), so every RAP spends its own PA budget; the effective channel
@@ -274,7 +253,7 @@ def mixed_beamformer(
     if not np.any(mags > 0):
         raise DegenerateChannelError("all composite gains are zero")
     weights = np.where(mags > 0, np.conj(composite) / np.where(mags > 0, mags, 1.0), 0.0)
-    delays = sync_delays(layout, target_ue, group_index=group_index)
+    delays = sync_delays(layout, target_ue, fiber_lengths_km, group_index=group_index)
     return BeamformerSpec(
         weights=tuple(complex(w) for w in weights), delays_s=tuple(delays)
     )

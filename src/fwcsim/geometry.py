@@ -1,15 +1,11 @@
-"""Network topology: RAP/UE placement, fiber lengths to the CU, UDN association."""
+"""Network topology: RAP/UE placement and UDN association."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-
-LAYOUT_CSV_HEADER = ("kind", "id", "x_m", "y_m", "fiber_km")
 
 # rng stream tags so placement and channel draws never share a stream
 LAYOUT_RNG_STREAM = 0
@@ -27,38 +23,9 @@ class Area:
             raise ValidationError("area dimensions must be positive")
 
 
-@dataclass(frozen=True)
-class Scenario(Area):
-    """Inputs for one topology draw. J = 0.5*M reproduces the case-study split."""
-
-    num_raps: int = 100
-    num_ues: int = 50
-    # A scalar is expanded to one equal length per RAP.
-    fiber_length_km: float | tuple[float, ...] = 19.0
-    rng_seed: int = 1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.num_raps < 1:
-            raise ValidationError(f"num_raps must be >= 1, got {self.num_raps}")
-        if self.num_ues < 1:
-            raise ValidationError(f"num_ues must be >= 1, got {self.num_ues}")
-        fiber = self.fiber_length_km
-        if np.ndim(fiber) == 0:
-            fiber = (fiber,) * self.num_raps
-        fiber = tuple(float(v) for v in fiber)
-        object.__setattr__(self, "fiber_length_km", fiber)
-        if len(fiber) != self.num_raps:
-            raise ValidationError(
-                f"per-RAP fiber list has {len(fiber)} entries for {self.num_raps} RAPs"
-            )
-        if any(v < 0 for v in fiber):
-            raise ValidationError("fiber lengths must be >= 0")
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkLayout:
-    """One realized topology: RAP and UE positions plus per-RAP fiber runs.
+    """One realized topology: RAP and UE positions.
 
     Positions are read-only float arrays of planar coordinates in meters,
     ``rap_xy`` of shape (M, 2) and ``ue_xy`` of shape (J, 2).
@@ -66,7 +33,6 @@ class NetworkLayout:
 
     rap_xy: np.ndarray
     ue_xy: np.ndarray
-    fiber_length_km: tuple[float, ...]
 
     def __post_init__(self):
         for name in ("rap_xy", "ue_xy"):
@@ -79,10 +45,6 @@ class NetworkLayout:
                 raise ValidationError(f"{name} coordinates must be finite")
             xy.flags.writeable = False
             object.__setattr__(self, name, xy)
-        if len(self.fiber_length_km) != len(self.rap_xy):
-            raise ValidationError("one fiber length per RAP required")
-        if any(v < 0 for v in self.fiber_length_km):
-            raise ValidationError("fiber lengths must be >= 0")
 
     @property
     def num_raps(self) -> int:
@@ -113,14 +75,13 @@ class NetworkLayout:
         return dist
 
 
-def generate_layout(scenario: Scenario) -> NetworkLayout:
+def generate_layout(area: Area, num_raps: int, num_ues: int, seed: int) -> NetworkLayout:
     """Draw RAPs and UEs i.i.d. uniform over the area; deterministic per seed."""
-    rng = np.random.default_rng([scenario.rng_seed, LAYOUT_RNG_STREAM])
-    m, j = scenario.num_raps, scenario.num_ues
-    xs = rng.uniform(0.0, scenario.area_width_m, size=m + j)
-    ys = rng.uniform(0.0, scenario.area_height_m, size=m + j)
+    rng = np.random.default_rng([seed, LAYOUT_RNG_STREAM])
+    xs = rng.uniform(0.0, area.area_width_m, size=num_raps + num_ues)
+    ys = rng.uniform(0.0, area.area_height_m, size=num_raps + num_ues)
     xy = np.column_stack([xs, ys])
-    return NetworkLayout(xy[:m], xy[m:], scenario.fiber_length_km)
+    return NetworkLayout(xy[:num_raps], xy[num_raps:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,38 +114,3 @@ def udn_association(layout: NetworkLayout, mode: str = "ue_nearest") -> Associat
         raise ValidationError(f"unknown association mode {mode!r}")
     return Association(mode=mode, serve=serve, active=active)
 
-
-def layout_to_csv(layout: NetworkLayout, path: str | Path) -> None:
-    """Write ``kind,id,x_m,y_m,fiber_km`` rows; fiber_km is empty for UEs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LAYOUT_CSV_HEADER)
-        for i, (x, y) in enumerate(layout.rap_xy.tolist()):
-            writer.writerow(["rap", i, repr(x), repr(y), repr(layout.fiber_length_km[i])])
-        for i, (x, y) in enumerate(layout.ue_xy.tolist()):
-            writer.writerow(["ue", i, repr(x), repr(y), ""])
-
-
-def layout_from_csv(path: str | Path) -> NetworkLayout:
-    raps: list[tuple[float, float]] = []
-    ues: list[tuple[float, float]] = []
-    fibers: list[float] = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != LAYOUT_CSV_HEADER:
-            raise ValidationError(f"unexpected layout CSV header {header!r}")
-        for row in reader:
-            if len(row) != len(LAYOUT_CSV_HEADER):
-                raise ValidationError(f"malformed layout row {row!r}")
-            kind, _, x, y, fiber = row
-            if kind == "rap":
-                raps.append((float(x), float(y)))
-                fibers.append(float(fiber))
-            elif kind == "ue":
-                ues.append((float(x), float(y)))
-            else:
-                raise ValidationError(f"unknown kind {kind!r} in layout CSV")
-    return NetworkLayout(
-        np.reshape(raps, (-1, 2)), np.reshape(ues, (-1, 2)), tuple(fibers)
-    )

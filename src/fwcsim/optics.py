@@ -109,14 +109,21 @@ def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> l
     an exact null: direct detection of both sidebands makes the carrier fade
     with the accumulated dispersion phase. The phase is one elementwise numpy
     pass in the scalar operation order; cos, the square and log10 run on
-    Python floats, as numpy's do not promise the bits of ``math``'s.
+    Python floats, as numpy's do not promise the bits of ``math``'s. A phase
+    past the float range is a ValidationError.
     """
     if f_hz <= 0:
         raise ValidationError(f"frequency must be > 0, got {f_hz}")
     d_si = fiber.dispersion_ps_nm_km * 1e-6  # s/m^2
     lam_si = fiber.wavelength_nm * 1e-9
-    with np.errstate(over="ignore"):  # overflow gives inf, as on Python floats
-        phase = math.pi * d_si * (lengths_km * 1e3) * lam_si**2 * f_hz**2 / SPEED_OF_LIGHT_M_S
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            phase = math.pi * d_si * (lengths_km * 1e3) * lam_si**2 * f_hz**2 / SPEED_OF_LIGHT_M_S
+    except OverflowError:  # a squared factor past the float range
+        phase = np.full(len(lengths_km), math.inf)
+    if not np.isfinite(phase).all():
+        km = lengths_km[~np.isfinite(phase)][0]
+        raise ValidationError(f"dispersion phase is not finite at {km} km, {f_hz / 1e9:g} GHz")
     fading = []
     for cos in map(math.cos, phase.tolist()):
         cos_sq = cos**2
@@ -138,7 +145,11 @@ def scheme_fading_db(scheme: SchemeConfig, fiber: FiberParams) -> float:
     return dispersion_fading_db(fiber, carrier)
 
 
-def _fading_period_km(fiber: FiberParams, f_hz: float) -> float:
+def _fading_period_km(fiber: FiberParams, f_hz: float, k_max: int) -> float:
+    if f_hz <= 0:
+        raise ValidationError(f"frequency must be > 0, got {f_hz}")
+    if k_max < 1:
+        raise ValidationError(f"k_max must be >= 1, got {k_max}")
     d_si = abs(fiber.dispersion_ps_nm_km) * 1e-6
     if d_si == 0.0:
         raise UndefinedModelError("zero dispersion: fading has no length structure")
@@ -148,21 +159,13 @@ def _fading_period_km(fiber: FiberParams, f_hz: float) -> float:
 
 def recovery_lengths(fiber: FiberParams, f_hz: float, k_max: int) -> list[float]:
     """Fiber lengths with zero fading: L_k = k*c/(D*lambda^2*f^2), k=1..k_max."""
-    if f_hz <= 0:
-        raise ValidationError(f"frequency must be > 0, got {f_hz}")
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    period = _fading_period_km(fiber, f_hz)
+    period = _fading_period_km(fiber, f_hz, k_max)
     return [k * period for k in range(1, k_max + 1)]
 
 
 def null_lengths(fiber: FiberParams, f_hz: float, k_max: int) -> list[float]:
     """Fiber lengths with total fading: L = (2k-1)*c/(2*D*lambda^2*f^2)."""
-    if f_hz <= 0:
-        raise ValidationError(f"frequency must be > 0, got {f_hz}")
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    period = _fading_period_km(fiber, f_hz)
+    period = _fading_period_km(fiber, f_hz, k_max)
     return [(2 * k - 1) * period / 2.0 for k in range(1, k_max + 1)]
 
 

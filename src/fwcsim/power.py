@@ -99,7 +99,6 @@ class PowerBreakdown:
     fiber_comp_watts: float
     overhead_watts: float
     total_watts: float
-    num_raps: int
 
 
 def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -> float:
@@ -112,7 +111,8 @@ def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -
 def power_over(scheme: SchemeConfig, num_raps: int, p_tx_w: float, fiber: FiberParams,
                params: PowerParams, lengths_km: np.ndarray) -> tuple:
     """``system_power`` at each length of the float array ``lengths_km``: the CU
-    and per-RAP watts, then lists of the compensation, overhead and total watts.
+    and per-RAP watts, then lists of the carrier fading (dB), compensation,
+    overhead and total watts.
 
     The fiber compensation is p_link0 * 10^(A_dB/10) with A_dB attenuation plus
     carrier fading (BBoF needs none; a dispersion null needs math.inf). The
@@ -128,7 +128,7 @@ def power_over(scheme: SchemeConfig, num_raps: int, p_tx_w: float, fiber: FiberP
     overhead_frac = params.overhead_multiplier - 1.0
     with np.errstate(over="ignore"):  # overflow gives inf, as on Python floats
         if scheme.scheme is Scheme.BBOF:
-            comp = [0.0] * len(lengths_km)
+            fading = comp = [0.0] * len(lengths_km)
         else:
             fading = fading_db_over(fiber, scheme.analog_carrier_hz(), lengths_km)
             loss_db = (fiber.attenuation_db_per_km * lengths_km + fading).tolist()
@@ -138,14 +138,7 @@ def power_over(scheme: SchemeConfig, num_raps: int, p_tx_w: float, fiber: FiberP
         # Without overhead fractions an infinite total stays infinite, not 0 * inf.
         overhead = overhead_frac * functional if overhead_frac else np.zeros(len(comp))
         total = functional + overhead
-    return cu, rap, comp, overhead.tolist(), total.tolist()
-
-
-def fiber_compensation_power(
-    scheme: SchemeConfig, fiber: FiberParams, params: PowerParams
-) -> float:
-    """Drive power offsetting analog link loss (see ``power_over``)."""
-    return system_power(scheme, 1, 0.0, fiber, params).fiber_comp_watts
+    return cu, rap, fading, comp, overhead.tolist(), total.tolist()
 
 
 def system_power(
@@ -157,8 +150,8 @@ def system_power(
 ) -> PowerBreakdown:
     """Total consumption of CU plus num_raps RAPs incl. supply/cooling overhead."""
     axis = fiber_axis([fiber.length_km])
-    cu, rap, comp, overhead, total = power_over(scheme, num_raps, p_tx_w, fiber, params, axis)
-    return PowerBreakdown(cu, rap, comp[0], overhead[0], total[0], num_raps)
+    cu, rap, _, comp, overhead, total = power_over(scheme, num_raps, p_tx_w, fiber, params, axis)
+    return PowerBreakdown(cu, rap, comp[0], overhead[0], total[0])
 
 
 def solve_tx_power(

@@ -21,8 +21,8 @@ from .beamform import (
     ttd_weights,
 )
 from .config import ExperimentConfig, hash_resolved
-from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError
-from .geometry import Scenario, generate_layout, udn_association
+from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError, ValidationError
+from .geometry import generate_layout, udn_association
 from .optics import Scheme, SchemeConfig, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
 from .tables import Repeat, ResultTable
@@ -64,13 +64,18 @@ def _curves(cfg: ExperimentConfig):
             yield sc
 
 
-def _unless_null(column: list, allow_null: bool, sc: SchemeConfig, km: list) -> list:
-    """``column``, unless it holds the infinite-loss sentinel and nulls are not allowed."""
-    if math.inf in column and not allow_null:
-        raise NullSentinelError(
-            f"dispersion null at {km[column.index(math.inf)]} km for {sc.scheme.value} at "
-            f"{sc.analog_carrier_hz() / 1e9:g} GHz; pass --allow-null to emit the sentinel"
-        )
+def _unless_null(column: list, fading: list, allow_null: bool, sc: SchemeConfig,
+                 km: list) -> list:
+    """``column``, unless it holds an overflow (an infinite value where ``fading``
+    is finite) or, while nulls are not allowed, a dispersion null sentinel."""
+    for i in range(len(column)) if math.inf in column else ():
+        if column[i] == math.inf and fading[i] != math.inf:
+            raise ValidationError(f"{sc.scheme.value} total power is not finite at {km[i]} km")
+        if column[i] == math.inf and not allow_null:
+            raise NullSentinelError(
+                f"dispersion null at {km[i]} km for {sc.scheme.value} at "
+                f"{sc.analog_carrier_hz() / 1e9:g} GHz; pass --allow-null to emit the sentinel"
+            )
     return column
 
 
@@ -85,7 +90,8 @@ def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> Res
         if carrier is None:  # BBoF sees no fading
             fading, carrier = Repeat(0.0), 0.0
         else:
-            fading = _unless_null(fading_db_over(cfg.fiber, carrier, lengths), allow_null, sc, km)
+            fading = fading_db_over(cfg.fiber, carrier, lengths)
+            _unless_null(fading, fading, allow_null, sc, km)
         table.extend_columns(Repeat(sc.scheme.value), Repeat(carrier), km, fading)
     return table
 
@@ -99,10 +105,10 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     lengths = fiber_axis(cfg.sweep.fiber_km)
     km = lengths.tolist()
     for sc in _curves(cfg):
-        cu, rap, comp, _, total = power_over(sc, m, p_tx, cfg.fiber, cfg.power, lengths)
+        cu, rap, fading, comp, _, total = power_over(sc, m, p_tx, cfg.fiber, cfg.power, lengths)
         table.extend_columns(
             Repeat(sc.scheme.value), Repeat(sc.rf_carrier_hz), km, Repeat(p_tx),
-            Repeat(cu), Repeat(rap), comp, _unless_null(total, allow_null, sc, km),
+            Repeat(cu), Repeat(rap), comp, _unless_null(total, fading, allow_null, sc, km),
         )
 
     crossovers = []
@@ -125,14 +131,7 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
 def _throughput_drop(cfg: ExperimentConfig, model: ChannelModel, m: int, j: int,
                      drop_seed: int):
     """Power-normalized SINR components shared by every scheme at this drop."""
-    scenario = Scenario(
-        area_width_m=cfg.scenario.area_width_m,
-        area_height_m=cfg.scenario.area_height_m,
-        num_raps=m,
-        num_ues=j,
-        rng_seed=drop_seed,
-    )
-    layout = generate_layout(scenario)
+    layout = generate_layout(cfg.scenario, m, j, drop_seed)
     realization = draw_channels(layout, model, drop_seed)
     assoc = udn_association(layout, mode=cfg.sweep.association_mode)
     return {
@@ -175,6 +174,10 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         raise InfeasibleBudgetError(
             f"budget {cfg.budget_w} W infeasible for every scheme and RAP count"
         )
+    caps = {  # the BBoF digitization limit per RAP
+        s: bbof_per_rap_cap_bps(sc.fiber_bit_rate_bps, cfg.digitization_bits_per_sample_pair)
+        if s is Scheme.BBOF else None for s, sc in scheme_cfgs.items()
+    }
 
     rates: dict[tuple[str, Scheme, int], np.ndarray] = {}
     j_of_m: dict[int, int] = {}
@@ -194,18 +197,10 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
             signal = np.stack([comps[arch][0] for comps in drop_components])
             interference = np.stack([comps[arch][1] for comps in drop_components])
             for s, sc in scheme_cfgs.items():
-                cap = (
-                    bbof_per_rap_cap_bps(
-                        sc.fiber_bit_rate_bps, cfg.digitization_bits_per_sample_pair
-                    )
-                    if s is Scheme.BBOF
-                    else None
-                )
                 sinr = sinr_from_components(signal, interference, p_tx[(s, m)], noise_w)
                 rates[(arch, s, m)] = sum_throughput(
                     combine_fronthaul_noise(sinr, fh_linear[s]),
-                    sc.wireless_bandwidth_hz, m, j,
-                    overhead=cfg.overhead, per_rap_cap_bps=cap,
+                    sc.wireless_bandwidth_hz, m, cfg.overhead, per_rap_cap_bps=caps[s],
                 )
 
     for arch in ("udn", "cellfree"):

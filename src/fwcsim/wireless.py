@@ -1,5 +1,5 @@
-"""Wireless access layer: Rayleigh channel draws, UDN and cell-free SINR,
-fronthaul-noise coupling, and overhead-scaled sum throughput."""
+"""Wireless access layer: Rayleigh channel draws, UDN and cell-free SINR
+components, fronthaul-noise coupling, and overhead-scaled sum throughput."""
 from __future__ import annotations
 
 import math
@@ -109,22 +109,6 @@ def sinr_from_components(
     return p_tx_w * signal / (p_tx_w * interference + noise_power_w)
 
 
-def udn_sinr(
-    realization: ChannelRealization,
-    assignment: Association,
-    p_tx_w: float,
-    model: ChannelModel,
-) -> list[float]:
-    """SINR_j = p|g_aj,j|^2 / (sum over other active RAPs p|g_mj|^2 + noise).
-
-    Idle RAPs stay silent. In ``rap_nearest`` mode a UE may be served by
-    several RAPs; their powers add non-coherently.
-    """
-    signal, interference = udn_sinr_components(realization, assignment)
-    sinr = sinr_from_components(signal, interference, p_tx_w, model.noise_power_w)
-    return [float(v) for v in sinr]
-
-
 def cellfree_sinr_components(
     realization: ChannelRealization,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -148,15 +132,6 @@ def cellfree_sinr_components(
     np.fill_diagonal(inter_sq, 0.0)
     interference = inter_sq.sum(axis=1)
     return signal, interference
-
-
-def cellfree_sinr(
-    realization: ChannelRealization, p_tx_per_rap_w: float, model: ChannelModel
-) -> list[float]:
-    """Downlink conjugate-beamforming SINR across the whole distributed array."""
-    signal, interference = cellfree_sinr_components(realization)
-    sinr = sinr_from_components(signal, interference, p_tx_per_rap_w, model.noise_power_w)
-    return [float(v) for v in sinr]
 
 
 def combine_fronthaul_noise(
@@ -214,32 +189,22 @@ def sum_throughput(
     sinrs: Sequence[float] | np.ndarray,
     bandwidth_hz: float,
     num_raps: int,
-    num_ues: int | None = None,
-    overhead: OverheadModel | float | None = None,
+    overhead: OverheadModel,
     per_rap_cap_bps: float | None = None,
 ) -> float | np.ndarray:
     """Overhead-scaled network sum rate sum_j B*(1 - ov)*log2(1 + SINR_j).
 
     ``sinrs`` holds one SINR per UE along its last axis: a (J,) sequence
-    gives a float, a (drops, J) array one total per row. ``overhead``
-    accepts a model or a literal fraction. ``per_rap_cap_bps`` clips each
-    total at num_raps times the cap (the BBoF digitization limit).
+    gives a float, a (drops, J) array one total per row; the overhead
+    fraction is that of J UEs. ``per_rap_cap_bps`` clips each total at
+    num_raps times the cap (the BBoF digitization limit).
     """
     sinr_arr = np.asarray(sinrs, dtype=float)
     if np.any(sinr_arr < 0):
         raise ValidationError("SINRs must be >= 0")
     if bandwidth_hz <= 0:
         raise ValidationError("bandwidth must be > 0")
-    if num_ues is None:
-        num_ues = sinr_arr.shape[-1]
-    if overhead is None:
-        overhead = OverheadModel()
-    if isinstance(overhead, OverheadModel):
-        fraction = overhead.fraction(num_ues)
-    else:
-        fraction = float(overhead)
-    if not 0.0 <= fraction < 1.0:
-        raise ValidationError(f"overhead fraction must be in [0, 1), got {fraction}")
+    fraction = overhead.fraction(sinr_arr.shape[-1])
     total = (1.0 - fraction) * bandwidth_hz * np.log2(1.0 + sinr_arr).sum(axis=-1)
     if per_rap_cap_bps is not None:
         total = np.minimum(total, num_raps * per_rap_cap_bps)

@@ -9,14 +9,16 @@ import time
 
 import numpy as np
 
-from fwcsim.beamform import ArrayGeometry, peak_direction, phase_only_weights, ttd_weights
+from fwcsim.beamform import ArrayGeometry, peak_directions, phase_only_weights, ttd_weights
 from fwcsim.config import ExperimentConfig
-from fwcsim.geometry import Scenario, generate_layout, udn_association
+from fwcsim.geometry import Area, generate_layout, udn_association
 from fwcsim.optics import FiberParams, SchemeConfig, dispersion_fading_db, recovery_lengths
 from fwcsim.power import PowerParams, crossover_length, solve_tx_power, system_power
 from fwcsim.sweeps import run_throughput_sweep
 from fwcsim.units import SPEED_OF_LIGHT_M_S
-from fwcsim.wireless import ChannelModel, cellfree_sinr, draw_channels
+from fwcsim.wireless import (
+    ChannelModel, cellfree_sinr_components, draw_channels, sinr_from_components,
+)
 
 from test_beamform import array_factor, brute_force_af
 from test_wireless import brute_force_cellfree
@@ -153,11 +155,11 @@ def test_criterion_6_beam_squint():
     geom = ArrayGeometry.ula(8, SPEED_OF_LIGHT_M_S / f0 / 2.0, f0, band_hz=(f0, 2 * f0))
     theta0 = math.radians(30.0)
     po = phase_only_weights(geom, theta0)
-    peak = math.degrees(peak_direction(geom, po, 2 * f0, 0.0, math.pi / 2))
+    peak = math.degrees(peak_directions(geom, (po,), 2 * f0, 0.0, math.pi / 2)[0])
     squint_ok = abs(peak - 14.48) <= 0.011
     ttd = ttd_weights(geom, theta0)
     ttd_peaks = [
-        math.degrees(peak_direction(geom, ttd, float(f), 0.0, math.pi / 2))
+        math.degrees(peak_directions(geom, (ttd,), float(f), 0.0, math.pi / 2)[0])
         for f in np.linspace(f0, 2 * f0, 9)
     ]
     ttd_ok = all(abs(p - 30.0) <= 0.011 for p in ttd_peaks)
@@ -172,9 +174,9 @@ def test_criterion_7_oracle_equivalences():
     start = time.perf_counter()
     model = ChannelModel.from_bandwidth(10e6)
     # cell-free vs explicit transmit-vector evaluation
-    layout = generate_layout(Scenario(num_raps=8, num_ues=4, rng_seed=2024))
+    layout = generate_layout(Area(), 8, 4, 2024)
     real = draw_channels(layout, model, 2024)
-    got = cellfree_sinr(real, 0.8, model)
+    got = sinr_from_components(*cellfree_sinr_components(real), 0.8, model.noise_power_w)
     want = brute_force_cellfree(real.gains, 0.8, model.noise_power_w)
     cf_err = max(abs(a - b) / b for a, b in zip(got, want))
     # array factor vs direct summation
@@ -197,7 +199,7 @@ def test_criterion_7_oracle_equivalences():
     # association vs exhaustive search on 10^3 random layouts
     assoc_ok = True
     for seed in range(1000):
-        lay = generate_layout(Scenario(num_raps=8, num_ues=4, rng_seed=seed))
+        lay = generate_layout(Area(), 8, 4, seed)
         assoc = udn_association(lay)
         dist = lay.distance_matrix()
         ues, raps = np.nonzero(assoc.serve.T)  # one serving RAP per UE, in UE order

@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from fwcsim.beamform import (
     ArrayGeometry,
-    array_factor_pattern,
+    array_factor_patterns,
     peak_directions,
     phase_only_weights,
     steering_matrix,
     ttd_weights,
 )
 from fwcsim.config import config_from_dict
-from fwcsim.geometry import Scenario, generate_layout
+from fwcsim.geometry import Area, generate_layout
 from fwcsim.sweeps import run_beam_pattern
 from fwcsim.tables import ResultTable, format_cell
 from fwcsim.units import SPEED_OF_LIGHT_M_S
@@ -119,7 +119,7 @@ def test_steering_matrix_matches_complex_exp_bits(case):
 def test_pattern_matches_reference_bits(case):
     geom, f_hz, thetas, theta0 = case
     for spec in (phase_only_weights(geom, theta0), ttd_weights(geom, theta0)):
-        got = array_factor_pattern(geom, spec, f_hz, thetas)
+        got = array_factor_patterns(geom, (spec,), f_hz, thetas)[0]
         assert np.array_equal(bits(got), bits(reference_pattern(geom, spec, f_hz, thetas)))
 
 
@@ -127,7 +127,7 @@ def test_pattern_matches_reference_bits(case):
 @given(arrays_and_grids())
 def test_hypot_magnitude_matches_scalar_abs_bits(case):
     geom, f_hz, thetas, theta0 = case
-    values = array_factor_pattern(geom, phase_only_weights(geom, theta0), f_hz, thetas)
+    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), f_hz, thetas)[0]
     expected = [float(abs(af)) for af in values]
     assert np.array_equal(bits(np.hypot(values.real, values.imag)), bits(expected))
 
@@ -136,7 +136,7 @@ def test_hypot_magnitude_matches_scalar_abs_bits(case):
 @given(arrays_and_grids())
 def test_array_angle_matches_scalar_angle_bits(case):
     geom, f_hz, thetas, theta0 = case
-    values = array_factor_pattern(geom, phase_only_weights(geom, theta0), f_hz, thetas)
+    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), f_hz, thetas)[0]
     expected = [float(np.angle(af)) for af in values]
     assert np.array_equal(bits(np.angle(values)), bits(expected))
 
@@ -214,7 +214,7 @@ def test_extend_columns_appends_rows_and_checks_shape():
 
 
 def test_power_gains_shared_and_read_only():
-    layout = generate_layout(Scenario(num_raps=6, num_ues=3, rng_seed=4))
+    layout = generate_layout(Area(), 6, 3, 4)
     realization = draw_channels(layout, ChannelModel(), 4)
     p2 = realization.power_gains()
     assert realization.power_gains() is p2

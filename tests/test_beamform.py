@@ -7,17 +7,17 @@ import pytest
 from fwcsim.beamform import (
     ArrayGeometry,
     BeamformerSpec,
-    array_factor_pattern,
+    array_factor_patterns,
     beam_squint_direction,
     coherent_within_symbol,
     mixed_beamformer,
-    peak_direction,
+    peak_directions,
     phase_only_weights,
     sync_delays,
     ttd_weights,
 )
 from fwcsim.errors import DegenerateChannelError, NoRealBeamError, ValidationError
-from fwcsim.geometry import NetworkLayout, Scenario, generate_layout
+from fwcsim.geometry import Area, NetworkLayout, generate_layout
 from fwcsim.units import SPEED_OF_LIGHT_M_S
 from fwcsim.wireless import ChannelModel, ChannelRealization, draw_channels
 
@@ -25,11 +25,22 @@ F0 = 10e9
 LAMBDA0 = SPEED_OF_LIGHT_M_S / F0
 GEOM = ArrayGeometry.ula(8, LAMBDA0 / 2, F0, band_hz=(F0, 2 * F0))
 DEG = math.degrees
+AREA = Area()
+
+
+def pattern_of(geom, spec, f_hz, thetas_rad):
+    """The array factor of one spec over a grid of directions."""
+    return array_factor_patterns(geom, (spec,), f_hz, thetas_rad)[0]
+
+
+def peak_of(geom, spec, f_hz, theta_lo_rad, theta_hi_rad):
+    """The grid-searched peak direction of one spec."""
+    return peak_directions(geom, (spec,), f_hz, theta_lo_rad, theta_hi_rad)[0]
 
 
 def array_factor(geom, spec, f_hz, theta_rad):
     """The array factor at a single direction."""
-    return complex(array_factor_pattern(geom, spec, f_hz, np.array([theta_rad]))[0])
+    return complex(pattern_of(geom, spec, f_hz, np.array([theta_rad]))[0])
 
 
 def air_delay_s(layout, rap, ue):
@@ -75,7 +86,7 @@ def test_array_factor_matches_brute_force():
         theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
         got = array_factor(GEOM, spec, f, theta)
         assert abs(got - brute_force_af(GEOM, spec, f, theta)) < 1e-12 * 8
-        pattern = array_factor_pattern(GEOM, spec, f, np.array([theta, -theta, 0.0]))
+        pattern = pattern_of(GEOM, spec, f, np.array([theta, -theta, 0.0]))
         assert abs(pattern[0] - got) < 1e-12 * 8
         assert abs(pattern[1] - brute_force_af(GEOM, spec, f, -theta)) < 1e-12 * 8
 
@@ -83,14 +94,14 @@ def test_array_factor_matches_brute_force():
 def test_phase_only_squints():
     theta0 = math.radians(30.0)
     spec = phase_only_weights(GEOM, theta0)
-    peak = peak_direction(GEOM, spec, 2 * F0, 0.0, math.pi / 2)
+    peak = peak_of(GEOM, spec, 2 * F0, 0.0, math.pi / 2)
     assert DEG(peak) == pytest.approx(14.4775, abs=0.011)
 
 
 def test_broadside_never_squints():
     spec = phase_only_weights(GEOM, 0.0)
     for f in np.linspace(F0, 2 * F0, 5):
-        peak = peak_direction(GEOM, spec, float(f), -math.pi / 4, math.pi / 4)
+        peak = peak_of(GEOM, spec, float(f), -math.pi / 4, math.pi / 4)
         assert abs(DEG(peak)) <= 0.011
 
 
@@ -109,7 +120,7 @@ def test_squint_prediction_matches_grid_search():
     spec = phase_only_weights(GEOM, theta0)
     for f in np.linspace(F0, 2 * F0, 6):
         predicted = beam_squint_direction(float(f), F0, theta0)
-        measured = peak_direction(GEOM, spec, float(f), 0.0, math.pi / 2)
+        measured = peak_of(GEOM, spec, float(f), 0.0, math.pi / 2)
         assert abs(DEG(measured) - DEG(predicted)) <= 0.011
 
 
@@ -130,7 +141,7 @@ def test_ttd_holds_peak_across_band():
     spec = ttd_weights(GEOM, theta0)
     for f in np.linspace(F0, 2 * F0, 9):
         assert abs(array_factor(GEOM, spec, float(f), theta0)) == pytest.approx(8.0, rel=1e-9)
-        peak = peak_direction(GEOM, spec, float(f), 0.0, math.pi / 2)
+        peak = peak_of(GEOM, spec, float(f), 0.0, math.pi / 2)
         assert DEG(peak) == pytest.approx(30.0, abs=0.011)
 
 
@@ -144,7 +155,7 @@ def test_energy_conserved_under_delay_changes():
     for _ in range(4):
         delays = tuple(float(d) for d in rng.uniform(0, 5e-10, size=8))
         spec = BeamformerSpec((1 + 0j,) * 8, delays)
-        af = array_factor_pattern(GEOM, spec, F0, thetas)
+        af = pattern_of(GEOM, spec, F0, thetas)
         energy = float(np.trapezoid(np.abs(af) ** 2, u))
         if reference is None:
             reference = energy
@@ -152,48 +163,41 @@ def test_energy_conserved_under_delay_changes():
 
 
 def test_sync_delays_uniform_layout():
-    layout = NetworkLayout(
-        np.array([[0.0, 0.0], [0.0, 200.0]]), np.array([[100.0, 100.0]]), (19.0, 19.0)
-    )
+    layout = NetworkLayout(np.array([[0.0, 0.0], [0.0, 200.0]]), np.array([[100.0, 100.0]]))
     # equal fiber, equal air distance
-    assert sync_delays(layout, 0) == pytest.approx([0.0, 0.0], abs=1e-18)
+    assert sync_delays(layout, 0, (19.0, 19.0)) == pytest.approx([0.0, 0.0], abs=1e-18)
 
 
 def test_sync_delays_air_difference():
-    layout = NetworkLayout(
-        np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[600.0, 0.0]]), (19.0, 19.0)
-    )
-    delays = sync_delays(layout, 0)
+    layout = NetworkLayout(np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[600.0, 0.0]]))
+    delays = sync_delays(layout, 0, (19.0, 19.0))
     assert min(delays) == 0.0
     assert abs(delays[1] - delays[0]) == pytest.approx(300.0 / SPEED_OF_LIGHT_M_S, rel=1e-12)
 
 
 def test_sync_delays_equalize_arrivals():
-    layout = generate_layout(
-        Scenario(num_raps=6, num_ues=2, fiber_length_km=(19.0, 3.0, 8.5, 19.0, 0.1, 12.0),
-                 rng_seed=5)
-    )
+    lengths = (19.0, 3.0, 8.5, 19.0, 0.1, 12.0)
+    layout = generate_layout(AREA, 6, 2, 5)
     ng = 1.468
-    delays = sync_delays(layout, 1, group_index=ng)
+    delays = sync_delays(layout, 1, lengths, group_index=ng)
     arrivals = [
         ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 1) + d
-        for m, (lk, d) in enumerate(zip(layout.fiber_length_km, delays))
+        for m, (lk, d) in enumerate(zip(lengths, delays))
     ]
     assert max(arrivals) - min(arrivals) <= 1e-18
     assert min(delays) == 0.0
 
 
 def test_coherence_check():
-    layout = generate_layout(
-        Scenario(num_raps=4, num_ues=1, fiber_length_km=(19.0, 2.0, 7.0, 11.0), rng_seed=8)
-    )
+    lengths = (19.0, 2.0, 7.0, 11.0)
+    layout = generate_layout(AREA, 4, 1, 8)
     ng = 1.468
     raw = [
         ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 0)
-        for m, lk in enumerate(layout.fiber_length_km)
+        for m, lk in enumerate(lengths)
     ]
     assert not coherent_within_symbol(raw)  # tens of microseconds of skew
-    delays = sync_delays(layout, 0)
+    delays = sync_delays(layout, 0, lengths)
     compensated = [t + d for t, d in zip(raw, delays)]
     assert coherent_within_symbol(compensated)
     with pytest.raises(ValidationError):
@@ -201,11 +205,11 @@ def test_coherence_check():
 
 
 def test_mixed_beamformer_coherent_gain():
-    layout = generate_layout(Scenario(num_raps=4, num_ues=2, rng_seed=2))
+    layout = generate_layout(AREA, 4, 2, 2)
     model = ChannelModel.from_bandwidth(10e6)
     real = draw_channels(layout, model, 2)
     fronthaul = np.ones(4, dtype=complex)
-    spec = mixed_beamformer(real, layout, 0, fronthaul)
+    spec = mixed_beamformer(real, layout, 0, fronthaul, (19.0,) * 4)
     q = fronthaul * real.gains[:, 0]
     effective = np.array(spec.weights) * q
     assert np.allclose(effective.imag, 0.0, atol=1e-18)
@@ -219,11 +223,9 @@ def test_mixed_beamformer_identical_gains_scale():
     gains = np.full((m, 1), 1e-5 + 0j)
     real_m = ChannelRealization(gains=gains, drop_seed=0)
     layout = NetworkLayout(
-        np.column_stack([np.arange(m, dtype=float), np.zeros(m)]),
-        np.array([[2.0, 50.0]]),
-        (19.0,) * m,
+        np.column_stack([np.arange(m, dtype=float), np.zeros(m)]), np.array([[2.0, 50.0]])
     )
-    spec = mixed_beamformer(real_m, layout, 0, np.ones(m, dtype=complex))
+    spec = mixed_beamformer(real_m, layout, 0, np.ones(m, dtype=complex), (19.0,) * m)
     p = 0.5
     amp = sum(math.sqrt(p) * abs(w * g) for w, g in zip(spec.weights, gains[:, 0]))
     single = m * p * abs(gains[0, 0]) ** 2  # one RAP with the whole budget
@@ -233,16 +235,17 @@ def test_mixed_beamformer_identical_gains_scale():
 def test_mixed_beamformer_flat_over_band_vs_phase_only():
     # narrowband-per-frequency model: channel m at f has delay T_m and static gain
     rng = np.random.default_rng(6)
-    layout = generate_layout(Scenario(num_raps=4, num_ues=1, rng_seed=6))
+    layout = generate_layout(AREA, 4, 1, 6)
     model = ChannelModel.from_bandwidth(10e6)
     real = draw_channels(layout, model, 6)
     fronthaul = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
-    spec = mixed_beamformer(real, layout, 0, fronthaul)
+    lengths = (19.0,) * 4
+    spec = mixed_beamformer(real, layout, 0, fronthaul, lengths)
     ng = 1.468
     path_delay = np.array(
         [
             ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 0)
-            for m, lk in enumerate(layout.fiber_length_km)
+            for m, lk in enumerate(lengths)
         ]
     )
     q = fronthaul * real.gains[:, 0]
@@ -263,11 +266,11 @@ def test_mixed_beamformer_flat_over_band_vs_phase_only():
 
 
 def test_mixed_beamformer_degenerate():
-    layout = generate_layout(Scenario(num_raps=3, num_ues=1, rng_seed=1))
+    layout = generate_layout(AREA, 3, 1, 1)
     model = ChannelModel.from_bandwidth(10e6)
     real = draw_channels(layout, model, 1)
     with pytest.raises(DegenerateChannelError):
-        mixed_beamformer(real, layout, 0, np.zeros(3, dtype=complex))
+        mixed_beamformer(real, layout, 0, np.zeros(3, dtype=complex), (19.0,) * 3)
 
 
 def test_geometry_and_spec_validation():

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import fwcsim.sweeps as sweeps
 from fwcsim.config import ExperimentConfig, config_from_dict
-from fwcsim.geometry import NetworkLayout, Scenario, generate_layout
+from fwcsim.geometry import Area, NetworkLayout, generate_layout
 from fwcsim.wireless import OverheadModel, combine_fronthaul_noise, sum_throughput
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -57,7 +57,7 @@ def positions(draw):
 @given(positions())
 def test_distance_matrix_matches_reference_bits(xy):
     rap, ue = xy
-    layout = NetworkLayout(rap, ue, (0.0,) * len(rap))
+    layout = NetworkLayout(rap, ue)
     got = layout.distance_matrix()
     assert got.shape == (len(rap), len(ue))
     assert np.array_equal(bits(got), bits(reference_distances(rap, ue)))
@@ -65,13 +65,13 @@ def test_distance_matrix_matches_reference_bits(xy):
 
 @pytest.mark.parametrize("m, j", [(1, 1), (1, 9), (9, 1), (256, 128)])
 def test_distance_matrix_edge_shapes(m, j):
-    layout = generate_layout(Scenario(num_raps=m, num_ues=j, rng_seed=m + j))
+    layout = generate_layout(Area(), m, j, m + j)
     expected = reference_distances(layout.rap_xy, layout.ue_xy)
     assert np.array_equal(bits(layout.distance_matrix()), bits(expected))
 
 
 def test_distance_matrix_shared_and_read_only():
-    layout = generate_layout(Scenario(num_raps=6, num_ues=3, rng_seed=4))
+    layout = generate_layout(Area(), 6, 3, 4)
     dist = layout.distance_matrix()
     assert layout.distance_matrix() is dist
     assert not dist.flags.writeable
@@ -115,20 +115,23 @@ rate_rows = arrays(
 )
 
 
+# Overhead fractions min(J / block, clamp): J-dependent, exactly 0.0, exactly 0.25.
+overheads = st.sampled_from([
+    OverheadModel(), OverheadModel(max_fraction=0.0),
+    OverheadModel(coherence_block_symbols=1.0, max_fraction=0.25),
+])
+
+
 @PROPERTY
-@given(rate_rows, st.sampled_from([None, 0.0, 0.25, OverheadModel()]),
-       st.sampled_from([None, 1.0, 83.3e6, 1e12]))
+@given(rate_rows, overheads, st.sampled_from([None, 1.0, 83.3e6, 1e12]))
 def test_sum_throughput_rows_match_1d_bits(sinrs, overhead, cap):
     num_raps, bandwidth = 7, 100e6
-    got = sum_throughput(sinrs, bandwidth, num_raps, overhead=overhead, per_rap_cap_bps=cap)
+    got = sum_throughput(sinrs, bandwidth, num_raps, overhead, per_rap_cap_bps=cap)
     assert got.shape == (len(sinrs),)
     for row, total in zip(sinrs, got):
-        one = sum_throughput(row.tolist(), bandwidth, num_raps, overhead=overhead,
-                             per_rap_cap_bps=cap)
+        one = sum_throughput(row.tolist(), bandwidth, num_raps, overhead, per_rap_cap_bps=cap)
         assert type(one) is float
-        fraction = OverheadModel() if overhead is None else overhead
-        if isinstance(fraction, OverheadModel):
-            fraction = fraction.fraction(len(row))
+        fraction = overhead.fraction(len(row))
         literal = (1.0 - fraction) * bandwidth * float(np.log2(1.0 + row).sum())
         if cap is not None:
             literal = min(literal, num_raps * cap)
@@ -137,11 +140,11 @@ def test_sum_throughput_rows_match_1d_bits(sinrs, overhead, cap):
 
 def test_sum_throughput_2d_keeps_checks():
     with pytest.raises(ValueError):
-        sum_throughput(np.array([[1.0, 2.0], [0.5, -1e-9]]), 10e6, num_raps=1)
+        sum_throughput(np.array([[1.0, 2.0], [0.5, -1e-9]]), 10e6, 1, OverheadModel())
     with pytest.raises(ValueError):
-        sum_throughput(np.ones((2, 3)), 0.0, num_raps=1)
+        sum_throughput(np.ones((2, 3)), 0.0, 1, OverheadModel())
     with pytest.raises(ValueError):
-        sum_throughput(np.ones((2, 3)), 10e6, num_raps=1, overhead=1.0)
+        sum_throughput(np.ones((2, 3)), 10e6, 1, OverheadModel(max_fraction=1.0))
 
 
 def test_sweep_combines_once_per_arch_scheme_m(monkeypatch):

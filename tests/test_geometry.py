@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fwcsim.beamform import FIBER_GROUP_INDEX, sync_delays
 from fwcsim.errors import ValidationError
-from fwcsim.geometry import (
-    NetworkLayout,
-    Scenario,
-    generate_layout,
-    layout_from_csv,
-    layout_to_csv,
-    udn_association,
-)
+from fwcsim.geometry import Area, NetworkLayout, generate_layout, udn_association
+from fwcsim.units import SPEED_OF_LIGHT_M_S
+
+AREA = Area()
 
 
 def brute_force_nearest(layout, direction):
@@ -28,11 +25,17 @@ def brute_force_nearest(layout, direction):
 
 
 def same_layout(a, b):
-    return (
-        np.array_equal(a.rap_xy, b.rap_xy)
-        and np.array_equal(a.ue_xy, b.ue_xy)
-        and a.fiber_length_km == b.fiber_length_km
-    )
+    return np.array_equal(a.rap_xy, b.rap_xy) and np.array_equal(a.ue_xy, b.ue_xy)
+
+
+def drop_delays(area_width_m=1000.0, area_height_m=1000.0, num_raps=100, num_ues=50,
+                fiber_length_km=19.0, rng_seed=1):
+    """Sync delays toward UE 0 of a drawn layout; a scalar fiber length is
+    expanded to one equal length per RAP."""
+    layout = generate_layout(Area(area_width_m, area_height_m), num_raps, num_ues, rng_seed)
+    if np.ndim(fiber_length_km) == 0:
+        fiber_length_km = (fiber_length_km,) * num_raps
+    return sync_delays(layout, 0, fiber_length_km)
 
 
 def serving_raps(assoc):
@@ -42,7 +45,7 @@ def serving_raps(assoc):
 
 
 def test_generate_layout_counts_and_bounds():
-    layout = generate_layout(Scenario(num_raps=4, num_ues=2, rng_seed=7))
+    layout = generate_layout(AREA, 4, 2, 7)
     assert layout.num_raps == 4
     assert layout.num_ues == 2
     assert layout.rap_xy.shape == (4, 2) and layout.ue_xy.shape == (2, 2)
@@ -52,31 +55,38 @@ def test_generate_layout_counts_and_bounds():
 
 
 def test_uniform_fiber_policy():
-    layout = generate_layout(Scenario(num_raps=100, num_ues=50, fiber_length_km=19.0))
-    assert layout.fiber_length_km == (19.0,) * 100
+    # equal fiber runs delay every RAP alike, so only the air paths differ
+    layout = generate_layout(AREA, 100, 50, 1)
+    assert drop_delays(num_raps=100, num_ues=50, fiber_length_km=19.0, rng_seed=1) == pytest.approx(
+        sync_delays(layout, 0, (0.0,) * 100), abs=1e-15
+    )
 
 
 def test_per_rap_fiber_policy():
     lengths = (1.0, 2.5, 19.0)
-    layout = generate_layout(
-        Scenario(num_raps=3, num_ues=2, fiber_length_km=lengths, rng_seed=3)
+    layout = generate_layout(AREA, 3, 2, 3)
+    delays = sync_delays(layout, 0, lengths)
+    air = sync_delays(layout, 0, (0.0,) * 3)
+    # each RAP's own fiber run shifts its delay by n_g * L_m / c, RAP by RAP
+    shift = [a - d for a, d in zip(air, delays)]
+    fiber_s = [FIBER_GROUP_INDEX * lk * 1e3 / SPEED_OF_LIGHT_M_S for lk in lengths]
+    assert [v - shift[0] for v in shift] == pytest.approx(
+        [f - fiber_s[0] for f in fiber_s], abs=1e-15
     )
-    assert layout.fiber_length_km == lengths
 
 
 def test_generate_layout_deterministic():
-    a = generate_layout(Scenario(num_raps=4, num_ues=2, rng_seed=7))
-    b = generate_layout(Scenario(num_raps=4, num_ues=2, rng_seed=7))
+    a = generate_layout(AREA, 4, 2, 7)
+    b = generate_layout(AREA, 4, 2, 7)
     assert same_layout(a, b)  # bitwise: exact equality of the float arrays
-    c = generate_layout(Scenario(num_raps=4, num_ues=2, rng_seed=8))
+    c = generate_layout(AREA, 4, 2, 8)
     assert not same_layout(a, c)
 
 
 def test_positions_inside_area_many_seeds():
     for seed in range(50):
-        sc = Scenario(area_width_m=400.0, area_height_m=250.0, num_raps=20,
-                      num_ues=10, rng_seed=seed)
-        layout = generate_layout(sc)
+        sc = Area(area_width_m=400.0, area_height_m=250.0)
+        layout = generate_layout(sc, 20, 10, seed)
         for x, y in np.vstack([layout.rap_xy, layout.ue_xy]):
             assert 0.0 <= x <= sc.area_width_m
             assert 0.0 <= y <= sc.area_height_m
@@ -91,50 +101,44 @@ def test_positions_inside_area_many_seeds():
         {"area_height_m": -5.0},
         {"fiber_length_km": -1.0},
         {"num_raps": 3, "fiber_length_km": (1.0, 2.0)},
+        {"num_raps": 2, "fiber_length_km": (math.nan, 19.0)},
+        {"num_raps": 2, "fiber_length_km": (math.inf, 19.0)},
     ],
 )
 def test_invalid_scenarios(kwargs):
     with pytest.raises(ValidationError):
-        Scenario(**kwargs)
+        drop_delays(**kwargs)
 
 
-def test_point_must_be_finite(tmp_path):
+def test_point_must_be_finite():
     with pytest.raises(ValidationError):
-        NetworkLayout(np.array([[math.nan, 0.0]]), np.zeros((1, 2)), (1.0,))
+        NetworkLayout(np.array([[math.nan, 0.0]]), np.zeros((1, 2)))
     with pytest.raises(ValidationError):
-        NetworkLayout(np.zeros((1, 2)), np.array([[0.0, math.inf]]), (1.0,))
-    path = tmp_path / "nan.csv"
-    path.write_text("kind,id,x_m,y_m,fiber_km\nrap,0,1.0,2.0,19.0\nue,0,nan,3.0,\n")
-    with pytest.raises(ValidationError):
-        layout_from_csv(path)
+        NetworkLayout(np.zeros((1, 2)), np.array([[0.0, math.inf]]))
 
 
 def test_association_single_pair():
-    layout = NetworkLayout(np.array([[5.0, 5.0]]), np.array([[1.0, 1.0]]), (19.0,))
+    layout = NetworkLayout(np.array([[5.0, 5.0]]), np.array([[1.0, 1.0]]))
     assoc = udn_association(layout)
     assert serving_raps(assoc) == [0]
     assert assoc.active.tolist() == [True]
 
 
 def test_association_nearest_of_two():
-    layout = NetworkLayout(
-        np.array([[1.0, 0.0], [5.0, 0.0]]), np.array([[0.0, 0.0]]), (19.0, 19.0)
-    )
+    layout = NetworkLayout(np.array([[1.0, 0.0], [5.0, 0.0]]), np.array([[0.0, 0.0]]))
     assoc = udn_association(layout)
     assert serving_raps(assoc) == [0]
     assert assoc.active.tolist() == [True, False]  # the far RAP idles
 
 
 def test_association_tie_breaks_to_lowest_index():
-    layout = NetworkLayout(
-        np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 0.0]]), (1.0, 1.0)
-    )
+    layout = NetworkLayout(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 0.0]]))
     assert serving_raps(udn_association(layout)) == [0]
 
 
 def test_association_matches_brute_force():
     for seed in range(200):
-        layout = generate_layout(Scenario(num_raps=8, num_ues=4, rng_seed=seed))
+        layout = generate_layout(AREA, 8, 4, seed)
         assoc = udn_association(layout)
         nearest = brute_force_nearest(layout, "ue")
         assert serving_raps(assoc) == nearest
@@ -150,7 +154,7 @@ def test_association_matches_brute_force():
 
 def test_ue_nearest_distance_property():
     for seed in range(50):
-        layout = generate_layout(Scenario(num_raps=12, num_ues=6, rng_seed=100 + seed))
+        layout = generate_layout(AREA, 12, 6, 100 + seed)
         assoc = udn_association(layout)
         dist = layout.distance_matrix()
         for j, rap in enumerate(serving_raps(assoc)):
@@ -158,30 +162,14 @@ def test_ue_nearest_distance_property():
 
 
 def test_unknown_mode_rejected():
-    layout = generate_layout(Scenario(num_raps=2, num_ues=1, rng_seed=0))
+    layout = generate_layout(AREA, 2, 1, 0)
     with pytest.raises(ValidationError):
         udn_association(layout, mode="closest")
 
 
 def test_empty_layout_rejected():
     with pytest.raises(ValidationError):
-        NetworkLayout(np.empty((0, 2)), np.zeros((1, 2)), ())
+        NetworkLayout(np.empty((0, 2)), np.zeros((1, 2)))
     with pytest.raises(ValidationError):
-        NetworkLayout(np.zeros((1, 2)), np.empty((0, 2)), (1.0,))
+        NetworkLayout(np.zeros((1, 2)), np.empty((0, 2)))
 
-
-def test_csv_round_trip(tmp_path):
-    layout = generate_layout(Scenario(num_raps=5, num_ues=3, rng_seed=11))
-    path = tmp_path / "layout.csv"
-    layout_to_csv(layout, path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    assert raw.split(b"\n")[0] == b"kind,id,x_m,y_m,fiber_km"
-    assert same_layout(layout_from_csv(path), layout)
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("kind,id,x,y\nrap,0,1,2\n")
-    with pytest.raises(ValidationError):
-        layout_from_csv(path)

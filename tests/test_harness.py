@@ -207,7 +207,7 @@ def test_throughput_sweep_deterministic_and_thread_invariant():
 
 def test_beam_pattern_matches_array_factor():
     from fwcsim.beamform import (
-        ArrayGeometry, array_factor_pattern, phase_only_weights, ttd_weights,
+        ArrayGeometry, array_factor_patterns, phase_only_weights, ttd_weights,
     )
     from fwcsim.units import SPEED_OF_LIGHT_M_S
 
@@ -223,7 +223,7 @@ def test_beam_pattern_matches_array_factor():
     rng = np.random.default_rng(0)
     rows = [table.rows[int(i)] for i in rng.integers(0, len(table.rows), size=40)]
     for mode, f_hz, theta_deg, mag, phase in rows:
-        af = array_factor_pattern(geom, specs[mode], f_hz, np.radians([theta_deg]))[0]
+        af = array_factor_patterns(geom, (specs[mode],), f_hz, np.radians([theta_deg]))[0][0]
         assert mag == pytest.approx(abs(af), rel=1e-12, abs=1e-12)
     ttd_peaks = [p for p in table.metadata["peaks"] if p["mode"] == "ttd"]
     assert all(abs(p["peak_deg"] - 30.0) <= 0.011 for p in ttd_peaks)
@@ -314,6 +314,23 @@ def test_cli_config_error_exit_2(tmp_path):
          "sweep.m_values[0] must be an integer"),
         ("beam-pattern", {"sweep": {"band_hz": [0.0, 1e9]}},
          "band_hz must satisfy 0 < start <= stop"),
+        ("power-sweep", {"sweep": {"power_p_tx_w": 1e308}, "schemes": ["bbof"]},
+         "bbof total power is not finite at 0.0 km"),
+        ("power-sweep", {"fiber": {"attenuation_db_per_km": 1000},
+                         "sweep": {"fiber_km": [1.0, 5.0]}},
+         "ifof total power is not finite at 5.0 km"),
+        ("dispersion-sweep", {"sweep": {"fiber_km": [1e306]}},
+         "dispersion phase is not finite at 1e+306 km"),
+        ("power-sweep", {"sweep": {"fiber_km": [1e306]}},
+         "dispersion phase is not finite at 1e+306 km"),
+        ("throughput-sweep", {"fiber": {"length_km": 1e306}},
+         "dispersion phase is not finite at 1e+306 km"),
+        ("dispersion-sweep", {"sweep": {"frequencies_hz": [1e200]}},
+         "dispersion phase is not finite at 0.0 km, 1e+191 GHz"),
+        ("power-sweep", {"sweep": {"frequencies_hz": [1e200]}},
+         "dispersion phase is not finite at 0.0 km, 1e+191 GHz"),
+        ("throughput-sweep", {"scheme_params": {"rf_carrier_hz": 1e200}},
+         "dispersion phase is not finite at 19.0 km, 1e+191 GHz"),
     ],
     ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-true", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -321,14 +338,21 @@ def test_cli_config_error_exit_2(tmp_path):
          "band-points-0", "schemes-duplicate", "m_values-duplicate", "m_values-empty",
          "fiber_km-empty", "coherence-block-0", "max-fraction-1.5", "frequencies-empty",
          "noise-figure-nan", "pathloss-string", "area-width-nan", "wavelength-inf",
-         "power-p-tx-nan", "fronthaul-snr0-nan", "m_values-2.5", "band-start-0"],
+         "power-p-tx-nan", "fronthaul-snr0-nan", "m_values-2.5", "band-start-0",
+         "power-p-tx-overflow", "attenuation-overflow", "dispersion-fiber-km-1e306",
+         "power-fiber-km-1e306", "length-km-1e306", "dispersion-carrier-1e200",
+         "power-carrier-1e200", "rf-carrier-1e200"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
-    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err, err
-    assert not (tmp_path / "o.csv").exists()
+    args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]
+    # a config error stays one, with or without --allow-null
+    takes_null = command in ("dispersion-sweep", "power-sweep")
+    for extra in ([], ["--allow-null"]) if takes_null else ([],):
+        assert main(args + extra) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_infeasible_exit_3(tmp_path):

@@ -24,7 +24,6 @@ from fwcsim.optics import (
 from fwcsim.power import (
     PLACEMENT,
     PowerParams,
-    fiber_compensation_power,
     crossover_length,
     power_over,
     system_power,
@@ -193,12 +192,14 @@ def test_array_power_columns_match_scalar_model(scheme, fiber, km, null_k, param
         # exact nulls (infinite loss), short enough that the old 10 ** (dB / 10) stays finite
         km = km + [x for x in null_lengths(fiber, carrier, null_k) if x <= 1000.0]
     axis = fiber_axis(km)
-    cu, rap, comp, overhead, total = power_over(scheme, num_raps, p_tx, fiber, params, axis)
+    cu, rap, fading_col, comp, overhead, total = power_over(scheme, num_raps, p_tx, fiber,
+                                                            params, axis)
     fading = [0.0] * len(km) if carrier is None else fading_db_over(fiber, carrier, axis)
     for i, length in enumerate(km):
         fib = dataclasses.replace(fiber, length_km=length)
         want = reference_system_power(scheme, num_raps, p_tx, fib, params)
         assert same_bits(fading[i], reference_scheme_fading_db(scheme, fib))
+        assert same_bits(fading_col[i], fading[i])
         assert same_bits(cu, want[0]) and same_bits(rap, want[1])
         assert same_bits(comp[i], want[2])
         if math.isnan(want[4]) and math.isinf(comp[i]) and params.overhead_multiplier == 1.0:
@@ -281,10 +282,11 @@ def test_db_to_linear_past_the_float_range_is_inf():
     assert db_to_linear(math.inf) == math.inf and db_to_linear(-math.inf) == 0.0
     assert db_to_linear(3.0) == 10.0 ** 0.3
     fiber = FiberParams(attenuation_db_per_km=1000.0)
-    comp = power_over(SchemeConfig.rfof(), 1, 1.0, fiber, PowerParams(), fiber_axis([1.0, 5.0]))[2]
+    comp = power_over(SchemeConfig.rfof(), 1, 1.0, fiber, PowerParams(), fiber_axis([1.0, 5.0]))[3]
     assert math.isfinite(comp[0]) and comp[1] == math.inf
     short = dataclasses.replace(fiber, length_km=1.0)
-    assert fiber_compensation_power(SchemeConfig.rfof(), short, PowerParams()) == comp[0]
+    breakdown = system_power(SchemeConfig.rfof(), 1, 0.0, short, PowerParams())
+    assert breakdown.fiber_comp_watts == comp[0]
 
 
 def test_fiber_axis_keeps_the_length_check():

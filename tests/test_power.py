@@ -9,7 +9,6 @@ from fwcsim.optics import FiberParams, Scheme, SchemeConfig, null_lengths
 from fwcsim.power import (
     PowerParams,
     crossover_length,
-    fiber_compensation_power,
     pa_input_power,
     solve_tx_power,
     system_power,
@@ -47,14 +46,19 @@ def test_rap_wattage_ordering():
     assert bbof > ifof > rfof
 
 
-def test_fiber_compensation_power():
-    assert fiber_compensation_power(BBOF, FIBER, PARAMS) == 0.0
+def fiber_comp_watts(scheme, fiber, params):
+    """Drive power offsetting the analog link loss of one RAP."""
+    return system_power(scheme, 1, 0.0, fiber, params).fiber_comp_watts
+
+
+def test_fiber_comp_watts():
+    assert fiber_comp_watts(BBOF, FIBER, PARAMS) == 0.0
     # 7.1 dB of pure attenuation with an explicit 1.5 W drive reference
     flat = FiberParams(dispersion_ps_nm_km=0.0, attenuation_db_per_km=0.71, length_km=10.0)
     params = dataclasses.replace(PARAMS, p_link0_w=1.5)
-    assert fiber_compensation_power(RFOF, flat, params) == pytest.approx(7.6929, abs=1e-3)
+    assert fiber_comp_watts(RFOF, flat, params) == pytest.approx(7.6929, abs=1e-3)
     null_fiber = dataclasses.replace(FIBER, length_km=null_lengths(FIBER, 20e9, 1)[0])
-    assert math.isinf(fiber_compensation_power(RFOF, null_fiber, PARAMS))
+    assert math.isinf(fiber_comp_watts(RFOF, null_fiber, PARAMS))
 
 
 def test_system_power_hand_sum():

@@ -4,20 +4,28 @@ import numpy as np
 import pytest
 
 from fwcsim.errors import ValidationError
-from fwcsim.geometry import NetworkLayout, Scenario, generate_layout, udn_association
+from fwcsim.geometry import Area, NetworkLayout, generate_layout, udn_association
 from fwcsim.wireless import (
     ChannelModel,
     ChannelRealization,
     OverheadModel,
     bbof_per_rap_cap_bps,
-    cellfree_sinr,
+    cellfree_sinr_components,
     combine_fronthaul_noise,
     draw_channels,
+    sinr_from_components,
     sum_throughput,
-    udn_sinr,
+    udn_sinr_components,
 )
 
 MODEL = ChannelModel.from_bandwidth(10e6, noise_figure_db=9.0)
+AREA = Area()
+NO_OVERHEAD = OverheadModel(max_fraction=0.0)
+
+
+def sinr(components, p):
+    """Per-UE SINR at transmit power p from (signal, interference) components."""
+    return sinr_from_components(*components, p, MODEL.noise_power_w)
 
 
 def brute_force_cellfree(gains, p, noise):
@@ -47,7 +55,7 @@ def brute_force_cellfree(gains, p, noise):
 
 
 def test_draw_channels_deterministic():
-    layout = generate_layout(Scenario(num_raps=6, num_ues=3, rng_seed=5))
+    layout = generate_layout(AREA, 6, 3, 5)
     a = draw_channels(layout, MODEL, 123)
     b = draw_channels(layout, MODEL, 123)
     assert np.array_equal(a.gains, b.gains)
@@ -56,7 +64,7 @@ def test_draw_channels_deterministic():
 
 
 def test_unit_variance_fading():
-    layout = generate_layout(Scenario(num_raps=200, num_ues=100, rng_seed=1))
+    layout = generate_layout(AREA, 200, 100, 1)
     beta = MODEL.pathloss_gain(layout.distance_matrix())
     ratios = []
     for seed in range(5):
@@ -73,19 +81,18 @@ def test_pathloss_doubling():
 
 
 def test_udn_single_pair_is_snr():
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[30.0, 40.0]]), (19.0,))
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[30.0, 40.0]]))
     real = draw_channels(layout, MODEL, 7)
     assoc = udn_association(layout)
     p = 0.5
     expected = p * abs(real.gains[0, 0]) ** 2 / MODEL.noise_power_w
-    assert udn_sinr(real, assoc, p, MODEL)[0] == pytest.approx(expected, rel=1e-12)
+    assert sinr(udn_sinr_components(real, assoc), p)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_udn_two_cells_hand_computed():
     layout = NetworkLayout(
         np.array([[0.0, 0.0], [500.0, 0.0]]),
         np.array([[10.0, 0.0], [480.0, 0.0]]),
-        (19.0, 19.0),
     )
     real = draw_channels(layout, MODEL, 3)
     assoc = udn_association(layout)
@@ -94,16 +101,16 @@ def test_udn_two_cells_hand_computed():
     g = np.abs(real.gains) ** 2
     expected0 = p * g[0, 0] / (p * g[1, 0] + MODEL.noise_power_w)
     expected1 = p * g[1, 1] / (p * g[0, 1] + MODEL.noise_power_w)
-    got = udn_sinr(real, assoc, p, MODEL)
+    got = sinr(udn_sinr_components(real, assoc), p)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
     assert got[1] == pytest.approx(expected1, rel=1e-12)
 
 
 def test_udn_interference_limited_ceiling():
-    layout = generate_layout(Scenario(num_raps=6, num_ues=3, rng_seed=9))
+    layout = generate_layout(AREA, 6, 3, 9)
     real = draw_channels(layout, MODEL, 9)
     assoc = udn_association(layout)
-    hi = udn_sinr(real, assoc, 1e9, MODEL)
+    hi = sinr(udn_sinr_components(real, assoc), 1e9)
     g = np.abs(real.gains) ** 2
     for j, s in enumerate(hi):
         serving = int(np.flatnonzero(assoc.serve[:, j])[0])
@@ -117,7 +124,6 @@ def test_rap_nearest_mode_powers_add():
     layout = NetworkLayout(
         np.array([[0.0, 0.0], [20.0, 0.0], [900.0, 900.0]]),
         np.array([[10.0, 0.0], [905.0, 905.0]]),
-        (19.0,) * 3,
     )
     assoc = udn_association(layout, mode="rap_nearest")
     assert np.flatnonzero(assoc.serve[:, 0]).tolist() == [0, 1]
@@ -125,18 +131,18 @@ def test_rap_nearest_mode_powers_add():
     real = draw_channels(layout, MODEL, 21)
     g = np.abs(real.gains) ** 2
     p = 2.0
-    got = udn_sinr(real, assoc, p, MODEL)
+    got = sinr(udn_sinr_components(real, assoc), p)
     expected0 = p * (g[0, 0] + g[1, 0]) / (p * g[2, 0] + MODEL.noise_power_w)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
 
 
 def test_cellfree_degenerates_to_udn_for_single_pair():
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[55.0, 10.0]]), (19.0,))
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[55.0, 10.0]]))
     real = draw_channels(layout, MODEL, 31)
     assoc = udn_association(layout)
     p = 0.7
-    assert cellfree_sinr(real, p, MODEL)[0] == pytest.approx(
-        udn_sinr(real, assoc, p, MODEL)[0], rel=1e-12
+    assert sinr(cellfree_sinr_components(real), p)[0] == pytest.approx(
+        sinr(udn_sinr_components(real, assoc), p)[0], rel=1e-12
     )
 
 
@@ -145,16 +151,16 @@ def test_cellfree_coherent_gain_two_raps():
     real = ChannelRealization(gains=np.array([[g], [g]], dtype=complex), drop_seed=0)
     single = ChannelRealization(gains=np.array([[g]], dtype=complex), drop_seed=0)
     p = 1.0
-    two = cellfree_sinr(real, p, MODEL)[0]
-    one = cellfree_sinr(single, p, MODEL)[0]
+    two = sinr(cellfree_sinr_components(real), p)[0]
+    one = sinr(cellfree_sinr_components(single), p)[0]
     assert two / one == pytest.approx(4.0, rel=1e-9)
 
 
 def test_cellfree_matches_brute_force():
-    layout = generate_layout(Scenario(num_raps=8, num_ues=4, rng_seed=77))
+    layout = generate_layout(AREA, 8, 4, 77)
     real = draw_channels(layout, MODEL, 77)
     p = 0.9
-    got = cellfree_sinr(real, p, MODEL)
+    got = sinr(cellfree_sinr_components(real), p)
     expected = brute_force_cellfree(real.gains, p, MODEL.noise_power_w)
     for a, b in zip(got, expected):
         assert abs(a - b) / b < 1e-9
@@ -181,10 +187,11 @@ def test_combine_never_increases_and_monotone():
 
 
 def test_sum_throughput_basics():
-    assert sum_throughput([1.0, 1.0], 10e6, num_raps=4, num_ues=2, overhead=0.0) == pytest.approx(2e7)
+    assert sum_throughput([1.0, 1.0], 10e6, 4, NO_OVERHEAD) == pytest.approx(2e7)
     ov = OverheadModel().fraction(50)
     assert ov == pytest.approx(0.25)
-    got = sum_throughput([1.0], 10e6, num_raps=100, num_ues=50)
+    # one UE at SINR 1 among 50: the other 49 add log2(1 + 0) = 0
+    got = sum_throughput([1.0] + [0.0] * 49, 10e6, 100, OverheadModel())
     assert got == pytest.approx(0.75 * 10e6)
 
 
@@ -192,18 +199,17 @@ def test_sum_throughput_cap():
     cap = bbof_per_rap_cap_bps(2.5e9)
     assert cap == pytest.approx(2.5e9 / 30.0)
     tiny = bbof_per_rap_cap_bps(3000.0)
-    got = sum_throughput([1e6] * 4, 10e6, num_raps=2, num_ues=4, overhead=0.0,
-                         per_rap_cap_bps=tiny)
+    got = sum_throughput([1e6] * 4, 10e6, 2, NO_OVERHEAD, per_rap_cap_bps=tiny)
     assert got == pytest.approx(2 * 100.0)
 
 
 def test_sum_throughput_validation():
     with pytest.raises(ValidationError):
-        sum_throughput([1.0], 10e6, num_raps=1, num_ues=1, overhead=1.0)
+        sum_throughput([1.0], 10e6, 1, OverheadModel(max_fraction=1.0))
     with pytest.raises(ValidationError):
-        sum_throughput([-0.5], 10e6, num_raps=1)
+        sum_throughput([-0.5], 10e6, 1, OverheadModel())
     with pytest.raises(ValidationError):
-        sum_throughput([1.0], 0.0, num_raps=1)
+        sum_throughput([1.0], 0.0, 1, OverheadModel())
 
 
 def test_overhead_clamps():
