@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
         cmd.add_argument("--drops", type=int, default=None,
                          help="override monte_carlo_drops")
-        cmd.add_argument("--workers", type=int, default=None,
-                         help="override worker thread count")
         if takes_null:
             cmd.add_argument("--allow-null", action="store_true",
                              help="emit infinite-loss sentinels instead of failing")
@@ -74,8 +72,7 @@ def _write_crossovers(table: ResultTable, out: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed, drops=args.drops,
-                          workers=args.workers)
+        cfg = load_config(args.config, seed=args.seed, drops=args.drops)
         _, runner, takes_null = _RUNNERS[args.command]
         if takes_null:
             table = runner(cfg, allow_null=args.allow_null)

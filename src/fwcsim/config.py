@@ -52,13 +52,6 @@ class SchemeParams:
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    pathloss_exponent: float = 3.5
-    ref_loss_db: float = 40.0
-    noise_figure_db: float = 9.0
-
-
 def _default_fiber_grid() -> tuple[float, ...]:
     return tuple(round(0.25 * i, 6) for i in range(0, 101))  # 0..25 km
 
@@ -112,14 +105,13 @@ class ExperimentConfig:
     schemes: tuple[Scheme, ...] = (Scheme.BBOF, Scheme.IFOF, Scheme.RFOF)
     scheme_params: SchemeParams = field(default_factory=SchemeParams)
     power: PowerParams = field(default_factory=PowerParams)
-    channel: ChannelParams = field(default_factory=ChannelParams)
+    channel: ChannelModel = field(default_factory=ChannelModel)
     overhead: OverheadModel = field(default_factory=OverheadModel)
     sweep: SweepParams = field(default_factory=SweepParams)
     digitization_bits_per_sample_pair: float = DIGITIZATION_BITS_PER_SAMPLE_PAIR
     budget_w: float = 2100.0
     monte_carlo_drops: int = 100
     base_seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if not _PRECHECKED.get():  # a JSON build checked each value on the way in
@@ -130,7 +122,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"schemes has duplicates: {[Scheme(s).value for s in self.schemes]}"
             )
-        for name, least in (("monte_carlo_drops", 1), ("workers", 1), ("base_seed", 0)):
+        for name, least in (("monte_carlo_drops", 1), ("base_seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
         if self.budget_w <= 0:
@@ -146,14 +138,6 @@ class ExperimentConfig:
             wireless_bandwidth_hz=sp.wireless_bandwidth_hz,
             fiber_bit_rate_bps=sp.fiber_bit_rate_bps,
             fronthaul_snr0_db=snr0,
-        )
-
-    def channel_model(self) -> ChannelModel:
-        return ChannelModel.from_bandwidth(
-            self.scheme_params.wireless_bandwidth_hz,
-            noise_figure_db=self.channel.noise_figure_db,
-            pathloss_exponent=self.channel.pathloss_exponent,
-            ref_loss_db=self.channel.ref_loss_db,
         )
 
     def resolved(self) -> dict:
@@ -257,7 +241,6 @@ def load_config(
     path: str | Path | None,
     seed: int | None = None,
     drops: int | None = None,
-    workers: int | None = None,
 ) -> ExperimentConfig:
     """Read a JSON config (all keys optional) and apply CLI overrides."""
     if path is None:
@@ -272,6 +255,6 @@ def load_config(
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("top-level config must be a JSON object")
-    overrides = {"base_seed": seed, "monte_carlo_drops": drops, "workers": workers}
+    overrides = {"base_seed": seed, "monte_carlo_drops": drops}
     data.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(data)

@@ -1,6 +1,7 @@
 """Network topology: RAP/UE placement and UDN association."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,13 @@ class Area:
     area_height_m: float = 1000.0
 
     def __post_init__(self):
-        if self.area_width_m <= 0 or self.area_height_m <= 0:
+        w, h = self.area_width_m, self.area_height_m
+        if w <= 0 or h <= 0:
             raise ValidationError("area dimensions must be positive")
+        # Infinite sides are left to the config's finiteness check, which names the key.
+        if w * w + h * h == math.inf and max(w, h) < math.inf:
+            raise ValidationError(f"area {w!r} m x {h!r} m is too large: its diagonal "
+                                  "overflows the float range")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,14 +1,12 @@
 """Experiment runners: dispersion, power, throughput, and beam-pattern sweeps.
 
 Every runner is deterministic for a fixed config: Monte Carlo drop i uses seed
-base_seed + i, workers only parallelize independent drops, and the final
-reduction always walks drops in index order.
+base_seed + i, and drops run and reduce in index order.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .power import crossover_length, power_over, solve_tx_power
 from .tables import Repeat, ResultTable
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
 from .wireless import (
-    ChannelModel,
     bbof_per_rap_cap_bps,
     cellfree_sinr_components,
     combine_fronthaul_noise,
@@ -128,11 +125,10 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     return table
 
 
-def _throughput_drop(cfg: ExperimentConfig, model: ChannelModel, m: int, j: int,
-                     drop_seed: int):
+def _throughput_drop(cfg: ExperimentConfig, m: int, j: int, drop_seed: int):
     """Power-normalized SINR components shared by every scheme at this drop."""
     layout = generate_layout(cfg.scenario, m, j, drop_seed)
-    realization = draw_channels(layout, model, drop_seed)
+    realization = draw_channels(layout, cfg.channel, drop_seed)
     assoc = udn_association(layout, mode=cfg.sweep.association_mode)
     return {
         "udn": udn_sinr_components(realization, assoc),
@@ -151,8 +147,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     """
     table = ResultTable("throughput_sweep", THROUGHPUT_COLUMNS,
                         metadata=_base_metadata(cfg, "throughput_sweep"))
-    model = cfg.channel_model()
-    noise_w = model.noise_power_w
+    noise_w = cfg.channel.noise_power_w(cfg.scheme_params.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
 
     scheme_cfgs = {s: cfg.scheme_config(s) for s in cfg.schemes}
@@ -184,14 +179,9 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     for m in cfg.sweep.m_values:
         j = max(1, round(0.5 * m))
         j_of_m[m] = j
-        seeds = [cfg.base_seed + i for i in range(drops)]
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                drop_components = list(
-                    pool.map(lambda seed: _throughput_drop(cfg, model, m, j, seed), seeds)
-                )
-        else:
-            drop_components = [_throughput_drop(cfg, model, m, j, seed) for seed in seeds]
+        drop_components = [
+            _throughput_drop(cfg, m, j, cfg.base_seed + i) for i in range(drops)
+        ]
 
         for arch in ("udn", "cellfree"):
             signal = np.stack([comps[arch][0] for comps in drop_components])

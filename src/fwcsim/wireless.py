@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import Association, NetworkLayout
-from .units import thermal_noise_w
+from .units import db_to_linear, thermal_noise_w
 
 CHANNEL_RNG_STREAM = 1
 MIN_PATH_DISTANCE_M = 1.0  # clamp below the pathloss reference distance
@@ -21,33 +21,33 @@ DIGITIZATION_BITS_PER_SAMPLE_PAIR = 30.0
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Log-distance pathloss with Rayleigh small-scale fading."""
+    """Log-distance pathloss with Rayleigh small-scale fading; the config's
+    ``channel`` group."""
 
     pathloss_exponent: float = 3.5
     ref_loss_db: float = 40.0  # at 1 m
-    noise_power_w: float = thermal_noise_w(10e6, noise_figure_db=9.0)
+    noise_figure_db: float = 9.0  # UE receiver, over thermal noise
 
     def __post_init__(self):
         if self.pathloss_exponent <= 2.0:
             raise ValidationError(
-                f"pathloss exponent must exceed 2, got {self.pathloss_exponent}"
+                f"channel.pathloss_exponent must exceed 2, got {self.pathloss_exponent}"
             )
-        if self.noise_power_w <= 0:
-            raise ValidationError("noise power must be > 0")
+        if not 0.0 < db_to_linear(-self.ref_loss_db) < math.inf:
+            raise ValidationError(
+                f"channel.ref_loss_db must keep the 1 m gain within the float range, "
+                f"got {self.ref_loss_db!r}"
+            )
 
-    @classmethod
-    def from_bandwidth(
-        cls,
-        bandwidth_hz: float,
-        noise_figure_db: float = 9.0,
-        pathloss_exponent: float = 3.5,
-        ref_loss_db: float = 40.0,
-    ) -> "ChannelModel":
-        return cls(
-            pathloss_exponent=pathloss_exponent,
-            ref_loss_db=ref_loss_db,
-            noise_power_w=thermal_noise_w(bandwidth_hz, noise_figure_db),
-        )
+    def noise_power_w(self, bandwidth_hz: float) -> float:
+        """Receiver noise power over ``bandwidth_hz``; finite and > 0."""
+        noise = thermal_noise_w(bandwidth_hz, self.noise_figure_db)
+        if not 0.0 < noise < math.inf:
+            raise ValidationError(
+                f"channel.noise_figure_db {self.noise_figure_db!r} gives a noise power of "
+                f"{noise!r} W over {bandwidth_hz!r} Hz; it must be finite and > 0"
+            )
+        return noise
 
     def pathloss_gain(self, distance_m):
         """Average power gain beta(d) = 10^(-ref/10) * d^(-n), d clamped at 1 m."""

@@ -206,7 +206,7 @@ def test_coherence_check():
 
 def test_mixed_beamformer_coherent_gain():
     layout = generate_layout(AREA, 4, 2, 2)
-    model = ChannelModel.from_bandwidth(10e6)
+    model = ChannelModel()
     real = draw_channels(layout, model, 2)
     fronthaul = np.ones(4, dtype=complex)
     spec = mixed_beamformer(real, layout, 0, fronthaul, (19.0,) * 4)
@@ -236,7 +236,7 @@ def test_mixed_beamformer_flat_over_band_vs_phase_only():
     # narrowband-per-frequency model: channel m at f has delay T_m and static gain
     rng = np.random.default_rng(6)
     layout = generate_layout(AREA, 4, 1, 6)
-    model = ChannelModel.from_bandwidth(10e6)
+    model = ChannelModel()
     real = draw_channels(layout, model, 6)
     fronthaul = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
     lengths = (19.0,) * 4
@@ -267,7 +267,7 @@ def test_mixed_beamformer_flat_over_band_vs_phase_only():
 
 def test_mixed_beamformer_degenerate():
     layout = generate_layout(AREA, 3, 1, 1)
-    model = ChannelModel.from_bandwidth(10e6)
+    model = ChannelModel()
     real = draw_channels(layout, model, 1)
     with pytest.raises(DegenerateChannelError):
         mixed_beamformer(real, layout, 0, np.zeros(3, dtype=complex), (19.0,) * 3)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fwcsim.sweeps as sweeps
-from fwcsim.config import ExperimentConfig, config_from_dict
+from fwcsim.config import config_from_dict
 from fwcsim.geometry import Area, NetworkLayout, generate_layout
 from fwcsim.wireless import OverheadModel, combine_fronthaul_noise, sum_throughput
 
@@ -148,7 +148,7 @@ def test_sum_throughput_2d_keeps_checks():
 
 
 def test_sweep_combines_once_per_arch_scheme_m(monkeypatch):
-    calls = {"combine": 0, "rate": 0, "model": 0}
+    calls = {"combine": 0, "rate": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -159,9 +159,7 @@ def test_sweep_combines_once_per_arch_scheme_m(monkeypatch):
     monkeypatch.setattr(sweeps, "combine_fronthaul_noise",
                         counted("combine", sweeps.combine_fronthaul_noise))
     monkeypatch.setattr(sweeps, "sum_throughput", counted("rate", sweeps.sum_throughput))
-    monkeypatch.setattr(ExperimentConfig, "channel_model",
-                        counted("model", ExperimentConfig.channel_model))
     cfg = config_from_dict({"sweep": {"m_values": [4, 8, 12]}, "monte_carlo_drops": 4})
     sweeps.run_throughput_sweep(cfg)
     points = 2 * len(cfg.schemes) * len(cfg.sweep.m_values)
-    assert calls == {"combine": points, "rate": points, "model": 1}
+    assert calls == {"combine": points, "rate": points}

@@ -15,22 +15,22 @@ GOLDEN = {
     "dispersion-sweep": ((), {
         "dispersion.csv": "66f125719bcda80239056188943440be4ffc437b04827d324bd2a37eebe63a06",
         "dispersion.meta.json":
-            "55a7cb4b6862398366bde636c63bd64ee260b0a15e687449b800a79402fa1e57",
+            "fe7d6a20ebad4cd0b3dd21737bd475a30089510a7700e091fa839bbee5026d28",
     }),
     "power-sweep": ((), {
         "power.csv": "6e9c38c12893cd43136bd65f97a3043e305f373305127dee0033c1b5305a5fc6",
         "power_crossovers.csv":
             "69f7ad421941ebac40eda5c6c0df120bd8f9dec09ba7c653f7bde2ec6f69333b",
-        "power.meta.json": "20b1d34b243f3d5e246a83679288d10a06e40318e86a2a668d49d95cbc713ce8",
+        "power.meta.json": "fe6af067b31010988617e5ae20961b64461ea46b5c70b756e4956df510ba95e2",
     }),
     "beam-pattern": ((), {
         "beam.csv": "7a45c24a681f4860a3962441253fc7918fbc75c13378b268e167ddb070b8a593",
-        "beam.meta.json": "899dfe82db2b88f114d1a7356943fa1df67baed786ebb6f04a8e6d9b3a4012e1",
+        "beam.meta.json": "2ff6bccf201831b7ac961fe29827e6285aa87f06f1383048505084e88e633a92",
     }),
     "throughput-sweep": (("--drops", "5"), {
         "throughput.csv": "28ea2affe48dc636fcb9d635ba4f3702eb637e2e6287d2ba7575e8c12c70a868",
         "throughput.meta.json":
-            "4e737ec52382e357b67d2feeff0fb56decf221978c16a94539ef77f8e51388b0",
+            "eb7589b79300b8dd73192e047f93932a981e4d867f63a019f0e703359b16abee",
     }),
 }
 
@@ -44,15 +44,15 @@ def test_default_csv_bytes_pinned(command, tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-# Every scheme feasible, ue_nearest association, two worker threads: the
-# combining and rate path for finite and infinite fronthaul SNRs.
+# Every scheme feasible, ue_nearest association: the combining and rate
+# path for finite and infinite fronthaul SNRs.
 FEASIBLE_UE_NEAREST = {
     "sweep": {"association_mode": "ue_nearest", "m_values": [16, 64]},
     "budget_w": 1e5,
 }
 FEASIBLE_UE_NEAREST_DIGEST = "9d801268c75e012d2150a0fedb70e831bf56954d90d6ab06e643c337e2ecf2ed"
 FEASIBLE_UE_NEAREST_META_DIGEST = (
-    "ad2ecda951904eaa207773cb4a10270b0e0a4d881cd782e1c954878094c0023f"
+    "1768aaa0bc0ad8f3634acace57332517402312609cdfc0d7705f1f72566553ae"
 )
 
 
@@ -60,7 +60,7 @@ def test_feasible_ue_nearest_throughput_bytes_pinned(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FEASIBLE_UE_NEAREST))
     out = tmp_path / "throughput.csv"
-    args = ["--config", str(cfg), "--out", str(out), "--drops", "5", "--workers", "2"]
+    args = ["--config", str(cfg), "--out", str(out), "--drops", "5"]
     assert main(["throughput-sweep", *args]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FEASIBLE_UE_NEAREST_DIGEST
     meta = out.with_suffix(".meta.json").read_bytes()
@@ -81,7 +81,7 @@ NEGATIVE_STEER_BEAM = {
 }
 NEGATIVE_STEER_BEAM_DIGEST = "202ac0606999236af45f6c595c803dc7bb0b1f5b35284dcfc323010fe8216f32"
 NEGATIVE_STEER_BEAM_META_DIGEST = (
-    "32dc3fe6532665de112dfb6e7be8cbb5ead5c115b2e6ee0dfbbf9b5ea85432ed"
+    "7f86f4038371b64a2bc85a53af448852cb03f2bf12be674259f38d4e883bdd3b"
 )
 
 
@@ -114,17 +114,17 @@ INT_PLANNING = {
 INT_PLANNING_DIGESTS = {
     "dispersion-sweep": {
         "out.csv": "a05f6346f560b6024e7640e57e134e86cc54fc949ec7d15111f8c9444ba1e82d",
-        "out.meta.json": "254e2067b5e237c99a70518346460e7e2ccd3df81fb15f08363fbd7594bfcaea",
+        "out.meta.json": "4e39a69a8fa449f7d2751d763189b7aed33243f6817ad13e8e6e155dd2c3c65e",
     },
     "power-sweep": {  # the 30 GHz crossover is the int range start, 3
         "out.csv": "8cdf98cda3ef92ba30c03c110567d828c45e8eecbe61cf3eca63d71ca0db87fc",
-        "out.meta.json": "7e86185226f56e644593851718b92c7d7a60559d88dd7349057cb9c0f428fa6b",
+        "out.meta.json": "edde195b14f38098867856abd1ddcc53062d001bd4061824320a1ef6cd6d9fb5",
         "out_crossovers.csv":
             "95faaac95be6c823e5471027a7de0872f2e2b234179254429b9e60c05483c624",
     },
     "beam-pattern": {
         "out.csv": "066ca09168789962bdef13dda28f165167034a44ba0265bce8d95d5778850ece",
-        "out.meta.json": "9abe145dcac1de7ecd38d47309b17f5ffac8060be4cf9e61a4014f16411d339c",
+        "out.meta.json": "974b70b7b6f5c0a6d817be9cee330e00295d3294e439c1b0d9c66e236b6f1140",
     },
 }
 

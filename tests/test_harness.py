@@ -45,8 +45,9 @@ def test_defaults_resolve_completely():
     resolved = cfg.resolved()
     for key in ("scenario", "fiber", "schemes", "scheme_params", "power", "channel",
                 "overhead", "sweep", "budget_w", "monte_carlo_drops", "base_seed",
-                "workers", "digitization_bits_per_sample_pair"):
+                "digitization_bits_per_sample_pair"):
         assert key in resolved
+    assert "workers" not in resolved
     assert resolved["power"]["p_link0_w"] == pytest.approx(0.1834)
     assert resolved["sweep"]["association_mode"] == "rap_nearest"
     assert resolved["scenario"] == {"area_width_m": 1000.0, "area_height_m": 1000.0}
@@ -96,10 +97,9 @@ def test_json_values_are_checked_once(monkeypatch):
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"base_seed": 3, "monte_carlo_drops": 7}))
-    cfg = load_config(path, seed=99, drops=2, workers=4)
+    cfg = load_config(path, seed=99, drops=2)
     assert cfg.base_seed == 99
     assert cfg.monte_carlo_drops == 2
-    assert cfg.workers == 4
 
 
 def test_load_config_bad_json(tmp_path):
@@ -196,13 +196,11 @@ def test_throughput_sweep_all_infeasible_raises():
         run_throughput_sweep(cfg)
 
 
-def test_throughput_sweep_deterministic_and_thread_invariant():
+def test_throughput_sweep_deterministic():
     cfg = small_config()
     a = run_throughput_sweep(cfg)
     b = run_throughput_sweep(cfg)
     assert a.rows == b.rows
-    threaded = run_throughput_sweep(dataclasses.replace(cfg, workers=4))
-    assert threaded.rows == a.rows
 
 
 def test_beam_pattern_matches_array_factor():
@@ -275,7 +273,7 @@ def test_cli_config_error_exit_2(tmp_path):
         ("throughput-sweep", {"monte_carlo_drops": 2.5}, "monte_carlo_drops must be an integer"),
         ("throughput-sweep", {"base_seed": 1.5}, "base_seed must be an integer"),
         ("throughput-sweep", {"base_seed": -1}, "base_seed must be >= 0"),
-        ("throughput-sweep", {"workers": True}, "workers must be an integer"),
+        ("throughput-sweep", {"workers": 1}, "unknown key"),
         ("throughput-sweep", {"budget_w": math.nan}, "budget_w must be finite"),
         ("throughput-sweep", {"budget_w": math.inf}, "budget_w must be finite"),
         ("dispersion-sweep", {"scenario": {"num_raps": -5}}, "unknown key"),
@@ -331,8 +329,18 @@ def test_cli_config_error_exit_2(tmp_path):
          "dispersion phase is not finite at 0.0 km, 1e+191 GHz"),
         ("throughput-sweep", {"scheme_params": {"rf_carrier_hz": 1e200}},
          "dispersion phase is not finite at 19.0 km, 1e+191 GHz"),
+        ("throughput-sweep", {"channel": {"ref_loss_db": -1e308}},
+         "channel.ref_loss_db must keep the 1 m gain within the float range"),
+        ("throughput-sweep", {"channel": {"noise_figure_db": 1e308}},
+         "channel.noise_figure_db 1e+308 gives a noise power of inf W"),
+        ("throughput-sweep", {"channel": {"noise_figure_db": -1e308}},
+         "channel.noise_figure_db -1e+308 gives a noise power of 0.0 W"),
+        ("dispersion-sweep", {"channel": {"pathloss_exponent": 2.0}},
+         "channel.pathloss_exponent must exceed 2"),
+        ("throughput-sweep", {"scenario": {"area_width_m": 1e308}},
+         "area 1e+308 m x 1000.0 m is too large"),
     ],
-    ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-true", "budget-nan", "budget-inf",
+    ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
          "scenario.fiber_length_km", "power.pa_gain_db", "bandwidth-0", "theta-step-0",
          "band-points-0", "schemes-duplicate", "m_values-duplicate", "m_values-empty",
@@ -341,7 +349,9 @@ def test_cli_config_error_exit_2(tmp_path):
          "power-p-tx-nan", "fronthaul-snr0-nan", "m_values-2.5", "band-start-0",
          "power-p-tx-overflow", "attenuation-overflow", "dispersion-fiber-km-1e306",
          "power-fiber-km-1e306", "length-km-1e306", "dispersion-carrier-1e200",
-         "power-carrier-1e200", "rf-carrier-1e200"],
+         "power-carrier-1e200", "rf-carrier-1e200", "ref-loss-neg-1e308",
+         "noise-figure-1e308", "noise-figure-neg-1e308", "dispersion-pathloss-2",
+         "area-width-1e308"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
@@ -433,10 +443,10 @@ def test_cli_power_sweep_writes_crossovers(tmp_path):
 def test_cli_subprocess_determinism(tmp_path):
     cfg_path = write_cfg(tmp_path, SMALL_SWEEP)
     outputs = []
-    for name, extra in (("a.csv", []), ("b.csv", []), ("c.csv", ["--workers", "3"])):
+    for name in ("a.csv", "b.csv", "c.csv"):
         out = tmp_path / name
         cmd = [sys.executable, "-m", "fwcsim.cli", "throughput-sweep",
-               "--config", str(cfg_path), "--out", str(out), "--seed", "5"] + extra
+               "--config", str(cfg_path), "--out", str(out), "--seed", "5"]
         proc = subprocess.run(cmd, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())

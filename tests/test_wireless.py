@@ -18,14 +18,15 @@ from fwcsim.wireless import (
     udn_sinr_components,
 )
 
-MODEL = ChannelModel.from_bandwidth(10e6, noise_figure_db=9.0)
+MODEL = ChannelModel(noise_figure_db=9.0)
+NOISE_W = MODEL.noise_power_w(10e6)
 AREA = Area()
 NO_OVERHEAD = OverheadModel(max_fraction=0.0)
 
 
 def sinr(components, p):
     """Per-UE SINR at transmit power p from (signal, interference) components."""
-    return sinr_from_components(*components, p, MODEL.noise_power_w)
+    return sinr_from_components(*components, p, NOISE_W)
 
 
 def brute_force_cellfree(gains, p, noise):
@@ -85,7 +86,7 @@ def test_udn_single_pair_is_snr():
     real = draw_channels(layout, MODEL, 7)
     assoc = udn_association(layout)
     p = 0.5
-    expected = p * abs(real.gains[0, 0]) ** 2 / MODEL.noise_power_w
+    expected = p * abs(real.gains[0, 0]) ** 2 / NOISE_W
     assert sinr(udn_sinr_components(real, assoc), p)[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -99,8 +100,8 @@ def test_udn_two_cells_hand_computed():
     assert assoc.serve.tolist() == [[True, False], [False, True]]
     p = 1.0
     g = np.abs(real.gains) ** 2
-    expected0 = p * g[0, 0] / (p * g[1, 0] + MODEL.noise_power_w)
-    expected1 = p * g[1, 1] / (p * g[0, 1] + MODEL.noise_power_w)
+    expected0 = p * g[0, 0] / (p * g[1, 0] + NOISE_W)
+    expected1 = p * g[1, 1] / (p * g[0, 1] + NOISE_W)
     got = sinr(udn_sinr_components(real, assoc), p)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
     assert got[1] == pytest.approx(expected1, rel=1e-12)
@@ -132,7 +133,7 @@ def test_rap_nearest_mode_powers_add():
     g = np.abs(real.gains) ** 2
     p = 2.0
     got = sinr(udn_sinr_components(real, assoc), p)
-    expected0 = p * (g[0, 0] + g[1, 0]) / (p * g[2, 0] + MODEL.noise_power_w)
+    expected0 = p * (g[0, 0] + g[1, 0]) / (p * g[2, 0] + NOISE_W)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
 
 
@@ -161,7 +162,7 @@ def test_cellfree_matches_brute_force():
     real = draw_channels(layout, MODEL, 77)
     p = 0.9
     got = sinr(cellfree_sinr_components(real), p)
-    expected = brute_force_cellfree(real.gains, p, MODEL.noise_power_w)
+    expected = brute_force_cellfree(real.gains, p, NOISE_W)
     for a, b in zip(got, expected):
         assert abs(a - b) / b < 1e-9
 
@@ -219,5 +220,8 @@ def test_overhead_clamps():
 def test_channel_model_validation():
     with pytest.raises(ValidationError):
         ChannelModel(pathloss_exponent=1.5)
-    with pytest.raises(ValidationError):
-        ChannelModel(noise_power_w=0.0)
+    with pytest.raises(ValidationError, match="channel.noise_figure_db"):
+        ChannelModel(noise_figure_db=-1e308).noise_power_w(10e6)
+    for ref_loss_db in (-1e308, 1e308):  # the 1 m gain overflows, then underflows
+        with pytest.raises(ValidationError, match="channel.ref_loss_db"):
+            ChannelModel(ref_loss_db=ref_loss_db)
