@@ -37,14 +37,13 @@ from .geometry import (
 from .optics import (
     FiberParams,
     Scheme,
-    SchemeConfig,
+    SchemeParams,
     attenuation_db,
     dcf_compensation_length,
     dispersion_fading_db,
     fronthaul_snr_db,
     null_lengths,
     recovery_lengths,
-    scheme_fading_db,
 )
 from .power import (
     PowerBreakdown,

@@ -10,7 +10,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -20,36 +19,13 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .geometry import Area
-from .optics import FiberParams, Scheme, SchemeConfig
+from .optics import FiberParams, Scheme, SchemeParams
 from .power import PowerParams
 from .wireless import (
     DIGITIZATION_BITS_PER_SAMPLE_PAIR,
     ChannelModel,
     OverheadModel,
 )
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """Radio constants shared by the scheme configs built per run.
-
-    The 100 MHz case-study bandwidth puts the 2.5 Gb/s digitized fronthaul in
-    its binding regime (one RAP can feed at most fiber_rate/30 bit/s of
-    wireless traffic); see README "Calibration and defaults".
-    """
-
-    rf_carrier_hz: float = 20e9
-    if_carrier_hz: float = 125e6
-    wireless_bandwidth_hz: float = 100e6
-    fiber_bit_rate_bps: float = 2.5e9
-    fronthaul_snr0_db: float = 40.0
-
-    def __post_init__(self):
-        for name in ("rf_carrier_hz", "if_carrier_hz", "wireless_bandwidth_hz",
-                     "fiber_bit_rate_bps"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _default_fiber_grid() -> tuple[float, ...]:
@@ -127,18 +103,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}")
         if self.budget_w <= 0:
             raise ConfigError(f"budget_w must be finite and > 0, got {self.budget_w!r}")
-
-    def scheme_config(self, scheme: Scheme) -> SchemeConfig:
-        sp = self.scheme_params
-        snr0 = math.inf if Scheme(scheme) is Scheme.BBOF else sp.fronthaul_snr0_db
-        return SchemeConfig(
-            scheme=Scheme(scheme),
-            rf_carrier_hz=sp.rf_carrier_hz,
-            if_carrier_hz=sp.if_carrier_hz,
-            wireless_bandwidth_hz=sp.wireless_bandwidth_hz,
-            fiber_bit_rate_bps=sp.fiber_bit_rate_bps,
-            fronthaul_snr0_db=snr0,
-        )
 
     def resolved(self) -> dict:
         """Every knob, defaults included, as plain JSON-ready values."""

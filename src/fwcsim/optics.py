@@ -1,5 +1,5 @@
-"""Analog optical-link impairments: attenuation, chromatic-dispersion RF power
-fading, null/recovery planning, DCF sizing, and the lumped fronthaul SNR."""
+"""Fronthaul schemes and their radio constants; analog optical-link impairments:
+attenuation, dispersion RF power fading, null/recovery planning, DCF sizing, fronthaul SNR."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UndefinedModelError, ValidationError
+from .errors import ConfigError, UndefinedModelError, ValidationError
 from .units import SPEED_OF_LIGHT_M_S
 
 # |cos|^2 at or below this counts as an exact fading null (infinite loss).
@@ -44,46 +44,35 @@ class FiberParams:
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    """Per-scheme radio and fiber-transport constants.
+class SchemeParams:
+    """Radio constants of the three schemes: the config's ``scheme_params`` group.
 
     ``fronthaul_snr0_db`` is the back-to-back analog link SNR before fiber
-    losses; BBoF transports bits and must carry an infinite value.
+    losses; BBoF transports bits and never reads it. The 100 MHz case-study
+    bandwidth puts the 2.5 Gb/s digitized fronthaul in its binding regime (one
+    RAP can feed at most fiber_rate/30 bit/s of wireless traffic); see README
+    "Calibration and defaults".
     """
 
-    scheme: Scheme
     rf_carrier_hz: float = 20e9
     if_carrier_hz: float = 125e6
-    wireless_bandwidth_hz: float = 10e6
+    wireless_bandwidth_hz: float = 100e6
     fiber_bit_rate_bps: float = 2.5e9
     fronthaul_snr0_db: float = 40.0
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        for name in ("rf_carrier_hz", "if_carrier_hz", "wireless_bandwidth_hz", "fiber_bit_rate_bps"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
-        if self.scheme is Scheme.BBOF and not math.isinf(self.fronthaul_snr0_db):
-            raise ValidationError("BBoF is digital transport; fronthaul_snr0_db must be inf")
+        for name in ("rf_carrier_hz", "if_carrier_hz", "wireless_bandwidth_hz",
+                     "fiber_bit_rate_bps"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
-    @classmethod
-    def bbof(cls, **kwargs) -> "SchemeConfig":
-        kwargs.setdefault("fronthaul_snr0_db", math.inf)
-        return cls(scheme=Scheme.BBOF, **kwargs)
-
-    @classmethod
-    def ifof(cls, **kwargs) -> "SchemeConfig":
-        return cls(scheme=Scheme.IFOF, **kwargs)
-
-    @classmethod
-    def rfof(cls, **kwargs) -> "SchemeConfig":
-        return cls(scheme=Scheme.RFOF, **kwargs)
-
-    def analog_carrier_hz(self) -> float | None:
+    def analog_carrier_hz(self, scheme: Scheme) -> float | None:
         """Frequency riding the fiber: RF for RFoF, IF for IFoF, none for BBoF."""
-        if self.scheme is Scheme.RFOF:
+        scheme = Scheme(scheme)
+        if scheme is Scheme.RFOF:
             return self.rf_carrier_hz
-        if self.scheme is Scheme.IFOF:
+        if scheme is Scheme.IFOF:
             return self.if_carrier_hz
         return None
 
@@ -137,14 +126,6 @@ def dispersion_fading_db(fiber: FiberParams, f_hz: float) -> float:
     return fading_db_over(fiber, f_hz, fiber_axis([fiber.length_km]))[0]
 
 
-def scheme_fading_db(scheme: SchemeConfig, fiber: FiberParams) -> float:
-    """Fading at the scheme's analog carrier; BBoF sees none."""
-    carrier = scheme.analog_carrier_hz()
-    if carrier is None:
-        return 0.0
-    return dispersion_fading_db(fiber, carrier)
-
-
 def _fading_period_km(fiber: FiberParams, f_hz: float, k_max: int) -> float:
     if f_hz <= 0:
         raise ValidationError(f"frequency must be > 0, got {f_hz}")
@@ -182,15 +163,15 @@ def dcf_compensation_length(
     return -dispersion_std_ps_nm_km * length_std_km / dispersion_dcf_ps_nm_km
 
 
-def fronthaul_snr_db(scheme: SchemeConfig, fiber: FiberParams) -> float:
+def fronthaul_snr_db(scheme: Scheme, radio: SchemeParams, fiber: FiberParams) -> float:
     """Lumped analog-link SNR after fiber losses.
 
     BBoF returns +inf. IFoF/RFoF degrade the back-to-back SNR by attenuation
-    plus carrier fading; a dispersion null returns -inf.
+    plus fading at the scheme's carrier; a dispersion null returns -inf.
     """
-    if scheme.scheme is Scheme.BBOF:
+    if Scheme(scheme) is Scheme.BBOF:
         return math.inf
-    fading = scheme_fading_db(scheme, fiber)
+    fading = dispersion_fading_db(fiber, radio.analog_carrier_hz(scheme))
     if math.isinf(fading):
         return -math.inf
-    return scheme.fronthaul_snr0_db - attenuation_db(fiber) - fading
+    return radio.fronthaul_snr0_db - attenuation_db(fiber) - fading

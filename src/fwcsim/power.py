@@ -7,12 +7,12 @@ efficiency is higher.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleBudgetError, ValidationError
-from .optics import FiberParams, Scheme, SchemeConfig, fading_db_over, fiber_axis
+from .optics import FiberParams, Scheme, SchemeParams, fading_db_over, fiber_axis
 from .units import db_to_linear
 
 # Default drive power of the analog optical link at zero fiber loss. Calibrated
@@ -21,6 +21,7 @@ from .units import db_to_linear
 DEFAULT_P_LINK0_W = 0.1834
 
 _SOLVER_TOL_W = 1e-9
+CROSSOVER_SCAN_POINTS = 512
 
 
 # Per scheme: the PowerParams wattage fields placed at the CU, those placed
@@ -108,8 +109,8 @@ def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -
     return p_tx_antenna_w / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
 
 
-def power_over(scheme: SchemeConfig, num_raps: int, p_tx_w: float, fiber: FiberParams,
-               params: PowerParams, lengths_km: np.ndarray) -> tuple:
+def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float,
+               fiber: FiberParams, params: PowerParams, lengths_km: np.ndarray) -> tuple:
     """``system_power`` at each length of the float array ``lengths_km``: the CU
     and per-RAP watts, then lists of the carrier fading (dB), compensation,
     overhead and total watts.
@@ -120,17 +121,18 @@ def power_over(scheme: SchemeConfig, num_raps: int, p_tx_w: float, fiber: FiberP
     """
     if num_raps < 1:
         raise ValidationError(f"num_raps must be >= 1, got {num_raps}")
-    cu_fields, rap_fields, _ = PLACEMENT[scheme.scheme]
+    scheme = Scheme(scheme)
+    cu_fields, rap_fields, _ = PLACEMENT[scheme]
     cu = sum(getattr(params, name) for name in cu_fields)
     rap = sum(getattr(params, name) for name in rap_fields) + pa_input_power(
-        p_tx_w, scheme.scheme, params
+        p_tx_w, scheme, params
     )
     overhead_frac = params.overhead_multiplier - 1.0
     with np.errstate(over="ignore"):  # overflow gives inf, as on Python floats
-        if scheme.scheme is Scheme.BBOF:
+        if scheme is Scheme.BBOF:
             fading = comp = [0.0] * len(lengths_km)
         else:
-            fading = fading_db_over(fiber, scheme.analog_carrier_hz(), lengths_km)
+            fading = fading_db_over(fiber, radio.analog_carrier_hz(scheme), lengths_km)
             loss_db = (fiber.attenuation_db_per_km * lengths_km + fading).tolist()
             comp = [math.inf if fade == math.inf else params.p_link0_w * db_to_linear(loss)
                     for fade, loss in zip(fading, loss_db)]
@@ -142,7 +144,8 @@ def power_over(scheme: SchemeConfig, num_raps: int, p_tx_w: float, fiber: FiberP
 
 
 def system_power(
-    scheme: SchemeConfig,
+    scheme: Scheme,
+    radio: SchemeParams,
     num_raps: int,
     p_tx_w: float,
     fiber: FiberParams,
@@ -150,12 +153,14 @@ def system_power(
 ) -> PowerBreakdown:
     """Total consumption of CU plus num_raps RAPs incl. supply/cooling overhead."""
     axis = fiber_axis([fiber.length_km])
-    cu, rap, _, comp, overhead, total = power_over(scheme, num_raps, p_tx_w, fiber, params, axis)
+    cu, rap, _, comp, overhead, total = power_over(scheme, radio, num_raps, p_tx_w, fiber,
+                                                   params, axis)
     return PowerBreakdown(cu, rap, comp[0], overhead[0], total[0])
 
 
 def solve_tx_power(
-    scheme: SchemeConfig,
+    scheme: Scheme,
+    radio: SchemeParams,
     num_raps: int,
     fiber: FiberParams,
     budget_w: float,
@@ -166,60 +171,53 @@ def solve_tx_power(
     The model is affine in p_tx, so the inverse is closed-form. Raises
     InfeasibleBudgetError when the budget cannot cover the fixed consumption.
     """
-    fixed = system_power(scheme, num_raps, 0.0, fiber, params).total_watts
+    fixed = system_power(scheme, radio, num_raps, 0.0, fiber, params).total_watts
     if not math.isfinite(fixed):
         raise InfeasibleBudgetError(
-            f"{scheme.scheme.value} fixed power is infinite (dispersion null)"
+            f"{Scheme(scheme).value} fixed power is infinite (dispersion null)"
         )
     if budget_w < fixed - _SOLVER_TOL_W:
         raise InfeasibleBudgetError(
             f"budget {budget_w} W below fixed consumption {fixed:.6f} W "
-            f"for {scheme.scheme.value} with {num_raps} RAPs"
+            f"for {Scheme(scheme).value} with {num_raps} RAPs"
         )
     slope = (
         params.overhead_multiplier
         * num_raps
-        / (params.pa_efficiency(scheme.scheme) * (1.0 - params.feeder_loss))
+        / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
     )
     return max(0.0, (budget_w - fixed) / slope)
 
 
 def crossover_length(
-    scheme_a: SchemeConfig,
-    scheme_b: SchemeConfig,
+    scheme_a: Scheme,
+    scheme_b: Scheme,
+    radio: SchemeParams,
     fiber: FiberParams,
     num_raps: int,
     p_tx_w: float,
     length_range_km: tuple[float, float],
     params: PowerParams,
-    rf_carrier_hz: float | None = None,
-    num_scan: int = 512,
 ) -> float | None:
     """Smallest fiber length where scheme_a's total first exceeds scheme_b's.
 
-    Scans the range, then bisects the bracketing segment. Returns None when no
-    crossing exists in range. ``rf_carrier_hz`` re-carriers both schemes for
-    frequency studies.
+    Scans CROSSOVER_SCAN_POINTS lengths over the range, then bisects the
+    bracketing segment. Returns None when no crossing exists in range.
     """
     lo, hi = length_range_km
     if not lo < hi:
         raise ValidationError(f"bad length range {length_range_km}")
-    if num_scan < 2:
-        raise ValidationError("num_scan must be >= 2")
-    if rf_carrier_hz is not None:
-        scheme_a = replace(scheme_a, rf_carrier_hz=rf_carrier_hz)
-        scheme_b = replace(scheme_b, rf_carrier_hz=rf_carrier_hz)
 
     def exceeds(lengths_km) -> list[bool]:
         """Whether scheme_a's total is above scheme_b's (False when both are infinite)."""
         axis = fiber_axis(lengths_km)
-        totals = [power_over(sc, num_raps, p_tx_w, fiber, params, axis)[-1]
-                  for sc in (scheme_a, scheme_b)]
+        totals = [power_over(scheme, radio, num_raps, p_tx_w, fiber, params, axis)[-1]
+                  for scheme in (scheme_a, scheme_b)]
         return [a > b for a, b in zip(*totals)]
 
     # The scan is one pass over all its lengths; only the bisection is per length.
-    step = (hi - lo) / (num_scan - 1)
-    scan_l = [lo] + [lo + i * step for i in range(1, num_scan)]
+    step = (hi - lo) / (CROSSOVER_SCAN_POINTS - 1)
+    scan_l = [lo] + [lo + i * step for i in range(1, CROSSOVER_SCAN_POINTS)]
     above = exceeds(scan_l)
     if True not in above:
         return None

@@ -21,7 +21,7 @@ from .beamform import (
 from .config import ExperimentConfig, hash_resolved
 from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError, ValidationError
 from .geometry import generate_layout, udn_association
-from .optics import Scheme, SchemeConfig, fading_db_over, fiber_axis, fronthaul_snr_db
+from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
 from .tables import Repeat, ResultTable
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
@@ -51,27 +51,28 @@ def _base_metadata(cfg: ExperimentConfig, kind: str) -> dict:
 
 
 def _curves(cfg: ExperimentConfig):
-    """One scheme config per planning curve: BBoF, IFoF, and RFoF per carrier."""
+    """One (scheme, radio constants) pair per planning curve: BBoF, IFoF, and
+    RFoF per carrier."""
     for scheme in cfg.schemes:
-        sc = cfg.scheme_config(scheme)
         if scheme is Scheme.RFOF:
             for f_hz in cfg.sweep.frequencies_hz:
-                yield dataclasses.replace(sc, rf_carrier_hz=float(f_hz))
+                yield scheme, dataclasses.replace(cfg.scheme_params, rf_carrier_hz=float(f_hz))
         else:
-            yield sc
+            yield scheme, cfg.scheme_params
 
 
-def _unless_null(column: list, fading: list, allow_null: bool, sc: SchemeConfig,
-                 km: list) -> list:
+def _unless_null(column: list, fading: list, allow_null: bool, scheme: Scheme,
+                 radio: SchemeParams, km: list) -> list:
     """``column``, unless it holds an overflow (an infinite value where ``fading``
     is finite) or, while nulls are not allowed, a dispersion null sentinel."""
     for i in range(len(column)) if math.inf in column else ():
         if column[i] == math.inf and fading[i] != math.inf:
-            raise ValidationError(f"{sc.scheme.value} total power is not finite at {km[i]} km")
+            raise ValidationError(f"{scheme.value} total power is not finite at {km[i]} km")
         if column[i] == math.inf and not allow_null:
             raise NullSentinelError(
-                f"dispersion null at {km[i]} km for {sc.scheme.value} at "
-                f"{sc.analog_carrier_hz() / 1e9:g} GHz; pass --allow-null to emit the sentinel"
+                f"dispersion null at {km[i]} km for {scheme.value} at "
+                f"{radio.analog_carrier_hz(scheme) / 1e9:g} GHz; "
+                "pass --allow-null to emit the sentinel"
             )
     return column
 
@@ -82,14 +83,14 @@ def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> Res
                         metadata=_base_metadata(cfg, "dispersion_sweep"))
     lengths = fiber_axis(cfg.sweep.fiber_km)
     km = lengths.tolist()  # one list object: every curve shares its formatted text
-    for sc in _curves(cfg):
-        carrier = sc.analog_carrier_hz()
+    for scheme, radio in _curves(cfg):
+        carrier = radio.analog_carrier_hz(scheme)
         if carrier is None:  # BBoF sees no fading
             fading, carrier = Repeat(0.0), 0.0
         else:
             fading = fading_db_over(cfg.fiber, carrier, lengths)
-            _unless_null(fading, fading, allow_null, sc, km)
-        table.extend_columns(Repeat(sc.scheme.value), Repeat(carrier), km, fading)
+            _unless_null(fading, fading, allow_null, scheme, radio, km)
+        table.extend_columns(Repeat(scheme.value), Repeat(carrier), km, fading)
     return table
 
 
@@ -101,21 +102,21 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     p_tx = cfg.sweep.power_p_tx_w
     lengths = fiber_axis(cfg.sweep.fiber_km)
     km = lengths.tolist()
-    for sc in _curves(cfg):
-        cu, rap, fading, comp, _, total = power_over(sc, m, p_tx, cfg.fiber, cfg.power, lengths)
+    for scheme, radio in _curves(cfg):
+        cu, rap, fading, comp, _, total = power_over(scheme, radio, m, p_tx, cfg.fiber,
+                                                     cfg.power, lengths)
         table.extend_columns(
-            Repeat(sc.scheme.value), Repeat(sc.rf_carrier_hz), km, Repeat(p_tx),
-            Repeat(cu), Repeat(rap), comp, _unless_null(total, fading, allow_null, sc, km),
+            Repeat(scheme.value), Repeat(radio.rf_carrier_hz), km, Repeat(p_tx), Repeat(cu),
+            Repeat(rap), comp, _unless_null(total, fading, allow_null, scheme, radio, km),
         )
 
     crossovers = []
     if Scheme.RFOF in cfg.schemes and Scheme.BBOF in cfg.schemes:
-        rfof = cfg.scheme_config(Scheme.RFOF)
-        bbof = cfg.scheme_config(Scheme.BBOF)
         for f_hz in cfg.sweep.frequencies_hz:
             found = crossover_length(
-                rfof, bbof, cfg.fiber, m, p_tx, cfg.sweep.crossover_range_km,
-                cfg.power, rf_carrier_hz=float(f_hz),
+                Scheme.RFOF, Scheme.BBOF,
+                dataclasses.replace(cfg.scheme_params, rf_carrier_hz=float(f_hz)),
+                cfg.fiber, m, p_tx, cfg.sweep.crossover_range_km, cfg.power,
             )
             crossovers.append(
                 {"scheme_a": "rfof", "scheme_b": "bbof", "f_rf_hz": float(f_hz),
@@ -147,20 +148,17 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     """
     table = ResultTable("throughput_sweep", THROUGHPUT_COLUMNS,
                         metadata=_base_metadata(cfg, "throughput_sweep"))
-    noise_w = cfg.channel.noise_power_w(cfg.scheme_params.wireless_bandwidth_hz)
+    radio = cfg.scheme_params
+    noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
-
-    scheme_cfgs = {s: cfg.scheme_config(s) for s in cfg.schemes}
-    fh_linear = {
-        s: db_to_linear(fronthaul_snr_db(sc, cfg.fiber)) for s, sc in scheme_cfgs.items()
-    }
+    fh_snr_db = {s: fronthaul_snr_db(s, radio, cfg.fiber) for s in cfg.schemes}
 
     p_tx: dict[tuple[Scheme, int], float] = {}
     feasible: dict[tuple[Scheme, int], bool] = {}
-    for s, sc in scheme_cfgs.items():
+    for s in cfg.schemes:
         for m in cfg.sweep.m_values:
             try:
-                p_tx[(s, m)] = solve_tx_power(sc, m, cfg.fiber, cfg.budget_w, cfg.power)
+                p_tx[(s, m)] = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w, cfg.power)
                 feasible[(s, m)] = True
             except InfeasibleBudgetError:
                 p_tx[(s, m)] = 0.0
@@ -170,8 +168,8 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
             f"budget {cfg.budget_w} W infeasible for every scheme and RAP count"
         )
     caps = {  # the BBoF digitization limit per RAP
-        s: bbof_per_rap_cap_bps(sc.fiber_bit_rate_bps, cfg.digitization_bits_per_sample_pair)
-        if s is Scheme.BBOF else None for s, sc in scheme_cfgs.items()
+        s: bbof_per_rap_cap_bps(radio.fiber_bit_rate_bps, cfg.digitization_bits_per_sample_pair)
+        if s is Scheme.BBOF else None for s in cfg.schemes
     }
 
     rates: dict[tuple[str, Scheme, int], np.ndarray] = {}
@@ -186,11 +184,11 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         for arch in ("udn", "cellfree"):
             signal = np.stack([comps[arch][0] for comps in drop_components])
             interference = np.stack([comps[arch][1] for comps in drop_components])
-            for s, sc in scheme_cfgs.items():
+            for s in cfg.schemes:
                 sinr = sinr_from_components(signal, interference, p_tx[(s, m)], noise_w)
                 rates[(arch, s, m)] = sum_throughput(
-                    combine_fronthaul_noise(sinr, fh_linear[s]),
-                    sc.wireless_bandwidth_hz, m, cfg.overhead, per_rap_cap_bps=caps[s],
+                    combine_fronthaul_noise(sinr, db_to_linear(fh_snr_db[s])),
+                    radio.wireless_bandwidth_hz, m, cfg.overhead, per_rap_cap_bps=caps[s],
                 )
 
     for arch in ("udn", "cellfree"):
@@ -214,10 +212,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         }
         for s in cfg.schemes
     }
-    table.metadata["fronthaul_snr_db"] = {
-        s.value: fronthaul_snr_db(sc, cfg.fiber)
-        for s, sc in scheme_cfgs.items()
-    }
+    table.metadata["fronthaul_snr_db"] = {s.value: fh_snr_db[s] for s in cfg.schemes}
     return table
 
 

@@ -121,7 +121,10 @@ def cellfree_sinr_components(
     gains = realization.gains
     denom = realization.power_gains().sum(axis=1)
     if np.any(denom == 0.0):
-        raise ValidationError("a RAP has zero gain to every UE")
+        raise ValidationError(
+            "a RAP has zero gain to every UE: the pathloss underflows; lower "
+            "channel.pathloss_exponent, channel.ref_loss_db or the scenario area"
+        )
     sqrt_eta = 1.0 / np.sqrt(denom)
     weights = np.conj(gains)
     weights *= sqrt_eta[:, None]  # in place: no second (M, J) complex temporary
@@ -205,7 +208,11 @@ def sum_throughput(
     if bandwidth_hz <= 0:
         raise ValidationError("bandwidth must be > 0")
     fraction = overhead.fraction(sinr_arr.shape[-1])
-    total = (1.0 - fraction) * bandwidth_hz * np.log2(1.0 + sinr_arr).sum(axis=-1)
+    per_ue = np.log2(1.0 + sinr_arr)
+    tiny = (per_ue == 0.0) & (sinr_arr > 0.0)  # 1 + s rounds to 1: take the slope s / ln 2
+    if tiny.any():
+        per_ue[tiny] = sinr_arr[tiny] / math.log(2.0)
+    total = (1.0 - fraction) * bandwidth_hz * per_ue.sum(axis=-1)
     if per_rap_cap_bps is not None:
         total = np.minimum(total, num_raps * per_rap_cap_bps)
     return float(total) if total.ndim == 0 else total

@@ -12,7 +12,13 @@ import numpy as np
 from fwcsim.beamform import ArrayGeometry, peak_directions, phase_only_weights, ttd_weights
 from fwcsim.config import ExperimentConfig
 from fwcsim.geometry import Area, generate_layout, udn_association
-from fwcsim.optics import FiberParams, SchemeConfig, dispersion_fading_db, recovery_lengths
+from fwcsim.optics import (
+    FiberParams,
+    Scheme,
+    SchemeParams,
+    dispersion_fading_db,
+    recovery_lengths,
+)
 from fwcsim.power import PowerParams, crossover_length, solve_tx_power, system_power
 from fwcsim.sweeps import run_throughput_sweep
 from fwcsim.units import SPEED_OF_LIGHT_M_S
@@ -72,14 +78,13 @@ def test_criterion_2_loss_deltas():
 def test_criterion_3_bbof_invariance_ifof_monotonic():
     start = time.perf_counter()
     grid = np.arange(0.0, 25.01, 0.25)
-    bbof = SchemeConfig.bbof()
-    ifof = SchemeConfig.ifof()
+    radio = SchemeParams()
     bbof_totals = []
     ifof_totals = []
     for length in grid:
         fib = dataclasses.replace(FIBER, length_km=float(length))
-        bbof_totals.append(system_power(bbof, 10, 1.0, fib, PARAMS).total_watts)
-        ifof_totals.append(system_power(ifof, 10, 1.0, fib, PARAMS).total_watts)
+        bbof_totals.append(system_power(Scheme.BBOF, radio, 10, 1.0, fib, PARAMS).total_watts)
+        ifof_totals.append(system_power(Scheme.IFOF, radio, 10, 1.0, fib, PARAMS).total_watts)
     # identical floats have exactly zero variance; np.var would inject
     # mean-rounding noise of order (total * eps)^2
     variance = 0.0 if len(set(bbof_totals)) == 1 else float(np.var(bbof_totals))
@@ -92,10 +97,11 @@ def test_criterion_3_bbof_invariance_ifof_monotonic():
 
 def test_criterion_4_crossover_reproduction():
     start = time.perf_counter()
-    rfof = SchemeConfig.rfof()
-    bbof = SchemeConfig.bbof()
-    c10 = crossover_length(rfof, bbof, FIBER, 1, 1.0, (0.5, 25.0), PARAMS, rf_carrier_hz=10e9)
-    c20 = crossover_length(rfof, bbof, FIBER, 1, 1.0, (0.5, 25.0), PARAMS, rf_carrier_hz=20e9)
+    c10, c20 = (
+        crossover_length(Scheme.RFOF, Scheme.BBOF, SchemeParams(rf_carrier_hz=f_hz), FIBER, 1,
+                         1.0, (0.5, 25.0), PARAMS)
+        for f_hz in (10e9, 20e9)
+    )
     elapsed = time.perf_counter() - start
     ok = (
         c10 is not None and c20 is not None
@@ -217,15 +223,17 @@ def test_criterion_8_solver_round_trip():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     worst = 0.0
-    schemes = (SchemeConfig.bbof(), SchemeConfig.ifof(), SchemeConfig.rfof())
+    schemes = (Scheme.BBOF, Scheme.IFOF, Scheme.RFOF)
+    radio = SchemeParams()
     for _ in range(1000):
         scheme = schemes[int(rng.integers(0, 3))]
         m = int(rng.integers(1, 300))
         fiber = dataclasses.replace(FIBER, length_km=float(rng.uniform(0.0, 8.0)))
-        fixed = system_power(scheme, m, 0.0, fiber, PARAMS).total_watts
+        fixed = system_power(scheme, radio, m, 0.0, fiber, PARAMS).total_watts
         budget = fixed + float(rng.uniform(0.0, 10000.0))
-        p = solve_tx_power(scheme, m, fiber, budget, PARAMS)
-        worst = max(worst, abs(system_power(scheme, m, p, fiber, PARAMS).total_watts - budget))
+        p = solve_tx_power(scheme, radio, m, fiber, budget, PARAMS)
+        total = system_power(scheme, radio, m, p, fiber, PARAMS).total_watts
+        worst = max(worst, abs(total - budget))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 5.0
     report(8, "solver round trip", ok, f"worst |total-budget| = {worst:.2e} W, {elapsed:.2f}s")

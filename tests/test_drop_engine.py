@@ -28,6 +28,12 @@ def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+def reference_rate_terms(sinrs: np.ndarray) -> np.ndarray:
+    """log2(1 + SINR) per UE, and SINR / ln 2 where 1 + SINR rounds to 1 and SINR > 0."""
+    tiny = (1.0 + sinrs == 1.0) & (sinrs > 0.0)
+    return np.where(tiny, sinrs / math.log(2.0), np.log2(1.0 + sinrs))
+
+
 def reference_distances(rap_xy, ue_xy):
     diff = rap_xy[:, None, :] - ue_xy[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
@@ -132,10 +138,40 @@ def test_sum_throughput_rows_match_1d_bits(sinrs, overhead, cap):
         one = sum_throughput(row.tolist(), bandwidth, num_raps, overhead, per_rap_cap_bps=cap)
         assert type(one) is float
         fraction = overhead.fraction(len(row))
-        literal = (1.0 - fraction) * bandwidth * float(np.log2(1.0 + row).sum())
+        literal = (1.0 - fraction) * bandwidth * float(reference_rate_terms(row).sum())
         if cap is not None:
             literal = min(literal, num_raps * cap)
         assert bits(total) == bits(one) == bits(literal)
+
+
+# Weak links: SINRs down to the subnormals, where 1 + SINR rounds to 1, among ordinary ones.
+weak_rows = arrays(
+    float,
+    st.tuples(st.integers(1, 5), st.integers(1, 40)),
+    elements=st.one_of(st.floats(0.0, 1e-15), st.sampled_from([0.0, 5e-324, 1.1e-16]),
+                       st.floats(0.0, 1e6)),
+)
+
+
+@PROPERTY
+@given(weak_rows, overheads, st.sampled_from([None, 83.3e6]))
+def test_sum_throughput_weak_links_keep_a_rate(sinrs, overhead, cap):
+    num_raps, bandwidth = 7, 100e6
+    got = sum_throughput(sinrs, bandwidth, num_raps, overhead, per_rap_cap_bps=cap)
+    fraction = overhead.fraction(sinrs.shape[-1])
+    for row, total in zip(sinrs, got):
+        old = (1.0 - fraction) * bandwidth * float(np.log2(1.0 + row).sum())
+        if cap is not None:
+            old = min(old, num_raps * cap)
+        tiny = (1.0 + row == 1.0) & (row > 0.0)
+        if not tiny.any():  # the old expression, bit for bit
+            assert bits(total) == bits(old)
+        else:
+            assert total >= old and total > 0.0
+            if not (row > 0.0)[~tiny].any():  # only weak links: the old code read no link
+                assert old == 0.0
+                want = (1.0 - fraction) * bandwidth * float((row / math.log(2.0)).sum())
+                assert bits(total) == bits(min(want, num_raps * cap) if cap else want)
 
 
 def test_sum_throughput_2d_keeps_checks():

@@ -12,12 +12,7 @@ from fwcsim.cli import main
 from fwcsim.config import ExperimentConfig, SweepParams, config_from_dict, load_config
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
 from fwcsim.geometry import Area
-from fwcsim.optics import (
-    Scheme,
-    dispersion_fading_db,
-    null_lengths,
-    recovery_lengths,
-)
+from fwcsim.optics import dispersion_fading_db, null_lengths, recovery_lengths
 from fwcsim.power import solve_tx_power, system_power
 from fwcsim.sweeps import (
     run_beam_pattern,
@@ -149,10 +144,9 @@ def test_power_sweep_matches_system_power():
     m = cfg.sweep.power_num_raps
     p_tx = cfg.sweep.power_p_tx_w
     for scheme, f_rf, fiber_km, p, cu, rap, comp, total in table.rows:
-        sc = cfg.scheme_config(Scheme(scheme))
-        sc = dataclasses.replace(sc, rf_carrier_hz=f_rf)
+        radio = dataclasses.replace(cfg.scheme_params, rf_carrier_hz=f_rf)
         fib = dataclasses.replace(cfg.fiber, length_km=fiber_km)
-        expected = system_power(sc, m, p_tx, fib, cfg.power)
+        expected = system_power(scheme, radio, m, p_tx, fib, cfg.power)
         assert total == pytest.approx(expected.total_watts, rel=1e-12)
         assert cu == pytest.approx(expected.cu_watts)
         assert rap == pytest.approx(expected.per_rap_watts)
@@ -173,8 +167,8 @@ def test_throughput_sweep_structure_and_solver():
     for arch, scheme, m, j, drops, p_tx, mean, ci in table.rows:
         assert j == m // 2
         assert drops == 3
-        sc = cfg.scheme_config(Scheme(scheme))
-        expected_p = solve_tx_power(sc, m, cfg.fiber, cfg.budget_w, cfg.power)
+        expected_p = solve_tx_power(scheme, cfg.scheme_params, m, cfg.fiber, cfg.budget_w,
+                                    cfg.power)
         assert p_tx == pytest.approx(expected_p, abs=1e-9)
         assert mean > 0.0
 
@@ -255,6 +249,23 @@ def test_cli_success_and_outputs(tmp_path):
     code = main(["throughput-sweep", "--config", str(cfg_path), "--out", str(out)])
     assert code == 0
     assert out.exists() and meta_path_for(out).exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"channel": {"ref_loss_db": 3000}}, {"scheme_params": {"wireless_bandwidth_hz": 1e300}}],
+    ids=["ref-loss-3000", "bandwidth-1e300"],
+)
+def test_cli_weak_links_keep_a_positive_rate(tmp_path, data):
+    # SINRs below 1e-16, where 1 + SINR rounds to 1, are weak links, not absent ones.
+    cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
+    out = tmp_path / "tp.csv"
+    assert main(["throughput-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    solver = json.loads(meta_path_for(out).read_text())["solver"]
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    feasible = [row for row in rows if solver[row[1]][row[2]]["feasible"]]
+    assert feasible and all(float(row[header.index("mean_sumrate_bps")]) > 0.0
+                            for row in feasible)
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -339,6 +350,10 @@ def test_cli_config_error_exit_2(tmp_path):
          "channel.pathloss_exponent must exceed 2"),
         ("throughput-sweep", {"scenario": {"area_width_m": 1e308}},
          "area 1e+308 m x 1000.0 m is too large"),
+        ("throughput-sweep", {"scenario": {"area_width_m": 1e150}},
+         "lower channel.pathloss_exponent, channel.ref_loss_db or the scenario area"),
+        ("throughput-sweep", {"channel": {"pathloss_exponent": 1e300}},
+         "lower channel.pathloss_exponent, channel.ref_loss_db or the scenario area"),
     ],
     ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -351,7 +366,7 @@ def test_cli_config_error_exit_2(tmp_path):
          "power-fiber-km-1e306", "length-km-1e306", "dispersion-carrier-1e200",
          "power-carrier-1e200", "rf-carrier-1e200", "ref-loss-neg-1e308",
          "noise-figure-1e308", "noise-figure-neg-1e308", "dispersion-pathloss-2",
-         "area-width-1e308"],
+         "area-width-1e308", "area-width-1e150-underflow", "pathloss-1e300-underflow"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})

@@ -7,14 +7,13 @@ from fwcsim.errors import UndefinedModelError, ValidationError
 from fwcsim.optics import (
     FiberParams,
     Scheme,
-    SchemeConfig,
+    SchemeParams,
     attenuation_db,
     dcf_compensation_length,
     dispersion_fading_db,
     fronthaul_snr_db,
     null_lengths,
     recovery_lengths,
-    scheme_fading_db,
 )
 from fwcsim.units import SPEED_OF_LIGHT_M_S
 
@@ -141,28 +140,31 @@ def test_dcf_zeroes_net_dispersion():
 
 
 def test_fronthaul_snr():
-    assert fronthaul_snr_db(SchemeConfig.bbof(), FIBER) == math.inf
+    assert fronthaul_snr_db(Scheme.BBOF, SchemeParams(), FIBER) == math.inf
     # 7 dB of pure attenuation, no dispersion
     flat = FiberParams(dispersion_ps_nm_km=0.0, attenuation_db_per_km=0.7, length_km=10.0)
-    assert fronthaul_snr_db(SchemeConfig.rfof(), flat) == pytest.approx(33.0)
+    assert fronthaul_snr_db(Scheme.RFOF, SchemeParams(), flat) == pytest.approx(33.0)
     null_fiber = at_length(null_lengths(FIBER, 20e9, 1)[0])
-    assert fronthaul_snr_db(SchemeConfig.rfof(), null_fiber) == -math.inf
+    assert fronthaul_snr_db(Scheme.RFOF, SchemeParams(), null_fiber) == -math.inf
 
 
 def test_scheme_fading_dispatch():
     fiber = at_length(4.059)  # near the 30 GHz null, harmless elsewhere
-    assert scheme_fading_db(SchemeConfig.bbof(), fiber) == 0.0
-    ifof = scheme_fading_db(SchemeConfig.ifof(), fiber)
-    rfof = scheme_fading_db(SchemeConfig.rfof(rf_carrier_hz=30e9), fiber)
+    radio = SchemeParams(rf_carrier_hz=30e9)
+    assert radio.analog_carrier_hz(Scheme.BBOF) is None
+    assert fronthaul_snr_db(Scheme.BBOF, radio, fiber) == math.inf
+    loss = radio.fronthaul_snr0_db - attenuation_db(fiber)  # the SNR with no fading
+    ifof = loss - fronthaul_snr_db(Scheme.IFOF, radio, fiber)
+    rfof = loss - fronthaul_snr_db("rfof", radio, fiber)
     assert ifof == pytest.approx(dispersion_fading_db(fiber, 125e6))
     assert rfof > 100.0 or math.isinf(rfof)
 
 
-def test_scheme_config_validation():
+def test_scheme_params_validation():
+    # BBoF carries bits: its back-to-back analog SNR is never read.
+    assert fronthaul_snr_db(Scheme.BBOF, SchemeParams(fronthaul_snr0_db=40.0), FIBER) == math.inf
     with pytest.raises(ValidationError):
-        SchemeConfig(scheme=Scheme.BBOF, fronthaul_snr0_db=40.0)
-    with pytest.raises(ValidationError):
-        SchemeConfig.rfof(rf_carrier_hz=0.0)
+        SchemeParams(rf_carrier_hz=0.0)
     with pytest.raises(ValidationError):
         FiberParams(wavelength_nm=-1.0)
     with pytest.raises(ValidationError):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fwcsim.optics import (
     FiberParams,
     Scheme,
-    SchemeConfig,
+    SchemeParams,
     fading_db_over,
     fiber_axis,
     null_lengths,
@@ -120,8 +120,8 @@ def reference_fading_db(fiber, f_hz):
     return max(0.0, -10.0 * math.log10(cos_sq))
 
 
-def reference_scheme_fading_db(scheme, fiber):
-    carrier = scheme.analog_carrier_hz()
+def reference_scheme_fading_db(scheme, radio, fiber):
+    carrier = radio.analog_carrier_hz(scheme)
     return 0.0 if carrier is None else reference_fading_db(fiber, carrier)
 
 
@@ -133,16 +133,16 @@ def reference_db_to_linear(value_db):
     return 10.0 ** (value_db / 10.0)
 
 
-def reference_system_power(scheme, num_raps, p_tx_w, fiber, params):
+def reference_system_power(scheme, radio, num_raps, p_tx_w, fiber, params):
     """(cu, rap, comp, overhead, total) of the scalar model."""
-    cu_fields, rap_fields, eff = PLACEMENT[scheme.scheme]
+    cu_fields, rap_fields, eff = PLACEMENT[scheme]
     cu = sum(getattr(params, name) for name in cu_fields)
     rap = sum(getattr(params, name) for name in rap_fields) + p_tx_w / (
         getattr(params, eff) * (1.0 - params.feeder_loss))
-    if scheme.scheme is Scheme.BBOF:
+    if scheme is Scheme.BBOF:
         comp = 0.0
     else:
-        fading = reference_scheme_fading_db(scheme, fiber)
+        fading = reference_scheme_fading_db(scheme, radio, fiber)
         comp = math.inf if math.isinf(fading) else params.p_link0_w * reference_db_to_linear(
             fiber.attenuation_db_per_km * fiber.length_km + fading)
     functional = cu + num_raps * (rap + comp)
@@ -173,9 +173,9 @@ fibers = st.builds(
     wavelength_nm=st.floats(800.0, 1700.0),
     attenuation_db_per_km=st.one_of(st.just(0), st.floats(0.0, 2.0)),
 )
-schemes = st.builds(
-    lambda make, carrier: make(rf_carrier_hz=carrier, if_carrier_hz=carrier / 80),
-    st.sampled_from([SchemeConfig.bbof, SchemeConfig.ifof, SchemeConfig.rfof]),
+schemes = st.sampled_from(list(Scheme))
+radios = st.builds(
+    lambda carrier: SchemeParams(rf_carrier_hz=carrier, if_carrier_hz=carrier / 80),
     st.one_of(st.floats(1e8, 60e9), st.integers(10**8, 6 * 10**10)),
 )
 lengths = st.lists(st.one_of(st.floats(0.0, 1000.0), st.sampled_from([0.0, -0.0, 0]),
@@ -183,45 +183,44 @@ lengths = st.lists(st.one_of(st.floats(0.0, 1000.0), st.sampled_from([0.0, -0.0,
 
 
 @settings(max_examples=300, deadline=None)
-@given(schemes, fibers, lengths, st.integers(1, 4), power_params,
+@given(schemes, radios, fibers, lengths, st.integers(1, 4), power_params,
        st.integers(1, 1024), st.one_of(st.floats(0.0, 50.0), st.integers(0, 50)))
-def test_array_power_columns_match_scalar_model(scheme, fiber, km, null_k, params, num_raps,
-                                                p_tx):
-    carrier = scheme.analog_carrier_hz()
+def test_array_power_columns_match_scalar_model(scheme, radio, fiber, km, null_k, params,
+                                                num_raps, p_tx):
+    carrier = radio.analog_carrier_hz(scheme)
     if carrier is not None and abs(fiber.dispersion_ps_nm_km) > 1e-3:
         # exact nulls (infinite loss), short enough that the old 10 ** (dB / 10) stays finite
         km = km + [x for x in null_lengths(fiber, carrier, null_k) if x <= 1000.0]
     axis = fiber_axis(km)
-    cu, rap, fading_col, comp, overhead, total = power_over(scheme, num_raps, p_tx, fiber,
-                                                            params, axis)
+    cu, rap, fading_col, comp, overhead, total = power_over(scheme, radio, num_raps, p_tx,
+                                                            fiber, params, axis)
     fading = [0.0] * len(km) if carrier is None else fading_db_over(fiber, carrier, axis)
     for i, length in enumerate(km):
         fib = dataclasses.replace(fiber, length_km=length)
-        want = reference_system_power(scheme, num_raps, p_tx, fib, params)
-        assert same_bits(fading[i], reference_scheme_fading_db(scheme, fib))
+        want = reference_system_power(scheme, radio, num_raps, p_tx, fib, params)
+        assert same_bits(fading[i], reference_scheme_fading_db(scheme, radio, fib))
         assert same_bits(fading_col[i], fading[i])
         assert same_bits(cu, want[0]) and same_bits(rap, want[1])
         assert same_bits(comp[i], want[2])
         if math.isnan(want[4]) and math.isinf(comp[i]) and params.overhead_multiplier == 1.0:
             want = (*want[:3], 0.0, math.inf)  # the old 0 * inf overhead made the total NaN
         assert same_bits(overhead[i], want[3]) and same_bits(total[i], want[4])
-        breakdown = system_power(scheme, num_raps, p_tx, fib, params)
+        breakdown = system_power(scheme, radio, num_raps, p_tx, fib, params)
         assert all(same_bits(got, want) for got, want in zip(
             (breakdown.fiber_comp_watts, breakdown.overhead_watts, breakdown.total_watts),
             (comp[i], overhead[i], total[i])))
 
 
-def reference_crossover(scheme_a, scheme_b, fiber, num_raps, p_tx_w, length_range_km,
-                        params, rf_carrier_hz, num_scan=512):
+def reference_crossover(scheme_a, scheme_b, radio, fiber, num_raps, p_tx_w, length_range_km,
+                        params):
     """The length-by-length scan and bisection over the scalar model."""
     lo, hi = length_range_km
-    scheme_a = dataclasses.replace(scheme_a, rf_carrier_hz=rf_carrier_hz)
-    scheme_b = dataclasses.replace(scheme_b, rf_carrier_hz=rf_carrier_hz)
+    num_scan = 512
 
     def diff(length_km):
         fib = dataclasses.replace(fiber, length_km=length_km)
-        total_a = reference_system_power(scheme_a, num_raps, p_tx_w, fib, params)[4]
-        total_b = reference_system_power(scheme_b, num_raps, p_tx_w, fib, params)[4]
+        total_a = reference_system_power(scheme_a, radio, num_raps, p_tx_w, fib, params)[4]
+        total_b = reference_system_power(scheme_b, radio, num_raps, p_tx_w, fib, params)[4]
         if math.isinf(total_a) and math.isinf(total_b):
             return 0.0
         if math.isinf(total_a):
@@ -268,13 +267,11 @@ crossover_params = st.builds(
 @given(st.one_of(lossy_fibers, fibers), st.one_of(crossover_params, power_params.filter(
            lambda p: p.overhead_multiplier > 1.0)),  # zero overhead: the old NaN at nulls
        st.integers(1, 64), st.floats(0.0, 5.0), st.floats(5e9, 40e9),
-       st.tuples(st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)), st.floats(6.0, 60.0)),
-       st.integers(2, 64))
-def test_crossover_scan_matches_scalar_scan(fiber, params, num_raps, p_tx, f_hz, span,
-                                            num_scan):
-    args = (SchemeConfig.rfof(), SchemeConfig.bbof(), fiber, num_raps, p_tx, span, params)
-    got = crossover_length(*args, rf_carrier_hz=f_hz, num_scan=num_scan)
-    assert same_bits(got, reference_crossover(*args, f_hz, num_scan))
+       st.tuples(st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)), st.floats(6.0, 60.0)))
+def test_crossover_scan_matches_scalar_scan(fiber, params, num_raps, p_tx, f_hz, span):
+    radio = SchemeParams(rf_carrier_hz=f_hz)
+    args = (Scheme.RFOF, Scheme.BBOF, radio, fiber, num_raps, p_tx, span, params)
+    assert same_bits(crossover_length(*args), reference_crossover(*args))
 
 
 def test_db_to_linear_past_the_float_range_is_inf():
@@ -282,10 +279,11 @@ def test_db_to_linear_past_the_float_range_is_inf():
     assert db_to_linear(math.inf) == math.inf and db_to_linear(-math.inf) == 0.0
     assert db_to_linear(3.0) == 10.0 ** 0.3
     fiber = FiberParams(attenuation_db_per_km=1000.0)
-    comp = power_over(SchemeConfig.rfof(), 1, 1.0, fiber, PowerParams(), fiber_axis([1.0, 5.0]))[3]
+    comp = power_over(Scheme.RFOF, SchemeParams(), 1, 1.0, fiber, PowerParams(),
+                      fiber_axis([1.0, 5.0]))[3]
     assert math.isfinite(comp[0]) and comp[1] == math.inf
     short = dataclasses.replace(fiber, length_km=1.0)
-    breakdown = system_power(SchemeConfig.rfof(), 1, 0.0, short, PowerParams())
+    breakdown = system_power(Scheme.RFOF, SchemeParams(), 1, 0.0, short, PowerParams())
     assert breakdown.fiber_comp_watts == comp[0]
 
 

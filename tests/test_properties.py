@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fwcsim.config import config_from_dict
-from fwcsim.optics import FiberParams, SchemeConfig
+from fwcsim.optics import FiberParams, Scheme, SchemeParams
 from fwcsim.power import PowerParams, solve_tx_power, system_power
 from fwcsim.sweeps import run_throughput_sweep
 from fwcsim.wireless import combine_fronthaul_noise
@@ -26,20 +26,23 @@ power_params = st.builds(
     pa_eff_rfof=st.floats(0.01, 1.0), feeder_loss=st.floats(0.0, 0.9),
     supply_loss_frac=st.floats(0.0, 0.5), cooling_frac=st.floats(0.0, 0.5),
 )
-schemes = st.sampled_from([SchemeConfig.bbof(), SchemeConfig.ifof(), SchemeConfig.rfof()])
+schemes = st.sampled_from(list(Scheme))
+radios = st.builds(SchemeParams, rf_carrier_hz=st.floats(1e8, 60e9),
+                   if_carrier_hz=st.floats(1e6, 1e9))
 
 
 @settings(max_examples=200, deadline=None)
-@given(schemes, st.integers(1, 1024), st.floats(0.0, 25.0), power_params,
+@given(schemes, radios, st.integers(1, 1024), st.floats(0.0, 25.0), power_params,
        st.floats(0.0, 1e6))
-def test_solved_tx_power_spends_the_budget(scheme, num_raps, length_km, params, headroom):
+def test_solved_tx_power_spends_the_budget(scheme, radio, num_raps, length_km, params,
+                                           headroom):
     fiber = dataclasses.replace(FiberParams(), length_km=length_km)
-    fixed = system_power(scheme, num_raps, 0.0, fiber, params).total_watts
+    fixed = system_power(scheme, radio, num_raps, 0.0, fiber, params).total_watts
     assume(math.isfinite(fixed))  # a dispersion null has no feasible budget
     budget = fixed + headroom
-    p_tx = solve_tx_power(scheme, num_raps, fiber, budget, params)
+    p_tx = solve_tx_power(scheme, radio, num_raps, fiber, budget, params)
     assert p_tx >= 0.0
-    total = system_power(scheme, num_raps, p_tx, fiber, params).total_watts
+    total = system_power(scheme, radio, num_raps, p_tx, fiber, params).total_watts
     assert math.isclose(total, budget, rel_tol=1e-12, abs_tol=1e-9)
 
 
