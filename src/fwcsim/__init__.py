@@ -29,8 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    Association,
-    NetworkLayout,
+    distance_matrix,
     generate_layout,
     udn_association,
 )
@@ -61,7 +60,6 @@ from .sweeps import (
 )
 from .wireless import (
     ChannelModel,
-    ChannelRealization,
     OverheadModel,
     bbof_per_rap_cap_bps,
     cellfree_sinr_components,

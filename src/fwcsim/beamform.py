@@ -10,7 +10,6 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .errors import DegenerateChannelError, NoRealBeamError, ValidationError
-from .geometry import NetworkLayout
 from .units import SPEED_OF_LIGHT_M_S
 
 FIBER_GROUP_INDEX = 1.468  # standard single-mode silica
@@ -205,23 +204,23 @@ def peak_directions(
 
 
 def sync_delays(
-    layout: NetworkLayout,
-    target_ue: int,
+    air_m: Sequence[float],
     fiber_lengths_km: Sequence[float],
     group_index: float = FIBER_GROUP_INDEX,
 ) -> list[float]:
-    """Optical delay-line settings equalizing fiber-plus-air path delays.
+    """Optical delay-line settings equalizing fiber-plus-air path delays toward
+    one UE, from its air distance to each RAP (a distance-matrix column).
 
     T_m = n_g*L_m/c + d_m/c; the returned delta_m = max T - T_m makes every
     compensated arrival time equal, with min delta = 0.
     """
-    if not 0 <= target_ue < layout.num_ues:
-        raise ValidationError(f"target UE {target_ue} out of range")
-    if len(fiber_lengths_km) != layout.num_raps:
+    air_m = np.asarray(air_m, dtype=float).tolist()
+    if not air_m or not all(0.0 <= d < math.inf for d in air_m):
+        raise ValidationError("air distances must be nonempty, finite and >= 0")
+    if len(fiber_lengths_km) != len(air_m):
         raise ValidationError("one fiber length per RAP required")
     if not all(0.0 <= lk < math.inf for lk in fiber_lengths_km):
         raise ValidationError("fiber lengths must be finite and >= 0")
-    air_m = layout.distance_matrix()[:, target_ue].tolist()
     totals = [
         group_index * lk * 1e3 / SPEED_OF_LIGHT_M_S + d / SPEED_OF_LIGHT_M_S
         for d, lk in zip(air_m, fiber_lengths_km)
@@ -231,9 +230,8 @@ def sync_delays(
 
 
 def mixed_beamformer(
-    realization,
-    layout: NetworkLayout,
-    target_ue: int,
+    channel,
+    air_m: Sequence[float],
     fronthaul_gains,
     fiber_lengths_km: Sequence[float],
     group_index: float = FIBER_GROUP_INDEX,
@@ -241,19 +239,21 @@ def mixed_beamformer(
     """Digital conjugate weights over the composite optical*wireless channel,
     with TTD delays compensating per-RAP fiber and air propagation.
 
+    ``channel`` and ``air_m`` are the target UE's gain and distance columns.
     Weights are unit magnitude per RAP (a RAP with zero composite gain stays
     silent), so every RAP spends its own PA budget; the effective channel
     w_m * q_m is real and nonnegative.
     """
+    channel = np.asarray(channel, dtype=complex)
     gains = np.asarray(fronthaul_gains, dtype=complex)
-    if gains.shape != (layout.num_raps,):
+    if gains.shape != channel.shape or channel.ndim != 1:
         raise ValidationError("one fronthaul gain per RAP required")
-    composite = gains * realization.gains[:, target_ue]
+    composite = gains * channel
     mags = np.abs(composite)
     if not np.any(mags > 0):
         raise DegenerateChannelError("all composite gains are zero")
     weights = np.where(mags > 0, np.conj(composite) / np.where(mags > 0, mags, 1.0), 0.0)
-    delays = sync_delays(layout, target_ue, fiber_lengths_km, group_index=group_index)
+    delays = sync_delays(air_m, fiber_lengths_km, group_index=group_index)
     return BeamformerSpec(
         weights=tuple(complex(w) for w in weights), delays_s=tuple(delays)
     )

@@ -18,7 +18,7 @@ from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
-from .geometry import Area
+from .geometry import ASSOCIATION_MODES, Area
 from .optics import FiberParams, Scheme, SchemeParams
 from .power import PowerParams
 from .wireless import (
@@ -59,6 +59,11 @@ class SweepParams:
         for name in ("fiber_km", "frequencies_hz", "m_values"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
+        if any(f <= 0 for f in self.frequencies_hz):
+            raise ConfigError(f"frequencies_hz must be > 0, got {self.frequencies_hz!r}")
+        if self.association_mode not in ASSOCIATION_MODES:
+            raise ConfigError(f"association_mode must be one of {list(ASSOCIATION_MODES)}, "
+                              f"got {self.association_mode!r}")
         if any(m < 1 for m in self.m_values):
             raise ConfigError(f"m_values must be integers >= 1, got {self.m_values!r}")
         if len(set(self.m_values)) != len(self.m_values):

@@ -10,6 +10,7 @@ from .errors import ValidationError
 
 # rng stream tags so placement and channel draws never share a stream
 LAYOUT_RNG_STREAM = 0
+ASSOCIATION_MODES = ("ue_nearest", "rap_nearest")
 
 
 @dataclass(frozen=True)
@@ -29,94 +30,52 @@ class Area:
                                   "overflows the float range")
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkLayout:
-    """One realized topology: RAP and UE positions.
+def distance_matrix(rap_xy: np.ndarray, ue_xy: np.ndarray) -> np.ndarray:
+    """RAP-to-UE distances, shape (M, J), from (M, 2) and (J, 2) positions in meters.
 
-    Positions are read-only float arrays of planar coordinates in meters,
-    ``rap_xy`` of shape (M, 2) and ``ue_xy`` of shape (J, 2).
+    sqrt(dx*dx + dy*dy) has the bits of summing squared (x, y) differences
+    over a trailing axis of two.
     """
-
-    rap_xy: np.ndarray
-    ue_xy: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rap_xy", "ue_xy"):
-            xy = np.array(getattr(self, name), dtype=float)
-            if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 1:
-                raise ValidationError(
-                    f"{name} must hold at least one (x, y) row, got shape {xy.shape}"
-                )
-            if not np.isfinite(xy).all():
-                raise ValidationError(f"{name} coordinates must be finite")
-            xy.flags.writeable = False
-            object.__setattr__(self, name, xy)
-
-    @property
-    def num_raps(self) -> int:
-        return len(self.rap_xy)
-
-    @property
-    def num_ues(self) -> int:
-        return len(self.ue_xy)
-
-    def distance_matrix(self) -> np.ndarray:
-        """RAP-to-UE distances, shape (num_raps, num_ues).
-
-        Computed on first use and shared by every later caller (channel
-        draw, association, sync delays), so the result is read-only.
-        sqrt(dx*dx + dy*dy) has the bits of summing squared (x, y)
-        differences over a trailing axis of two.
-        """
-        dist = self.__dict__.get("_distances")
-        if dist is None:
-            dist = self.rap_xy[:, 0, None] - self.ue_xy[None, :, 0]
-            dy = self.rap_xy[:, 1, None] - self.ue_xy[None, :, 1]
-            dist *= dist
-            dy *= dy
-            dist += dy
-            np.sqrt(dist, out=dist)
-            dist.flags.writeable = False
-            object.__setattr__(self, "_distances", dist)
-        return dist
+    dist = rap_xy[:, 0, None] - ue_xy[None, :, 0]
+    dy = rap_xy[:, 1, None] - ue_xy[None, :, 1]
+    dist *= dist
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    return dist
 
 
-def generate_layout(area: Area, num_raps: int, num_ues: int, seed: int) -> NetworkLayout:
-    """Draw RAPs and UEs i.i.d. uniform over the area; deterministic per seed."""
+def generate_layout(
+    area: Area, num_raps: int, num_ues: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rap_xy, ue_xy): M RAPs and J UEs drawn i.i.d. uniform over the area,
+    deterministic per seed."""
+    if num_raps < 1 or num_ues < 1:
+        raise ValidationError(f"a layout needs at least one RAP and one UE, got "
+                              f"{num_raps} RAPs and {num_ues} UEs")
     rng = np.random.default_rng([seed, LAYOUT_RNG_STREAM])
     xs = rng.uniform(0.0, area.area_width_m, size=num_raps + num_ues)
     ys = rng.uniform(0.0, area.area_height_m, size=num_raps + num_ues)
     xy = np.column_stack([xs, ys])
-    return NetworkLayout(xy[:num_raps], xy[num_raps:])
+    return xy[:num_raps], xy[num_raps:]
 
 
-@dataclass(frozen=True, eq=False)
-class Association:
-    """Which RAPs serve which UEs; RAPs outside ``active`` stay silent."""
-
-    mode: str
-    serve: np.ndarray  # (M, J) bool: RAP m serves UE j
-    active: np.ndarray  # (M,) bool: RAP m transmits
-
-
-def udn_association(layout: NetworkLayout, mode: str = "ue_nearest") -> Association:
-    """Associate UEs and RAPs by Euclidean distance.
+def udn_association(dist: np.ndarray, mode: str = "ue_nearest") -> tuple[np.ndarray, np.ndarray]:
+    """(serve, active) masks from an (M, J) distance matrix: ``serve[m, j]``
+    when RAP m serves UE j, ``active[m]`` when RAP m transmits.
 
     ``ue_nearest`` (default): each UE is served by its closest RAP; unused RAPs
     idle. ``rap_nearest`` (literal reading): every RAP transmits toward its
     closest UE, so a UE may be served by several RAPs or none. Ties break to
     the lowest index (argmin keeps the first occurrence).
     """
-    dist = layout.distance_matrix()
+    if mode not in ASSOCIATION_MODES:
+        raise ValidationError(f"association_mode must be one of {list(ASSOCIATION_MODES)}, "
+                              f"got {mode!r}")
     m, j = dist.shape
     serve = np.zeros((m, j), dtype=bool)
     if mode == "ue_nearest":
         serve[np.argmin(dist, axis=0), np.arange(j)] = True
-        active = serve.any(axis=1)
-    elif mode == "rap_nearest":
-        serve[np.arange(m), np.argmin(dist, axis=1)] = True
-        active = np.ones(m, dtype=bool)
-    else:
-        raise ValidationError(f"unknown association mode {mode!r}")
-    return Association(mode=mode, serve=serve, active=active)
-
+        return serve, serve.any(axis=1)
+    serve[np.arange(m), np.argmin(dist, axis=1)] = True
+    return serve, np.ones(m, dtype=bool)

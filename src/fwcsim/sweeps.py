@@ -20,7 +20,7 @@ from .beamform import (
 )
 from .config import ExperimentConfig, hash_resolved
 from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError, ValidationError
-from .geometry import generate_layout, udn_association
+from .geometry import distance_matrix, generate_layout, udn_association
 from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
 from .tables import Repeat, ResultTable
@@ -128,12 +128,12 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
 
 def _throughput_drop(cfg: ExperimentConfig, m: int, j: int, drop_seed: int):
     """Power-normalized SINR components shared by every scheme at this drop."""
-    layout = generate_layout(cfg.scenario, m, j, drop_seed)
-    realization = draw_channels(layout, cfg.channel, drop_seed)
-    assoc = udn_association(layout, mode=cfg.sweep.association_mode)
+    dist = distance_matrix(*generate_layout(cfg.scenario, m, j, drop_seed))
+    gains = draw_channels(dist, cfg.channel, drop_seed)
+    p2 = np.abs(gains) ** 2
     return {
-        "udn": udn_sinr_components(realization, assoc),
-        "cellfree": cellfree_sinr_components(realization),
+        "udn": udn_sinr_components(p2, *udn_association(dist, cfg.sweep.association_mode)),
+        "cellfree": cellfree_sinr_components(gains, p2),
     }
 
 

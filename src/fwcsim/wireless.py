@@ -9,7 +9,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Association, NetworkLayout
 from .units import db_to_linear, thermal_noise_w
 
 CHANNEL_RNG_STREAM = 1
@@ -55,48 +54,25 @@ class ChannelModel:
         return 10.0 ** (-self.ref_loss_db / 10.0) * d ** (-self.pathloss_exponent)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """Complex gains between every RAP and UE for one Monte Carlo drop."""
-
-    gains: np.ndarray  # (num_raps, num_ues) complex128
-    drop_seed: int
-
-    def power_gains(self) -> np.ndarray:
-        """|g_mj|^2, shape (num_raps, num_ues).
-
-        Computed on first use and shared by the UDN and cell-free SINR
-        components of the drop, so the result is read-only.
-        """
-        p2 = self.__dict__.get("_power_gains")
-        if p2 is None:
-            p2 = np.abs(self.gains) ** 2
-            p2.flags.writeable = False
-            object.__setattr__(self, "_power_gains", p2)
-        return p2
-
-
-def draw_channels(
-    layout: NetworkLayout, model: ChannelModel, drop_seed: int
-) -> ChannelRealization:
-    """g_mj = sqrt(beta_mj) * h_mj with h ~ CN(0, 1); deterministic per seed."""
+def draw_channels(dist: np.ndarray, model: ChannelModel, drop_seed: int) -> np.ndarray:
+    """Complex gains g_mj = sqrt(beta_mj) * h_mj with h ~ CN(0, 1), shape (M, J),
+    from the (M, J) RAP-to-UE distances; deterministic per seed."""
     rng = np.random.default_rng([drop_seed, CHANNEL_RNG_STREAM])
-    beta = model.pathloss_gain(layout.distance_matrix())
+    beta = model.pathloss_gain(dist)
     shape = beta.shape
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return ChannelRealization(gains=np.sqrt(beta) * h, drop_seed=drop_seed)
+    return np.sqrt(beta) * h
 
 
 def udn_sinr_components(
-    realization: ChannelRealization, assignment: Association
+    p2: np.ndarray, serve: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-UE (signal, interference) power coefficients per watt of p_tx."""
-    serve = assignment.serve
-    if serve.shape != realization.gains.shape:
-        raise ValidationError("assignment does not match realization dimensions")
-    p2 = realization.power_gains()
+    """Per-UE (signal, interference) power coefficients per watt of p_tx, from
+    the power gains |g|^2 and the ``udn_association`` masks."""
+    if serve.shape != p2.shape:
+        raise ValidationError("association does not match the channel dimensions")
     signal = np.where(serve, p2, 0.0).sum(axis=0)
-    interference = np.where(assignment.active[:, None] & ~serve, p2, 0.0).sum(axis=0)
+    interference = np.where(active[:, None] & ~serve, p2, 0.0).sum(axis=0)
     return signal, interference
 
 
@@ -109,17 +85,15 @@ def sinr_from_components(
     return p_tx_w * signal / (p_tx_w * interference + noise_power_w)
 
 
-def cellfree_sinr_components(
-    realization: ChannelRealization,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-UE (signal, interference) coefficients per watt of per-RAP power.
+def cellfree_sinr_components(gains: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-UE (signal, interference) coefficients per watt of per-RAP power,
+    from the complex gains and their power gains |g|^2.
 
     Conjugate beamforming with perfect CSI; RAP m scales each UE's conjugate
     by sqrt(eta_m) with eta_m = p / sum_j |g_mj|^2, so every RAP spends
     exactly its per-RAP budget.
     """
-    gains = realization.gains
-    denom = realization.power_gains().sum(axis=1)
+    denom = p2.sum(axis=1)
     if np.any(denom == 0.0):
         raise ValidationError(
             "a RAP has zero gain to every UE: the pathloss underflows; lower "

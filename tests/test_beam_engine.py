@@ -21,11 +21,9 @@ from fwcsim.beamform import (
     ttd_weights,
 )
 from fwcsim.config import config_from_dict
-from fwcsim.geometry import Area, generate_layout
 from fwcsim.sweeps import run_beam_pattern
 from fwcsim.tables import ResultTable, format_cell
 from fwcsim.units import SPEED_OF_LIGHT_M_S
-from fwcsim.wireless import ChannelModel, draw_channels
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -212,13 +210,3 @@ def test_extend_columns_appends_rows_and_checks_shape():
     with pytest.raises(ValueError):
         table.extend_columns(["a", "b"], [1.0])
 
-
-def test_power_gains_shared_and_read_only():
-    layout = generate_layout(Area(), 6, 3, 4)
-    realization = draw_channels(layout, ChannelModel(), 4)
-    p2 = realization.power_gains()
-    assert realization.power_gains() is p2
-    assert np.array_equal(bits(p2), bits(np.abs(realization.gains) ** 2))
-    assert not p2.flags.writeable
-    with pytest.raises(ValueError):
-        p2[0, 0] = 0.0

@@ -17,9 +17,9 @@ from fwcsim.beamform import (
     ttd_weights,
 )
 from fwcsim.errors import DegenerateChannelError, NoRealBeamError, ValidationError
-from fwcsim.geometry import Area, NetworkLayout, generate_layout
+from fwcsim.geometry import Area, distance_matrix, generate_layout
 from fwcsim.units import SPEED_OF_LIGHT_M_S
-from fwcsim.wireless import ChannelModel, ChannelRealization, draw_channels
+from fwcsim.wireless import ChannelModel, draw_channels
 
 F0 = 10e9
 LAMBDA0 = SPEED_OF_LIGHT_M_S / F0
@@ -44,8 +44,13 @@ def array_factor(geom, spec, f_hz, theta_rad):
 
 
 def air_delay_s(layout, rap, ue):
-    (rx, ry), (ux, uy) = layout.rap_xy[rap], layout.ue_xy[ue]
+    (rx, ry), (ux, uy) = layout[0][rap], layout[1][ue]
     return math.hypot(rx - ux, ry - uy) / SPEED_OF_LIGHT_M_S
+
+
+def air_m(rap_xy, ue_xy, ue=0):
+    """Distances from every RAP to one UE, from literal or drawn positions."""
+    return distance_matrix(np.array(rap_xy, dtype=float), np.array(ue_xy, dtype=float))[:, ue]
 
 
 def brute_force_af(geom, spec, f_hz, theta_rad):
@@ -163,14 +168,13 @@ def test_energy_conserved_under_delay_changes():
 
 
 def test_sync_delays_uniform_layout():
-    layout = NetworkLayout(np.array([[0.0, 0.0], [0.0, 200.0]]), np.array([[100.0, 100.0]]))
+    air = air_m([[0.0, 0.0], [0.0, 200.0]], [[100.0, 100.0]])
     # equal fiber, equal air distance
-    assert sync_delays(layout, 0, (19.0, 19.0)) == pytest.approx([0.0, 0.0], abs=1e-18)
+    assert sync_delays(air, (19.0, 19.0)) == pytest.approx([0.0, 0.0], abs=1e-18)
 
 
 def test_sync_delays_air_difference():
-    layout = NetworkLayout(np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[600.0, 0.0]]))
-    delays = sync_delays(layout, 0, (19.0, 19.0))
+    delays = sync_delays(air_m([[0.0, 0.0], [300.0, 0.0]], [[600.0, 0.0]]), (19.0, 19.0))
     assert min(delays) == 0.0
     assert abs(delays[1] - delays[0]) == pytest.approx(300.0 / SPEED_OF_LIGHT_M_S, rel=1e-12)
 
@@ -179,7 +183,7 @@ def test_sync_delays_equalize_arrivals():
     lengths = (19.0, 3.0, 8.5, 19.0, 0.1, 12.0)
     layout = generate_layout(AREA, 6, 2, 5)
     ng = 1.468
-    delays = sync_delays(layout, 1, lengths, group_index=ng)
+    delays = sync_delays(air_m(*layout, ue=1), lengths, group_index=ng)
     arrivals = [
         ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 1) + d
         for m, (lk, d) in enumerate(zip(lengths, delays))
@@ -197,7 +201,7 @@ def test_coherence_check():
         for m, lk in enumerate(lengths)
     ]
     assert not coherent_within_symbol(raw)  # tens of microseconds of skew
-    delays = sync_delays(layout, 0, lengths)
+    delays = sync_delays(air_m(*layout), lengths)
     compensated = [t + d for t, d in zip(raw, delays)]
     assert coherent_within_symbol(compensated)
     with pytest.raises(ValidationError):
@@ -205,12 +209,12 @@ def test_coherence_check():
 
 
 def test_mixed_beamformer_coherent_gain():
-    layout = generate_layout(AREA, 4, 2, 2)
+    dist = distance_matrix(*generate_layout(AREA, 4, 2, 2))
     model = ChannelModel()
-    real = draw_channels(layout, model, 2)
+    gains = draw_channels(dist, model, 2)
     fronthaul = np.ones(4, dtype=complex)
-    spec = mixed_beamformer(real, layout, 0, fronthaul, (19.0,) * 4)
-    q = fronthaul * real.gains[:, 0]
+    spec = mixed_beamformer(gains[:, 0], dist[:, 0], fronthaul, (19.0,) * 4)
+    q = fronthaul * gains[:, 0]
     effective = np.array(spec.weights) * q
     assert np.allclose(effective.imag, 0.0, atol=1e-18)
     assert np.all(effective.real >= 0.0)
@@ -221,11 +225,8 @@ def test_mixed_beamformer_coherent_gain():
 def test_mixed_beamformer_identical_gains_scale():
     m = 5
     gains = np.full((m, 1), 1e-5 + 0j)
-    real_m = ChannelRealization(gains=gains, drop_seed=0)
-    layout = NetworkLayout(
-        np.column_stack([np.arange(m, dtype=float), np.zeros(m)]), np.array([[2.0, 50.0]])
-    )
-    spec = mixed_beamformer(real_m, layout, 0, np.ones(m, dtype=complex), (19.0,) * m)
+    air = air_m(np.column_stack([np.arange(m, dtype=float), np.zeros(m)]), [[2.0, 50.0]])
+    spec = mixed_beamformer(gains[:, 0], air, np.ones(m, dtype=complex), (19.0,) * m)
     p = 0.5
     amp = sum(math.sqrt(p) * abs(w * g) for w, g in zip(spec.weights, gains[:, 0]))
     single = m * p * abs(gains[0, 0]) ** 2  # one RAP with the whole budget
@@ -237,10 +238,11 @@ def test_mixed_beamformer_flat_over_band_vs_phase_only():
     rng = np.random.default_rng(6)
     layout = generate_layout(AREA, 4, 1, 6)
     model = ChannelModel()
-    real = draw_channels(layout, model, 6)
+    dist = distance_matrix(*layout)
+    gains = draw_channels(dist, model, 6)
     fronthaul = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
     lengths = (19.0,) * 4
-    spec = mixed_beamformer(real, layout, 0, fronthaul, lengths)
+    spec = mixed_beamformer(gains[:, 0], dist[:, 0], fronthaul, lengths)
     ng = 1.468
     path_delay = np.array(
         [
@@ -248,7 +250,7 @@ def test_mixed_beamformer_flat_over_band_vs_phase_only():
             for m, lk in enumerate(lengths)
         ]
     )
-    q = fronthaul * real.gains[:, 0]
+    q = fronthaul * gains[:, 0]
     mags = np.abs(q)
 
     def received(weights, delays, f):
@@ -266,11 +268,11 @@ def test_mixed_beamformer_flat_over_band_vs_phase_only():
 
 
 def test_mixed_beamformer_degenerate():
-    layout = generate_layout(AREA, 3, 1, 1)
+    dist = distance_matrix(*generate_layout(AREA, 3, 1, 1))
     model = ChannelModel()
-    real = draw_channels(layout, model, 1)
+    gains = draw_channels(dist, model, 1)
     with pytest.raises(DegenerateChannelError):
-        mixed_beamformer(real, layout, 0, np.zeros(3, dtype=complex), (19.0,) * 3)
+        mixed_beamformer(gains[:, 0], dist[:, 0], np.zeros(3, dtype=complex), (19.0,) * 3)
 
 
 def test_geometry_and_spec_validation():

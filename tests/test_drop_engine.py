@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import fwcsim.sweeps as sweeps
 from fwcsim.config import config_from_dict
-from fwcsim.geometry import Area, NetworkLayout, generate_layout
+from fwcsim.geometry import Area, distance_matrix, generate_layout
 from fwcsim.wireless import OverheadModel, combine_fronthaul_noise, sum_throughput
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -63,26 +63,16 @@ def positions(draw):
 @given(positions())
 def test_distance_matrix_matches_reference_bits(xy):
     rap, ue = xy
-    layout = NetworkLayout(rap, ue)
-    got = layout.distance_matrix()
+    got = distance_matrix(rap, ue)
     assert got.shape == (len(rap), len(ue))
     assert np.array_equal(bits(got), bits(reference_distances(rap, ue)))
 
 
 @pytest.mark.parametrize("m, j", [(1, 1), (1, 9), (9, 1), (256, 128)])
 def test_distance_matrix_edge_shapes(m, j):
-    layout = generate_layout(Area(), m, j, m + j)
-    expected = reference_distances(layout.rap_xy, layout.ue_xy)
-    assert np.array_equal(bits(layout.distance_matrix()), bits(expected))
-
-
-def test_distance_matrix_shared_and_read_only():
-    layout = generate_layout(Area(), 6, 3, 4)
-    dist = layout.distance_matrix()
-    assert layout.distance_matrix() is dist
-    assert not dist.flags.writeable
-    with pytest.raises(ValueError):
-        dist[0, 0] = 0.0
+    rap_xy, ue_xy = generate_layout(Area(), m, j, m + j)
+    expected = reference_distances(rap_xy, ue_xy)
+    assert np.array_equal(bits(distance_matrix(rap_xy, ue_xy)), bits(expected))
 
 
 @PROPERTY
@@ -199,3 +189,31 @@ def test_sweep_combines_once_per_arch_scheme_m(monkeypatch):
     sweeps.run_throughput_sweep(cfg)
     points = 2 * len(cfg.schemes) * len(cfg.sweep.m_values)
     assert calls == {"combine": points, "rate": points}
+
+
+def test_sweep_shares_one_distance_matrix_and_power_gain_per_drop(monkeypatch):
+    calls = {"distance": 0, "power": 0}
+    dist_fn = sweeps.distance_matrix
+
+    def counted_distance(*args):
+        calls["distance"] += 1
+        return dist_fn(*args)
+
+    class CountedNumpy:
+        """numpy for the sweeps module, counting the |g| of the |g|^2 step."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def abs(x):
+            assert np.iscomplexobj(x)
+            calls["power"] += 1
+            return np.abs(x)
+
+    monkeypatch.setattr(sweeps, "distance_matrix", counted_distance)
+    monkeypatch.setattr(sweeps, "np", CountedNumpy())
+    cfg = config_from_dict({"sweep": {"m_values": [4, 8, 12]}, "monte_carlo_drops": 4})
+    sweeps.run_throughput_sweep(cfg)
+    drops = cfg.monte_carlo_drops * len(cfg.sweep.m_values)
+    assert calls == {"distance": drops, "power": drops}

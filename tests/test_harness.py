@@ -307,6 +307,13 @@ def test_cli_config_error_exit_2(tmp_path):
         ("throughput-sweep", {"overhead": {"max_fraction": 1.5}},
          "max_fraction must be in [0, 1)"),
         ("power-sweep", {"sweep": {"frequencies_hz": []}}, "frequencies_hz must be nonempty"),
+        ("dispersion-sweep", {"sweep": {"frequencies_hz": [0]}}, "frequencies_hz must be > 0"),
+        ("dispersion-sweep", {"sweep": {"frequencies_hz": [-5e9]}},
+         "frequencies_hz must be > 0"),
+        ("power-sweep", {"sweep": {"frequencies_hz": [0]}}, "frequencies_hz must be > 0"),
+        ("power-sweep", {"sweep": {"frequencies_hz": [-5e9]}}, "frequencies_hz must be > 0"),
+        ("dispersion-sweep", {"sweep": {"association_mode": "closest"}},
+         "association_mode must be one of ['ue_nearest', 'rap_nearest'], got 'closest'"),
         ("throughput-sweep", {"channel": {"noise_figure_db": math.nan}},
          "channel.noise_figure_db must be finite"),
         ("throughput-sweep", {"channel": {"pathloss_exponent": "abc"}},
@@ -360,6 +367,8 @@ def test_cli_config_error_exit_2(tmp_path):
          "scenario.fiber_length_km", "power.pa_gain_db", "bandwidth-0", "theta-step-0",
          "band-points-0", "schemes-duplicate", "m_values-duplicate", "m_values-empty",
          "fiber_km-empty", "coherence-block-0", "max-fraction-1.5", "frequencies-empty",
+         "dispersion-frequencies-0", "dispersion-frequencies-negative", "power-frequencies-0",
+         "power-frequencies-negative", "association-mode-unknown",
          "noise-figure-nan", "pathloss-string", "area-width-nan", "wavelength-inf",
          "power-p-tx-nan", "fronthaul-snr0-nan", "m_values-2.5", "band-start-0",
          "power-p-tx-overflow", "attenuation-overflow", "dispersion-fiber-km-1e306",

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fwcsim.errors import ValidationError
-from fwcsim.geometry import Area, NetworkLayout, generate_layout, udn_association
+from fwcsim.geometry import Area, distance_matrix, generate_layout, udn_association
 from fwcsim.wireless import (
     ChannelModel,
-    ChannelRealization,
     OverheadModel,
     bbof_per_rap_cap_bps,
     cellfree_sinr_components,
@@ -22,6 +21,13 @@ MODEL = ChannelModel(noise_figure_db=9.0)
 NOISE_W = MODEL.noise_power_w(10e6)
 AREA = Area()
 NO_OVERHEAD = OverheadModel(max_fraction=0.0)
+
+
+def drop(rap_xy, ue_xy, seed, mode="ue_nearest"):
+    """(gains, |g|^2, (serve, active)) of one drop over literal or drawn positions."""
+    dist = distance_matrix(np.array(rap_xy, dtype=float), np.array(ue_xy, dtype=float))
+    gains = draw_channels(dist, MODEL, seed)
+    return gains, np.abs(gains) ** 2, udn_association(dist, mode)
 
 
 def sinr(components, p):
@@ -56,21 +62,20 @@ def brute_force_cellfree(gains, p, noise):
 
 
 def test_draw_channels_deterministic():
-    layout = generate_layout(AREA, 6, 3, 5)
-    a = draw_channels(layout, MODEL, 123)
-    b = draw_channels(layout, MODEL, 123)
-    assert np.array_equal(a.gains, b.gains)
-    c = draw_channels(layout, MODEL, 124)
-    assert not np.array_equal(a.gains, c.gains)
+    dist = distance_matrix(*generate_layout(AREA, 6, 3, 5))
+    a = draw_channels(dist, MODEL, 123)
+    b = draw_channels(dist, MODEL, 123)
+    assert np.array_equal(a, b)
+    c = draw_channels(dist, MODEL, 124)
+    assert not np.array_equal(a, c)
 
 
 def test_unit_variance_fading():
-    layout = generate_layout(AREA, 200, 100, 1)
-    beta = MODEL.pathloss_gain(layout.distance_matrix())
+    dist = distance_matrix(*generate_layout(AREA, 200, 100, 1))
+    beta = MODEL.pathloss_gain(dist)
     ratios = []
     for seed in range(5):
-        real = draw_channels(layout, MODEL, seed)
-        ratios.append(np.abs(real.gains) ** 2 / beta)
+        ratios.append(np.abs(draw_channels(dist, MODEL, seed)) ** 2 / beta)
     mean = float(np.mean(ratios))  # 1e5 draws total
     assert abs(mean - 1.0) < 0.02
 
@@ -82,87 +87,77 @@ def test_pathloss_doubling():
 
 
 def test_udn_single_pair_is_snr():
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[30.0, 40.0]]))
-    real = draw_channels(layout, MODEL, 7)
-    assoc = udn_association(layout)
+    gains, p2, assoc = drop([[0.0, 0.0]], [[30.0, 40.0]], 7)
     p = 0.5
-    expected = p * abs(real.gains[0, 0]) ** 2 / NOISE_W
-    assert sinr(udn_sinr_components(real, assoc), p)[0] == pytest.approx(expected, rel=1e-12)
+    expected = p * abs(gains[0, 0]) ** 2 / NOISE_W
+    assert sinr(udn_sinr_components(p2, *assoc), p)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_udn_components_check_shapes():
+    _, p2, (serve, active) = drop([[0.0, 0.0], [9.0, 0.0]], [[1.0, 0.0]], 4)
+    with pytest.raises(ValidationError):
+        udn_sinr_components(p2, serve.T, active)
 
 
 def test_udn_two_cells_hand_computed():
-    layout = NetworkLayout(
-        np.array([[0.0, 0.0], [500.0, 0.0]]),
-        np.array([[10.0, 0.0], [480.0, 0.0]]),
-    )
-    real = draw_channels(layout, MODEL, 3)
-    assoc = udn_association(layout)
-    assert assoc.serve.tolist() == [[True, False], [False, True]]
+    gains, p2, assoc = drop([[0.0, 0.0], [500.0, 0.0]], [[10.0, 0.0], [480.0, 0.0]], 3)
+    assert assoc[0].tolist() == [[True, False], [False, True]]
     p = 1.0
-    g = np.abs(real.gains) ** 2
+    g = np.abs(gains) ** 2
     expected0 = p * g[0, 0] / (p * g[1, 0] + NOISE_W)
     expected1 = p * g[1, 1] / (p * g[0, 1] + NOISE_W)
-    got = sinr(udn_sinr_components(real, assoc), p)
+    got = sinr(udn_sinr_components(p2, *assoc), p)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
     assert got[1] == pytest.approx(expected1, rel=1e-12)
 
 
 def test_udn_interference_limited_ceiling():
-    layout = generate_layout(AREA, 6, 3, 9)
-    real = draw_channels(layout, MODEL, 9)
-    assoc = udn_association(layout)
-    hi = sinr(udn_sinr_components(real, assoc), 1e9)
-    g = np.abs(real.gains) ** 2
+    gains, p2, (serve, active) = drop(*generate_layout(AREA, 6, 3, 9), 9)
+    hi = sinr(udn_sinr_components(p2, serve, active), 1e9)
+    g = np.abs(gains) ** 2
     for j, s in enumerate(hi):
-        serving = int(np.flatnonzero(assoc.serve[:, j])[0])
-        others = [m for m in np.flatnonzero(assoc.active) if m != serving]
+        serving = int(np.flatnonzero(serve[:, j])[0])
+        others = [m for m in np.flatnonzero(active) if m != serving]
         if others:
             ceiling = g[serving, j] / g[others, j].sum()
             assert s == pytest.approx(ceiling, rel=1e-6)
 
 
 def test_rap_nearest_mode_powers_add():
-    layout = NetworkLayout(
-        np.array([[0.0, 0.0], [20.0, 0.0], [900.0, 900.0]]),
-        np.array([[10.0, 0.0], [905.0, 905.0]]),
-    )
-    assoc = udn_association(layout, mode="rap_nearest")
-    assert np.flatnonzero(assoc.serve[:, 0]).tolist() == [0, 1]
-    assert np.flatnonzero(assoc.serve[:, 1]).tolist() == [2]
-    real = draw_channels(layout, MODEL, 21)
-    g = np.abs(real.gains) ** 2
+    gains, p2, assoc = drop([[0.0, 0.0], [20.0, 0.0], [900.0, 900.0]],
+                            [[10.0, 0.0], [905.0, 905.0]], 21, mode="rap_nearest")
+    assert np.flatnonzero(assoc[0][:, 0]).tolist() == [0, 1]
+    assert np.flatnonzero(assoc[0][:, 1]).tolist() == [2]
+    g = np.abs(gains) ** 2
     p = 2.0
-    got = sinr(udn_sinr_components(real, assoc), p)
+    got = sinr(udn_sinr_components(p2, *assoc), p)
     expected0 = p * (g[0, 0] + g[1, 0]) / (p * g[2, 0] + NOISE_W)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
 
 
 def test_cellfree_degenerates_to_udn_for_single_pair():
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), np.array([[55.0, 10.0]]))
-    real = draw_channels(layout, MODEL, 31)
-    assoc = udn_association(layout)
+    gains, p2, assoc = drop([[0.0, 0.0]], [[55.0, 10.0]], 31)
     p = 0.7
-    assert sinr(cellfree_sinr_components(real), p)[0] == pytest.approx(
-        sinr(udn_sinr_components(real, assoc), p)[0], rel=1e-12
+    assert sinr(cellfree_sinr_components(gains, p2), p)[0] == pytest.approx(
+        sinr(udn_sinr_components(p2, *assoc), p)[0], rel=1e-12
     )
 
 
 def test_cellfree_coherent_gain_two_raps():
     g = 1e-6
-    real = ChannelRealization(gains=np.array([[g], [g]], dtype=complex), drop_seed=0)
-    single = ChannelRealization(gains=np.array([[g]], dtype=complex), drop_seed=0)
+    two_raps = np.array([[g], [g]], dtype=complex)
+    single = np.array([[g]], dtype=complex)
     p = 1.0
-    two = sinr(cellfree_sinr_components(real), p)[0]
-    one = sinr(cellfree_sinr_components(single), p)[0]
+    two = sinr(cellfree_sinr_components(two_raps, np.abs(two_raps) ** 2), p)[0]
+    one = sinr(cellfree_sinr_components(single, np.abs(single) ** 2), p)[0]
     assert two / one == pytest.approx(4.0, rel=1e-9)
 
 
 def test_cellfree_matches_brute_force():
-    layout = generate_layout(AREA, 8, 4, 77)
-    real = draw_channels(layout, MODEL, 77)
+    gains, p2, _ = drop(*generate_layout(AREA, 8, 4, 77), 77)
     p = 0.9
-    got = sinr(cellfree_sinr_components(real), p)
-    expected = brute_force_cellfree(real.gains, p, NOISE_W)
+    got = sinr(cellfree_sinr_components(gains, p2), p)
+    expected = brute_force_cellfree(gains, p, NOISE_W)
     for a, b in zip(got, expected):
         assert abs(a - b) / b < 1e-9
 
