@@ -1,7 +1,7 @@
 """Command-line interface for the sweep runners.
 
-Exit codes: 0 success, 2 config error, 3 infeasible budget, 4 dispersion-null
-sentinel encountered without --allow-null.
+Exit codes: 0 success, 2 config error or unwritable --out, 3 infeasible budget,
+4 dispersion-null sentinel encountered without --allow-null.
 """
 from __future__ import annotations
 
@@ -73,15 +73,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, drops=args.drops)
+        if not args.out.parent.is_dir():
+            raise ValidationError(f"cannot write {args.out}: no directory {args.out.parent}")
         _, runner, takes_null = _RUNNERS[args.command]
         if takes_null:
             table = runner(cfg, allow_null=args.allow_null)
         else:
             table = runner(cfg)
-        table.write_csv(args.out)
-        table.write_meta(meta_path_for(args.out))
-        if args.command == "power-sweep":
-            _write_crossovers(table, args.out)
+        try:
+            table.write_csv(args.out)
+            table.write_meta(meta_path_for(args.out))
+            if args.command == "power-sweep":
+                _write_crossovers(table, args.out)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {exc.filename or args.out}: "
+                                  f"{exc.strerror or exc}") from exc
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -30,14 +30,18 @@ class Area:
                                   "overflows the float range")
 
 
-def distance_matrix(rap_xy: np.ndarray, ue_xy: np.ndarray) -> np.ndarray:
+def distance_matrix(
+    rap_xy: np.ndarray, ue_xy: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """RAP-to-UE distances, shape (M, J), from (M, 2) and (J, 2) positions in meters.
 
     sqrt(dx*dx + dy*dy) has the bits of summing squared (x, y) differences
-    over a trailing axis of two.
+    over a trailing axis of two. ``out``, a (2, M, J) float block, takes the
+    distances in ``out[0]`` and dy in ``out[1]``; without it both are allocated.
     """
-    dist = rap_xy[:, 0, None] - ue_xy[None, :, 0]
-    dy = rap_xy[:, 1, None] - ue_xy[None, :, 1]
+    dist, dy = (None, None) if out is None else out
+    dist = np.subtract(rap_xy[:, 0, None], ue_xy[None, :, 0], out=dist)
+    dy = np.subtract(rap_xy[:, 1, None], ue_xy[None, :, 1], out=dy)
     dist *= dist
     dy *= dy
     dist += dy

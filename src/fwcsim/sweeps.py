@@ -126,14 +126,24 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     return table
 
 
-def _throughput_drop(cfg: ExperimentConfig, m: int, j: int, drop_seed: int):
+def _drop_buffers(m: int, j: int) -> tuple[np.ndarray, ...]:
+    """What each drop fills in place: the (M, J) weights, whose bytes first hold
+    (2, M, J) floats; the gains; the (J, J) Gram product and its |.|^2."""
+    return (np.empty((m, j), complex), np.empty((m, j), complex),
+            np.empty((j, j), complex), np.empty((j, j)))
+
+
+def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, buffers: tuple[np.ndarray, ...]):
     """Power-normalized SINR components shared by every scheme at this drop."""
-    dist = distance_matrix(*generate_layout(cfg.scenario, m, j, drop_seed))
-    gains = draw_channels(dist, cfg.channel, drop_seed)
-    p2 = np.abs(gains) ** 2
+    weights, gains, gram, gram_sq = buffers
+    block = weights.view(float).reshape(2, *gains.shape)
+    dist = distance_matrix(*generate_layout(cfg.scenario, *gains.shape, drop_seed), out=block)
+    serve, active = udn_association(dist, cfg.sweep.association_mode)
+    draw_channels(dist, cfg.channel, drop_seed, out=(gains, block))
+    p2 = np.square(np.abs(gains, out=block[0]), out=block[0])
     return {
-        "udn": udn_sinr_components(p2, *udn_association(dist, cfg.sweep.association_mode)),
-        "cellfree": cellfree_sinr_components(gains, p2),
+        "udn": udn_sinr_components(p2, serve, active),
+        "cellfree": cellfree_sinr_components(gains, p2, out=(weights, gram, gram_sq)),
     }
 
 
@@ -177,8 +187,9 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     for m in cfg.sweep.m_values:
         j = max(1, round(0.5 * m))
         j_of_m[m] = j
+        buffers = _drop_buffers(m, j)
         drop_components = [
-            _throughput_drop(cfg, m, j, cfg.base_seed + i) for i in range(drops)
+            _throughput_drop(cfg, cfg.base_seed + i, buffers) for i in range(drops)
         ]
 
         for arch in ("udn", "cellfree"):

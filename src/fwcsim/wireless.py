@@ -48,20 +48,33 @@ class ChannelModel:
             )
         return noise
 
-    def pathloss_gain(self, distance_m):
-        """Average power gain beta(d) = 10^(-ref/10) * d^(-n), d clamped at 1 m."""
-        d = np.maximum(np.asarray(distance_m, dtype=float), MIN_PATH_DISTANCE_M)
-        return 10.0 ** (-self.ref_loss_db / 10.0) * d ** (-self.pathloss_exponent)
+    def pathloss_gain(self, distance_m, out: np.ndarray | None = None):
+        """Average power gain beta(d) = 10^(-ref/10) * d^(-n), d clamped at 1 m;
+        computed in place in ``out`` when given (it may be ``distance_m``)."""
+        d = np.maximum(np.asarray(distance_m, dtype=float), MIN_PATH_DISTANCE_M, out=out)
+        return np.multiply(10.0 ** (-self.ref_loss_db / 10.0),
+                           np.power(d, -self.pathloss_exponent, out=out), out=out)
 
 
-def draw_channels(dist: np.ndarray, model: ChannelModel, drop_seed: int) -> np.ndarray:
+def draw_channels(dist: np.ndarray, model: ChannelModel, drop_seed: int,
+                  out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Complex gains g_mj = sqrt(beta_mj) * h_mj with h ~ CN(0, 1), shape (M, J),
-    from the (M, J) RAP-to-UE distances; deterministic per seed."""
+    from the (M, J) RAP-to-UE distances; deterministic per seed.
+
+    ``out`` = (gains, block): the (M, J) complex result and a (2, M, J) float
+    block that holds the amplitudes sqrt(beta) in ``block[0]`` (which may be
+    ``dist``, then overwritten) and each normal draw in ``block[1]``.
+    """
+    gains, (amp, normal) = (None, (None, None)) if out is None else out
     rng = np.random.default_rng([drop_seed, CHANNEL_RNG_STREAM])
-    beta = model.pathloss_gain(dist)
-    shape = beta.shape
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return np.sqrt(beta) * h
+    amp = np.sqrt(model.pathloss_gain(dist, out=amp), out=amp)
+    gains = np.empty(amp.shape, dtype=complex) if gains is None else gains
+    # amp * ((re + 1j*im) / sqrt(2)) part by part, with the bits of the complex operations
+    for part in (gains.real, gains.imag):
+        normal = rng.standard_normal(amp.shape, out=normal)
+        normal *= 1.0 / math.sqrt(2.0)
+        np.multiply(amp, normal, out=part)
+    return gains
 
 
 def udn_sinr_components(
@@ -85,14 +98,20 @@ def sinr_from_components(
     return p_tx_w * signal / (p_tx_w * interference + noise_power_w)
 
 
-def cellfree_sinr_components(gains: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cellfree_sinr_components(
+    gains: np.ndarray, p2: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-UE (signal, interference) coefficients per watt of per-RAP power,
     from the complex gains and their power gains |g|^2.
 
     Conjugate beamforming with perfect CSI; RAP m scales each UE's conjugate
     by sqrt(eta_m) with eta_m = p / sum_j |g_mj|^2, so every RAP spends
-    exactly its per-RAP budget.
+    exactly its per-RAP budget. ``out`` = (weights, gram, gram_sq): (M, J)
+    complex, (J, J) complex and (J, J) float arrays for the weights, the Gram
+    product and its |.|^2; ``weights`` may share memory with ``p2``.
     """
+    weights, cross, inter_sq = (None, None, None) if out is None else out
     denom = p2.sum(axis=1)
     if np.any(denom == 0.0):
         raise ValidationError(
@@ -100,12 +119,12 @@ def cellfree_sinr_components(gains: np.ndarray, p2: np.ndarray) -> tuple[np.ndar
             "channel.pathloss_exponent, channel.ref_loss_db or the scenario area"
         )
     sqrt_eta = 1.0 / np.sqrt(denom)
-    weights = np.conj(gains)
+    weights = np.conj(gains, out=weights)  # p2 is not read past this line
     weights *= sqrt_eta[:, None]  # in place: no second (M, J) complex temporary
-    cross = gains.T @ weights  # (J, J)
+    cross = np.matmul(gains.T, weights, out=cross)  # (J, J)
     amp = np.real(np.diag(cross))
     signal = amp**2
-    inter_sq = np.abs(cross) ** 2
+    inter_sq = np.square(np.abs(cross, out=inter_sq), out=inter_sq)
     np.fill_diagonal(inter_sq, 0.0)
     interference = inter_sq.sum(axis=1)
     return signal, interference

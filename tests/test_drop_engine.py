@@ -2,9 +2,16 @@
 
 The distance matrix, fronthaul combining and the sum rate run on whole
 arrays; each must reproduce, bit for bit, the per-element or per-row
-computation it replaced, so the sweep CSV bytes cannot move.
+computation it replaced, so the sweep CSV bytes cannot move. The sweep's
+drops fill one set of per-M buffers in place; that path must give the bytes
+of the allocating layer functions, and allocate little per drop.
 """
+import importlib
+import inspect
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +20,21 @@ from hypothesis.extra.numpy import arrays
 
 import fwcsim.sweeps as sweeps
 from fwcsim.config import config_from_dict
-from fwcsim.geometry import Area, distance_matrix, generate_layout
-from fwcsim.wireless import OverheadModel, combine_fronthaul_noise, sum_throughput
+from fwcsim.errors import ValidationError
+from fwcsim.geometry import (
+    ASSOCIATION_MODES, Area, distance_matrix, generate_layout, udn_association,
+)
+from fwcsim.wireless import (
+    CHANNEL_RNG_STREAM,
+    OverheadModel,
+    cellfree_sinr_components,
+    combine_fronthaul_noise,
+    draw_channels,
+    sum_throughput,
+    udn_sinr_components,
+)
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -195,9 +215,10 @@ def test_sweep_shares_one_distance_matrix_and_power_gain_per_drop(monkeypatch):
     calls = {"distance": 0, "power": 0}
     dist_fn = sweeps.distance_matrix
 
-    def counted_distance(*args):
+    def counted_distance(*args, out=None):
+        assert out is not None  # the drop fills its buffers
         calls["distance"] += 1
-        return dist_fn(*args)
+        return dist_fn(*args, out=out)
 
     class CountedNumpy:
         """numpy for the sweeps module, counting the |g| of the |g|^2 step."""
@@ -206,10 +227,10 @@ def test_sweep_shares_one_distance_matrix_and_power_gain_per_drop(monkeypatch):
             return getattr(np, name)
 
         @staticmethod
-        def abs(x):
-            assert np.iscomplexobj(x)
+        def abs(x, out=None):
+            assert np.iscomplexobj(x) and out is not None
             calls["power"] += 1
-            return np.abs(x)
+            return np.abs(x, out=out)
 
     monkeypatch.setattr(sweeps, "distance_matrix", counted_distance)
     monkeypatch.setattr(sweeps, "np", CountedNumpy())
@@ -217,3 +238,101 @@ def test_sweep_shares_one_distance_matrix_and_power_gain_per_drop(monkeypatch):
     sweeps.run_throughput_sweep(cfg)
     drops = cfg.monte_carlo_drops * len(cfg.sweep.m_values)
     assert calls == {"distance": drops, "power": drops}
+
+
+def reference_gains(dist, model, drop_seed):
+    """The complex-arithmetic channel draw the part-by-part one must match."""
+    rng = np.random.default_rng([drop_seed, CHANNEL_RNG_STREAM])
+    beta = model.pathloss_gain(dist)
+    h = (rng.standard_normal(dist.shape) + 1j * rng.standard_normal(dist.shape)) / math.sqrt(2.0)
+    return np.sqrt(beta) * h
+
+
+def allocating_drop(cfg, m, j, drop_seed):
+    """One drop through the layer functions without ``out``."""
+    dist = distance_matrix(*generate_layout(cfg.scenario, m, j, drop_seed))
+    serve, active = udn_association(dist, cfg.sweep.association_mode)
+    gains = draw_channels(dist, cfg.channel, drop_seed)
+    assert np.array_equal(bits(gains.view(float)),
+                          bits(reference_gains(dist, cfg.channel, drop_seed).view(float)))
+    p2 = np.abs(gains) ** 2
+    return dist, gains, p2, {"udn": udn_sinr_components(p2, serve, active),
+                             "cellfree": cellfree_sinr_components(gains, p2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.sampled_from(ASSOCIATION_MODES),
+       st.floats(2.0, 5.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_buffered_drop_matches_allocating_layers(m, j, mode, exponent, seed):
+    cfg = config_from_dict({"channel": {"pathloss_exponent": exponent},
+                            "sweep": {"association_mode": mode}})
+    dist, gains, p2, expected = allocating_drop(cfg, m, j, seed)
+    buffers = sweeps._drop_buffers(m, j)
+    sweeps._throughput_drop(cfg, seed + 1, buffers)  # stale contents must not leak
+    got = sweeps._throughput_drop(cfg, seed, buffers)
+    for arch in ("udn", "cellfree"):
+        for want, have in zip(expected[arch], got[arch]):
+            assert np.array_equal(bits(want), bits(have)), arch
+
+    # each out= form has the bytes of its allocating form
+    block = np.full((2, m, j), np.nan)
+    rap_xy, ue_xy = generate_layout(cfg.scenario, m, j, seed)
+    got_dist = distance_matrix(rap_xy, ue_xy, out=block)
+    assert np.shares_memory(got_dist, block[0])
+    assert np.array_equal(bits(got_dist), bits(dist))
+    into = np.full((m, j), np.nan, dtype=complex)
+    assert draw_channels(block[0], cfg.channel, seed, out=(into, block)) is into
+    assert np.array_equal(bits(into.view(float)), bits(gains.view(float)))
+    assert np.array_equal(bits(np.square(np.abs(into, out=block[0]), out=block[0])), bits(p2))
+    outs = (block.reshape(-1).view(complex).reshape(m, j), np.empty((j, j), complex),
+            np.empty((j, j)))
+    for want, have in zip(expected["cellfree"], cellfree_sinr_components(into, block[0], outs)):
+        assert np.array_equal(bits(want), bits(have))
+
+
+def test_cellfree_zero_gain_raises_with_out():
+    gains = np.array([[1e-3 + 1e-3j, 2e-3j], [0.0, 0.0]])
+    p2 = np.abs(gains) ** 2
+    out = (np.empty((2, 2), complex), np.empty((2, 2), complex), np.empty((2, 2)))
+    for kwargs in ({}, {"out": out}):
+        with pytest.raises(ValidationError, match="a RAP has zero gain to every UE"):
+            cellfree_sinr_components(gains, p2, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ASSOCIATION_MODES)
+def test_drops_allocate_at_most_one_complex_array(monkeypatch, mode):
+    """After the first drop of an M, no drop's allocations peak above M*J*16 bytes."""
+    peaks = []
+    drop = sweeps._throughput_drop
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = drop(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(sweeps, "_throughput_drop", measured)
+    cfg = config_from_dict({"sweep": {"m_values": [256], "association_mode": mode},
+                            "monte_carlo_drops": 4, "budget_w": 1e5})
+    tracemalloc.start()
+    try:
+        sweeps.run_throughput_sweep(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks[1:]) <= 256 * 128 * 16, peaks
+
+
+def test_declared_drop_layer_metrics_name_fwcsim_functions():
+    """Every geometry, wireless and sweeps function the benchmark times exists."""
+    names = {metric["name"].rsplit(".", 1)[0]
+             for metric in json.loads(BENCHMARK.read_text())["per_layer"]}
+    functions = sorted(name for name in names
+                       if name.count(".") == 1
+                       and name.split(".")[0] in ("geometry", "wireless", "sweeps"))
+    assert "geometry.distance_matrix" in functions
+    for name in functions:
+        module, fn = name.split(".")
+        target = getattr(importlib.import_module(f"fwcsim.{module}"), fn, None)
+        assert inspect.isfunction(target), name

@@ -279,8 +279,11 @@ def test_cli_config_error_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, data, message",
-    [
+    "command, data, message, out",
+    [case if len(case) == 4 else (*case, "o.csv") for case in [
+        ("dispersion-sweep", {}, "cannot write {tmp}/nodir/o.csv: no directory {tmp}/nodir",
+         "nodir/o.csv"),
+        ("power-sweep", {}, "cannot write {tmp}: Is a directory", "."),
         ("throughput-sweep", {"monte_carlo_drops": 2.5}, "monte_carlo_drops must be an integer"),
         ("throughput-sweep", {"base_seed": 1.5}, "base_seed must be an integer"),
         ("throughput-sweep", {"base_seed": -1}, "base_seed must be >= 0"),
@@ -361,8 +364,8 @@ def test_cli_config_error_exit_2(tmp_path):
          "lower channel.pathloss_exponent, channel.ref_loss_db or the scenario area"),
         ("throughput-sweep", {"channel": {"pathloss_exponent": 1e300}},
          "lower channel.pathloss_exponent, channel.ref_loss_db or the scenario area"),
-    ],
-    ids=["drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
+    ]],
+    ids=["out-missing-directory", "out-is-a-directory", "drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
          "scenario.fiber_length_km", "power.pa_gain_db", "bandwidth-0", "theta-step-0",
          "band-points-0", "schemes-duplicate", "m_values-duplicate", "m_values-empty",
@@ -377,16 +380,26 @@ def test_cli_config_error_exit_2(tmp_path):
          "noise-figure-1e308", "noise-figure-neg-1e308", "dispersion-pathloss-2",
          "area-width-1e308", "area-width-1e150-underflow", "pathloss-1e300-underflow"],
 )
-def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message):
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message, out):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
-    args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]
+    args = [command, "--config", str(cfg_path), "--out", str(tmp_path / out)]
     # a config error stays one, with or without --allow-null
     takes_null = command in ("dispersion-sweep", "power-sweep")
     for extra in ([], ["--allow-null"]) if takes_null else ([],):
         assert main(args + extra) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err, err
+        assert err.count("\n") == 1 and message.format(tmp=tmp_path) in err, err
         assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("dispersion-sweep", "o.meta.json"), ("power-sweep", "o_crossovers.csv"),
+])
+def test_cli_unwritable_companion_file_exit_2(tmp_path, capsys, command, blocked):
+    (tmp_path / blocked).mkdir()  # a directory where the file goes
+    assert main([command, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {tmp_path / blocked}: Is a directory\n"
 
 
 def test_cli_infeasible_exit_3(tmp_path):
