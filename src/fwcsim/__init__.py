@@ -10,17 +10,13 @@ from .beamform import (
     ArrayGeometry,
     BeamformerSpec,
     beam_squint_direction,
-    coherent_within_symbol,
-    mixed_beamformer,
     peak_directions,
     phase_only_weights,
-    sync_delays,
     ttd_weights,
 )
 from .config import ExperimentConfig, load_config
 from .errors import (
     ConfigError,
-    DegenerateChannelError,
     FwcError,
     InfeasibleBudgetError,
     NoRealBeamError,
@@ -38,19 +34,16 @@ from .optics import (
     Scheme,
     SchemeParams,
     attenuation_db,
-    dcf_compensation_length,
     dispersion_fading_db,
     fronthaul_snr_db,
     null_lengths,
     recovery_lengths,
 )
 from .power import (
-    PowerBreakdown,
     PowerParams,
     crossover_length,
     pa_input_power,
     solve_tx_power,
-    system_power,
 )
 from .sweeps import (
     run_beam_pattern,

@@ -1,28 +1,16 @@
 """Mixed digital-optical beamforming: array factors, phase-only and true
-time-delay weights, beam-squint prediction, and fiber/air delay alignment."""
+time-delay weights, and beam-squint prediction."""
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection
 
 import numpy as np
 
-from .errors import DegenerateChannelError, NoRealBeamError, ValidationError
+from .errors import NoRealBeamError, ValidationError
 from .units import SPEED_OF_LIGHT_M_S
-
-FIBER_GROUP_INDEX = 1.468  # standard single-mode silica
-# Phase-coherent combining needs all arrivals inside one symbol interval.
-SYMBOL_COHERENCE_S = 1e-9
-
-
-def coherent_within_symbol(arrival_times_s, symbol_interval_s: float = SYMBOL_COHERENCE_S) -> bool:
-    """Whether an arrival-time spread permits phase-coherent combining."""
-    times = list(arrival_times_s)
-    if not times:
-        raise ValidationError("no arrival times given")
-    return max(times) - min(times) <= symbol_interval_s
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,59 +189,3 @@ def peak_directions(
         float(thetas[int(np.argmax(np.abs(values)))])
         for values in array_factor_patterns(geom, specs, f_hz, thetas)
     ]
-
-
-def sync_delays(
-    air_m: Sequence[float],
-    fiber_lengths_km: Sequence[float],
-    group_index: float = FIBER_GROUP_INDEX,
-) -> list[float]:
-    """Optical delay-line settings equalizing fiber-plus-air path delays toward
-    one UE, from its air distance to each RAP (a distance-matrix column).
-
-    T_m = n_g*L_m/c + d_m/c; the returned delta_m = max T - T_m makes every
-    compensated arrival time equal, with min delta = 0.
-    """
-    air_m = np.asarray(air_m, dtype=float).tolist()
-    if not air_m or not all(0.0 <= d < math.inf for d in air_m):
-        raise ValidationError("air distances must be nonempty, finite and >= 0")
-    if len(fiber_lengths_km) != len(air_m):
-        raise ValidationError("one fiber length per RAP required")
-    if not all(0.0 <= lk < math.inf for lk in fiber_lengths_km):
-        raise ValidationError("fiber lengths must be finite and >= 0")
-    totals = [
-        group_index * lk * 1e3 / SPEED_OF_LIGHT_M_S + d / SPEED_OF_LIGHT_M_S
-        for d, lk in zip(air_m, fiber_lengths_km)
-    ]
-    t_max = max(totals)
-    return [t_max - t for t in totals]
-
-
-def mixed_beamformer(
-    channel,
-    air_m: Sequence[float],
-    fronthaul_gains,
-    fiber_lengths_km: Sequence[float],
-    group_index: float = FIBER_GROUP_INDEX,
-) -> BeamformerSpec:
-    """Digital conjugate weights over the composite optical*wireless channel,
-    with TTD delays compensating per-RAP fiber and air propagation.
-
-    ``channel`` and ``air_m`` are the target UE's gain and distance columns.
-    Weights are unit magnitude per RAP (a RAP with zero composite gain stays
-    silent), so every RAP spends its own PA budget; the effective channel
-    w_m * q_m is real and nonnegative.
-    """
-    channel = np.asarray(channel, dtype=complex)
-    gains = np.asarray(fronthaul_gains, dtype=complex)
-    if gains.shape != channel.shape or channel.ndim != 1:
-        raise ValidationError("one fronthaul gain per RAP required")
-    composite = gains * channel
-    mags = np.abs(composite)
-    if not np.any(mags > 0):
-        raise DegenerateChannelError("all composite gains are zero")
-    weights = np.where(mags > 0, np.conj(composite) / np.where(mags > 0, mags, 1.0), 0.0)
-    delays = sync_delays(air_m, fiber_lengths_km, group_index=group_index)
-    return BeamformerSpec(
-        weights=tuple(complex(w) for w in weights), delays_s=tuple(delays)
-    )

@@ -71,6 +71,8 @@ class SweepParams:
         if self.num_band_points < 1:
             raise ConfigError(f"num_band_points must be an integer >= 1, "
                               f"got {self.num_band_points!r}")
+        if not -90.0 <= self.steer_theta_deg <= 90.0:
+            raise ConfigError(f"steer_theta_deg must be in [-90, 90], got {self.steer_theta_deg}")
         if not 0 < self.band_hz[0] <= self.band_hz[1]:
             raise ConfigError(f"band_hz must satisfy 0 < start <= stop, got {self.band_hz!r}")
         start, stop, step = self.theta_grid_deg

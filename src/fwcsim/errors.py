@@ -28,6 +28,3 @@ class NullSentinelError(FwcError):
 class NoRealBeamError(FwcError):
     """Requested squint frequency has no real steering direction."""
 
-
-class DegenerateChannelError(FwcError):
-    """All composite channel gains are zero; beamformer is undefined."""

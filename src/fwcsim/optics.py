@@ -1,5 +1,5 @@
 """Fronthaul schemes and their radio constants; analog optical-link impairments:
-attenuation, dispersion RF power fading, null/recovery planning, DCF sizing, fronthaul SNR."""
+attenuation, dispersion RF power fading, null/recovery planning, fronthaul SNR."""
 from __future__ import annotations
 
 import math
@@ -148,19 +148,6 @@ def null_lengths(fiber: FiberParams, f_hz: float, k_max: int) -> list[float]:
     """Fiber lengths with total fading: L = (2k-1)*c/(2*D*lambda^2*f^2)."""
     period = _fading_period_km(fiber, f_hz, k_max)
     return [(2 * k - 1) * period / 2.0 for k in range(1, k_max + 1)]
-
-
-def dcf_compensation_length(
-    dispersion_std_ps_nm_km: float, length_std_km: float, dispersion_dcf_ps_nm_km: float
-) -> float:
-    """DCF length that zeroes net accumulated dispersion: -D_std*L_std/D_dcf."""
-    if dispersion_dcf_ps_nm_km >= 0:
-        raise ValidationError("DCF dispersion must be negative")
-    if dispersion_std_ps_nm_km <= 0:
-        raise ValidationError("standard-fiber dispersion must be positive")
-    if length_std_km < 0:
-        raise ValidationError("fiber length must be >= 0")
-    return -dispersion_std_ps_nm_km * length_std_km / dispersion_dcf_ps_nm_km
 
 
 def fronthaul_snr_db(scheme: Scheme, radio: SchemeParams, fiber: FiberParams) -> float:

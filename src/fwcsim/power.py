@@ -91,17 +91,6 @@ class PowerParams:
         return 1.0 + self.supply_loss_frac + self.cooling_frac
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Itemized system consumption; components are functional (pre-overhead)."""
-
-    cu_watts: float
-    per_rap_watts: float
-    fiber_comp_watts: float
-    overhead_watts: float
-    total_watts: float
-
-
 def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -> float:
     """DC input drawing of the PA delivering p_tx at the antenna port."""
     if p_tx_antenna_w < 0:
@@ -111,9 +100,9 @@ def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -
 
 def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float,
                fiber: FiberParams, params: PowerParams, lengths_km: np.ndarray) -> tuple:
-    """``system_power`` at each length of the float array ``lengths_km``: the CU
-    and per-RAP watts, then lists of the carrier fading (dB), compensation,
-    overhead and total watts.
+    """Consumption of the CU plus num_raps RAPs at each length of the float array
+    ``lengths_km``: the CU and per-RAP watts, then lists of the carrier fading
+    (dB), compensation, supply/cooling overhead and total watts.
 
     The fiber compensation is p_link0 * 10^(A_dB/10) with A_dB attenuation plus
     carrier fading (BBoF needs none; a dispersion null needs math.inf). The
@@ -143,21 +132,6 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
     return cu, rap, fading, comp, overhead.tolist(), total.tolist()
 
 
-def system_power(
-    scheme: Scheme,
-    radio: SchemeParams,
-    num_raps: int,
-    p_tx_w: float,
-    fiber: FiberParams,
-    params: PowerParams,
-) -> PowerBreakdown:
-    """Total consumption of CU plus num_raps RAPs incl. supply/cooling overhead."""
-    axis = fiber_axis([fiber.length_km])
-    cu, rap, _, comp, overhead, total = power_over(scheme, radio, num_raps, p_tx_w, fiber,
-                                                   params, axis)
-    return PowerBreakdown(cu, rap, comp[0], overhead[0], total[0])
-
-
 def solve_tx_power(
     scheme: Scheme,
     radio: SchemeParams,
@@ -171,7 +145,8 @@ def solve_tx_power(
     The model is affine in p_tx, so the inverse is closed-form. Raises
     InfeasibleBudgetError when the budget cannot cover the fixed consumption.
     """
-    fixed = system_power(scheme, radio, num_raps, 0.0, fiber, params).total_watts
+    axis = fiber_axis([fiber.length_km])
+    fixed = power_over(scheme, radio, num_raps, 0.0, fiber, params, axis)[-1][0]
     if not math.isfinite(fixed):
         raise InfeasibleBudgetError(
             f"{Scheme(scheme).value} fixed power is infinite (dispersion null)"

@@ -19,7 +19,7 @@ from fwcsim.optics import (
     dispersion_fading_db,
     recovery_lengths,
 )
-from fwcsim.power import PowerParams, crossover_length, solve_tx_power, system_power
+from fwcsim.power import PowerParams, crossover_length, solve_tx_power
 from fwcsim.sweeps import run_throughput_sweep
 from fwcsim.units import SPEED_OF_LIGHT_M_S
 from fwcsim.wireless import (
@@ -27,6 +27,7 @@ from fwcsim.wireless import (
 )
 
 from test_beamform import array_factor, brute_force_af
+from test_power import power_at
 from test_wireless import brute_force_cellfree
 
 FIBER = FiberParams()
@@ -83,8 +84,8 @@ def test_criterion_3_bbof_invariance_ifof_monotonic():
     ifof_totals = []
     for length in grid:
         fib = dataclasses.replace(FIBER, length_km=float(length))
-        bbof_totals.append(system_power(Scheme.BBOF, radio, 10, 1.0, fib, PARAMS).total_watts)
-        ifof_totals.append(system_power(Scheme.IFOF, radio, 10, 1.0, fib, PARAMS).total_watts)
+        bbof_totals.append(power_at(Scheme.BBOF, radio, 10, 1.0, fib, PARAMS)[-1])
+        ifof_totals.append(power_at(Scheme.IFOF, radio, 10, 1.0, fib, PARAMS)[-1])
     # identical floats have exactly zero variance; np.var would inject
     # mean-rounding noise of order (total * eps)^2
     variance = 0.0 if len(set(bbof_totals)) == 1 else float(np.var(bbof_totals))
@@ -228,10 +229,10 @@ def test_criterion_8_solver_round_trip():
         scheme = schemes[int(rng.integers(0, 3))]
         m = int(rng.integers(1, 300))
         fiber = dataclasses.replace(FIBER, length_km=float(rng.uniform(0.0, 8.0)))
-        fixed = system_power(scheme, radio, m, 0.0, fiber, PARAMS).total_watts
+        fixed = power_at(scheme, radio, m, 0.0, fiber, PARAMS)[-1]
         budget = fixed + float(rng.uniform(0.0, 10000.0))
         p = solve_tx_power(scheme, radio, m, fiber, budget, PARAMS)
-        total = system_power(scheme, radio, m, p, fiber, PARAMS).total_watts
+        total = power_at(scheme, radio, m, p, fiber, PARAMS)[-1]
         worst = max(worst, abs(total - budget))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 5.0

@@ -9,23 +9,17 @@ from fwcsim.beamform import (
     BeamformerSpec,
     array_factor_patterns,
     beam_squint_direction,
-    coherent_within_symbol,
-    mixed_beamformer,
     peak_directions,
     phase_only_weights,
-    sync_delays,
     ttd_weights,
 )
-from fwcsim.errors import DegenerateChannelError, NoRealBeamError, ValidationError
-from fwcsim.geometry import Area, distance_matrix, generate_layout
+from fwcsim.errors import NoRealBeamError, ValidationError
 from fwcsim.units import SPEED_OF_LIGHT_M_S
-from fwcsim.wireless import ChannelModel, draw_channels
 
 F0 = 10e9
 LAMBDA0 = SPEED_OF_LIGHT_M_S / F0
 GEOM = ArrayGeometry.ula(8, LAMBDA0 / 2, F0, band_hz=(F0, 2 * F0))
 DEG = math.degrees
-AREA = Area()
 
 
 def pattern_of(geom, spec, f_hz, thetas_rad):
@@ -41,16 +35,6 @@ def peak_of(geom, spec, f_hz, theta_lo_rad, theta_hi_rad):
 def array_factor(geom, spec, f_hz, theta_rad):
     """The array factor at a single direction."""
     return complex(pattern_of(geom, spec, f_hz, np.array([theta_rad]))[0])
-
-
-def air_delay_s(layout, rap, ue):
-    (rx, ry), (ux, uy) = layout[0][rap], layout[1][ue]
-    return math.hypot(rx - ux, ry - uy) / SPEED_OF_LIGHT_M_S
-
-
-def air_m(rap_xy, ue_xy, ue=0):
-    """Distances from every RAP to one UE, from literal or drawn positions."""
-    return distance_matrix(np.array(rap_xy, dtype=float), np.array(ue_xy, dtype=float))[:, ue]
 
 
 def brute_force_af(geom, spec, f_hz, theta_rad):
@@ -165,114 +149,6 @@ def test_energy_conserved_under_delay_changes():
         if reference is None:
             reference = energy
         assert energy == pytest.approx(reference, rel=1e-6)
-
-
-def test_sync_delays_uniform_layout():
-    air = air_m([[0.0, 0.0], [0.0, 200.0]], [[100.0, 100.0]])
-    # equal fiber, equal air distance
-    assert sync_delays(air, (19.0, 19.0)) == pytest.approx([0.0, 0.0], abs=1e-18)
-
-
-def test_sync_delays_air_difference():
-    delays = sync_delays(air_m([[0.0, 0.0], [300.0, 0.0]], [[600.0, 0.0]]), (19.0, 19.0))
-    assert min(delays) == 0.0
-    assert abs(delays[1] - delays[0]) == pytest.approx(300.0 / SPEED_OF_LIGHT_M_S, rel=1e-12)
-
-
-def test_sync_delays_equalize_arrivals():
-    lengths = (19.0, 3.0, 8.5, 19.0, 0.1, 12.0)
-    layout = generate_layout(AREA, 6, 2, 5)
-    ng = 1.468
-    delays = sync_delays(air_m(*layout, ue=1), lengths, group_index=ng)
-    arrivals = [
-        ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 1) + d
-        for m, (lk, d) in enumerate(zip(lengths, delays))
-    ]
-    assert max(arrivals) - min(arrivals) <= 1e-18
-    assert min(delays) == 0.0
-
-
-def test_coherence_check():
-    lengths = (19.0, 2.0, 7.0, 11.0)
-    layout = generate_layout(AREA, 4, 1, 8)
-    ng = 1.468
-    raw = [
-        ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 0)
-        for m, lk in enumerate(lengths)
-    ]
-    assert not coherent_within_symbol(raw)  # tens of microseconds of skew
-    delays = sync_delays(air_m(*layout), lengths)
-    compensated = [t + d for t, d in zip(raw, delays)]
-    assert coherent_within_symbol(compensated)
-    with pytest.raises(ValidationError):
-        coherent_within_symbol([])
-
-
-def test_mixed_beamformer_coherent_gain():
-    dist = distance_matrix(*generate_layout(AREA, 4, 2, 2))
-    model = ChannelModel()
-    gains = draw_channels(dist, model, 2)
-    fronthaul = np.ones(4, dtype=complex)
-    spec = mixed_beamformer(gains[:, 0], dist[:, 0], fronthaul, (19.0,) * 4)
-    q = fronthaul * gains[:, 0]
-    effective = np.array(spec.weights) * q
-    assert np.allclose(effective.imag, 0.0, atol=1e-18)
-    assert np.all(effective.real >= 0.0)
-    # coherent sum beats any single RAP under the same per-RAP power
-    assert np.abs(effective.sum()) ** 2 >= np.max(np.abs(q)) ** 2
-
-
-def test_mixed_beamformer_identical_gains_scale():
-    m = 5
-    gains = np.full((m, 1), 1e-5 + 0j)
-    air = air_m(np.column_stack([np.arange(m, dtype=float), np.zeros(m)]), [[2.0, 50.0]])
-    spec = mixed_beamformer(gains[:, 0], air, np.ones(m, dtype=complex), (19.0,) * m)
-    p = 0.5
-    amp = sum(math.sqrt(p) * abs(w * g) for w, g in zip(spec.weights, gains[:, 0]))
-    single = m * p * abs(gains[0, 0]) ** 2  # one RAP with the whole budget
-    assert amp**2 / single == pytest.approx(m, rel=1e-12)
-
-
-def test_mixed_beamformer_flat_over_band_vs_phase_only():
-    # narrowband-per-frequency model: channel m at f has delay T_m and static gain
-    rng = np.random.default_rng(6)
-    layout = generate_layout(AREA, 4, 1, 6)
-    model = ChannelModel()
-    dist = distance_matrix(*layout)
-    gains = draw_channels(dist, model, 6)
-    fronthaul = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
-    lengths = (19.0,) * 4
-    spec = mixed_beamformer(gains[:, 0], dist[:, 0], fronthaul, lengths)
-    ng = 1.468
-    path_delay = np.array(
-        [
-            ng * lk * 1e3 / SPEED_OF_LIGHT_M_S + air_delay_s(layout, m, 0)
-            for m, lk in enumerate(lengths)
-        ]
-    )
-    q = fronthaul * gains[:, 0]
-    mags = np.abs(q)
-
-    def received(weights, delays, f):
-        phase = np.exp(-2j * math.pi * f * (path_delay + np.asarray(delays)))
-        return abs(np.sum(np.asarray(weights) * mags * np.exp(1j * np.angle(q)) * phase))
-
-    f_hi = 2e9
-    # mixed: delay compensation makes |received| flat and maximal at any f
-    got_mixed = received(spec.weights, spec.delays_s, f_hi)
-    assert got_mixed == pytest.approx(float(mags.sum()), rel=1e-9)
-    # phase-only conjugation at f0 = 0 offset, no delays: band edge degrades
-    po_weights = np.conj(q * np.exp(-2j * math.pi * 0.0 * path_delay)) / mags
-    got_po = received(po_weights, np.zeros(4), f_hi)
-    assert got_mixed >= got_po - 1e-12
-
-
-def test_mixed_beamformer_degenerate():
-    dist = distance_matrix(*generate_layout(AREA, 3, 1, 1))
-    model = ChannelModel()
-    gains = draw_channels(dist, model, 1)
-    with pytest.raises(DegenerateChannelError):
-        mixed_beamformer(gains[:, 0], dist[:, 0], np.zeros(3, dtype=complex), (19.0,) * 3)
 
 
 def test_geometry_and_spec_validation():

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fwcsim.beamform import FIBER_GROUP_INDEX, sync_delays
 from fwcsim.errors import ValidationError
 from fwcsim.geometry import Area, distance_matrix, generate_layout, udn_association
-from fwcsim.units import SPEED_OF_LIGHT_M_S
 
 AREA = Area()
 
@@ -35,14 +33,9 @@ def distances(rap_xy, ue_xy):
     return distance_matrix(np.array(rap_xy, dtype=float), np.array(ue_xy, dtype=float))
 
 
-def drop_delays(area_width_m=1000.0, area_height_m=1000.0, num_raps=100, num_ues=50,
-                fiber_length_km=19.0, rng_seed=1):
-    """Sync delays toward UE 0 of a drawn layout; a scalar fiber length is
-    expanded to one equal length per RAP."""
-    layout = generate_layout(Area(area_width_m, area_height_m), num_raps, num_ues, rng_seed)
-    if np.ndim(fiber_length_km) == 0:
-        fiber_length_km = (fiber_length_km,) * num_raps
-    return sync_delays(distance_matrix(*layout)[:, 0], fiber_length_km)
+def drawn_layout(area_width_m=1000.0, area_height_m=1000.0, num_raps=100, num_ues=50):
+    """A layout drawn with seed 1 over an area of the given sides."""
+    return generate_layout(Area(area_width_m, area_height_m), num_raps, num_ues, 1)
 
 
 def serving_raps(assoc):
@@ -60,27 +53,6 @@ def test_generate_layout_counts_and_bounds():
     for x, y in np.vstack([rap_xy, ue_xy]):
         assert 0.0 <= x <= 1000.0
         assert 0.0 <= y <= 1000.0
-
-
-def test_uniform_fiber_policy():
-    # equal fiber runs delay every RAP alike, so only the air paths differ
-    air_m = distance_matrix(*generate_layout(AREA, 100, 50, 1))[:, 0]
-    assert drop_delays(num_raps=100, num_ues=50, fiber_length_km=19.0, rng_seed=1) == pytest.approx(
-        sync_delays(air_m, (0.0,) * 100), abs=1e-15
-    )
-
-
-def test_per_rap_fiber_policy():
-    lengths = (1.0, 2.5, 19.0)
-    air_m = distance_matrix(*generate_layout(AREA, 3, 2, 3))[:, 0]
-    delays = sync_delays(air_m, lengths)
-    air = sync_delays(air_m, (0.0,) * 3)
-    # each RAP's own fiber run shifts its delay by n_g * L_m / c, RAP by RAP
-    shift = [a - d for a, d in zip(air, delays)]
-    fiber_s = [FIBER_GROUP_INDEX * lk * 1e3 / SPEED_OF_LIGHT_M_S for lk in lengths]
-    assert [v - shift[0] for v in shift] == pytest.approx(
-        [f - fiber_s[0] for f in fiber_s], abs=1e-15
-    )
 
 
 def test_generate_layout_deterministic():
@@ -106,24 +78,15 @@ def test_positions_inside_area_many_seeds():
         {"num_ues": 0},
         {"area_width_m": 0.0},
         {"area_height_m": -5.0},
-        {"fiber_length_km": -1.0},
-        {"num_raps": 3, "fiber_length_km": (1.0, 2.0)},
-        {"num_raps": 2, "fiber_length_km": (math.nan, 19.0)},
-        {"num_raps": 2, "fiber_length_km": (math.inf, 19.0)},
+        {"num_raps": -3},
+        {"num_ues": -1},
+        {"area_width_m": -math.inf},
+        {"area_height_m": 0.0},
     ],
 )
 def test_invalid_scenarios(kwargs):
     with pytest.raises(ValidationError):
-        drop_delays(**kwargs)
-
-
-def test_point_must_be_finite():
-    with pytest.raises(ValidationError):
-        sync_delays(distances([[math.nan, 0.0]], [[0.0, 0.0]])[:, 0], (19.0,))
-    with pytest.raises(ValidationError):
-        sync_delays(distances([[0.0, 0.0]], [[0.0, math.inf]])[:, 0], (19.0,))
-    with pytest.raises(ValidationError):
-        sync_delays([-1.0, 5.0], (19.0, 19.0))
+        drawn_layout(**kwargs)
 
 
 def test_association_single_pair():
@@ -178,6 +141,4 @@ def test_empty_layout_rejected():
         generate_layout(AREA, 0, 1, 0)
     with pytest.raises(ValidationError):
         generate_layout(AREA, 1, 0, 0)
-    with pytest.raises(ValidationError):
-        sync_delays([], ())
 

@@ -12,8 +12,8 @@ from fwcsim.cli import main
 from fwcsim.config import ExperimentConfig, SweepParams, config_from_dict, load_config
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
 from fwcsim.geometry import Area
-from fwcsim.optics import dispersion_fading_db, null_lengths, recovery_lengths
-from fwcsim.power import solve_tx_power, system_power
+from fwcsim.optics import Scheme, dispersion_fading_db, null_lengths, recovery_lengths
+from fwcsim.power import solve_tx_power
 from fwcsim.sweeps import (
     run_beam_pattern,
     run_dispersion_sweep,
@@ -21,6 +21,7 @@ from fwcsim.sweeps import (
     run_throughput_sweep,
 )
 from fwcsim.tables import ResultTable, meta_path_for
+from test_planning_engine import reference_system_power
 
 SMALL_SWEEP = {
     "sweep": {"m_values": [4, 8], "fiber_km": [0.0, 1.0, 4.0, 19.0]},
@@ -146,11 +147,12 @@ def test_power_sweep_matches_system_power():
     for scheme, f_rf, fiber_km, p, cu, rap, comp, total in table.rows:
         radio = dataclasses.replace(cfg.scheme_params, rf_carrier_hz=f_rf)
         fib = dataclasses.replace(cfg.fiber, length_km=fiber_km)
-        expected = system_power(scheme, radio, m, p_tx, fib, cfg.power)
-        assert total == pytest.approx(expected.total_watts, rel=1e-12)
-        assert cu == pytest.approx(expected.cu_watts)
-        assert rap == pytest.approx(expected.per_rap_watts)
-        assert comp == pytest.approx(expected.fiber_comp_watts)
+        want_cu, want_rap, want_comp, _, want_total = reference_system_power(
+            Scheme(scheme), radio, m, p_tx, fib, cfg.power)
+        assert total == pytest.approx(want_total, rel=1e-12)
+        assert cu == pytest.approx(want_cu)
+        assert rap == pytest.approx(want_rap)
+        assert comp == pytest.approx(want_comp)
     bbof_totals = {r[7] for r in table.rows if r[0] == "bbof"}
     assert len(bbof_totals) == 1  # constant across fiber length
     crossings = {c["f_rf_hz"]: c["crossover_km"] for c in table.metadata["crossovers"]}
@@ -364,6 +366,10 @@ def test_cli_config_error_exit_2(tmp_path):
          "lower channel.pathloss_exponent, channel.ref_loss_db or the scenario area"),
         ("throughput-sweep", {"channel": {"pathloss_exponent": 1e300}},
          "lower channel.pathloss_exponent, channel.ref_loss_db or the scenario area"),
+        ("beam-pattern", {"sweep": {"steer_theta_deg": 200.0}},
+         "steer_theta_deg must be in [-90, 90], got 200.0"),
+        ("beam-pattern", {"sweep": {"steer_theta_deg": -90.5}},
+         "steer_theta_deg must be in [-90, 90], got -90.5"),
     ]],
     ids=["out-missing-directory", "out-is-a-directory", "drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -378,7 +384,8 @@ def test_cli_config_error_exit_2(tmp_path):
          "power-fiber-km-1e306", "length-km-1e306", "dispersion-carrier-1e200",
          "power-carrier-1e200", "rf-carrier-1e200", "ref-loss-neg-1e308",
          "noise-figure-1e308", "noise-figure-neg-1e308", "dispersion-pathloss-2",
-         "area-width-1e308", "area-width-1e150-underflow", "pathloss-1e300-underflow"],
+         "area-width-1e308", "area-width-1e150-underflow", "pathloss-1e300-underflow",
+         "steer-theta-200", "steer-theta-neg-90.5"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message, out):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
@@ -400,6 +407,17 @@ def test_cli_unwritable_companion_file_exit_2(tmp_path, capsys, command, blocked
     assert main([command, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: cannot write {tmp_path / blocked}: Is a directory\n"
+
+
+@pytest.mark.parametrize("theta0_deg", [90.0, -90.0])
+def test_cli_beam_pattern_runs_at_endfire(tmp_path, theta0_deg):
+    # the steering range is closed: endfire itself still runs
+    cfg_path = write_cfg(tmp_path, {"sweep": {"steer_theta_deg": theta0_deg}})
+    out = tmp_path / "b.csv"
+    assert main(["beam-pattern", "--config", str(cfg_path), "--out", str(out)]) == 0
+    peaks = json.loads(meta_path_for(out).read_text())["peaks"]
+    assert peaks[0]["mode"] == "phase_only" and peaks[0]["squint_prediction_deg"] == theta0_deg
+    assert peaks[0]["peak_deg"] == pytest.approx(theta0_deg, abs=0.011)
 
 
 def test_cli_infeasible_exit_3(tmp_path):

@@ -9,7 +9,6 @@ from fwcsim.optics import (
     Scheme,
     SchemeParams,
     attenuation_db,
-    dcf_compensation_length,
     dispersion_fading_db,
     fronthaul_snr_db,
     null_lengths,
@@ -123,20 +122,6 @@ def test_zero_dispersion_planning_errors():
         null_lengths(flat, 30e9, 1)
     with pytest.raises(ValidationError):
         recovery_lengths(FIBER, 30e9, 0)
-
-
-def test_dcf_length():
-    assert dcf_compensation_length(17.0, 19.0, -85.0) == pytest.approx(3.8)
-    assert dcf_compensation_length(17.0, 0.0, -85.0) == 0.0
-    with pytest.raises(ValidationError):
-        dcf_compensation_length(17.0, 19.0, 85.0)
-
-
-def test_dcf_zeroes_net_dispersion():
-    for d_std, l_std, d_dcf in ((17.0, 19.0, -85.0), (16.5, 7.3, -120.0), (20.0, 2.0, -95.5)):
-        l_dcf = dcf_compensation_length(d_std, l_std, d_dcf)
-        residual = d_std * l_std + d_dcf * l_dcf
-        assert abs(residual) <= 1e-12 * abs(d_std * l_std)
 
 
 def test_fronthaul_snr():

@@ -26,7 +26,6 @@ from fwcsim.power import (
     PowerParams,
     crossover_length,
     power_over,
-    system_power,
 )
 from fwcsim.tables import Repeat, ResultTable
 from fwcsim.units import SPEED_OF_LIGHT_M_S, db_to_linear
@@ -205,10 +204,9 @@ def test_array_power_columns_match_scalar_model(scheme, radio, fiber, km, null_k
         if math.isnan(want[4]) and math.isinf(comp[i]) and params.overhead_multiplier == 1.0:
             want = (*want[:3], 0.0, math.inf)  # the old 0 * inf overhead made the total NaN
         assert same_bits(overhead[i], want[3]) and same_bits(total[i], want[4])
-        breakdown = system_power(scheme, radio, num_raps, p_tx, fib, params)
-        assert all(same_bits(got, want) for got, want in zip(
-            (breakdown.fiber_comp_watts, breakdown.overhead_watts, breakdown.total_watts),
-            (comp[i], overhead[i], total[i])))
+        one = power_over(scheme, radio, num_raps, p_tx, fib, params, fiber_axis([length]))
+        assert all(same_bits(got[0], want) for got, want in zip(
+            one[3:], (comp[i], overhead[i], total[i])))
 
 
 def reference_crossover(scheme_a, scheme_b, radio, fiber, num_raps, p_tx_w, length_range_km,
@@ -283,8 +281,9 @@ def test_db_to_linear_past_the_float_range_is_inf():
                       fiber_axis([1.0, 5.0]))[3]
     assert math.isfinite(comp[0]) and comp[1] == math.inf
     short = dataclasses.replace(fiber, length_km=1.0)
-    breakdown = system_power(Scheme.RFOF, SchemeParams(), 1, 0.0, short, PowerParams())
-    assert breakdown.fiber_comp_watts == comp[0]
+    one = power_over(Scheme.RFOF, SchemeParams(), 1, 0.0, short, PowerParams(),
+                     fiber_axis([short.length_km]))
+    assert one[3][0] == comp[0]
 
 
 def test_fiber_axis_keeps_the_length_check():

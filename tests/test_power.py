@@ -5,19 +5,27 @@ import numpy as np
 import pytest
 
 from fwcsim.errors import InfeasibleBudgetError, ValidationError
-from fwcsim.optics import FiberParams, Scheme, SchemeParams, null_lengths
+from fwcsim.optics import FiberParams, Scheme, SchemeParams, fiber_axis, null_lengths
 from fwcsim.power import (
     PowerParams,
     crossover_length,
     pa_input_power,
+    power_over,
     solve_tx_power,
-    system_power,
 )
 
 PARAMS = PowerParams()
 FIBER = FiberParams()
 RADIO = SchemeParams()
 BBOF, IFOF, RFOF = Scheme.BBOF, Scheme.IFOF, Scheme.RFOF
+
+
+def power_at(scheme, radio, num_raps, p_tx_w, fiber, params):
+    """``power_over`` at the fiber's own length, as scalars:
+    (cu, rap, fading_db, comp, overhead, total) watts."""
+    cu, rap, *columns = power_over(scheme, radio, num_raps, p_tx_w, fiber, params,
+                                   fiber_axis([fiber.length_km]))
+    return (cu, rap, *(column[0] for column in columns))
 
 
 def test_pa_input_power():
@@ -29,25 +37,23 @@ def test_pa_input_power():
 
 
 def test_placement_node_wattages():
-    assert system_power(BBOF, RADIO, 1, 1.0, FIBER, PARAMS).per_rap_watts == pytest.approx(22.0)
-    assert system_power(RFOF, RADIO, 1, 1.0, FIBER, PARAMS).per_rap_watts == pytest.approx(
-        14.3333, abs=1e-3
-    )
-    assert system_power(IFOF, RADIO, 1, 0.0, FIBER, PARAMS).cu_watts == pytest.approx(66.0)
-    assert system_power(BBOF, RADIO, 1, 0.0, FIBER, PARAMS).cu_watts == pytest.approx(59.0)
-    assert system_power(RFOF, RADIO, 1, 0.0, FIBER, PARAMS).cu_watts == pytest.approx(66.0)
+    assert power_at(BBOF, RADIO, 1, 1.0, FIBER, PARAMS)[1] == pytest.approx(22.0)
+    assert power_at(RFOF, RADIO, 1, 1.0, FIBER, PARAMS)[1] == pytest.approx(14.3333, abs=1e-3)
+    assert power_at(IFOF, RADIO, 1, 0.0, FIBER, PARAMS)[0] == pytest.approx(66.0)
+    assert power_at(BBOF, RADIO, 1, 0.0, FIBER, PARAMS)[0] == pytest.approx(59.0)
+    assert power_at(RFOF, RADIO, 1, 0.0, FIBER, PARAMS)[0] == pytest.approx(66.0)
 
 
 def test_rap_wattage_ordering():
-    bbof = system_power(BBOF, RADIO, 1, 1.0, FIBER, PARAMS).per_rap_watts
-    ifof = system_power(IFOF, RADIO, 1, 1.0, FIBER, PARAMS).per_rap_watts
-    rfof = system_power(RFOF, RADIO, 1, 1.0, FIBER, PARAMS).per_rap_watts
+    bbof = power_at(BBOF, RADIO, 1, 1.0, FIBER, PARAMS)[1]
+    ifof = power_at(IFOF, RADIO, 1, 1.0, FIBER, PARAMS)[1]
+    rfof = power_at(RFOF, RADIO, 1, 1.0, FIBER, PARAMS)[1]
     assert bbof > ifof > rfof
 
 
 def fiber_comp_watts(scheme, fiber, params):
     """Drive power offsetting the analog link loss of one RAP."""
-    return system_power(scheme, RADIO, 1, 0.0, fiber, params).fiber_comp_watts
+    return power_at(scheme, RADIO, 1, 0.0, fiber, params)[3]
 
 
 def test_fiber_comp_watts():
@@ -62,23 +68,22 @@ def test_fiber_comp_watts():
 
 def test_system_power_hand_sum():
     # 1.35 * (59 + 22) with Table-I defaults
-    total = system_power(BBOF, RADIO, 1, 1.0, FIBER, PARAMS).total_watts
+    total = power_at(BBOF, RADIO, 1, 1.0, FIBER, PARAMS)[-1]
     assert total == pytest.approx(109.35)
 
 
 def test_breakdown_identity():
     for scheme, m in ((BBOF, 7), (IFOF, 3), (RFOF, 12)):
-        b = system_power(scheme, RADIO, m, 0.8, FIBER, PARAMS)
-        functional = b.cu_watts + m * (b.per_rap_watts + b.fiber_comp_watts)
-        assert b.total_watts == pytest.approx(PARAMS.overhead_multiplier * functional, rel=1e-12)
-        assert b.overhead_watts == pytest.approx(0.35 * functional, rel=1e-12)
-        assert min(b.cu_watts, b.per_rap_watts, b.fiber_comp_watts, b.overhead_watts) >= 0.0
+        cu, rap, _, comp, overhead, total = power_at(scheme, RADIO, m, 0.8, FIBER, PARAMS)
+        functional = cu + m * (rap + comp)
+        assert total == pytest.approx(PARAMS.overhead_multiplier * functional, rel=1e-12)
+        assert overhead == pytest.approx(0.35 * functional, rel=1e-12)
+        assert min(cu, rap, comp, overhead) >= 0.0
 
 
 def test_bbof_total_invariant_in_length():
     totals = [
-        system_power(BBOF, RADIO, 10, 1.0, dataclasses.replace(FIBER, length_km=l),
-                     PARAMS).total_watts
+        power_at(BBOF, RADIO, 10, 1.0, dataclasses.replace(FIBER, length_km=l), PARAMS)[-1]
         for l in np.arange(0.0, 25.1, 0.5)
     ]
     assert len(set(totals)) == 1  # bit-identical, variance exactly zero
@@ -86,17 +91,16 @@ def test_bbof_total_invariant_in_length():
 
 def test_ifof_total_strictly_increasing_in_length():
     totals = [
-        system_power(IFOF, RADIO, 10, 1.0, dataclasses.replace(FIBER, length_km=l),
-                     PARAMS).total_watts
+        power_at(IFOF, RADIO, 10, 1.0, dataclasses.replace(FIBER, length_km=l), PARAMS)[-1]
         for l in np.arange(0.0, 25.1, 0.5)
     ]
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
 
 def test_monotone_in_p_tx_and_m():
-    t1 = system_power(RFOF, RADIO, 10, 0.5, FIBER, PARAMS).total_watts
-    t2 = system_power(RFOF, RADIO, 10, 1.5, FIBER, PARAMS).total_watts
-    t3 = system_power(RFOF, RADIO, 20, 0.5, FIBER, PARAMS).total_watts
+    t1 = power_at(RFOF, RADIO, 10, 0.5, FIBER, PARAMS)[-1]
+    t2 = power_at(RFOF, RADIO, 10, 1.5, FIBER, PARAMS)[-1]
+    t3 = power_at(RFOF, RADIO, 20, 0.5, FIBER, PARAMS)[-1]
     assert t2 > t1 and t3 > t1
 
 
@@ -109,7 +113,7 @@ def test_solve_tx_power_bbof_case_study():
 
 
 def test_solve_tx_power_edge_cases():
-    fixed = system_power(RFOF, RADIO, 8, 0.0, FIBER, PARAMS).total_watts
+    fixed = power_at(RFOF, RADIO, 8, 0.0, FIBER, PARAMS)[-1]
     assert solve_tx_power(RFOF, RADIO, 8, FIBER, fixed, PARAMS) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(InfeasibleBudgetError):
         solve_tx_power(RFOF, RADIO, 8, FIBER, fixed - 1.0, PARAMS)
@@ -124,10 +128,10 @@ def test_solve_round_trip():
         for _ in range(100):
             m = int(rng.integers(1, 200))
             fiber = dataclasses.replace(FIBER, length_km=float(rng.uniform(0.0, 8.0)))
-            fixed = system_power(scheme, RADIO, m, 0.0, fiber, PARAMS).total_watts
+            fixed = power_at(scheme, RADIO, m, 0.0, fiber, PARAMS)[-1]
             budget = fixed + float(rng.uniform(0.01, 5000.0))
             p = solve_tx_power(scheme, RADIO, m, fiber, budget, PARAMS)
-            total = system_power(scheme, RADIO, m, p, fiber, PARAMS).total_watts
+            total = power_at(scheme, RADIO, m, p, fiber, PARAMS)[-1]
             assert abs(total - budget) <= 1e-6
 
 

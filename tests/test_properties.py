@@ -13,9 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 from fwcsim.config import config_from_dict
 from fwcsim.optics import FiberParams, Scheme, SchemeParams
-from fwcsim.power import PowerParams, solve_tx_power, system_power
+from fwcsim.power import PowerParams, solve_tx_power
 from fwcsim.sweeps import run_throughput_sweep
 from fwcsim.wireless import combine_fronthaul_noise
+from test_power import power_at
 
 wattage = st.floats(0.0, 100.0)
 power_params = st.builds(
@@ -37,12 +38,12 @@ radios = st.builds(SchemeParams, rf_carrier_hz=st.floats(1e8, 60e9),
 def test_solved_tx_power_spends_the_budget(scheme, radio, num_raps, length_km, params,
                                            headroom):
     fiber = dataclasses.replace(FiberParams(), length_km=length_km)
-    fixed = system_power(scheme, radio, num_raps, 0.0, fiber, params).total_watts
+    fixed = power_at(scheme, radio, num_raps, 0.0, fiber, params)[-1]
     assume(math.isfinite(fixed))  # a dispersion null has no feasible budget
     budget = fixed + headroom
     p_tx = solve_tx_power(scheme, radio, num_raps, fiber, budget, params)
     assert p_tx >= 0.0
-    total = system_power(scheme, radio, num_raps, p_tx, fiber, params).total_watts
+    total = power_at(scheme, radio, num_raps, p_tx, fiber, params)[-1]
     assert math.isclose(total, budget, rel_tol=1e-12, abs_tol=1e-9)
 
 
