@@ -49,18 +49,33 @@ def distance_matrix(
     return dist
 
 
+def layout_stream(seed: int, num_points: int) -> np.ndarray:
+    """The 2 * ``num_points`` uniforms on [0, 1) that seed's layouts read.
+
+    A layout of n <= ``num_points`` points takes its x from ``[:n]`` and its y
+    from ``[n:2n]``, so the layouts of one seed read nested prefixes of one
+    stream.
+    """
+    return np.random.default_rng([seed, LAYOUT_RNG_STREAM]).random(2 * num_points)
+
+
 def generate_layout(
-    area: Area, num_raps: int, num_ues: int, seed: int
+    area: Area, num_raps: int, num_ues: int, seed: int, stream: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rap_xy, ue_xy): M RAPs and J UEs drawn i.i.d. uniform over the area,
-    deterministic per seed."""
+    deterministic per seed.
+
+    ``stream``, the seed's ``layout_stream`` for at least M + J points, is
+    read in place of drawing it again. w * u has the bits of uniform(0, w).
+    """
     if num_raps < 1 or num_ues < 1:
         raise ValidationError(f"a layout needs at least one RAP and one UE, got "
                               f"{num_raps} RAPs and {num_ues} UEs")
-    rng = np.random.default_rng([seed, LAYOUT_RNG_STREAM])
-    xs = rng.uniform(0.0, area.area_width_m, size=num_raps + num_ues)
-    ys = rng.uniform(0.0, area.area_height_m, size=num_raps + num_ues)
-    xy = np.column_stack([xs, ys])
+    n = num_raps + num_ues
+    u = layout_stream(seed, n) if stream is None else stream
+    xy = np.empty((n, 2))
+    np.multiply(area.area_width_m, u[:n], out=xy[:, 0])
+    np.multiply(area.area_height_m, u[n:2 * n], out=xy[:, 1])
     return xy[:num_raps], xy[num_raps:]
 
 
@@ -71,7 +86,7 @@ def udn_association(dist: np.ndarray, mode: str = "ue_nearest") -> tuple[np.ndar
     ``ue_nearest`` (default): each UE is served by its closest RAP; unused RAPs
     idle. ``rap_nearest`` (literal reading): every RAP transmits toward its
     closest UE, so a UE may be served by several RAPs or none. Ties break to
-    the lowest index (argmin keeps the first occurrence).
+    the lowest index (argmin and argmax keep the first occurrence).
     """
     if mode not in ASSOCIATION_MODES:
         raise ValidationError(f"association_mode must be one of {list(ASSOCIATION_MODES)}, "
@@ -79,7 +94,8 @@ def udn_association(dist: np.ndarray, mode: str = "ue_nearest") -> tuple[np.ndar
     m, j = dist.shape
     serve = np.zeros((m, j), dtype=bool)
     if mode == "ue_nearest":
-        serve[np.argmin(dist, axis=0), np.arange(j)] = True
+        # argmin over axis 0 would copy the transposed floats; this compares in place
+        serve[(dist == dist.min(axis=0)).argmax(axis=0), np.arange(j)] = True
         return serve, serve.any(axis=1)
     serve[np.arange(m), np.argmin(dist, axis=1)] = True
     return serve, np.ones(m, dtype=bool)

@@ -1,7 +1,7 @@
 """Experiment runners: dispersion, power, throughput, and beam-pattern sweeps.
 
 Every runner is deterministic for a fixed config: Monte Carlo drop i uses seed
-base_seed + i, and drops run and reduce in index order.
+base_seed + i at every M, and drops reduce in index order.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .beamform import (
 )
 from .config import ExperimentConfig, hash_resolved
 from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError, ValidationError
-from .geometry import distance_matrix, generate_layout, udn_association
+from .geometry import distance_matrix, generate_layout, layout_stream, udn_association
 from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
 from .tables import Repeat, ResultTable
@@ -28,8 +28,10 @@ from .units import SPEED_OF_LIGHT_M_S, db_to_linear
 from .wireless import (
     bbof_per_rap_cap_bps,
     cellfree_sinr_components,
+    channel_stream,
     combine_fronthaul_noise,
     draw_channels,
+    power_gains,
     sinr_from_components,
     sum_throughput,
     udn_sinr_components,
@@ -133,14 +135,26 @@ def _drop_buffers(m: int, j: int) -> tuple[np.ndarray, ...]:
             np.empty((j, j), complex), np.empty((j, j)))
 
 
-def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, buffers: tuple[np.ndarray, ...]):
-    """Power-normalized SINR components shared by every scheme at this drop."""
+def _leading_views(buffers: tuple[np.ndarray, ...], m: int, j: int) -> tuple[np.ndarray, ...]:
+    """The ``_drop_buffers`` of (m, j) as contiguous views of the leading bytes
+    of larger ones."""
+    shapes = ((m, j), (m, j), (j, j), (j, j))
+    return tuple(b.reshape(-1)[:math.prod(shape)].reshape(shape)
+                 for b, shape in zip(buffers, shapes))
+
+
+def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, streams: tuple,
+                     buffers: tuple[np.ndarray, ...]):
+    """Power-normalized SINR components shared by every scheme at this drop;
+    ``streams`` holds the seed's ``layout_stream`` and ``channel_stream``."""
+    layout, channel = streams
     weights, gains, gram, gram_sq = buffers
     block = weights.view(float).reshape(2, *gains.shape)
-    dist = distance_matrix(*generate_layout(cfg.scenario, *gains.shape, drop_seed), out=block)
+    dist = distance_matrix(*generate_layout(cfg.scenario, *gains.shape, drop_seed, layout),
+                           out=block)
     serve, active = udn_association(dist, cfg.sweep.association_mode)
-    draw_channels(dist, cfg.channel, drop_seed, out=(gains, block))
-    p2 = np.square(np.abs(gains, out=block[0]), out=block[0])
+    draw_channels(dist, cfg.channel, drop_seed, out=(gains, block), stream=channel)
+    p2 = power_gains(gains, out=block[0])
     return {
         "udn": udn_sinr_components(p2, serve, active),
         "cellfree": cellfree_sinr_components(gains, p2, out=(weights, gram, gram_sq)),
@@ -152,9 +166,11 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
 
     A (scheme, M) point whose fixed power already exceeds the budget cannot
     operate and contributes zero-throughput rows; the sweep fails only when no
-    point is feasible at all. Each drop yields per-UE (signal, interference)
-    vectors; they are stacked into (drops, J) arrays so that SINR, fronthaul
-    combining and the sum rate run once per (arch, scheme, M).
+    point is feasible at all. Drops run seed by seed: each seed draws its
+    layout and channel streams once, and every M reads its draws from their
+    prefixes. Each drop writes per-UE (signal, interference) vectors into
+    (drops, J) arrays, so that SINR, fronthaul combining and the sum rate run
+    once per (arch, scheme, M).
     """
     table = ResultTable("throughput_sweep", THROUGHPUT_COLUMNS,
                         metadata=_base_metadata(cfg, "throughput_sweep"))
@@ -182,25 +198,34 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         if s is Scheme.BBOF else None for s in cfg.schemes
     }
 
-    rates: dict[tuple[str, Scheme, int], np.ndarray] = {}
-    j_of_m: dict[int, int] = {}
-    for m in cfg.sweep.m_values:
-        j = max(1, round(0.5 * m))
-        j_of_m[m] = j
-        buffers = _drop_buffers(m, j)
-        drop_components = [
-            _throughput_drop(cfg, cfg.base_seed + i, buffers) for i in range(drops)
-        ]
+    j_of_m = {m: max(1, round(0.5 * m)) for m in cfg.sweep.m_values}
+    # J never falls as M grows, so the largest M has the largest buffers and
+    # streams; the other Ms run in views of its buffers and read only the
+    # channel-stream prefix kept here, while the largest draws the rest itself.
+    largest = max(j_of_m)
+    buffers = _drop_buffers(largest, j_of_m[largest])
+    views = {m: _leading_views(buffers, m, j) for m, j in j_of_m.items()}
+    prefix = max((2 * m * j for m, j in j_of_m.items() if m != largest), default=0)
+    components = {(arch, m): (np.empty((drops, j)), np.empty((drops, j)))
+                  for arch in ("udn", "cellfree") for m, j in j_of_m.items()}
+    for i in range(drops):
+        seed = cfg.base_seed + i
+        streams = (layout_stream(seed, largest + j_of_m[largest]),
+                   channel_stream(seed, prefix))
+        for m in cfg.sweep.m_values:
+            for arch, (signal, interference) in _throughput_drop(
+                    cfg, seed, streams, views[m]).items():
+                components[(arch, m)][0][i] = signal
+                components[(arch, m)][1][i] = interference
 
-        for arch in ("udn", "cellfree"):
-            signal = np.stack([comps[arch][0] for comps in drop_components])
-            interference = np.stack([comps[arch][1] for comps in drop_components])
-            for s in cfg.schemes:
-                sinr = sinr_from_components(signal, interference, p_tx[(s, m)], noise_w)
-                rates[(arch, s, m)] = sum_throughput(
-                    combine_fronthaul_noise(sinr, db_to_linear(fh_snr_db[s])),
-                    radio.wireless_bandwidth_hz, m, cfg.overhead, per_rap_cap_bps=caps[s],
-                )
+    rates: dict[tuple[str, Scheme, int], np.ndarray] = {}
+    for (arch, m), (signal, interference) in components.items():
+        for s in cfg.schemes:
+            sinr = sinr_from_components(signal, interference, p_tx[(s, m)], noise_w)
+            rates[(arch, s, m)] = sum_throughput(
+                combine_fronthaul_noise(sinr, db_to_linear(fh_snr_db[s])),
+                radio.wireless_bandwidth_hz, m, cfg.overhead, per_rap_cap_bps=caps[s],
+            )
 
     for arch in ("udn", "cellfree"):
         for s in cfg.schemes:

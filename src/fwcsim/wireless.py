@@ -56,25 +56,56 @@ class ChannelModel:
                            np.power(d, -self.pathloss_exponent, out=out), out=out)
 
 
+def channel_stream(seed: int, count: int) -> tuple[np.ndarray, np.random.Generator]:
+    """The first ``count`` standard normals of seed's channel stream, each
+    scaled by 1/sqrt(2), and the generator positioned just past them.
+
+    An (M, J) draw of the seed takes the real parts of its h from stream
+    entries ``[0:MJ]`` and the imaginary parts from ``[MJ:2MJ]``, so the draws
+    of one seed read nested prefixes of one stream.
+    """
+    rng = np.random.default_rng([seed, CHANNEL_RNG_STREAM])
+    normals = rng.standard_normal(count)
+    normals *= 1.0 / math.sqrt(2.0)
+    return normals, rng
+
+
 def draw_channels(dist: np.ndarray, model: ChannelModel, drop_seed: int,
-                  out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                  out: tuple[np.ndarray, np.ndarray] | None = None,
+                  stream: tuple[np.ndarray, np.random.Generator] | None = None) -> np.ndarray:
     """Complex gains g_mj = sqrt(beta_mj) * h_mj with h ~ CN(0, 1), shape (M, J),
     from the (M, J) RAP-to-UE distances; deterministic per seed.
 
     ``out`` = (gains, block): the (M, J) complex result and a (2, M, J) float
     block that holds the amplitudes sqrt(beta) in ``block[0]`` (which may be
-    ``dist``, then overwritten) and each normal draw in ``block[1]``.
+    ``dist``, then overwritten) and, where needed, normal draws in ``block[1]``.
+    ``stream`` is the seed's ``channel_stream``: the draw reads its prefix
+    and takes the entries past it from its generator, so at most one draw per
+    stream may read past the prefix.
     """
     gains, (amp, normal) = (None, (None, None)) if out is None else out
-    rng = np.random.default_rng([drop_seed, CHANNEL_RNG_STREAM])
+    prefix, rng = channel_stream(drop_seed, 0) if stream is None else stream
     amp = np.sqrt(model.pathloss_gain(dist, out=amp), out=amp)
     gains = np.empty(amp.shape, dtype=complex) if gains is None else gains
+    size = amp.size
     # amp * ((re + 1j*im) / sqrt(2)) part by part, with the bits of the complex operations
-    for part in (gains.real, gains.imag):
-        normal = rng.standard_normal(amp.shape, out=normal)
-        normal *= 1.0 / math.sqrt(2.0)
-        np.multiply(amp, normal, out=part)
+    for start, part in ((0, gains.real), (size, gains.imag)):
+        h = prefix[start:start + size]
+        if len(h) < size:  # the stream's remainder: the generator continues where h ends
+            normal = np.empty(amp.shape) if normal is None else normal
+            flat = normal.reshape(-1)
+            flat[:len(h)] = h
+            rest = rng.standard_normal(size - len(h), out=flat[len(h):])
+            rest *= 1.0 / math.sqrt(2.0)
+            h = flat
+        np.multiply(amp, h.reshape(amp.shape), out=part)
     return gains
+
+
+def power_gains(gains: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The power gains |g|^2 that both architectures read, with the bits of
+    ``np.abs(gains) ** 2``; computed in place in the float array ``out`` when given."""
+    return np.square(np.abs(gains, out=out), out=out)
 
 
 def udn_sinr_components(
@@ -84,8 +115,8 @@ def udn_sinr_components(
     the power gains |g|^2 and the ``udn_association`` masks."""
     if serve.shape != p2.shape:
         raise ValidationError("association does not match the channel dimensions")
-    signal = np.where(serve, p2, 0.0).sum(axis=0)
-    interference = np.where(active[:, None] & ~serve, p2, 0.0).sum(axis=0)
+    signal = np.add.reduce(p2, axis=0, where=serve, initial=0.0)
+    interference = np.add.reduce(p2, axis=0, where=active[:, None] & ~serve, initial=0.0)
     return signal, interference
 
 

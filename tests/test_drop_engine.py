@@ -3,8 +3,10 @@
 The distance matrix, fronthaul combining and the sum rate run on whole
 arrays; each must reproduce, bit for bit, the per-element or per-row
 computation it replaced, so the sweep CSV bytes cannot move. The sweep's
-drops fill one set of per-M buffers in place; that path must give the bytes
-of the allocating layer functions, and allocate little per drop.
+drops fill one set of buffers in place; that path must give the bytes of the
+allocating layer functions, and allocate little per drop. The sweep runs seed
+by seed and shares each seed's random streams across its M values; it must
+give the rows of the M-major loop that drew them again for every M.
 """
 import importlib
 import inspect
@@ -20,16 +22,24 @@ from hypothesis.extra.numpy import arrays
 
 import fwcsim.sweeps as sweeps
 from fwcsim.config import config_from_dict
-from fwcsim.errors import ValidationError
+from fwcsim.errors import InfeasibleBudgetError, ValidationError
 from fwcsim.geometry import (
-    ASSOCIATION_MODES, Area, distance_matrix, generate_layout, udn_association,
+    ASSOCIATION_MODES, LAYOUT_RNG_STREAM, Area, distance_matrix, generate_layout,
+    layout_stream, udn_association,
 )
+from fwcsim.optics import Scheme, fronthaul_snr_db
+from fwcsim.power import solve_tx_power
+from fwcsim.units import db_to_linear
 from fwcsim.wireless import (
     CHANNEL_RNG_STREAM,
     OverheadModel,
+    bbof_per_rap_cap_bps,
     cellfree_sinr_components,
+    channel_stream,
     combine_fronthaul_noise,
     draw_channels,
+    power_gains,
+    sinr_from_components,
     sum_throughput,
     udn_sinr_components,
 )
@@ -220,20 +230,15 @@ def test_sweep_shares_one_distance_matrix_and_power_gain_per_drop(monkeypatch):
         calls["distance"] += 1
         return dist_fn(*args, out=out)
 
-    class CountedNumpy:
-        """numpy for the sweeps module, counting the |g| of the |g|^2 step."""
+    power_fn = sweeps.power_gains
 
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def abs(x, out=None):
-            assert np.iscomplexobj(x) and out is not None
-            calls["power"] += 1
-            return np.abs(x, out=out)
+    def counted_power(gains, out=None):
+        assert np.iscomplexobj(gains) and out is not None
+        calls["power"] += 1
+        return power_fn(gains, out=out)
 
     monkeypatch.setattr(sweeps, "distance_matrix", counted_distance)
-    monkeypatch.setattr(sweeps, "np", CountedNumpy())
+    monkeypatch.setattr(sweeps, "power_gains", counted_power)
     cfg = config_from_dict({"sweep": {"m_values": [4, 8, 12]}, "monte_carlo_drops": 4})
     sweeps.run_throughput_sweep(cfg)
     drops = cfg.monte_carlo_drops * len(cfg.sweep.m_values)
@@ -260,30 +265,40 @@ def allocating_drop(cfg, m, j, drop_seed):
                              "cellfree": cellfree_sinr_components(gains, p2)}
 
 
+def seed_streams(m, j, seed, share):
+    """A seed's layout stream for M + J points and a channel stream whose kept
+    prefix holds ``share`` of the 2MJ normals an (M, J) draw reads."""
+    return layout_stream(seed, m + j), channel_stream(seed, round(share * 2 * m * j))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 300), st.sampled_from(ASSOCIATION_MODES),
-       st.floats(2.0, 5.0, exclude_min=True), st.integers(0, 2**32 - 1))
-def test_buffered_drop_matches_allocating_layers(m, j, mode, exponent, seed):
+       st.floats(2.0, 5.0, exclude_min=True), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]))
+def test_buffered_drop_matches_allocating_layers(m, j, mode, exponent, seed, share):
     cfg = config_from_dict({"channel": {"pathloss_exponent": exponent},
                             "sweep": {"association_mode": mode}})
     dist, gains, p2, expected = allocating_drop(cfg, m, j, seed)
     buffers = sweeps._drop_buffers(m, j)
-    sweeps._throughput_drop(cfg, seed + 1, buffers)  # stale contents must not leak
-    got = sweeps._throughput_drop(cfg, seed, buffers)
+    # stale contents must not leak
+    sweeps._throughput_drop(cfg, seed + 1, seed_streams(m, j, seed + 1, share), buffers)
+    got = sweeps._throughput_drop(cfg, seed, seed_streams(m, j, seed, share), buffers)
     for arch in ("udn", "cellfree"):
         for want, have in zip(expected[arch], got[arch]):
             assert np.array_equal(bits(want), bits(have)), arch
 
-    # each out= form has the bytes of its allocating form
+    # each out= and stream= form has the bytes of its allocating form
     block = np.full((2, m, j), np.nan)
-    rap_xy, ue_xy = generate_layout(cfg.scenario, m, j, seed)
+    layout, channel = seed_streams(m, j, seed, share)
+    rap_xy, ue_xy = generate_layout(cfg.scenario, m, j, seed, layout)
     got_dist = distance_matrix(rap_xy, ue_xy, out=block)
     assert np.shares_memory(got_dist, block[0])
     assert np.array_equal(bits(got_dist), bits(dist))
     into = np.full((m, j), np.nan, dtype=complex)
-    assert draw_channels(block[0], cfg.channel, seed, out=(into, block)) is into
+    assert draw_channels(block[0], cfg.channel, seed, out=(into, block), stream=channel) is into
     assert np.array_equal(bits(into.view(float)), bits(gains.view(float)))
-    assert np.array_equal(bits(np.square(np.abs(into, out=block[0]), out=block[0])), bits(p2))
+    assert np.array_equal(bits(power_gains(gains)), bits(p2))
+    assert np.array_equal(bits(power_gains(into, out=block[0])), bits(p2))
     outs = (block.reshape(-1).view(complex).reshape(m, j), np.empty((j, j), complex),
             np.empty((j, j)))
     for want, have in zip(expected["cellfree"], cellfree_sinr_components(into, block[0], outs)):
@@ -301,27 +316,30 @@ def test_cellfree_zero_gain_raises_with_out():
 
 @pytest.mark.parametrize("mode", ASSOCIATION_MODES)
 def test_drops_allocate_at_most_one_complex_array(monkeypatch, mode):
-    """After the first drop of an M, no drop's allocations peak above M*J*16 bytes."""
+    """After the first drop of a sweep, no drop's allocations peak above M*J*16
+    bytes of its largest M; the smaller Ms run in views of its buffers."""
     peaks = []
     drop = sweeps._throughput_drop
 
-    def measured(*args):
+    def measured(cfg, drop_seed, streams, buffers):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        result = drop(*args)
+        result = drop(cfg, drop_seed, streams, buffers)
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return result
 
     monkeypatch.setattr(sweeps, "_throughput_drop", measured)
-    cfg = config_from_dict({"sweep": {"m_values": [256], "association_mode": mode},
-                            "monte_carlo_drops": 4, "budget_w": 1e5})
-    tracemalloc.start()
-    try:
-        sweeps.run_throughput_sweep(cfg)
-    finally:
-        tracemalloc.stop()
-    assert len(peaks) == 4
-    assert max(peaks[1:]) <= 256 * 128 * 16, peaks
+    for m_values in ([256], [64, 256, 128]):
+        peaks.clear()
+        cfg = config_from_dict({"sweep": {"m_values": m_values, "association_mode": mode},
+                                "monte_carlo_drops": 4, "budget_w": 1e5})
+        tracemalloc.start()
+        try:
+            sweeps.run_throughput_sweep(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4 * len(m_values)
+        assert max(peaks[1:]) <= 256 * 128 * 16, (m_values, peaks)
 
 
 def test_declared_drop_layer_metrics_name_fwcsim_functions():
@@ -336,3 +354,124 @@ def test_declared_drop_layer_metrics_name_fwcsim_functions():
         module, fn = name.split(".")
         target = getattr(importlib.import_module(f"fwcsim.{module}"), fn, None)
         assert inspect.isfunction(target), name
+
+
+def m_major_drop(cfg, m, j, drop_seed):
+    """One drop as the M-major loop computed it, from fresh generators for this
+    (seed, M): the layout, association and UDN sums written out with the
+    numpy calls they were first written with."""
+    rng = np.random.default_rng([drop_seed, LAYOUT_RNG_STREAM])
+    xs = rng.uniform(0.0, cfg.scenario.area_width_m, size=m + j)
+    ys = rng.uniform(0.0, cfg.scenario.area_height_m, size=m + j)
+    xy = np.column_stack([xs, ys])
+    dist = distance_matrix(xy[:m], xy[m:])
+    serve = np.zeros((m, j), dtype=bool)
+    if cfg.sweep.association_mode == "ue_nearest":
+        serve[np.argmin(dist, axis=0), np.arange(j)] = True
+        active = serve.any(axis=1)
+    else:
+        serve[np.arange(m), np.argmin(dist, axis=1)] = True
+        active = np.ones(m, dtype=bool)
+    gains = reference_gains(dist, cfg.channel, drop_seed)
+    p2 = np.abs(gains) ** 2
+    udn = (np.where(serve, p2, 0.0).sum(axis=0),
+           np.where(active[:, None] & ~serve, p2, 0.0).sum(axis=0))
+    return {"udn": udn, "cellfree": cellfree_sinr_components(gains, p2)}
+
+
+def m_major_sweep(cfg):
+    """The throughput sweep's rows and solver record as the M-major loop made
+    them: M values outside, drops inside, every drop stacked per (arch, M)."""
+    radio = cfg.scheme_params
+    noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
+    drops = cfg.monte_carlo_drops
+    fh_snr_db = {s: fronthaul_snr_db(s, radio, cfg.fiber) for s in cfg.schemes}
+    p_tx, feasible = {}, {}
+    for s in cfg.schemes:
+        for m in cfg.sweep.m_values:
+            try:
+                p_tx[(s, m)] = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w, cfg.power)
+                feasible[(s, m)] = True
+            except InfeasibleBudgetError:
+                p_tx[(s, m)] = 0.0
+                feasible[(s, m)] = False
+    if not any(feasible.values()):
+        raise InfeasibleBudgetError("no feasible point")
+    caps = {
+        s: bbof_per_rap_cap_bps(radio.fiber_bit_rate_bps, cfg.digitization_bits_per_sample_pair)
+        if s is Scheme.BBOF else None for s in cfg.schemes
+    }
+    rates, j_of_m = {}, {}
+    for m in cfg.sweep.m_values:
+        j = max(1, round(0.5 * m))
+        j_of_m[m] = j
+        drop_components = [m_major_drop(cfg, m, j, cfg.base_seed + i) for i in range(drops)]
+        for arch in ("udn", "cellfree"):
+            signal = np.stack([comps[arch][0] for comps in drop_components])
+            interference = np.stack([comps[arch][1] for comps in drop_components])
+            for s in cfg.schemes:
+                sinr = sinr_from_components(signal, interference, p_tx[(s, m)], noise_w)
+                rates[(arch, s, m)] = sum_throughput(
+                    combine_fronthaul_noise(sinr, db_to_linear(fh_snr_db[s])),
+                    radio.wireless_bandwidth_hz, m, cfg.overhead, per_rap_cap_bps=caps[s],
+                )
+    rows = []
+    for arch in ("udn", "cellfree"):
+        for s in cfg.schemes:
+            for m in cfg.sweep.m_values:
+                per_drop = rates[(arch, s, m)]
+                ci95 = (float(1.96 * per_drop.std(ddof=1) / math.sqrt(drops))
+                        if drops > 1 else 0.0)
+                rows.append((arch, s.value, m, j_of_m[m], drops, p_tx[(s, m)],
+                             float(per_drop.mean()), ci95))
+    return rows, p_tx
+
+
+def exact(rows):
+    """Rows with every float replaced by its bits, so that equality is bitwise."""
+    return [tuple(bits(v).item() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.just(1), st.integers(2, 40)), min_size=1, max_size=4,
+                unique=True),
+       st.integers(1, 5), st.sampled_from(ASSOCIATION_MODES),
+       st.floats(2.0, 5.0, exclude_min=True),
+       st.tuples(st.floats(10.0, 3000.0), st.floats(10.0, 3000.0)),
+       st.sampled_from([2100.0, 1e5]), st.integers(0, 2**32 - 1))
+def test_seed_major_sweep_matches_m_major_loop(m_values, drops, mode, exponent, sides,
+                                               budget, seed):
+    cfg = config_from_dict({
+        "sweep": {"m_values": m_values, "association_mode": mode},
+        "channel": {"pathloss_exponent": exponent},
+        "scenario": {"area_width_m": sides[0], "area_height_m": sides[1]},
+        "budget_w": budget, "monte_carlo_drops": drops, "base_seed": seed,
+    })
+    try:
+        want, p_tx = m_major_sweep(cfg)
+    except InfeasibleBudgetError:
+        with pytest.raises(InfeasibleBudgetError):
+            sweeps.run_throughput_sweep(cfg)
+        return
+    table = sweeps.run_throughput_sweep(cfg)
+    assert exact(table.rows) == exact(want)
+    solver = table.metadata["solver"]
+    assert all(solver[s.value][str(m)]["p_tx_w"] == p for (s, m), p in p_tx.items())
+
+
+def test_sweep_builds_two_generators_per_seed(monkeypatch):
+    """One layout and one channel generator per drop seed, shared by every M."""
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        built.append(tuple(seed))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    cfg = config_from_dict({"sweep": {"m_values": [12, 4, 8]}, "monte_carlo_drops": 4})
+    sweeps.run_throughput_sweep(cfg)
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.monte_carlo_drops)
+    assert sorted(built) == sorted(
+        (seed, stream) for seed in seeds for stream in (LAYOUT_RNG_STREAM, CHANNEL_RNG_STREAM)
+    )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fwcsim.errors import ValidationError
 from fwcsim.geometry import Area, distance_matrix, generate_layout, udn_association
@@ -142,3 +144,16 @@ def test_empty_layout_rejected():
     with pytest.raises(ValidationError):
         generate_layout(AREA, 1, 0, 0)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+              elements=st.sampled_from([0.0, 1.0, 2.5, 7.0])))
+def test_ue_nearest_ties_break_like_argmin(dist):
+    """Few distinct distances force ties; each UE still takes the first nearest RAP."""
+    m, j = dist.shape
+    serve, active = udn_association(dist, "ue_nearest")
+    want = np.zeros((m, j), dtype=bool)
+    want[np.argmin(dist, axis=0), np.arange(j)] = True
+    assert np.array_equal(serve, want)
+    assert np.array_equal(active, want.any(axis=1))

@@ -67,6 +67,27 @@ def test_feasible_ue_nearest_throughput_bytes_pinned(tmp_path):
     assert hashlib.sha256(meta).hexdigest() == FEASIBLE_UE_NEAREST_META_DIGEST
 
 
+# Unsorted M values with M = 1 and odd M, over a wide, shallow area: every M
+# of a drop seed reads its layout and channel draws from that seed's streams.
+UNSORTED_WIDE = {
+    "sweep": {"m_values": [24, 7, 1, 64, 16]},
+    "scenario": {"area_width_m": 1500.0, "area_height_m": 400.0},
+}
+UNSORTED_WIDE_DIGEST = "188d6a30cffe342f9f627526ea5b982e9698b653fd57b8c80201e795e594c82d"
+UNSORTED_WIDE_META_DIGEST = "8492209f9b63f8ec70d40b6c1ce9168f6ddcb3cf99ef80f7be25894b1ffe1c03"
+
+
+def test_unsorted_wide_area_throughput_bytes_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(UNSORTED_WIDE))
+    out = tmp_path / "throughput.csv"
+    args = ["--config", str(cfg), "--out", str(out), "--drops", "5"]
+    assert main(["throughput-sweep", *args]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == UNSORTED_WIDE_DIGEST
+    meta = out.with_suffix(".meta.json").read_bytes()
+    assert hashlib.sha256(meta).hexdigest() == UNSORTED_WIDE_META_DIGEST
+
+
 # Steering to the negative side (the other peak-search window), an explicit
 # element spacing and a band wide enough for phase-only steering to squint.
 NEGATIVE_STEER_BEAM = {
