@@ -167,6 +167,12 @@ def beam_squint_direction(f_hz: float, f0_hz: float, theta0_rad: float) -> float
     return math.asin(arg)
 
 
+def angle_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... for as long as it does not pass stop; the 1e-9
+    slack keeps a stop that the step reaches up to rounding."""
+    return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+
+
 def peak_directions(
     geom: ArrayGeometry,
     specs: Collection[BeamformerSpec],
@@ -174,8 +180,10 @@ def peak_directions(
     theta_lo_rad: float = -math.pi / 2,
     theta_hi_rad: float = math.pi / 2,
     step_rad: float = math.radians(0.01),
+    toward_rad: float = -math.inf,
 ) -> list[float]:
-    """Grid-search argmax of |AF| over [theta_lo, theta_hi], one per spec.
+    """Grid-search argmax of |AF| over [theta_lo, theta_hi], one per spec; a
+    tie breaks to the angle nearest ``toward_rad`` (by default the lowest).
 
     Grating lobes of equal height appear outside the mainlobe half-plane for
     wideband sweeps of half-wavelength arrays; restrict the window to the
@@ -183,9 +191,7 @@ def peak_directions(
     """
     if not theta_lo_rad < theta_hi_rad:
         raise ValidationError("empty search window")
-    count = int(round((theta_hi_rad - theta_lo_rad) / step_rad)) + 1
-    thetas = theta_lo_rad + step_rad * np.arange(count)
-    return [
-        float(thetas[int(np.argmax(np.abs(values)))])
-        for values in array_factor_patterns(geom, specs, f_hz, thetas)
-    ]
+    thetas = angle_grid(theta_lo_rad, theta_hi_rad, step_rad)
+    patterns = array_factor_patterns(geom, specs, f_hz, thetas)
+    ties = [thetas[mags == mags.max()] for mags in map(np.abs, patterns)]
+    return [float(t[np.argmin(np.abs(t - toward_rad))]) for t in ties]

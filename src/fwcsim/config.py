@@ -34,11 +34,11 @@ def _default_fiber_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepParams:
-    """Axes and knobs for the four sweep kinds; unused fields are ignored.
+    """Axes and knobs for the four sweep kinds; every field is checked, and
+    each kind ignores the fields of the others.
 
     The throughput sweep defaults to the case study's literal UDN reading
-    (every RAP transmits toward its closest UE); the geometry module's
-    default elsewhere stays ``ue_nearest``.
+    (every RAP transmits toward its closest UE).
     """
 
     fiber_km: tuple[float, ...] = field(default_factory=_default_fiber_grid)
@@ -68,9 +68,18 @@ class SweepParams:
             raise ConfigError(f"m_values must be integers >= 1, got {self.m_values!r}")
         if len(set(self.m_values)) != len(self.m_values):
             raise ConfigError(f"m_values has duplicates: {self.m_values!r}")
-        if self.num_band_points < 1:
-            raise ConfigError(f"num_band_points must be an integer >= 1, "
-                              f"got {self.num_band_points!r}")
+        for name in ("power_num_raps", "array_elements", "num_band_points"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if any(km < 0 for km in self.fiber_km):
+            raise ConfigError(f"fiber_km must be >= 0, got {self.fiber_km!r}")
+        if self.power_p_tx_w < 0:
+            raise ConfigError(f"power_p_tx_w must be >= 0, got {self.power_p_tx_w!r}")
+        if not 0 <= self.crossover_range_km[0] < self.crossover_range_km[1]:
+            raise ConfigError("crossover_range_km must satisfy 0 <= start < stop, "
+                              f"got {self.crossover_range_km!r}")
+        if self.array_spacing_m is not None and self.array_spacing_m <= 0:
+            raise ConfigError(f"array_spacing_m must be > 0 or null, got {self.array_spacing_m!r}")
         if not -90.0 <= self.steer_theta_deg <= 90.0:
             raise ConfigError(f"steer_theta_deg must be in [-90, 90], got {self.steer_theta_deg}")
         if not 0 < self.band_hz[0] <= self.band_hz[1]:

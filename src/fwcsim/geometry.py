@@ -79,14 +79,14 @@ def generate_layout(
     return xy[:num_raps], xy[num_raps:]
 
 
-def udn_association(dist: np.ndarray, mode: str = "ue_nearest") -> tuple[np.ndarray, np.ndarray]:
-    """(serve, active) masks from an (M, J) distance matrix: ``serve[m, j]``
-    when RAP m serves UE j, ``active[m]`` when RAP m transmits.
+def udn_association(dist: np.ndarray, mode: str) -> np.ndarray:
+    """The (M, J) serve mask of an (M, J) distance matrix: ``serve[m, j]`` when
+    RAP m serves UE j; a RAP transmits when its row holds a True.
 
-    ``ue_nearest`` (default): each UE is served by its closest RAP; unused RAPs
-    idle. ``rap_nearest`` (literal reading): every RAP transmits toward its
-    closest UE, so a UE may be served by several RAPs or none. Ties break to
-    the lowest index (argmin and argmax keep the first occurrence).
+    ``ue_nearest``: each UE is served by its closest RAP; unused RAPs idle.
+    ``rap_nearest`` (literal reading): every RAP transmits toward its closest
+    UE, so a UE may be served by several RAPs or none. Ties break to the
+    lowest index (argmin and argmax keep the first occurrence).
     """
     if mode not in ASSOCIATION_MODES:
         raise ValidationError(f"association_mode must be one of {list(ASSOCIATION_MODES)}, "
@@ -96,6 +96,6 @@ def udn_association(dist: np.ndarray, mode: str = "ue_nearest") -> tuple[np.ndar
     if mode == "ue_nearest":
         # argmin over axis 0 would copy the transposed floats; this compares in place
         serve[(dist == dist.min(axis=0)).argmax(axis=0), np.arange(j)] = True
-        return serve, serve.any(axis=1)
-    serve[np.arange(m), np.argmin(dist, axis=1)] = True
-    return serve, np.ones(m, dtype=bool)
+    else:
+        serve[np.arange(m), np.argmin(dist, axis=1)] = True
+    return serve

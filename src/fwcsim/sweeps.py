@@ -12,6 +12,7 @@ import numpy as np
 
 from .beamform import (
     ArrayGeometry,
+    angle_grid,
     array_factor_patterns,
     beam_squint_direction,
     peak_directions,
@@ -128,19 +129,18 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     return table
 
 
-def _drop_buffers(m: int, j: int) -> tuple[np.ndarray, ...]:
-    """What each drop fills in place: the (M, J) weights, whose bytes first hold
-    (2, M, J) floats; the gains; the (J, J) Gram product and its |.|^2."""
-    return (np.empty((m, j), complex), np.empty((m, j), complex),
-            np.empty((j, j), complex), np.empty((j, j)))
-
-
-def _leading_views(buffers: tuple[np.ndarray, ...], m: int, j: int) -> tuple[np.ndarray, ...]:
-    """The ``_drop_buffers`` of (m, j) as contiguous views of the leading bytes
-    of larger ones."""
-    shapes = ((m, j), (m, j), (j, j), (j, j))
-    return tuple(b.reshape(-1)[:math.prod(shape)].reshape(shape)
-                 for b, shape in zip(buffers, shapes))
+def _drop_buffers(j_of_m: dict[int, int]) -> dict[int, tuple[np.ndarray, ...]]:
+    """Per M, what each drop fills in place: the (M, J) weights, whose bytes
+    first hold (2, M, J) floats; the gains; the (J, J) Gram product and its
+    |.|^2. Every M's buffers are contiguous views of the leading bytes of flat
+    storage sized for the largest M, whose J is the largest (J never falls as
+    M grows)."""
+    m_max, j_max = max(j_of_m.items())
+    storage = (np.empty(m_max * j_max, complex), np.empty(m_max * j_max, complex),
+               np.empty(j_max * j_max, complex), np.empty(j_max * j_max))
+    return {m: tuple(flat[:math.prod(shape)].reshape(shape) for flat, shape in
+                     zip(storage, ((m, j), (m, j), (j, j), (j, j))))
+            for m, j in j_of_m.items()}
 
 
 def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, streams: tuple,
@@ -152,13 +152,37 @@ def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, streams: tuple,
     block = weights.view(float).reshape(2, *gains.shape)
     dist = distance_matrix(*generate_layout(cfg.scenario, *gains.shape, drop_seed, layout),
                            out=block)
-    serve, active = udn_association(dist, cfg.sweep.association_mode)
+    serve = udn_association(dist, cfg.sweep.association_mode)
     draw_channels(dist, cfg.channel, drop_seed, out=(gains, block), stream=channel)
     p2 = power_gains(gains, out=block[0])
     return {
-        "udn": udn_sinr_components(p2, serve, active),
+        "udn": udn_sinr_components(p2, serve),
         "cellfree": cellfree_sinr_components(gains, p2, out=(weights, gram, gram_sq)),
     }
+
+
+def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tuple, np.ndarray]:
+    """Per (arch, M), the per-watt signal and interference of every drop as
+    one (2, drops, J) array; it depends on no scheme, fiber or budget value.
+
+    Drops run seed by seed: each seed draws its layout and channel streams
+    once, and every M reads its draws from their prefixes. The largest M
+    draws the channel entries past the kept prefix itself.
+    """
+    drops = cfg.monte_carlo_drops
+    largest = max(j_of_m)
+    views = _drop_buffers(j_of_m)
+    prefix = max((2 * m * j for m, j in j_of_m.items() if m != largest), default=0)
+    components = {(arch, m): np.empty((2, drops, j))
+                  for arch in ("udn", "cellfree") for m, j in j_of_m.items()}
+    for i in range(drops):
+        seed = cfg.base_seed + i
+        streams = (layout_stream(seed, largest + j_of_m[largest]),
+                   channel_stream(seed, prefix))
+        for m, buffers in views.items():
+            for arch, parts in _throughput_drop(cfg, seed, streams, buffers).items():
+                components[(arch, m)][:, i] = parts
+    return components
 
 
 def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -166,89 +190,50 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
 
     A (scheme, M) point whose fixed power already exceeds the budget cannot
     operate and contributes zero-throughput rows; the sweep fails only when no
-    point is feasible at all. Drops run seed by seed: each seed draws its
-    layout and channel streams once, and every M reads its draws from their
-    prefixes. Each drop writes per-UE (signal, interference) vectors into
-    (drops, J) arrays, so that SINR, fronthaul combining and the sum rate run
-    once per (arch, scheme, M).
+    point is feasible at all, before any drop runs. Each row reads its p_tx
+    from the meta ``solver`` record; SINR, fronthaul combining and the sum
+    rate run once per (arch, scheme, M), over every drop's components.
     """
     table = ResultTable("throughput_sweep", THROUGHPUT_COLUMNS,
                         metadata=_base_metadata(cfg, "throughput_sweep"))
     radio = cfg.scheme_params
     noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
-    fh_snr_db = {s: fronthaul_snr_db(s, radio, cfg.fiber) for s in cfg.schemes}
+    fh_snr_db = table.metadata["fronthaul_snr_db"] = {
+        s.value: fronthaul_snr_db(s, radio, cfg.fiber) for s in cfg.schemes}
 
-    p_tx: dict[tuple[Scheme, int], float] = {}
-    feasible: dict[tuple[Scheme, int], bool] = {}
+    solver = table.metadata["solver"] = {s.value: {} for s in cfg.schemes}
     for s in cfg.schemes:
         for m in cfg.sweep.m_values:
             try:
-                p_tx[(s, m)] = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w, cfg.power)
-                feasible[(s, m)] = True
+                p_tx = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w, cfg.power)
+                solver[s.value][str(m)] = {"p_tx_w": p_tx, "feasible": True}
             except InfeasibleBudgetError:
-                p_tx[(s, m)] = 0.0
-                feasible[(s, m)] = False
-    if not any(feasible.values()):
+                solver[s.value][str(m)] = {"p_tx_w": 0.0, "feasible": False}
+    if not any(point["feasible"] for per_m in solver.values() for point in per_m.values()):
         raise InfeasibleBudgetError(
             f"budget {cfg.budget_w} W infeasible for every scheme and RAP count"
         )
-    caps = {  # the BBoF digitization limit per RAP
-        s: bbof_per_rap_cap_bps(radio.fiber_bit_rate_bps, cfg.digitization_bits_per_sample_pair)
-        if s is Scheme.BBOF else None for s in cfg.schemes
-    }
+    if Scheme.BBOF in cfg.schemes:  # the BBoF digitization limit per RAP
+        bbof_cap = bbof_per_rap_cap_bps(radio.fiber_bit_rate_bps,
+                                        cfg.digitization_bits_per_sample_pair)
 
     j_of_m = {m: max(1, round(0.5 * m)) for m in cfg.sweep.m_values}
-    # J never falls as M grows, so the largest M has the largest buffers and
-    # streams; the other Ms run in views of its buffers and read only the
-    # channel-stream prefix kept here, while the largest draws the rest itself.
-    largest = max(j_of_m)
-    buffers = _drop_buffers(largest, j_of_m[largest])
-    views = {m: _leading_views(buffers, m, j) for m, j in j_of_m.items()}
-    prefix = max((2 * m * j for m, j in j_of_m.items() if m != largest), default=0)
-    components = {(arch, m): (np.empty((drops, j)), np.empty((drops, j)))
-                  for arch in ("udn", "cellfree") for m, j in j_of_m.items()}
-    for i in range(drops):
-        seed = cfg.base_seed + i
-        streams = (layout_stream(seed, largest + j_of_m[largest]),
-                   channel_stream(seed, prefix))
-        for m in cfg.sweep.m_values:
-            for arch, (signal, interference) in _throughput_drop(
-                    cfg, seed, streams, views[m]).items():
-                components[(arch, m)][0][i] = signal
-                components[(arch, m)][1][i] = interference
-
-    rates: dict[tuple[str, Scheme, int], np.ndarray] = {}
-    for (arch, m), (signal, interference) in components.items():
-        for s in cfg.schemes:
-            sinr = sinr_from_components(signal, interference, p_tx[(s, m)], noise_w)
-            rates[(arch, s, m)] = sum_throughput(
-                combine_fronthaul_noise(sinr, db_to_linear(fh_snr_db[s])),
-                radio.wireless_bandwidth_hz, m, cfg.overhead, per_rap_cap_bps=caps[s],
-            )
-
+    components = _drop_components(cfg, j_of_m)
     for arch in ("udn", "cellfree"):
         for s in cfg.schemes:
             for m in cfg.sweep.m_values:
-                per_drop = rates[(arch, s, m)]
-                mean = float(per_drop.mean())
-                ci95 = (
-                    float(1.96 * per_drop.std(ddof=1) / math.sqrt(drops))
-                    if drops > 1
-                    else 0.0
+                p_tx = solver[s.value][str(m)]["p_tx_w"]
+                sinr = sinr_from_components(*components[(arch, m)], p_tx, noise_w)
+                per_drop = sum_throughput(
+                    combine_fronthaul_noise(sinr, db_to_linear(fh_snr_db[s.value])),
+                    radio.wireless_bandwidth_hz, m, cfg.overhead,
+                    per_rap_cap_bps=bbof_cap if s is Scheme.BBOF else None,
                 )
-                table.append(
-                    arch, s.value, m, j_of_m[m], drops, p_tx[(s, m)], mean, ci95
-                )
-
-    table.metadata["solver"] = {
-        s.value: {
-            str(m): {"p_tx_w": p_tx[(s, m)], "feasible": feasible[(s, m)]}
-            for m in cfg.sweep.m_values
-        }
-        for s in cfg.schemes
-    }
-    table.metadata["fronthaul_snr_db"] = {s.value: fh_snr_db[s] for s in cfg.schemes}
+                ci95 = (float(1.96 * per_drop.std(ddof=1) / math.sqrt(drops))
+                        if drops > 1 else 0.0)
+                table.append(arch, s.value, m, j_of_m[m], drops, p_tx,
+                             float(per_drop.mean()), ci95)
     return table
 
 
@@ -266,9 +251,7 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
         "ttd": ttd_weights(geom, theta0),
     }
     freqs = np.linspace(f_lo, f_hi, sweep.num_band_points)
-    lo_deg, hi_deg, step_deg = sweep.theta_grid_deg
-    count = int(round((hi_deg - lo_deg) / step_deg)) + 1
-    thetas_deg = lo_deg + step_deg * np.arange(count)
+    thetas_deg = angle_grid(*sweep.theta_grid_deg)
     thetas_rad = np.radians(thetas_deg)
 
     table = ResultTable("beam_pattern", BEAM_COLUMNS,
@@ -278,7 +261,7 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
     per_mode = {mode: [] for mode in specs}  # (f_hz, pattern, peak) per frequency
     for f_hz in freqs.tolist():
         patterns = array_factor_patterns(geom, specs.values(), f_hz, thetas_rad)
-        peaks = peak_directions(geom, specs.values(), f_hz, *window)
+        peaks = peak_directions(geom, specs.values(), f_hz, *window, toward_rad=theta0)
         for mode, values, measured in zip(specs, patterns, peaks):
             per_mode[mode].append((f_hz, values, measured))
 

@@ -108,15 +108,15 @@ def power_gains(gains: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.square(np.abs(gains, out=out), out=out)
 
 
-def udn_sinr_components(
-    p2: np.ndarray, serve: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def udn_sinr_components(p2: np.ndarray, serve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-UE (signal, interference) power coefficients per watt of p_tx, from
-    the power gains |g|^2 and the ``udn_association`` masks."""
+    the power gains |g|^2 and the ``udn_association`` serve mask; every RAP
+    that serves some UE interferes with the UEs it does not serve."""
     if serve.shape != p2.shape:
         raise ValidationError("association does not match the channel dimensions")
     signal = np.add.reduce(p2, axis=0, where=serve, initial=0.0)
-    interference = np.add.reduce(p2, axis=0, where=active[:, None] & ~serve, initial=0.0)
+    interference = np.add.reduce(p2, axis=0, where=serve.any(axis=1)[:, None] & ~serve,
+                                 initial=0.0)
     return signal, interference
 
 

@@ -208,7 +208,7 @@ def test_criterion_7_oracle_equivalences():
     assoc_ok = True
     for seed in range(1000):
         dist = distance_matrix(*generate_layout(Area(), 8, 4, seed))
-        serve, _ = udn_association(dist)
+        serve = udn_association(dist, "ue_nearest")
         ues, raps = np.nonzero(serve.T)  # one serving RAP per UE, in UE order
         if ues.tolist() != list(range(4)) or (dist[raps, ues] != dist.min(axis=0)).any():
             assoc_ok = False

@@ -42,12 +42,14 @@ def reference_pattern(geom, spec, f_hz, thetas_rad):
     return feed @ np.exp(2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S)
 
 
-def reference_peak(geom, spec, f_hz, theta_lo_rad, theta_hi_rad, step_rad):
-    """Grid-search argmax of |AF|, one spec at a time, as before."""
-    count = int(round((theta_hi_rad - theta_lo_rad) / step_rad)) + 1
+def reference_peak(geom, spec, f_hz, theta_lo_rad, theta_hi_rad, step_rad, toward_rad=None):
+    """Grid-search argmax of |AF|, one spec at a time, on a grid that never
+    passes theta_hi; a tie goes to the angle nearest ``toward_rad``, else the lowest."""
+    count = math.floor((theta_hi_rad - theta_lo_rad) / step_rad + 1e-9) + 1
     thetas = theta_lo_rad + step_rad * np.arange(count)
     mags = np.abs(reference_pattern(geom, spec, f_hz, thetas))
-    return float(thetas[int(np.argmax(mags))])
+    ties = [float(t) for t, mag in zip(thetas, mags) if mag == mags.max()]
+    return ties[0] if toward_rad is None else min(ties, key=lambda t: abs(t - toward_rad))
 
 
 def reference_beam_rows(cfg):
@@ -62,7 +64,7 @@ def reference_beam_rows(cfg):
     specs = {"phase_only": phase_only_weights(geom, theta0), "ttd": ttd_weights(geom, theta0)}
     freqs = np.linspace(f_lo, f_hi, sweep.num_band_points)
     lo_deg, hi_deg, step_deg = sweep.theta_grid_deg
-    count = int(round((hi_deg - lo_deg) / step_deg)) + 1
+    count = math.floor((hi_deg - lo_deg) / step_deg + 1e-9) + 1
     thetas_deg = lo_deg + step_deg * np.arange(count)
     thetas_rad = np.radians(thetas_deg)
     rows = []
@@ -74,7 +76,7 @@ def reference_beam_rows(cfg):
                              float(np.angle(af))))
     window = (0.0, math.pi / 2) if theta0 >= 0 else (-math.pi / 2, 0.0)
     peaks = [
-        reference_peak(geom, spec, float(f_hz), *window, math.radians(0.01))
+        reference_peak(geom, spec, float(f_hz), *window, math.radians(0.01), theta0)
         for spec in specs.values() for f_hz in freqs
     ]
     return rows, peaks
@@ -148,6 +150,30 @@ def test_shared_peaks_match_per_spec_peak_bits(case, step_deg, positive_side):
     specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
     got = peak_directions(geom, specs, f_hz, *window, step)
     assert got == [reference_peak(geom, spec, f_hz, *window, step) for spec in specs]
+
+
+@pytest.mark.parametrize("theta0_deg", [90.0, -90.0])
+def test_ttd_endfire_grating_lobe_tie_reports_the_steering_angle(theta0_deg):
+    """At 20 GHz the default array's TTD pattern reads |AF| = 8 at both 0 and
+    endfire; the tie goes to the steering angle on either side."""
+    table = run_beam_pattern(config_from_dict({"sweep": {"steer_theta_deg": theta0_deg}}))
+    ttd = [p["peak_deg"] for p in table.metadata["peaks"] if p["mode"] == "ttd"]
+    assert ttd == pytest.approx([theta0_deg] * 5, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-90.0, 0.0), st.floats(0.0, 90.0), st.floats(0.05, 10.0), st.booleans())
+def test_theta_grid_never_passes_its_stop(lo, hi, step, descending):
+    """The beam-pattern grid runs from start toward stop in whole steps and
+    ends at the last one that does not pass stop (up to rounding)."""
+    grid = [hi, lo, -step] if descending else [lo, hi, step]
+    table = run_beam_pattern(config_from_dict({"sweep": {
+        "theta_grid_deg": grid, "array_elements": 1, "num_band_points": 1}}))
+    thetas = table.blocks[0][1][2]  # the theta column of the first (mode, f) block
+    start, stop, step = grid
+    assert thetas[0] == start
+    assert (stop - thetas[-1]) / step >= -1e-9 - 1e-12 / abs(step)
+    assert (stop - thetas[-1]) / step < 1.0
 
 
 beam_configs = st.fixed_dictionaries({

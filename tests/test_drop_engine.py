@@ -256,12 +256,12 @@ def reference_gains(dist, model, drop_seed):
 def allocating_drop(cfg, m, j, drop_seed):
     """One drop through the layer functions without ``out``."""
     dist = distance_matrix(*generate_layout(cfg.scenario, m, j, drop_seed))
-    serve, active = udn_association(dist, cfg.sweep.association_mode)
+    serve = udn_association(dist, cfg.sweep.association_mode)
     gains = draw_channels(dist, cfg.channel, drop_seed)
     assert np.array_equal(bits(gains.view(float)),
                           bits(reference_gains(dist, cfg.channel, drop_seed).view(float)))
     p2 = np.abs(gains) ** 2
-    return dist, gains, p2, {"udn": udn_sinr_components(p2, serve, active),
+    return dist, gains, p2, {"udn": udn_sinr_components(p2, serve),
                              "cellfree": cellfree_sinr_components(gains, p2)}
 
 
@@ -279,7 +279,7 @@ def test_buffered_drop_matches_allocating_layers(m, j, mode, exponent, seed, sha
     cfg = config_from_dict({"channel": {"pathloss_exponent": exponent},
                             "sweep": {"association_mode": mode}})
     dist, gains, p2, expected = allocating_drop(cfg, m, j, seed)
-    buffers = sweeps._drop_buffers(m, j)
+    buffers = sweeps._drop_buffers({m: j})[m]
     # stale contents must not leak
     sweeps._throughput_drop(cfg, seed + 1, seed_streams(m, j, seed + 1, share), buffers)
     got = sweeps._throughput_drop(cfg, seed, seed_streams(m, j, seed, share), buffers)

@@ -40,9 +40,8 @@ def drawn_layout(area_width_m=1000.0, area_height_m=1000.0, num_raps=100, num_ue
     return generate_layout(Area(area_width_m, area_height_m), num_raps, num_ues, 1)
 
 
-def serving_raps(assoc):
+def serving_raps(serve):
     """Serving RAP per UE, asserting the serve mask holds exactly one per column."""
-    serve, _ = assoc
     assert (serve.sum(axis=0) == 1).all()
     return np.argmax(serve, axis=0).tolist()
 
@@ -92,43 +91,42 @@ def test_invalid_scenarios(kwargs):
 
 
 def test_association_single_pair():
-    assoc = udn_association(distances([[5.0, 5.0]], [[1.0, 1.0]]))
-    assert serving_raps(assoc) == [0]
-    assert assoc[1].tolist() == [True]
+    serve = udn_association(distances([[5.0, 5.0]], [[1.0, 1.0]]), "ue_nearest")
+    assert serving_raps(serve) == [0]
+    assert serve.any(axis=1).tolist() == [True]
 
 
 def test_association_nearest_of_two():
-    assoc = udn_association(distances([[1.0, 0.0], [5.0, 0.0]], [[0.0, 0.0]]))
-    assert serving_raps(assoc) == [0]
-    assert assoc[1].tolist() == [True, False]  # the far RAP idles
+    serve = udn_association(distances([[1.0, 0.0], [5.0, 0.0]], [[0.0, 0.0]]), "ue_nearest")
+    assert serving_raps(serve) == [0]
+    assert serve.any(axis=1).tolist() == [True, False]  # the far RAP idles
 
 
 def test_association_tie_breaks_to_lowest_index():
     dist = distances([[1.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]])
-    assert serving_raps(udn_association(dist)) == [0]
+    assert serving_raps(udn_association(dist, "ue_nearest")) == [0]
 
 
 def test_association_matches_brute_force():
     for seed in range(200):
         layout = generate_layout(AREA, 8, 4, seed)
         dist = distance_matrix(*layout)
-        assoc = udn_association(dist)
+        serve = udn_association(dist, "ue_nearest")
         nearest = brute_force_nearest(layout, "ue")
-        assert serving_raps(assoc) == nearest
-        assert assoc[1].tolist() == [m in nearest for m in range(8)]
-        serve, active = udn_association(dist, mode="rap_nearest")
+        assert serving_raps(serve) == nearest
+        assert serve.any(axis=1).tolist() == [m in nearest for m in range(8)]
+        serve = udn_association(dist, mode="rap_nearest")
         target = brute_force_nearest(layout, "rap")
         assert (serve.sum(axis=1) == 1).all()  # one UE per RAP
         for ue_idx in range(4):
             serving = set(np.flatnonzero(serve[:, ue_idx]).tolist())
             assert serving == {m for m, t in enumerate(target) if t == ue_idx}
-        assert active.all()
 
 
 def test_ue_nearest_distance_property():
     for seed in range(50):
         dist = distance_matrix(*generate_layout(AREA, 12, 6, 100 + seed))
-        for j, rap in enumerate(serving_raps(udn_association(dist))):
+        for j, rap in enumerate(serving_raps(udn_association(dist, "ue_nearest"))):
             assert dist[rap, j] <= dist[:, j].min() + 1e-12
 
 
@@ -152,8 +150,7 @@ def test_empty_layout_rejected():
 def test_ue_nearest_ties_break_like_argmin(dist):
     """Few distinct distances force ties; each UE still takes the first nearest RAP."""
     m, j = dist.shape
-    serve, active = udn_association(dist, "ue_nearest")
+    serve = udn_association(dist, "ue_nearest")
     want = np.zeros((m, j), dtype=bool)
     want[np.argmin(dist, axis=0), np.arange(j)] = True
     assert np.array_equal(serve, want)
-    assert np.array_equal(active, want.any(axis=1))

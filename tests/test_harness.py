@@ -370,6 +370,24 @@ def test_cli_config_error_exit_2(tmp_path):
          "steer_theta_deg must be in [-90, 90], got 200.0"),
         ("beam-pattern", {"sweep": {"steer_theta_deg": -90.5}},
          "steer_theta_deg must be in [-90, 90], got -90.5"),
+        ("power-sweep", {"sweep": {"power_num_raps": 0}},
+         "power_num_raps must be an integer >= 1, got 0"),
+        ("throughput-sweep", {"sweep": {"power_num_raps": 0}},
+         "power_num_raps must be an integer >= 1, got 0"),
+        ("power-sweep", {"sweep": {"array_elements": 0}},
+         "array_elements must be an integer >= 1, got 0"),
+        ("dispersion-sweep", {"sweep": {"array_spacing_m": 0.0}},
+         "array_spacing_m must be > 0 or null, got 0.0"),
+        ("beam-pattern", {"sweep": {"array_spacing_m": -0.01}},
+         "array_spacing_m must be > 0 or null, got -0.01"),
+        ("beam-pattern", {"sweep": {"crossover_range_km": [-1, 5]}},
+         "crossover_range_km must satisfy 0 <= start < stop, got (-1, 5)"),
+        ("power-sweep", {"sweep": {"crossover_range_km": [5, 5]}},
+         "crossover_range_km must satisfy 0 <= start < stop, got (5, 5)"),
+        ("beam-pattern", {"sweep": {"power_p_tx_w": -1.0}},
+         "power_p_tx_w must be >= 0, got -1.0"),
+        ("throughput-sweep", {"sweep": {"fiber_km": [0.0, -1.0]}},
+         "fiber_km must be >= 0, got (0.0, -1.0)"),
     ]],
     ids=["out-missing-directory", "out-is-a-directory", "drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -385,7 +403,11 @@ def test_cli_config_error_exit_2(tmp_path):
          "power-carrier-1e200", "rf-carrier-1e200", "ref-loss-neg-1e308",
          "noise-figure-1e308", "noise-figure-neg-1e308", "dispersion-pathloss-2",
          "area-width-1e308", "area-width-1e150-underflow", "pathloss-1e300-underflow",
-         "steer-theta-200", "steer-theta-neg-90.5"],
+         "steer-theta-200", "steer-theta-neg-90.5", "power-num-raps-0",
+         "throughput-power-num-raps-0", "power-array-elements-0", "dispersion-array-spacing-0",
+         "beam-array-spacing-negative", "beam-crossover-range-negative",
+         "power-crossover-range-empty", "beam-power-p-tx-negative",
+         "throughput-fiber-km-negative"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message, out):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})

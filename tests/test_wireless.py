@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fwcsim.errors import ValidationError
-from fwcsim.geometry import Area, distance_matrix, generate_layout, udn_association
+from fwcsim.geometry import (
+    ASSOCIATION_MODES,
+    Area,
+    distance_matrix,
+    generate_layout,
+    udn_association,
+)
 from fwcsim.wireless import (
     ChannelModel,
     OverheadModel,
@@ -24,7 +32,7 @@ NO_OVERHEAD = OverheadModel(max_fraction=0.0)
 
 
 def drop(rap_xy, ue_xy, seed, mode="ue_nearest"):
-    """(gains, |g|^2, (serve, active)) of one drop over literal or drawn positions."""
+    """(gains, |g|^2, serve) of one drop over literal or drawn positions."""
     dist = distance_matrix(np.array(rap_xy, dtype=float), np.array(ue_xy, dtype=float))
     gains = draw_channels(dist, MODEL, seed)
     return gains, np.abs(gains) ** 2, udn_association(dist, mode)
@@ -87,59 +95,82 @@ def test_pathloss_doubling():
 
 
 def test_udn_single_pair_is_snr():
-    gains, p2, assoc = drop([[0.0, 0.0]], [[30.0, 40.0]], 7)
+    gains, p2, serve = drop([[0.0, 0.0]], [[30.0, 40.0]], 7)
     p = 0.5
     expected = p * abs(gains[0, 0]) ** 2 / NOISE_W
-    assert sinr(udn_sinr_components(p2, *assoc), p)[0] == pytest.approx(expected, rel=1e-12)
+    assert sinr(udn_sinr_components(p2, serve), p)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_udn_components_check_shapes():
-    _, p2, (serve, active) = drop([[0.0, 0.0], [9.0, 0.0]], [[1.0, 0.0]], 4)
+    _, p2, serve = drop([[0.0, 0.0], [9.0, 0.0]], [[1.0, 0.0]], 4)
     with pytest.raises(ValidationError):
-        udn_sinr_components(p2, serve.T, active)
+        udn_sinr_components(p2, serve.T)
 
 
 def test_udn_two_cells_hand_computed():
-    gains, p2, assoc = drop([[0.0, 0.0], [500.0, 0.0]], [[10.0, 0.0], [480.0, 0.0]], 3)
-    assert assoc[0].tolist() == [[True, False], [False, True]]
+    gains, p2, serve = drop([[0.0, 0.0], [500.0, 0.0]], [[10.0, 0.0], [480.0, 0.0]], 3)
+    assert serve.tolist() == [[True, False], [False, True]]
     p = 1.0
     g = np.abs(gains) ** 2
     expected0 = p * g[0, 0] / (p * g[1, 0] + NOISE_W)
     expected1 = p * g[1, 1] / (p * g[0, 1] + NOISE_W)
-    got = sinr(udn_sinr_components(p2, *assoc), p)
+    got = sinr(udn_sinr_components(p2, serve), p)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
     assert got[1] == pytest.approx(expected1, rel=1e-12)
 
 
 def test_udn_interference_limited_ceiling():
-    gains, p2, (serve, active) = drop(*generate_layout(AREA, 6, 3, 9), 9)
-    hi = sinr(udn_sinr_components(p2, serve, active), 1e9)
+    gains, p2, serve = drop(*generate_layout(AREA, 6, 3, 9), 9)
+    hi = sinr(udn_sinr_components(p2, serve), 1e9)
     g = np.abs(gains) ** 2
     for j, s in enumerate(hi):
         serving = int(np.flatnonzero(serve[:, j])[0])
-        others = [m for m in np.flatnonzero(active) if m != serving]
+        others = [m for m in np.flatnonzero(serve.any(axis=1)) if m != serving]
         if others:
             ceiling = g[serving, j] / g[others, j].sum()
             assert s == pytest.approx(ceiling, rel=1e-6)
 
 
 def test_rap_nearest_mode_powers_add():
-    gains, p2, assoc = drop([[0.0, 0.0], [20.0, 0.0], [900.0, 900.0]],
+    gains, p2, serve = drop([[0.0, 0.0], [20.0, 0.0], [900.0, 900.0]],
                             [[10.0, 0.0], [905.0, 905.0]], 21, mode="rap_nearest")
-    assert np.flatnonzero(assoc[0][:, 0]).tolist() == [0, 1]
-    assert np.flatnonzero(assoc[0][:, 1]).tolist() == [2]
+    assert np.flatnonzero(serve[:, 0]).tolist() == [0, 1]
+    assert np.flatnonzero(serve[:, 1]).tolist() == [2]
     g = np.abs(gains) ** 2
     p = 2.0
-    got = sinr(udn_sinr_components(p2, *assoc), p)
+    got = sinr(udn_sinr_components(p2, serve), p)
     expected0 = p * (g[0, 0] + g[1, 0]) / (p * g[2, 0] + NOISE_W)
     assert got[0] == pytest.approx(expected0, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(ASSOCIATION_MODES), st.data())
+def test_one_serve_mask_gives_the_two_mask_components(m, j, mode, data):
+    """rap_nearest serves one UE per RAP and ue_nearest one RAP per UE; the
+    components read from the serve mask alone equal the formula that also took
+    the mask of transmitting RAPs (all of them in rap_nearest, the serving
+    ones in ue_nearest), bit for bit."""
+    few = st.sampled_from([0.0, 1.0, 2.5, 7.0])  # ties on purpose
+    dist = data.draw(arrays(float, (m, j), elements=few))
+    p2 = data.draw(arrays(float, (m, j), elements=st.floats(0.0, 1e6)))
+    serve = udn_association(dist, mode)
+    if mode == "rap_nearest":
+        assert (serve.sum(axis=1) == 1).all()
+        active = np.ones(m, dtype=bool)
+    else:
+        assert (serve.sum(axis=0) == 1).all()
+        active = serve.any(axis=1)
+    want = (np.add.reduce(p2, axis=0, where=serve, initial=0.0),
+            np.add.reduce(p2, axis=0, where=active[:, None] & ~serve, initial=0.0))
+    for expected, got in zip(want, udn_sinr_components(p2, serve)):
+        assert np.array_equal(expected.view(np.uint64), got.view(np.uint64))
+
+
 def test_cellfree_degenerates_to_udn_for_single_pair():
-    gains, p2, assoc = drop([[0.0, 0.0]], [[55.0, 10.0]], 31)
+    gains, p2, serve = drop([[0.0, 0.0]], [[55.0, 10.0]], 31)
     p = 0.7
     assert sinr(cellfree_sinr_components(gains, p2), p)[0] == pytest.approx(
-        sinr(udn_sinr_components(p2, *assoc), p)[0], rel=1e-12
+        sinr(udn_sinr_components(p2, serve), p)[0], rel=1e-12
     )
 
 
