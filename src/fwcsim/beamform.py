@@ -80,14 +80,10 @@ class BeamformerSpec:
             raise ValidationError("weights must be finite")
 
 
-def steering_matrix(geom: ArrayGeometry, f_hz: float, thetas_rad: np.ndarray) -> np.ndarray:
-    """exp(j*2*pi*f*(p_m . u)/c) over a grid of directions u = (sin theta, cos theta),
-    shape (N, T).
-
-    Built as cos and sin of the real phase, which has the bits of the complex
-    exp and skips its complex arithmetic. numpy divides a complex array by a real scalar
-    as a multiply by the reciprocal, so the phase is scaled by 1/c, not divided.
-    """
+def _phase(geom: ArrayGeometry, f_hz: float, thetas_rad: np.ndarray) -> np.ndarray:
+    """2*pi*f*(p_m . u)/c over a grid of directions u = (sin theta, cos theta), shape
+    (N, T). numpy divides a complex array by a real scalar as a multiply by the
+    reciprocal, so the phase is scaled by 1/c, not divided."""
     thetas = np.asarray(thetas_rad, dtype=float)
     u = np.stack([np.sin(thetas), np.cos(thetas)])  # (2, T)
     # The imaginary part of the complex phase, (0*0 + 2*pi*f*p) * (1/c): the
@@ -96,10 +92,34 @@ def steering_matrix(geom: ArrayGeometry, f_hz: float, thetas_rad: np.ndarray) ->
     phase *= 2 * math.pi * f_hz
     phase += 0.0
     phase *= 1.0 / SPEED_OF_LIGHT_M_S
-    steering = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=steering.real)
-    np.sin(phase, out=steering.imag)
-    return steering
+    return phase
+
+
+def _unit_phasors(phase: np.ndarray) -> np.ndarray:
+    """cos + j*sin of a real phase: the bits of the complex exp without its complex
+    arithmetic. Each element's bits depend on its own phase alone."""
+    phasors = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=phasors.real)
+    np.sin(phase, out=phasors.imag)
+    return phasors
+
+
+def steering_matrix(geom: ArrayGeometry, f_hz: float, thetas_rad: np.ndarray) -> np.ndarray:
+    """exp(j*2*pi*f*(p_m . u)/c) over a grid of directions u = (sin theta, cos theta),
+    shape (N, T)."""
+    return _unit_phasors(_phase(geom, f_hz, thetas_rad))
+
+
+def _feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec], f_hz: float) -> list:
+    """w_m * exp(-j*2*pi*f*tau_m) per spec, checked against the array and its band."""
+    for spec in specs:
+        if len(spec.weights) != geom.num_elements:
+            raise ValidationError("spec length does not match element count")
+    f_lo, f_hi = geom.band_hz
+    if not f_lo <= f_hz <= f_hi:
+        raise ValidationError(f"frequency {f_hz} outside band {geom.band_hz}")
+    return [np.asarray(spec.weights, dtype=complex)
+            * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s)) for spec in specs]
 
 
 def array_factor_patterns(
@@ -116,19 +136,9 @@ def array_factor_patterns(
     matrix-vector product; one stacked matrix product would not promise the
     same bits.
     """
-    for spec in specs:
-        if len(spec.weights) != geom.num_elements:
-            raise ValidationError("spec length does not match element count")
-    f_lo, f_hi = geom.band_hz
-    if not f_lo <= f_hz <= f_hi:
-        raise ValidationError(f"frequency {f_hz} outside band {geom.band_hz}")
+    feeds = _feeds(geom, specs, f_hz)
     steering = steering_matrix(geom, f_hz, thetas_rad)
-    patterns = []
-    for spec in specs:
-        w = np.asarray(spec.weights, dtype=complex)
-        feed = w * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s))
-        patterns.append(feed @ steering)
-    return patterns
+    return [feed @ steering for feed in feeds]
 
 
 def phase_only_weights(geom: ArrayGeometry, theta0_rad: float) -> BeamformerSpec:
@@ -170,7 +180,13 @@ def beam_squint_direction(f_hz: float, f0_hz: float, theta0_rad: float) -> float
 def angle_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... for as long as it does not pass stop; the 1e-9
     slack keeps a stop that the step reaches up to rounding."""
+    if not (math.isfinite(step) and step != 0 and 0 <= (stop - start) / step < math.inf):
+        raise ValidationError(f"angle step {step} must be finite, nonzero and lead from "
+                              f"{start} to {stop}")
     return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+
+
+_COARSE_STRIDE = 32  # grid steps between the coarse-pass angles of the peak search
 
 
 def peak_directions(
@@ -185,6 +201,10 @@ def peak_directions(
     """Grid-search argmax of |AF| over [theta_lo, theta_hi], one per spec; a
     tie breaks to the angle nearest ``toward_rad`` (by default the lowest).
 
+    A coarse pass bounds where the peak can be, and only those angles get their
+    cos and sin. The product and |AF| stay full width, so each has the bits of
+    the full search, ties included (README, "Beam-pattern engine").
+
     Grating lobes of equal height appear outside the mainlobe half-plane for
     wideband sweeps of half-wavelength arrays; restrict the window to the
     steering side when measuring squint.
@@ -192,6 +212,22 @@ def peak_directions(
     if not theta_lo_rad < theta_hi_rad:
         raise ValidationError("empty search window")
     thetas = angle_grid(theta_lo_rad, theta_hi_rad, step_rad)
-    patterns = array_factor_patterns(geom, specs, f_hz, thetas)
-    ties = [thetas[mags == mags.max()] for mags in map(np.abs, patterns)]
+    feeds = _feeds(geom, specs, f_hz)
+    at = np.append(np.arange(0, len(thetas) - 1, _COARSE_STRIDE), len(thetas) - 1)
+    nearer = np.searchsorted((at[:-1] + at[1:]) / 2, np.arange(len(thetas)))
+    reach = np.abs(thetas - thetas[at[nearer]])  # to the nearer coarse angle
+    xy, k = geom.element_positions, 2 * math.pi * f_hz / SPEED_OF_LIGHT_M_S
+    # |AF| = |sum_m feed_m exp(jk(p_m - q) . u)| for any q, so its slope in theta
+    # is at most k sum_m |feed_m| |p_m - q|. Phase, trig, product and abs each err
+    # far below the margin.
+    radii, far = np.hypot(*(xy - xy.mean(axis=0)).T), np.hypot(*xy.T).max()
+    coarse, candidate = steering_matrix(geom, f_hz, thetas[at]), np.zeros(len(thetas), bool)
+    for feed in feeds:
+        mags, weight = np.abs(feed @ coarse), np.abs(feed)
+        slope, margin = k * (weight @ radii), 1e-9 * (len(xy) + k * far) * weight.sum()
+        candidate |= mags[nearer] + slope * reach + 2 * margin >= mags.max()
+    steering = np.zeros((len(xy), len(thetas)), dtype=complex)
+    steering[:, candidate] = _unit_phasors(_phase(geom, f_hz, thetas)[:, candidate])
+    mags = [np.where(candidate, np.abs(feed @ steering), -np.inf) for feed in feeds]
+    ties = [thetas[m == m.max()] for m in mags]
     return [float(t[np.argmin(np.abs(t - toward_rad))]) for t in ties]

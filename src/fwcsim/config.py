@@ -119,6 +119,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}")
         if self.budget_w <= 0:
             raise ConfigError(f"budget_w must be finite and > 0, got {self.budget_w!r}")
+        if self.digitization_bits_per_sample_pair <= 0:
+            raise ConfigError("digitization_bits_per_sample_pair must be > 0, "
+                              f"got {self.digitization_bits_per_sample_pair!r}")
 
     def resolved(self) -> dict:
         """Every knob, defaults included, as plain JSON-ready values."""

@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fwcsim import beamform, sweeps
 from fwcsim.beamform import (
     ArrayGeometry,
+    _feeds,
+    _phase,
+    _unit_phasors,
     array_factor_patterns,
     peak_directions,
     phase_only_weights,
@@ -21,6 +25,7 @@ from fwcsim.beamform import (
     ttd_weights,
 )
 from fwcsim.config import config_from_dict
+from fwcsim.errors import ValidationError
 from fwcsim.sweeps import run_beam_pattern
 from fwcsim.tables import ResultTable, format_cell
 from fwcsim.units import SPEED_OF_LIGHT_M_S
@@ -141,15 +146,123 @@ def test_array_angle_matches_scalar_angle_bits(case):
     assert np.array_equal(bits(np.angle(values)), bits(expected))
 
 
+CLI_STEP = math.radians(0.01)  # the beam-pattern sweep's peak-search step
+WINDOWS = {"positive": (0.0, math.pi / 2), "negative": (-math.pi / 2, 0.0),
+           "full": (-math.pi / 2, math.pi / 2)}
+
+
 @PROPERTY
-@given(arrays_and_grids(), st.floats(0.05, 1.0), st.booleans())
-def test_shared_peaks_match_per_spec_peak_bits(case, step_deg, positive_side):
+@given(arrays_and_grids(), st.one_of(st.just(0.01), st.floats(0.05, 1.0)),
+       st.sampled_from(sorted(WINDOWS)), st.booleans())
+def test_shared_peaks_match_per_spec_peak_bits(case, step_deg, window, toward_steering):
+    """The shared, coarse-bounded search returns each spec's full-grid argmax,
+    ties included, at the CLI's 0.01 degree step and at coarser ones."""
     geom, f_hz, _, theta0 = case
-    window = (0.0, math.pi / 2) if positive_side else (-math.pi / 2, 0.0)
     step = math.radians(step_deg)
+    toward = theta0 if toward_steering else -math.inf
     specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
-    got = peak_directions(geom, specs, f_hz, *window, step)
-    assert got == [reference_peak(geom, spec, f_hz, *window, step) for spec in specs]
+    got = peak_directions(geom, specs, f_hz, *WINDOWS[window], step, toward)
+    assert got == [reference_peak(geom, spec, f_hz, *WINDOWS[window], step, toward)
+                   for spec in specs]
+
+
+class CountingNumpy:
+    """numpy as ``fwcsim.beamform`` sees it, recording the column count of
+    every (N, T) phase matrix passed to cos."""
+
+    def __init__(self):
+        self.columns = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            self.columns.append(np.shape(x)[1])
+        return np.cos(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("hi_deg, step_deg", [(1.0, 0.6), (0.5, 0.6)])
+def test_one_candidate_column(monkeypatch, hi_deg, step_deg):
+    """On a two-angle grid the coarse pass covers every angle, and only the
+    main-lobe one is a candidate; on a one-angle grid that angle is."""
+    geom = ArrayGeometry.ula(16, SPEED_OF_LIGHT_M_S / 10e9 / 2, 10e9)
+    spec = phase_only_weights(geom, math.radians(0.6))
+    window = (0.0, math.radians(hi_deg))
+    numpy = CountingNumpy()
+    monkeypatch.setattr(beamform, "np", numpy)
+    got = peak_directions(geom, (spec,), 10e9, *window, math.radians(step_deg))
+    assert numpy.columns[-1] == 1  # the exact pass takes cos of one column
+    assert got == [reference_peak(geom, spec, 10e9, *window, math.radians(step_deg))]
+
+
+@PROPERTY
+@given(arrays_and_grids(), st.data())
+def test_subset_trig_and_zeroed_product_keep_full_width_bits(case, data):
+    """cos and sin on some columns of the full-width phase give the columns of
+    the steering matrix, and a full-width product with the other columns zeroed
+    gives those columns' |AF| bit for bit."""
+    geom, f_hz, thetas, theta0 = case
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(thetas),
+                                       max_size=len(thetas))))
+    full = steering_matrix(geom, f_hz, thetas)
+    subset = _unit_phasors(_phase(geom, f_hz, thetas)[:, keep])
+    assert np.array_equal(bits(subset), bits(np.ascontiguousarray(full[:, keep])))
+    zeroed = np.zeros_like(full)
+    zeroed[:, keep] = subset
+    specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
+    for feed in _feeds(geom, specs, f_hz):
+        assert np.array_equal(bits(np.abs(feed @ zeroed)[keep]),
+                              bits(np.abs(feed @ full)[keep]))
+
+
+@PROPERTY
+@given(st.integers(2, 64), st.floats(1e9, 5e10), st.sampled_from([90.0, -90.0]))
+def test_ttd_endfire_grating_lobe_tie_goes_to_steering_angle(n, f_lo, theta0_deg):
+    """A half-wavelength TTD array steered to endfire has a grating lobe at
+    broadside as high as the main lobe at twice its design frequency; the
+    search still reports the steering angle."""
+    geom = ArrayGeometry.ula(n, SPEED_OF_LIGHT_M_S / f_lo / 2, f_lo, (f_lo, 2 * f_lo))
+    theta0 = math.radians(theta0_deg)
+    spec = ttd_weights(geom, theta0)
+    window = (0.0, math.pi / 2) if theta0 > 0 else (-math.pi / 2, 0.0)
+    got = peak_directions(geom, (spec,), 2 * f_lo, *window, toward_rad=theta0)
+    assert got == [reference_peak(geom, spec, 2 * f_lo, *window, CLI_STEP, theta0)]
+    assert got[0] == pytest.approx(theta0, abs=1e-9)
+
+
+@pytest.mark.parametrize("sweep", [
+    {},  # the default config
+    {"array_elements": 64, "num_band_points": 21, "theta_grid_deg": [-90.0, 90.0, 0.05]},
+], ids=["default", "bench-planning"])
+def test_peak_search_takes_trig_of_under_an_eighth_of_the_grid(monkeypatch, sweep):
+    """Coarse pass and exact pass together take cos of fewer than 1/8 of the
+    fine-grid columns at every band point of the beam-pattern sweep."""
+    cfg = config_from_dict({"sweep": sweep})
+    numpy = CountingNumpy()
+    calls = []
+
+    def counted(*args, **kwargs):
+        numpy.columns.clear()
+        calls.append(peak(*args, **kwargs))
+        grid = beamform.angle_grid(*args[3:5], CLI_STEP)
+        assert 0 < sum(numpy.columns) < len(grid) / 8, (sum(numpy.columns), len(grid))
+        return calls[-1]
+
+    peak = beamform.peak_directions
+    monkeypatch.setattr(beamform, "np", numpy)
+    monkeypatch.setattr(sweeps, "peak_directions", counted)
+    run_beam_pattern(cfg)
+    assert len(calls) == cfg.sweep.num_band_points
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(0.01), math.nan, math.inf, -math.inf])
+def test_bad_peak_search_step_raises_validation_error(step):
+    geom = ArrayGeometry.ula(4, 0.01, 10e9)
+    with pytest.raises(ValidationError, match="angle step"):
+        peak_directions(geom, (ttd_weights(geom, 0.1),), 10e9, 0.0, 1.0, step)
+    with pytest.raises(ValidationError, match="angle step"):
+        beamform.angle_grid(0.0, 1.0, step)
 
 
 @pytest.mark.parametrize("theta0_deg", [90.0, -90.0])

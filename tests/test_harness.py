@@ -388,6 +388,12 @@ def test_cli_config_error_exit_2(tmp_path):
          "power_p_tx_w must be >= 0, got -1.0"),
         ("throughput-sweep", {"sweep": {"fiber_km": [0.0, -1.0]}},
          "fiber_km must be >= 0, got (0.0, -1.0)"),
+        ("throughput-sweep", {"digitization_bits_per_sample_pair": -30, "schemes": ["ifof"]},
+         "digitization_bits_per_sample_pair must be > 0, got -30"),
+        ("throughput-sweep", {"digitization_bits_per_sample_pair": 0},
+         "digitization_bits_per_sample_pair must be > 0, got 0"),
+        ("beam-pattern", {"digitization_bits_per_sample_pair": -1.5},
+         "digitization_bits_per_sample_pair must be > 0, got -1.5"),
     ]],
     ids=["out-missing-directory", "out-is-a-directory", "drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -407,7 +413,8 @@ def test_cli_config_error_exit_2(tmp_path):
          "throughput-power-num-raps-0", "power-array-elements-0", "dispersion-array-spacing-0",
          "beam-array-spacing-negative", "beam-crossover-range-negative",
          "power-crossover-range-empty", "beam-power-p-tx-negative",
-         "throughput-fiber-km-negative"],
+         "throughput-fiber-km-negative", "digitization-negative-ifof-only",
+         "digitization-0-with-bbof", "beam-digitization-negative"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message, out):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
