@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -80,34 +80,34 @@ class BeamformerSpec:
             raise ValidationError("weights must be finite")
 
 
-def _phase(geom: ArrayGeometry, f_hz: float, thetas_rad: np.ndarray) -> np.ndarray:
-    """2*pi*f*(p_m . u)/c over a grid of directions u = (sin theta, cos theta), shape
-    (N, T). numpy divides a complex array by a real scalar as a multiply by the
-    reciprocal, so the phase is scaled by 1/c, not divided."""
+def _projections(geom: ArrayGeometry, thetas_rad: np.ndarray) -> np.ndarray:
+    """Element projections p_m . u over a grid of directions u = (sin theta, cos theta),
+    shape (N, T): one matrix product over the whole grid. A product over some of
+    its columns would not promise the same bits."""
     thetas = np.asarray(thetas_rad, dtype=float)
-    u = np.stack([np.sin(thetas), np.cos(thetas)])  # (2, T)
+    return geom.element_positions @ np.stack([np.sin(thetas), np.cos(thetas)])
+
+
+def _phase(proj: np.ndarray, f_hz: float, out: np.ndarray | None = None) -> np.ndarray:
+    """2*pi*f*(p_m . u)/c from the projections ``proj``, elementwise, so any columns
+    of ``proj`` give those columns' bits. numpy divides a complex array by a real
+    scalar as a multiply by the reciprocal, so the phase is scaled by 1/c, not
+    divided."""
     # The imaginary part of the complex phase, (0*0 + 2*pi*f*p) * (1/c): the
     # added +0.0 turns a -0.0 into +0.0 as that sum did.
-    phase = geom.element_positions @ u  # (N, T) projections p_m . u
-    phase *= 2 * math.pi * f_hz
+    phase = np.multiply(proj, 2 * math.pi * f_hz, out=out)
     phase += 0.0
     phase *= 1.0 / SPEED_OF_LIGHT_M_S
     return phase
 
 
-def _unit_phasors(phase: np.ndarray) -> np.ndarray:
+def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """cos + j*sin of a real phase: the bits of the complex exp without its complex
     arithmetic. Each element's bits depend on its own phase alone."""
-    phasors = np.empty(phase.shape, dtype=complex)
+    phasors = np.empty(phase.shape, dtype=complex) if out is None else out
     np.cos(phase, out=phasors.real)
     np.sin(phase, out=phasors.imag)
     return phasors
-
-
-def steering_matrix(geom: ArrayGeometry, f_hz: float, thetas_rad: np.ndarray) -> np.ndarray:
-    """exp(j*2*pi*f*(p_m . u)/c) over a grid of directions u = (sin theta, cos theta),
-    shape (N, T)."""
-    return _unit_phasors(_phase(geom, f_hz, thetas_rad))
 
 
 def _feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec], f_hz: float) -> list:
@@ -122,23 +122,36 @@ def _feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec], f_hz: float) 
             * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s)) for spec in specs]
 
 
+def _band_feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec],
+                freqs_hz: Sequence[float]) -> list[tuple[float, list]]:
+    """(f, the feeds of every spec at f) per band point, all checked before any is used."""
+    return [(f_hz, _feeds(geom, specs, f_hz)) for f_hz in map(float, freqs_hz)]
+
+
 def array_factor_patterns(
     geom: ArrayGeometry,
     specs: Collection[BeamformerSpec],
-    f_hz: float,
+    freqs_hz: Sequence[float],
     thetas_rad: np.ndarray,
-) -> list[np.ndarray]:
+) -> list[list[np.ndarray]]:
     """AF(theta) = sum_m w_m * exp(-j*2*pi*f*tau_m) * exp(j*2*pi*f*(p_m . u)/c)
-    for each spec in ``specs``, over a grid of directions u = (sin theta, cos theta).
+    over a grid of directions u = (sin theta, cos theta): per band frequency in
+    ``freqs_hz``, one pattern per spec in ``specs``.
 
-    The steering matrix depends only on the geometry, f and the grid, so every
-    spec shares one. Each spec applies its feed vector in its own
+    The projections p_m . u are computed once per call. Per frequency they are
+    scaled into one phase buffer, and cos and sin fill one steering buffer that
+    every spec shares. Each spec applies its feed vector in its own
     matrix-vector product; one stacked matrix product would not promise the
     same bits.
     """
-    feeds = _feeds(geom, specs, f_hz)
-    steering = steering_matrix(geom, f_hz, thetas_rad)
-    return [feed @ steering for feed in feeds]
+    band = _band_feeds(geom, specs, freqs_hz)
+    proj = _projections(geom, thetas_rad)
+    phase, steering = np.empty_like(proj), np.empty(proj.shape, dtype=complex)
+    patterns = []
+    for f_hz, feeds in band:
+        _unit_phasors(_phase(proj, f_hz, out=phase), out=steering)
+        patterns.append([feed @ steering for feed in feeds])
+    return patterns
 
 
 def phase_only_weights(geom: ArrayGeometry, theta0_rad: float) -> BeamformerSpec:
@@ -187,23 +200,28 @@ def angle_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 _COARSE_STRIDE = 32  # grid steps between the coarse-pass angles of the peak search
+PEAK_STEP_RAD = math.radians(0.01)  # the peak search's default grid step
 
 
 def peak_directions(
     geom: ArrayGeometry,
     specs: Collection[BeamformerSpec],
-    f_hz: float,
+    freqs_hz: Sequence[float],
     theta_lo_rad: float = -math.pi / 2,
     theta_hi_rad: float = math.pi / 2,
-    step_rad: float = math.radians(0.01),
+    step_rad: float = PEAK_STEP_RAD,
     toward_rad: float = -math.inf,
-) -> list[float]:
-    """Grid-search argmax of |AF| over [theta_lo, theta_hi], one per spec; a
-    tie breaks to the angle nearest ``toward_rad`` (by default the lowest).
+) -> list[list[float]]:
+    """Grid-search argmax of |AF| over [theta_lo, theta_hi]: per band frequency in
+    ``freqs_hz``, one angle per spec; a tie breaks to the angle nearest
+    ``toward_rad`` (by default the lowest).
 
-    A coarse pass bounds where the peak can be, and only those angles get their
-    cos and sin. The product and |AF| stay full width, so each has the bits of
-    the full search, ties included (README, "Beam-pattern engine").
+    The grid, its coarse-pass bookkeeping and the projections of both grids are
+    computed once per call. Per frequency, a coarse pass bounds where the peak
+    can be, and only those angles get their cos and sin. The product and |AF|
+    stay full width, on one steering buffer whose other columns are zero, so
+    each angle has the bits of the full search, ties included (README,
+    "Beam-pattern engine").
 
     Grating lobes of equal height appear outside the mainlobe half-plane for
     wideband sweeps of half-wavelength arrays; restrict the window to the
@@ -212,22 +230,30 @@ def peak_directions(
     if not theta_lo_rad < theta_hi_rad:
         raise ValidationError("empty search window")
     thetas = angle_grid(theta_lo_rad, theta_hi_rad, step_rad)
-    feeds = _feeds(geom, specs, f_hz)
+    band = _band_feeds(geom, specs, freqs_hz)
     at = np.append(np.arange(0, len(thetas) - 1, _COARSE_STRIDE), len(thetas) - 1)
     nearer = np.searchsorted((at[:-1] + at[1:]) / 2, np.arange(len(thetas)))
     reach = np.abs(thetas - thetas[at[nearer]])  # to the nearer coarse angle
-    xy, k = geom.element_positions, 2 * math.pi * f_hz / SPEED_OF_LIGHT_M_S
+    xy = geom.element_positions
     # |AF| = |sum_m feed_m exp(jk(p_m - q) . u)| for any q, so its slope in theta
     # is at most k sum_m |feed_m| |p_m - q|. Phase, trig, product and abs each err
     # far below the margin.
     radii, far = np.hypot(*(xy - xy.mean(axis=0)).T), np.hypot(*xy.T).max()
-    coarse, candidate = steering_matrix(geom, f_hz, thetas[at]), np.zeros(len(thetas), bool)
-    for feed in feeds:
-        mags, weight = np.abs(feed @ coarse), np.abs(feed)
-        slope, margin = k * (weight @ radii), 1e-9 * (len(xy) + k * far) * weight.sum()
-        candidate |= mags[nearer] + slope * reach + 2 * margin >= mags.max()
+    fine, coarse = _projections(geom, thetas), _projections(geom, thetas[at])
     steering = np.zeros((len(xy), len(thetas)), dtype=complex)
-    steering[:, candidate] = _unit_phasors(_phase(geom, f_hz, thetas)[:, candidate])
-    mags = [np.where(candidate, np.abs(feed @ steering), -np.inf) for feed in feeds]
-    ties = [thetas[m == m.max()] for m in mags]
-    return [float(t[np.argmin(np.abs(t - toward_rad))]) for t in ties]
+    candidate = np.zeros(len(thetas), bool)
+    peaks = []
+    for f_hz, feeds in band:
+        steering[:, candidate] = 0.0  # the previous band point's columns
+        candidate = np.zeros(len(thetas), bool)
+        k = 2 * math.pi * f_hz / SPEED_OF_LIGHT_M_S
+        coarse_steering = _unit_phasors(_phase(coarse, f_hz))
+        for feed in feeds:
+            mags, weight = np.abs(feed @ coarse_steering), np.abs(feed)
+            slope, margin = k * (weight @ radii), 1e-9 * (len(xy) + k * far) * weight.sum()
+            candidate |= mags[nearer] + slope * reach + 2 * margin >= mags.max()
+        steering[:, candidate] = _unit_phasors(_phase(fine[:, candidate], f_hz))
+        mags = [np.where(candidate, np.abs(feed @ steering), -np.inf) for feed in feeds]
+        ties = [thetas[m == m.max()] for m in mags]
+        peaks.append([float(t[np.argmin(np.abs(t - toward_rad))]) for t in ties])
+    return peaks

@@ -207,12 +207,20 @@ def _checked(value, hint, where: str):
     return value
 
 
+_SCALARS = frozenset({int, float, str, bool, type(None)})  # exact types, so no enum member
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _plain(value):
     """Dataclasses as dicts, tuples as lists, enum members as their values."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, tuple):
+        if _NUMBER_TYPES.issuperset(map(type, value)):  # a numeric axis, whole
+            return list(value)
+        return [_plain(v) for v in value]
     if dataclasses.is_dataclass(value):
         return {name: _plain(getattr(value, name)) for name in _field_hints(type(value))}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
     return value.value if isinstance(value, Enum) else value
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -97,9 +98,10 @@ def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> l
     loss_dB = -10*log10(cos^2(pi * D * L * lambda^2 * f^2 / c)), math.inf at
     an exact null: direct detection of both sidebands makes the carrier fade
     with the accumulated dispersion phase. The phase is one elementwise numpy
-    pass in the scalar operation order; cos, the square and log10 run on
-    Python floats, as numpy's do not promise the bits of ``math``'s. A phase
-    past the float range is a ValidationError.
+    pass in the scalar operation order. cos, the square (``c**2`` calls pow) and
+    log10 run as maps of ``math``'s functions over the axis, as numpy's do not
+    promise the bits of libm's; the null floor, -10*x and max(0, x) are IEEE
+    steps and run in numpy. A phase past the float range is a ValidationError.
     """
     if f_hz <= 0:
         raise ValidationError(f"frequency must be > 0, got {f_hz}")
@@ -113,12 +115,12 @@ def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> l
     if not np.isfinite(phase).all():
         km = lengths_km[~np.isfinite(phase)][0]
         raise ValidationError(f"dispersion phase is not finite at {km} km, {f_hz / 1e9:g} GHz")
-    fading = []
-    for cos in map(math.cos, phase.tolist()):
-        cos_sq = cos**2
-        fading.append(math.inf if cos_sq <= NULL_COS_SQ_FLOOR
-                      else max(0.0, -10.0 * math.log10(cos_sq)))
-    return fading
+    cos_sq = np.fromiter(map(math.pow, map(math.cos, phase.tolist()), repeat(2.0)), float,
+                         len(phase))
+    logs = map(math.log10, np.maximum(cos_sq, NULL_COS_SQ_FLOOR).tolist())  # a null's is unused
+    loss = -10.0 * np.fromiter(logs, float, len(phase))
+    return np.where(cos_sq <= NULL_COS_SQ_FLOOR, math.inf,
+                    np.where(loss > 0.0, loss, 0.0)).tolist()
 
 
 def dispersion_fading_db(fiber: FiberParams, f_hz: float) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -106,7 +107,9 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
 
     The fiber compensation is p_link0 * 10^(A_dB/10) with A_dB attenuation plus
     carrier fading (BBoF needs none; a dispersion null needs math.inf). The
-    sums run elementwise in numpy, in the order of the scalar expressions.
+    power of ten is ``math.pow`` mapped over the axis, as ``10.0 ** x`` calls
+    it; the sums and products run elementwise in numpy, in the order of the
+    scalar expressions.
     """
     if num_raps < 1:
         raise ValidationError(f"num_raps must be >= 1, got {num_raps}")
@@ -117,19 +120,26 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
         p_tx_w, scheme, params
     )
     overhead_frac = params.overhead_multiplier - 1.0
-    with np.errstate(over="ignore"):  # overflow gives inf, as on Python floats
+    # overflow gives inf and 0 * inf nan, as on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
         if scheme is Scheme.BBOF:
-            fading = comp = [0.0] * len(lengths_km)
+            fading = [0.0] * len(lengths_km)
+            comp = np.zeros(len(lengths_km))
         else:
             fading = fading_db_over(fiber, radio.analog_carrier_hz(scheme), lengths_km)
-            loss_db = (fiber.attenuation_db_per_km * lengths_km + fading).tolist()
-            comp = [math.inf if fade == math.inf else params.p_link0_w * db_to_linear(loss)
-                    for fade, loss in zip(fading, loss_db)]
-        functional = float(cu) + float(num_raps) * (rap + np.array(comp))
+            fades = np.array(fading)
+            loss_db = fiber.attenuation_db_per_km * lengths_km + fades
+            try:  # 10.0 ** x calls pow, one map over the axis
+                linear = np.fromiter(map(math.pow, repeat(10.0), (loss_db / 10.0).tolist()),
+                                     float, len(fades))
+            except OverflowError:  # some ratio past the float range: db_to_linear gives inf
+                linear = np.fromiter(map(db_to_linear, loss_db.tolist()), float, len(fades))
+            comp = np.where(fades == math.inf, math.inf, params.p_link0_w * linear)
+        functional = float(cu) + float(num_raps) * (rap + comp)
         # Without overhead fractions an infinite total stays infinite, not 0 * inf.
         overhead = overhead_frac * functional if overhead_frac else np.zeros(len(comp))
         total = functional + overhead
-    return cu, rap, fading, comp, overhead.tolist(), total.tolist()
+    return cu, rap, fading, comp.tolist(), overhead.tolist(), total.tolist()
 
 
 def solve_tx_power(

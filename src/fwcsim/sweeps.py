@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .beamform import (
+    PEAK_STEP_RAD,
     ArrayGeometry,
     angle_grid,
     array_factor_patterns,
@@ -20,7 +21,13 @@ from .beamform import (
     ttd_weights,
 )
 from .config import ExperimentConfig, hash_resolved
-from .errors import InfeasibleBudgetError, NoRealBeamError, NullSentinelError, ValidationError
+from .errors import (
+    ConfigError,
+    InfeasibleBudgetError,
+    NoRealBeamError,
+    NullSentinelError,
+    ValidationError,
+)
 from .geometry import distance_matrix, generate_layout, layout_stream, udn_association
 from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
@@ -46,6 +53,47 @@ THROUGHPUT_COLUMNS = (
     "arch", "scheme", "M", "J", "drops", "p_tx_w", "mean_sumrate_bps", "ci95_bps"
 )
 BEAM_COLUMNS = ("mode", "f_hz", "theta_deg", "af_mag", "af_phase_rad")
+
+# Size bounds (README, "Size bounds"): a throughput or beam-pattern config whose
+# largest arrays or CSV row count pass these fails before any allocation.
+MAX_ARRAY_BYTES = 2**30
+MAX_CSV_ROWS = 2_000_000
+
+
+def _admit(key: str, what: str, size: float, bound: int, unit: str) -> None:
+    """ConfigError naming ``key`` when ``size`` passes ``bound``."""
+    if size > bound:
+        raise ConfigError(f"{key} asks for {what} of {size:.4g} {unit}, over the "
+                          f"size bound of {bound} {unit}")
+
+
+def _ue_counts(m_values) -> dict[int, int]:
+    """J = M/2 UEs (at least one) per RAP count M, in sweep order."""
+    return {m: max(1, round(0.5 * m)) for m in m_values}
+
+
+def _admit_throughput(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> None:
+    """The size bounds on the drop buffers and the largest M's channel draw, and
+    on the per-drop components. (The CSV, 2 x schemes x M rows, cannot pass its
+    bound before the largest M's buffers pass theirs.)"""
+    m_max, j_max = max(j_of_m.items())
+    _admit("sweep.m_values", "drop buffers", 48 * m_max * j_max + 24 * j_max**2,
+           MAX_ARRAY_BYTES, "bytes")
+    _admit("monte_carlo_drops", "drop components",
+           32 * cfg.monte_carlo_drops * sum(j_of_m.values()), MAX_ARRAY_BYTES, "bytes")
+
+
+def _admit_beam(cfg: ExperimentConfig) -> None:
+    """The size bounds on the peak search's projections and steering over its
+    90-degree grid, the pattern grid's projections, phase and steering, and the
+    CSV rows."""
+    start, stop, step = cfg.sweep.theta_grid_deg
+    angles, n = (stop - start) / step + 1.0, cfg.sweep.array_elements  # up to rounding
+    _admit("sweep.array_elements", "peak-search arrays",
+           24 * n * (math.pi / 2 / PEAK_STEP_RAD + 1), MAX_ARRAY_BYTES, "bytes")
+    _admit("sweep.theta_grid_deg", "pattern arrays", 32 * n * angles, MAX_ARRAY_BYTES, "bytes")
+    _admit("sweep.theta_grid_deg and sweep.num_band_points", "a CSV",
+           2 * cfg.sweep.num_band_points * angles, MAX_CSV_ROWS, "rows")
 
 
 def _base_metadata(cfg: ExperimentConfig, kind: str) -> dict:
@@ -194,6 +242,8 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     from the meta ``solver`` record; SINR, fronthaul combining and the sum
     rate run once per (arch, scheme, M), over every drop's components.
     """
+    j_of_m = _ue_counts(cfg.sweep.m_values)
+    _admit_throughput(cfg, j_of_m)
     table = ResultTable("throughput_sweep", THROUGHPUT_COLUMNS,
                         metadata=_base_metadata(cfg, "throughput_sweep"))
     radio = cfg.scheme_params
@@ -218,7 +268,6 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         bbof_cap = bbof_per_rap_cap_bps(radio.fiber_bit_rate_bps,
                                         cfg.digitization_bits_per_sample_pair)
 
-    j_of_m = {m: max(1, round(0.5 * m)) for m in cfg.sweep.m_values}
     components = _drop_components(cfg, j_of_m)
     for arch in ("udn", "cellfree"):
         for s in cfg.schemes:
@@ -239,6 +288,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
     """|AF| over a (frequency, angle) grid for phase-only and TTD steering."""
+    _admit_beam(cfg)
     sweep = cfg.sweep
     f_lo, f_hi = sweep.band_hz
     spacing = sweep.array_spacing_m
@@ -250,25 +300,20 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
         "phase_only": phase_only_weights(geom, theta0),
         "ttd": ttd_weights(geom, theta0),
     }
-    freqs = np.linspace(f_lo, f_hi, sweep.num_band_points)
+    freqs = np.linspace(f_lo, f_hi, sweep.num_band_points).tolist()
     thetas_deg = angle_grid(*sweep.theta_grid_deg)
-    thetas_rad = np.radians(thetas_deg)
 
     table = ResultTable("beam_pattern", BEAM_COLUMNS,
                         metadata=_base_metadata(cfg, "beam_pattern"))
+    patterns = array_factor_patterns(geom, specs.values(), freqs, np.radians(thetas_deg))
     # Peak trajectory, searched on the steering side to dodge grating lobes.
     window = (0.0, math.pi / 2) if theta0 >= 0 else (-math.pi / 2, 0.0)
-    per_mode = {mode: [] for mode in specs}  # (f_hz, pattern, peak) per frequency
-    for f_hz in freqs.tolist():
-        patterns = array_factor_patterns(geom, specs.values(), f_hz, thetas_rad)
-        peaks = peak_directions(geom, specs.values(), f_hz, *window, toward_rad=theta0)
-        for mode, values, measured in zip(specs, patterns, peaks):
-            per_mode[mode].append((f_hz, values, measured))
+    peaks = peak_directions(geom, specs.values(), freqs, *window, toward_rad=theta0)
 
     theta_col = thetas_deg.tolist()
     peak_rows = []
-    for mode, results in per_mode.items():
-        for f_hz, values, measured in results:
+    for mode, mode_patterns, mode_peaks in zip(specs, zip(*patterns), zip(*peaks)):
+        for f_hz, values, measured in zip(freqs, mode_patterns, mode_peaks):
             # hypot has the bits of the scalar abs(); np.abs takes a SIMD path that does not.
             table.extend_columns(
                 Repeat(mode), Repeat(f_hz), theta_col,

@@ -13,11 +13,17 @@ from itertools import repeat
 from pathlib import Path
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _json_safe(value):
     """``value`` with every infinite float spelled "inf" or "-inf"."""
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if (_NUMBER_TYPES.issuperset(map(type, value))
+                and math.inf not in value and -math.inf not in value):
+            return list(value)  # all numbers, none infinite: nothing to spell out
         return [_json_safe(v) for v in value]
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
@@ -38,7 +44,16 @@ _EXACT_FORMAT = {float: float.__repr__, str: str, int: int.__repr__}
 
 
 def _column_text(column) -> list[str]:
-    """Each cell of ``column`` as format_cell writes it; one map when all share a type."""
+    """Each cell of ``column`` as format_cell writes it; one map when all share a type.
+
+    A column of floats (numpy float64 included, whose float repr format_cell
+    writes) is one map of ``float.__repr__``, which raises TypeError at the first
+    cell that is no float.
+    """
+    try:
+        return list(map(float.__repr__, column))
+    except TypeError:
+        pass
     kinds = set(map(type, column))
     if len(kinds) == 1 and (fmt := _EXACT_FORMAT.get(kinds.pop())):
         return list(map(fmt, column))

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from fwcsim import sweeps
 from fwcsim.beamform import ArrayGeometry, peak_directions, phase_only_weights, ttd_weights
 from fwcsim.config import ExperimentConfig
 from fwcsim.geometry import Area, distance_matrix, generate_layout, udn_association
@@ -162,11 +163,11 @@ def test_criterion_6_beam_squint():
     geom = ArrayGeometry.ula(8, SPEED_OF_LIGHT_M_S / f0 / 2.0, f0, band_hz=(f0, 2 * f0))
     theta0 = math.radians(30.0)
     po = phase_only_weights(geom, theta0)
-    peak = math.degrees(peak_directions(geom, (po,), 2 * f0, 0.0, math.pi / 2)[0])
+    peak = math.degrees(peak_directions(geom, (po,), [2 * f0], 0.0, math.pi / 2)[0][0])
     squint_ok = abs(peak - 14.48) <= 0.011
     ttd = ttd_weights(geom, theta0)
     ttd_peaks = [
-        math.degrees(peak_directions(geom, (ttd,), float(f), 0.0, math.pi / 2)[0])
+        math.degrees(peak_directions(geom, (ttd,), [float(f)], 0.0, math.pi / 2)[0][0])
         for f in np.linspace(f0, 2 * f0, 9)
     ]
     ttd_ok = all(abs(p - 30.0) <= 0.011 for p in ttd_peaks)
@@ -258,3 +259,43 @@ def test_criterion_9_bitwise_determinism(tmp_path):
     elapsed = time.perf_counter() - start
     report(9, "bit-identical sweep output", identical and True,
            f"3 runs identical={identical}, {elapsed:.1f}s")
+
+
+def test_criterion_10_shorter_fiber_favours_rfof(monkeypatch):
+    """The paper's "shorter fiber length" half of the headline: the same 20
+    drops, reduced at 1, 3, 5 and 10 km of fiber."""
+    start = time.perf_counter()
+    cfg = dataclasses.replace(ExperimentConfig(), monte_carlo_drops=20)
+    # No fiber value enters the drops, so every length reduces the same ones.
+    shared = sweeps._drop_components(cfg, sweeps._ue_counts(cfg.sweep.m_values))
+    monkeypatch.setattr(sweeps, "_drop_components", lambda *args: shared)
+    rows, feasible = {}, {}
+    for km in (1.0, 3.0, 5.0, 10.0):
+        table = run_throughput_sweep(
+            dataclasses.replace(cfg, fiber=dataclasses.replace(cfg.fiber, length_km=km)))
+        rows.update({(km, r[0], r[1], r[2]): r[6] for r in table.rows})
+        feasible.update({(km, s, int(m)): point["feasible"]
+                         for s, per_m in table.metadata["solver"].items()
+                         for m, point in per_m.items()})
+    elapsed = time.perf_counter() - start
+    failures = []
+    for arch in ("udn", "cellfree"):
+        # (a) RFoF leads on short fiber at every M >= 64
+        for km in (1.0, 3.0):
+            for m in (64, 128, 256):
+                rfof, ifof, bbof = (rows[(km, arch, s, m)] for s in ("rfof", "ifof", "bbof"))
+                if not (rfof >= ifof and rfof > bbof):
+                    failures.append(f"(a) {arch} {km} km M={m}")
+        # (b) the M = 256 lead over IFoF shrinks as the fiber grows
+        gaps = [rows[(km, arch, "rfof", 256)] - rows[(km, arch, "ifof", 256)]
+                for km in (1.0, 3.0, 5.0)]
+        if not gaps[0] > gaps[1] > gaps[2]:
+            failures.append(f"(b) {arch} gaps {[round(g / 1e9, 3) for g in gaps]} Gb/s")
+        # (c) at 10 km RFoF trails IFoF wherever it can be powered
+        for m in cfg.sweep.m_values:
+            if feasible[(10.0, "rfof", m)] and not (
+                    rows[(10.0, arch, "rfof", m)] < rows[(10.0, arch, "ifof", m)]):
+                failures.append(f"(c) {arch} 10 km M={m}")
+    ok = not failures and elapsed < 3.0
+    report(10, "shorter fiber favours RFoF", ok,
+           f"{'; '.join(failures) if failures else 'a/b/c hold'}, {elapsed:.2f}s")

@@ -1,10 +1,12 @@
 """Bit-identity properties of the array-native beam-pattern engine.
 
-The steering matrix is built from cos and sin, shared by both steering
-modes and by the peak search, and the CSV rows come from whole-array
-magnitude and phase columns. Each piece must reproduce, bit for bit, the
-per-spec and per-element code it replaced (copied below as references),
-so the beam-pattern CSV and meta bytes cannot move.
+The engine takes the whole band in one call: the projections of each angle
+grid are computed once, and per band frequency the steering matrix is built
+from cos and sin of their scaled values, shared by both steering modes. The
+CSV rows come from whole-array magnitude and phase columns. Each piece must
+reproduce, bit for bit, the per-frequency, per-spec and per-element code it
+replaced (copied below as references), so the beam-pattern CSV and meta
+bytes cannot move.
 """
 import math
 
@@ -17,11 +19,11 @@ from fwcsim.beamform import (
     ArrayGeometry,
     _feeds,
     _phase,
+    _projections,
     _unit_phasors,
     array_factor_patterns,
     peak_directions,
     phase_only_weights,
-    steering_matrix,
     ttd_weights,
 )
 from fwcsim.config import config_from_dict
@@ -35,6 +37,12 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 def bits(x) -> np.ndarray:
     return np.asarray(x).view(np.uint64)
+
+
+def engine_steering(geom, f_hz, thetas_rad):
+    """The engine's steering matrix at one frequency: cos and sin of the scaled
+    projections."""
+    return _unit_phasors(_phase(_projections(geom, thetas_rad), f_hz))
 
 
 def reference_pattern(geom, spec, f_hz, thetas_rad):
@@ -114,7 +122,7 @@ def test_steering_matrix_matches_complex_exp_bits(case):
     u = np.stack([np.sin(thetas), np.cos(thetas)])
     proj = geom.element_positions @ u
     expected = np.exp(2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S)
-    got = steering_matrix(geom, f_hz, thetas)
+    got = engine_steering(geom, f_hz, thetas)
     assert got.shape == expected.shape
     assert np.array_equal(bits(got), bits(expected))
 
@@ -124,7 +132,7 @@ def test_steering_matrix_matches_complex_exp_bits(case):
 def test_pattern_matches_reference_bits(case):
     geom, f_hz, thetas, theta0 = case
     for spec in (phase_only_weights(geom, theta0), ttd_weights(geom, theta0)):
-        got = array_factor_patterns(geom, (spec,), f_hz, thetas)[0]
+        got = array_factor_patterns(geom, (spec,), [f_hz], thetas)[0][0]
         assert np.array_equal(bits(got), bits(reference_pattern(geom, spec, f_hz, thetas)))
 
 
@@ -132,7 +140,7 @@ def test_pattern_matches_reference_bits(case):
 @given(arrays_and_grids())
 def test_hypot_magnitude_matches_scalar_abs_bits(case):
     geom, f_hz, thetas, theta0 = case
-    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), f_hz, thetas)[0]
+    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), [f_hz], thetas)[0][0]
     expected = [float(abs(af)) for af in values]
     assert np.array_equal(bits(np.hypot(values.real, values.imag)), bits(expected))
 
@@ -141,7 +149,7 @@ def test_hypot_magnitude_matches_scalar_abs_bits(case):
 @given(arrays_and_grids())
 def test_array_angle_matches_scalar_angle_bits(case):
     geom, f_hz, thetas, theta0 = case
-    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), f_hz, thetas)[0]
+    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), [f_hz], thetas)[0][0]
     expected = [float(np.angle(af)) for af in values]
     assert np.array_equal(bits(np.angle(values)), bits(expected))
 
@@ -161,17 +169,51 @@ def test_shared_peaks_match_per_spec_peak_bits(case, step_deg, window, toward_st
     step = math.radians(step_deg)
     toward = theta0 if toward_steering else -math.inf
     specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
-    got = peak_directions(geom, specs, f_hz, *WINDOWS[window], step, toward)
+    got = peak_directions(geom, specs, [f_hz], *WINDOWS[window], step, toward)[0]
     assert got == [reference_peak(geom, spec, f_hz, *WINDOWS[window], step, toward)
                    for spec in specs]
 
 
+@st.composite
+def arrays_and_bands(draw):
+    """``arrays_and_grids`` with 1-6 band points in the array's band (repeats
+    allowed) in place of its one frequency."""
+    geom, _, thetas, theta0 = draw(arrays_and_grids())
+    f_lo, f_hi = geom.band_hz
+    freqs = [min(f_hi, f_lo + (f_hi - f_lo) * u)
+             for u in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))]
+    return geom, freqs, thetas, theta0
+
+
+@settings(max_examples=20, deadline=None)
+@given(arrays_and_bands(), st.one_of(st.just(0.01), st.floats(0.05, 1.0)),
+       st.sampled_from(sorted(WINDOWS)), st.sampled_from(["lowest", "steering", "drawn"]),
+       st.floats(-math.pi, math.pi))
+def test_band_call_matches_per_frequency_references(case, step_deg, window, tie, drawn):
+    """One band call gives, at each band point, the per-frequency full-grid
+    argmax (ties to ``toward_rad`` included) and the per-frequency
+    ``feed @ steering`` pattern, bit for bit: the shared projections, the
+    reused buffers and the columns zeroed between band points move nothing."""
+    geom, freqs, thetas, theta0 = case
+    step = math.radians(step_deg)
+    toward = {"lowest": -math.inf, "steering": theta0, "drawn": drawn}[tie]
+    specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
+    peaks = peak_directions(geom, specs, freqs, *WINDOWS[window], step, toward)
+    assert peaks == [[reference_peak(geom, spec, f_hz, *WINDOWS[window], step, toward)
+                      for spec in specs] for f_hz in freqs]
+    patterns = array_factor_patterns(geom, specs, freqs, thetas)
+    assert len(patterns) == len(freqs)
+    for f_hz, per_spec in zip(freqs, patterns):
+        for spec, got in zip(specs, per_spec):
+            assert np.array_equal(bits(got), bits(reference_pattern(geom, spec, f_hz, thetas)))
+
+
 class CountingNumpy:
-    """numpy as ``fwcsim.beamform`` sees it, recording the column count of
-    every (N, T) phase matrix passed to cos."""
+    """numpy as ``fwcsim.beamform`` sees it, recording the column count and a
+    copy of every (N, T) phase matrix passed to cos."""
 
     def __init__(self):
-        self.columns = []
+        self.columns, self.phases = [], []
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -179,7 +221,55 @@ class CountingNumpy:
     def cos(self, x, *args, **kwargs):
         if np.ndim(x) == 2:
             self.columns.append(np.shape(x)[1])
+            self.phases.append(np.array(x))
         return np.cos(x, *args, **kwargs)
+
+
+def reference_phase(geom, f_hz, thetas_rad):
+    """The full-grid phase of the per-frequency search: one projection product
+    over the whole grid, then (0*0 + 2*pi*f*p) * (1/c)."""
+    thetas = np.asarray(thetas_rad, dtype=float)
+    phase = geom.element_positions @ np.stack([np.sin(thetas), np.cos(thetas)])
+    phase *= 2 * math.pi * f_hz
+    phase += 0.0
+    phase *= 1.0 / SPEED_OF_LIGHT_M_S
+    return phase
+
+
+def exact_pass_phases_are_full_grid_columns(geom, specs, freqs, window, step):
+    """Whether at every band point the exact pass takes cos of columns that are,
+    bit for bit, columns of the full grid's phase."""
+    numpy = CountingNumpy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(beamform, "np", numpy)
+        peak_directions(geom, specs, freqs, *window, step)
+    thetas = beamform.angle_grid(*window, step)
+    for f_hz, exact in zip(freqs, numpy.phases[1::2]):  # coarse, then exact, per point
+        full = {column.tobytes() for column in reference_phase(geom, f_hz, thetas).T}
+        if not all(column.tobytes() in full for column in exact.T):
+            return False
+    return True
+
+
+@PROPERTY
+@given(arrays_and_bands(), st.floats(0.05, 1.0), st.sampled_from(sorted(WINDOWS)))
+def test_exact_pass_takes_trig_of_full_grid_phase_columns(case, step_deg, window):
+    """The projections come from one product over the whole grid, scaled per
+    frequency; a product over the candidate columns alone would move some bits."""
+    geom, freqs, _, theta0 = case
+    assert exact_pass_phases_are_full_grid_columns(
+        geom, (phase_only_weights(geom, theta0),), freqs, WINDOWS[window], math.radians(step_deg))
+
+
+@pytest.mark.parametrize("theta0_deg", [0.0, 0.6])
+def test_one_candidate_phase_is_a_full_grid_column(theta0_deg):
+    """A planar 64-element array on a two-angle grid: one candidate per band
+    point, whose phase a one-column product would give with other bits."""
+    geom = ArrayGeometry(np.random.default_rng(7).uniform(-0.2, 0.2, (64, 2)), 10e9,
+                         (10e9, 20e9))
+    spec = phase_only_weights(geom, math.radians(theta0_deg))
+    assert exact_pass_phases_are_full_grid_columns(
+        geom, (spec,), [10e9, 14e9, 20e9], (0.0, math.radians(1.0)), math.radians(0.6))
 
 
 @pytest.mark.parametrize("hi_deg, step_deg", [(1.0, 0.6), (0.5, 0.6)])
@@ -191,7 +281,7 @@ def test_one_candidate_column(monkeypatch, hi_deg, step_deg):
     window = (0.0, math.radians(hi_deg))
     numpy = CountingNumpy()
     monkeypatch.setattr(beamform, "np", numpy)
-    got = peak_directions(geom, (spec,), 10e9, *window, math.radians(step_deg))
+    got = peak_directions(geom, (spec,), [10e9], *window, math.radians(step_deg))[0]
     assert numpy.columns[-1] == 1  # the exact pass takes cos of one column
     assert got == [reference_peak(geom, spec, 10e9, *window, math.radians(step_deg))]
 
@@ -199,14 +289,14 @@ def test_one_candidate_column(monkeypatch, hi_deg, step_deg):
 @PROPERTY
 @given(arrays_and_grids(), st.data())
 def test_subset_trig_and_zeroed_product_keep_full_width_bits(case, data):
-    """cos and sin on some columns of the full-width phase give the columns of
-    the steering matrix, and a full-width product with the other columns zeroed
-    gives those columns' |AF| bit for bit."""
+    """cos and sin of the scaled phase of some columns of the full-width
+    projections give the columns of the steering matrix, and a full-width
+    product with the other columns zeroed gives those columns' |AF| bit for bit."""
     geom, f_hz, thetas, theta0 = case
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(thetas),
                                        max_size=len(thetas))))
-    full = steering_matrix(geom, f_hz, thetas)
-    subset = _unit_phasors(_phase(geom, f_hz, thetas)[:, keep])
+    full = engine_steering(geom, f_hz, thetas)
+    subset = _unit_phasors(_phase(_projections(geom, thetas)[:, keep], f_hz))
     assert np.array_equal(bits(subset), bits(np.ascontiguousarray(full[:, keep])))
     zeroed = np.zeros_like(full)
     zeroed[:, keep] = subset
@@ -226,7 +316,7 @@ def test_ttd_endfire_grating_lobe_tie_goes_to_steering_angle(n, f_lo, theta0_deg
     theta0 = math.radians(theta0_deg)
     spec = ttd_weights(geom, theta0)
     window = (0.0, math.pi / 2) if theta0 > 0 else (-math.pi / 2, 0.0)
-    got = peak_directions(geom, (spec,), 2 * f_lo, *window, toward_rad=theta0)
+    got = peak_directions(geom, (spec,), [2 * f_lo], *window, toward_rad=theta0)[0]
     assert got == [reference_peak(geom, spec, 2 * f_lo, *window, CLI_STEP, theta0)]
     assert got[0] == pytest.approx(theta0, abs=1e-9)
 
@@ -237,7 +327,8 @@ def test_ttd_endfire_grating_lobe_tie_goes_to_steering_angle(n, f_lo, theta0_deg
 ], ids=["default", "bench-planning"])
 def test_peak_search_takes_trig_of_under_an_eighth_of_the_grid(monkeypatch, sweep):
     """Coarse pass and exact pass together take cos of fewer than 1/8 of the
-    fine-grid columns at every band point of the beam-pattern sweep."""
+    fine-grid columns at every band point of the beam-pattern sweep, which
+    searches the whole band in one call."""
     cfg = config_from_dict({"sweep": sweep})
     numpy = CountingNumpy()
     calls = []
@@ -246,21 +337,24 @@ def test_peak_search_takes_trig_of_under_an_eighth_of_the_grid(monkeypatch, swee
         numpy.columns.clear()
         calls.append(peak(*args, **kwargs))
         grid = beamform.angle_grid(*args[3:5], CLI_STEP)
-        assert 0 < sum(numpy.columns) < len(grid) / 8, (sum(numpy.columns), len(grid))
+        # Per band point, the coarse pass's cos and then the exact pass's.
+        assert len(numpy.columns) == 2 * len(args[2])
+        for coarse, exact in zip(numpy.columns[::2], numpy.columns[1::2]):
+            assert 0 < coarse + exact < len(grid) / 8, (coarse, exact, len(grid))
         return calls[-1]
 
     peak = beamform.peak_directions
     monkeypatch.setattr(beamform, "np", numpy)
     monkeypatch.setattr(sweeps, "peak_directions", counted)
     run_beam_pattern(cfg)
-    assert len(calls) == cfg.sweep.num_band_points
+    assert len(calls) == 1 and len(calls[0]) == cfg.sweep.num_band_points
 
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(0.01), math.nan, math.inf, -math.inf])
 def test_bad_peak_search_step_raises_validation_error(step):
     geom = ArrayGeometry.ula(4, 0.01, 10e9)
     with pytest.raises(ValidationError, match="angle step"):
-        peak_directions(geom, (ttd_weights(geom, 0.1),), 10e9, 0.0, 1.0, step)
+        peak_directions(geom, (ttd_weights(geom, 0.1),), [10e9], 0.0, 1.0, step)
     with pytest.raises(ValidationError, match="angle step"):
         beamform.angle_grid(0.0, 1.0, step)
 

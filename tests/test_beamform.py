@@ -24,12 +24,12 @@ DEG = math.degrees
 
 def pattern_of(geom, spec, f_hz, thetas_rad):
     """The array factor of one spec over a grid of directions."""
-    return array_factor_patterns(geom, (spec,), f_hz, thetas_rad)[0]
+    return array_factor_patterns(geom, (spec,), [f_hz], thetas_rad)[0][0]
 
 
 def peak_of(geom, spec, f_hz, theta_lo_rad, theta_hi_rad):
     """The grid-searched peak direction of one spec."""
-    return peak_directions(geom, (spec,), f_hz, theta_lo_rad, theta_hi_rad)[0]
+    return peak_directions(geom, (spec,), [f_hz], theta_lo_rad, theta_hi_rad)[0][0]
 
 
 def array_factor(geom, spec, f_hz, theta_rad):

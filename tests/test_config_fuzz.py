@@ -3,8 +3,8 @@
 Every subcommand must exit 0, 2, 3 or 4. A failure prints exactly one line
 and no traceback; a success writes a CSV without NaN and a strict-JSON meta.
 Grids stay tiny (numbers are drawn from a small fixed set, lists hold at
-most three items) so each example runs in milliseconds: the schema puts no
-upper bound on grid sizes such as the theta step or the element count.
+most three items) so each example runs in milliseconds: the size bounds
+(README, "Size bounds") still admit grids far too large for a fuzz example.
 """
 import json
 import math

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from fwcsim import config as config_module
+from fwcsim import sweeps
 from fwcsim.cli import main
 from fwcsim.config import ExperimentConfig, SweepParams, config_from_dict, load_config
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
@@ -217,7 +219,7 @@ def test_beam_pattern_matches_array_factor():
     rng = np.random.default_rng(0)
     rows = [table.rows[int(i)] for i in rng.integers(0, len(table.rows), size=40)]
     for mode, f_hz, theta_deg, mag, phase in rows:
-        af = array_factor_patterns(geom, (specs[mode],), f_hz, np.radians([theta_deg]))[0][0]
+        af = array_factor_patterns(geom, (specs[mode],), [f_hz], np.radians([theta_deg]))[0][0][0]
         assert mag == pytest.approx(abs(af), rel=1e-12, abs=1e-12)
     ttd_peaks = [p for p in table.metadata["peaks"] if p["mode"] == "ttd"]
     assert all(abs(p["peak_deg"] - 30.0) <= 0.011 for p in ttd_peaks)
@@ -535,3 +537,76 @@ def test_cli_subprocess_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Configs that each once ended in a numpy MemoryError traceback (13.4 GiB,
+# 298 GiB and 763 MiB asked for) or filled memory.
+SIZE_PROBES = {
+    "theta-step-1e-7": ("beam-pattern", {"sweep": {"theta_grid_deg": [-90.0, 90.0, 1e-7]}},
+                        "sweep.theta_grid_deg"),
+    "m-200000": ("throughput-sweep", {"sweep": {"m_values": [200000]}, "budget_w": 1e9},
+                 "sweep.m_values"),
+    "elements-1e8": ("beam-pattern", {"sweep": {"array_elements": 100_000_000}},
+                     "sweep.array_elements"),
+}
+# The probe's address space: a case the size bounds miss fails with a
+# MemoryError here instead of swapping.
+PROBE_RLIMIT_AS = 1536 * 2**20
+PROBE_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from fwcsim.cli import main
+start = time.perf_counter()
+code = main(sys.argv[2:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("probe", sorted(SIZE_PROBES))
+def test_oversized_config_exits_2_before_allocating(tmp_path, probe):
+    command, data, key = SIZE_PROBES[probe]
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_CHILD, str(PROBE_RLIMIT_AS), command,
+         "--config", str(write_cfg(tmp_path, data)), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: {key} ")
+    assert float(proc.stdout) < 1.0  # seconds from main() to its exit code
+    assert not out.exists()
+
+
+BENCH_PLANNING_SWEEP = {
+    "fiber_km": [round(0.005 * i, 6) for i in range(5001)],
+    "frequencies_hz": [10e9 + 5e9 * i for i in range(7)],
+    "array_elements": 64, "num_band_points": 21, "theta_grid_deg": [-90.0, 90.0, 0.05],
+}
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    {"monte_carlo_drops": 100},
+    {"sweep": {"m_values": [1024], "association_mode": "ue_nearest"}, "budget_w": 1e5,
+     "monte_carlo_drops": 20},
+    {"sweep": BENCH_PLANNING_SWEEP},
+], ids=["default", "case_study", "dense_m1024", "planning"])
+def test_default_and_bench_configs_are_admitted(data):
+    cfg = config_from_dict(data)
+    sweeps._admit_throughput(cfg, sweeps._ue_counts(cfg.sweep.m_values))
+    sweeps._admit_beam(cfg)
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"monte_carlo_drops": 10**9}, "monte_carlo_drops"),
+    ({"sweep": {"m_values": [16, 7000]}}, "sweep.m_values"),
+    ({"sweep": {"num_band_points": 10**6}}, "sweep.theta_grid_deg and sweep.num_band_points"),
+    ({"sweep": {"theta_grid_deg": [-90.0, 90.0, 5e-324]}}, "sweep.theta_grid_deg"),
+], ids=["drops", "m-7000", "band-points", "subnormal-step"])
+def test_size_bounds_name_the_key(data, key):
+    cfg = config_from_dict(data)
+    with pytest.raises(ConfigError, match=f"^{key} asks for"):
+        sweeps._admit_throughput(cfg, sweeps._ue_counts(cfg.sweep.m_values))
+        sweeps._admit_beam(cfg)

@@ -7,12 +7,16 @@ bit, the row-wise writer and the per-length scalar model it replaced (copied
 below as references), so the planning CSV and meta bytes cannot move.
 """
 import dataclasses
+import json
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fwcsim.config import ExperimentConfig, _plain
+from fwcsim.errors import ValidationError
 from fwcsim.optics import (
     FiberParams,
     Scheme,
@@ -25,9 +29,10 @@ from fwcsim.power import (
     PLACEMENT,
     PowerParams,
     crossover_length,
+    pa_input_power,
     power_over,
 )
-from fwcsim.tables import Repeat, ResultTable
+from fwcsim.tables import Repeat, ResultTable, _column_text, _json_safe
 from fwcsim.units import SPEED_OF_LIGHT_M_S, db_to_linear
 
 
@@ -290,3 +295,197 @@ def test_fiber_axis_keeps_the_length_check():
     assert fiber_axis([0, 1.5, -0.0]).tolist() == [0.0, 1.5, -0.0]
     with pytest.raises(ValueError, match="length must be >= 0"):
         fiber_axis([1.0, -1e-300])
+
+
+# The per-element code that the libm maps replaced, copied as it stood: each
+# libm call (cos, c**2, log10, 10.0 ** x) ran once per length in a Python loop.
+def previous_fading_db_over(fiber, f_hz, lengths_km):
+    if f_hz <= 0:
+        raise ValidationError(f"frequency must be > 0, got {f_hz}")
+    d_si = fiber.dispersion_ps_nm_km * 1e-6
+    lam_si = fiber.wavelength_nm * 1e-9
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = math.pi * d_si * (lengths_km * 1e3) * lam_si**2 * f_hz**2 / SPEED_OF_LIGHT_M_S
+    except OverflowError:
+        phase = np.full(len(lengths_km), math.inf)
+    if not np.isfinite(phase).all():
+        km = lengths_km[~np.isfinite(phase)][0]
+        raise ValidationError(f"dispersion phase is not finite at {km} km, {f_hz / 1e9:g} GHz")
+    fading = []
+    for cos in map(math.cos, phase.tolist()):
+        cos_sq = cos**2
+        fading.append(math.inf if cos_sq <= 1e-24
+                      else max(0.0, -10.0 * math.log10(cos_sq)))
+    return fading
+
+
+def previous_power_over(scheme, radio, num_raps, p_tx_w, fiber, params, lengths_km):
+    cu_fields, rap_fields, _ = PLACEMENT[scheme]
+    cu = sum(getattr(params, name) for name in cu_fields)
+    rap = sum(getattr(params, name) for name in rap_fields) + pa_input_power(
+        p_tx_w, scheme, params)
+    overhead_frac = params.overhead_multiplier - 1.0
+    with np.errstate(over="ignore"):
+        if scheme is Scheme.BBOF:
+            fading = comp = [0.0] * len(lengths_km)
+        else:
+            fading = previous_fading_db_over(fiber, radio.analog_carrier_hz(scheme), lengths_km)
+            loss_db = (fiber.attenuation_db_per_km * lengths_km + fading).tolist()
+            comp = [math.inf if fade == math.inf else params.p_link0_w * db_to_linear(loss)
+                    for fade, loss in zip(fading, loss_db)]
+        with np.errstate(invalid="ignore"):  # p_link0 = 0 at an overflow: 0 * inf
+            functional = float(cu) + float(num_raps) * (rap + np.array(comp))
+        overhead = overhead_frac * functional if overhead_frac else np.zeros(len(comp))
+        total = functional + overhead
+    return cu, rap, fading, comp, overhead.tolist(), total.tolist()
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Equal error, or equal nested results down to the bits of each float."""
+    if isinstance(want, tuple) and want and isinstance(want[0], type):
+        assert got == want
+        return
+    assert repr(got) == repr(want)
+
+
+# Axes with 0, exact nulls (infinite loss), one element, and lengths whose
+# attenuation passes the float range of 10 ** (dB / 10) or of the phase.
+edge_fibers = st.builds(
+    FiberParams,
+    dispersion_ps_nm_km=st.one_of(st.sampled_from([17.0, -17.0, -0.0, 0.0]),
+                                  st.floats(-200.0, 200.0)),
+    wavelength_nm=st.one_of(st.just(1553.6), st.floats(800.0, 1700.0)),
+    attenuation_db_per_km=st.one_of(st.sampled_from([0, 0.3, 1000.0, 1e300]),
+                                    st.floats(0.0, 2.0)),
+)
+edge_lengths = st.lists(st.one_of(st.sampled_from([0.0, 0, 5.0, 19.0, 1e6, 1e306]),
+                                  st.floats(0.0, 1000.0)), min_size=1, max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schemes, radios, edge_fibers, edge_lengths, st.integers(1, 3), st.booleans(),
+       power_params, st.integers(1, 64), st.one_of(st.floats(0.0, 50.0), st.integers(0, 5)))
+def test_libm_maps_match_per_element_loops(scheme, radio, fiber, km, null_k, one, params,
+                                           num_raps, p_tx):
+    """``fading_db_over`` and ``power_over`` give the per-element loops' bits, or
+    raise the same ValidationError, on every axis: zero, nulls, negative
+    dispersion, a one-element axis as ``solve_tx_power`` passes, and losses
+    whose power of ten or phase passes the float range."""
+    carrier = radio.analog_carrier_hz(scheme)
+    if carrier is not None and abs(fiber.dispersion_ps_nm_km) > 1e-3:
+        km = km + null_lengths(fiber, carrier, null_k)
+    axis = fiber_axis(km[:1] if one else km)
+    if carrier is not None:
+        assert_same_outcome(outcome(fading_db_over, fiber, carrier, axis),
+                            outcome(previous_fading_db_over, fiber, carrier, axis))
+    args = (scheme, radio, num_raps, p_tx, fiber, params, axis)
+    assert_same_outcome(outcome(power_over, *args), outcome(previous_power_over, *args))
+
+
+def test_libm_maps_match_per_element_loops_on_a_planning_grid():
+    """A 5001-point axis at seven carriers: tens of thousands of points, enough
+    to show a substitute that differs in the last place on a small share of
+    inputs (x*x for x**2 differs on about 0.1 %)."""
+    axis = fiber_axis([round(0.005 * i, 6) for i in range(5001)])
+    fiber, params = FiberParams(), PowerParams()
+    for f_hz in np.linspace(10e9, 40e9, 7).tolist():
+        radio = SchemeParams(rf_carrier_hz=f_hz)
+        assert repr(fading_db_over(fiber, f_hz, axis)) == repr(
+            previous_fading_db_over(fiber, f_hz, axis))
+        args = (Scheme.RFOF, radio, 1, 1.0, fiber, params, axis)
+        assert repr(power_over(*args)) == repr(previous_power_over(*args))
+
+
+def test_power_of_ten_past_the_float_range_is_inf_in_the_map():
+    """One overflowing length makes the whole map fall back to db_to_linear,
+    so that length reads inf and the others keep their bits."""
+    fiber = FiberParams(attenuation_db_per_km=1000.0)
+    axis = fiber_axis([0.0, 1.0, 4.0, 19.0])
+    args = (Scheme.IFOF, SchemeParams(), 2, 1.0, fiber, PowerParams(), axis)
+    got, want = power_over(*args), previous_power_over(*args)
+    assert repr(got) == repr(want)
+    assert got[3][2:] == [math.inf, math.inf] and math.isfinite(got[3][1])
+
+
+# The table and config-echo walkers as they stood before their whole-column paths.
+def previous_column_text(column):
+    exact = {float: float.__repr__, str: str, int: int.__repr__}
+    kinds = set(map(type, column))
+    if len(kinds) == 1 and (fmt := exact.get(kinds.pop())):
+        return list(map(fmt, column))
+    return [exact.get(type(v), reference_format_cell)(v) for v in column]
+
+
+def previous_json_safe(value):
+    if isinstance(value, dict):
+        return {k: previous_json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [previous_json_safe(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def previous_plain(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: previous_plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [previous_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+echo_scalars = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**20, 10**20),
+    st.booleans(), st.none(), st.text(alphabet="ab", max_size=2), st.sampled_from(list(Scheme)),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-5, 5).map(np.int64), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+)
+# Whole-number columns (the fast paths) next to mixed ones, nested in lists,
+# tuples, dicts and config groups.
+number_columns = st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                    st.integers(-10**6, 10**6)), max_size=6)
+echo_values = st.recursive(
+    st.one_of(echo_scalars, number_columns, number_columns.map(tuple),
+              st.builds(FiberParams, length_km=st.floats(0.0, 50.0))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(alphabet="xy", max_size=2), inner,
+                                            max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(number_columns, st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                                          .map(np.float64), max_size=6),
+                 st.lists(echo_scalars, max_size=6), st.lists(cells, max_size=6)))
+def test_column_text_matches_per_cell_formatting(column):
+    assert previous_column_text(column) == _column_text(column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(echo_values)
+def test_json_safe_and_plain_match_element_walks(value):
+    """Every echo value, from an empty column to mixed float/int/bool/
+    np.float64/str/enum ones with NaN and infinities, walks to the same
+    result, types and float bits included."""
+    assert repr(_json_safe(value)) == repr(previous_json_safe(value))
+    assert repr(_plain(value)) == repr(previous_plain(value))
+    assert (json.dumps(_json_safe(value), default=repr)
+            == json.dumps(previous_json_safe(value), default=repr))
+
+
+def test_echo_walkers_on_the_default_config():
+    cfg = ExperimentConfig()
+    resolved = cfg.resolved()
+    assert repr(resolved) == repr(previous_plain(cfg))
+    assert repr(_json_safe(resolved)) == repr(previous_json_safe(resolved))
