@@ -33,8 +33,7 @@ from .optics import (
     FiberParams,
     Scheme,
     SchemeParams,
-    attenuation_db,
-    dispersion_fading_db,
+    fiber_axis,
     fronthaul_snr_db,
     null_lengths,
     recovery_lengths,

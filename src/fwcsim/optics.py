@@ -1,5 +1,5 @@
-"""Fronthaul schemes and their radio constants; analog optical-link impairments:
-attenuation, dispersion RF power fading, null/recovery planning, fronthaul SNR."""
+"""Fronthaul schemes and their radio constants; analog optical-link impairments
+over a fiber-length axis: dispersion fading, null/recovery planning, fronthaul SNR."""
 from __future__ import annotations
 
 import math
@@ -78,11 +78,6 @@ class SchemeParams:
         return None
 
 
-def attenuation_db(fiber: FiberParams) -> float:
-    """Fiber propagation loss alpha * L in dB."""
-    return fiber.attenuation_db_per_km * fiber.length_km
-
-
 def fiber_axis(lengths_km) -> np.ndarray:
     """The fiber lengths as one float array, held to FiberParams' length check."""
     axis = np.array(lengths_km, dtype=float)
@@ -123,21 +118,23 @@ def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> l
                     np.where(loss > 0.0, loss, 0.0)).tolist()
 
 
-def dispersion_fading_db(fiber: FiberParams, f_hz: float) -> float:
-    """``fading_db_over`` at the fiber's own length."""
-    return fading_db_over(fiber, f_hz, fiber_axis([fiber.length_km]))[0]
-
-
 def _fading_period_km(fiber: FiberParams, f_hz: float, k_max: int) -> float:
     if f_hz <= 0:
         raise ValidationError(f"frequency must be > 0, got {f_hz}")
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    d_si = abs(fiber.dispersion_ps_nm_km) * 1e-6
-    if d_si == 0.0:
+    if fiber.dispersion_ps_nm_km == 0.0:
         raise UndefinedModelError("zero dispersion: fading has no length structure")
+    d_si = abs(fiber.dispersion_ps_nm_km) * 1e-6
     lam_si = fiber.wavelength_nm * 1e-9
-    return SPEED_OF_LIGHT_M_S / (d_si * lam_si**2 * f_hz**2) / 1e3
+    try:
+        period = SPEED_OF_LIGHT_M_S / (d_si * lam_si**2 * f_hz**2) / 1e3
+    except (OverflowError, ZeroDivisionError):  # a factor past the float range
+        period = math.inf
+    if not 0.0 < period < math.inf:
+        raise ValidationError(f"fading period past the float range at {fiber.dispersion_ps_nm_km}"
+                              f" ps/(nm km), {fiber.wavelength_nm} nm, {f_hz:g} Hz")
+    return period
 
 
 def recovery_lengths(fiber: FiberParams, f_hz: float, k_max: int) -> list[float]:
@@ -152,15 +149,15 @@ def null_lengths(fiber: FiberParams, f_hz: float, k_max: int) -> list[float]:
     return [(2 * k - 1) * period / 2.0 for k in range(1, k_max + 1)]
 
 
-def fronthaul_snr_db(scheme: Scheme, radio: SchemeParams, fiber: FiberParams) -> float:
-    """Lumped analog-link SNR after fiber losses.
-
-    BBoF returns +inf. IFoF/RFoF degrade the back-to-back SNR by attenuation
-    plus fading at the scheme's carrier; a dispersion null returns -inf.
-    """
+def fronthaul_snr_db(scheme: Scheme, radio: SchemeParams, fiber: FiberParams,
+                     lengths_km: np.ndarray) -> list[float]:
+    """Lumped analog-link SNR after fiber losses at each length of the float
+    array ``lengths_km``: BBoF gives +inf, a dispersion null -inf, and IFoF/RFoF
+    otherwise the back-to-back SNR less attenuation alpha * L and the carrier's
+    fading, elementwise in numpy in the scalar operation order."""
     if Scheme(scheme) is Scheme.BBOF:
-        return math.inf
-    fading = dispersion_fading_db(fiber, radio.analog_carrier_hz(scheme))
-    if math.isinf(fading):
-        return -math.inf
-    return radio.fronthaul_snr0_db - attenuation_db(fiber) - fading
+        return [math.inf] * len(lengths_km)
+    fading = np.array(fading_db_over(fiber, radio.analog_carrier_hz(scheme), lengths_km))
+    with np.errstate(over="ignore"):  # alpha * L past the float range is inf, as on floats
+        return (radio.fronthaul_snr0_db - fiber.attenuation_db_per_km * lengths_km
+                - fading).tolist()

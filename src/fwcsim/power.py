@@ -12,7 +12,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import InfeasibleBudgetError, ValidationError
+from .errors import ValidationError
 from .optics import FiberParams, Scheme, SchemeParams, fading_db_over, fiber_axis
 from .units import db_to_linear
 
@@ -142,36 +142,20 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
     return cu, rap, fading, comp.tolist(), overhead.tolist(), total.tolist()
 
 
-def solve_tx_power(
-    scheme: Scheme,
-    radio: SchemeParams,
-    num_raps: int,
-    fiber: FiberParams,
-    budget_w: float,
-    params: PowerParams,
-) -> float:
-    """Per-RAP transmit power whose system total equals the budget.
-
-    The model is affine in p_tx, so the inverse is closed-form. Raises
-    InfeasibleBudgetError when the budget cannot cover the fixed consumption.
+def solve_tx_power(scheme: Scheme, radio: SchemeParams, num_raps: int, fiber: FiberParams,
+                   budget_w: float, params: PowerParams,
+                   lengths_km: np.ndarray) -> tuple[list[float], list[bool]]:
+    """Per-RAP transmit power that spends the budget, and whether the budget is
+    feasible, at each length of the float array ``lengths_km``. The model is
+    affine in p_tx, so the inverse is closed-form. A fixed consumption that is
+    infinite (a dispersion null) or above the budget is infeasible, with p_tx 0.0.
     """
-    axis = fiber_axis([fiber.length_km])
-    fixed = power_over(scheme, radio, num_raps, 0.0, fiber, params, axis)[-1][0]
-    if not math.isfinite(fixed):
-        raise InfeasibleBudgetError(
-            f"{Scheme(scheme).value} fixed power is infinite (dispersion null)"
-        )
-    if budget_w < fixed - _SOLVER_TOL_W:
-        raise InfeasibleBudgetError(
-            f"budget {budget_w} W below fixed consumption {fixed:.6f} W "
-            f"for {Scheme(scheme).value} with {num_raps} RAPs"
-        )
-    slope = (
-        params.overhead_multiplier
-        * num_raps
-        / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
-    )
-    return max(0.0, (budget_w - fixed) / slope)
+    fixed = power_over(scheme, radio, num_raps, 0.0, fiber, params, lengths_km)[-1]
+    slope = params.overhead_multiplier * num_raps / (
+        params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
+    feasible = [math.isfinite(f) and not budget_w < f - _SOLVER_TOL_W for f in fixed]
+    p_tx = [max(0.0, (budget_w - f) / slope) if ok else 0.0 for f, ok in zip(fixed, feasible)]
+    return p_tx, feasible
 
 
 def crossover_length(

@@ -249,17 +249,16 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     radio = cfg.scheme_params
     noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
+    fiber_km = fiber_axis([cfg.fiber.length_km])
     fh_snr_db = table.metadata["fronthaul_snr_db"] = {
-        s.value: fronthaul_snr_db(s, radio, cfg.fiber) for s in cfg.schemes}
+        s.value: fronthaul_snr_db(s, radio, cfg.fiber, fiber_km)[0] for s in cfg.schemes}
 
     solver = table.metadata["solver"] = {s.value: {} for s in cfg.schemes}
     for s in cfg.schemes:
         for m in cfg.sweep.m_values:
-            try:
-                p_tx = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w, cfg.power)
-                solver[s.value][str(m)] = {"p_tx_w": p_tx, "feasible": True}
-            except InfeasibleBudgetError:
-                solver[s.value][str(m)] = {"p_tx_w": 0.0, "feasible": False}
+            (p_tx,), (feasible,) = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w,
+                                                  cfg.power, fiber_km)
+            solver[s.value][str(m)] = {"p_tx_w": p_tx, "feasible": feasible}
     if not any(point["feasible"] for per_m in solver.values() for point in per_m.values()):
         raise InfeasibleBudgetError(
             f"budget {cfg.budget_w} W infeasible for every scheme and RAP count"

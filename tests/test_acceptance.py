@@ -17,7 +17,8 @@ from fwcsim.optics import (
     FiberParams,
     Scheme,
     SchemeParams,
-    dispersion_fading_db,
+    fading_db_over,
+    fiber_axis,
     recovery_lengths,
 )
 from fwcsim.power import PowerParams, crossover_length, solve_tx_power
@@ -61,9 +62,8 @@ def test_criterion_2_loss_deltas():
     start = time.perf_counter()
     deltas = {}
     for f in (10e9, 20e9, 30e9):
-        deltas[f] = dispersion_fading_db(
-            dataclasses.replace(FIBER, length_km=4.0), f
-        ) - dispersion_fading_db(dataclasses.replace(FIBER, length_km=1.0), f)
+        at_1, at_4 = fading_db_over(FIBER, f, fiber_axis([1.0, 4.0]))
+        deltas[f] = at_4 - at_1
     elapsed = time.perf_counter() - start
     ok = (
         deltas[10e9] < deltas[20e9] < deltas[30e9]
@@ -223,7 +223,7 @@ def test_criterion_7_oracle_equivalences():
 def test_criterion_8_solver_round_trip():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst, infeasible = 0.0, 0
     schemes = (Scheme.BBOF, Scheme.IFOF, Scheme.RFOF)
     radio = SchemeParams()
     for _ in range(1000):
@@ -232,12 +232,15 @@ def test_criterion_8_solver_round_trip():
         fiber = dataclasses.replace(FIBER, length_km=float(rng.uniform(0.0, 8.0)))
         fixed = power_at(scheme, radio, m, 0.0, fiber, PARAMS)[-1]
         budget = fixed + float(rng.uniform(0.0, 10000.0))
-        p = solve_tx_power(scheme, radio, m, fiber, budget, PARAMS)
+        (p,), (feasible,) = solve_tx_power(scheme, radio, m, fiber, budget, PARAMS,
+                                           fiber_axis([fiber.length_km]))
         total = power_at(scheme, radio, m, p, fiber, PARAMS)[-1]
         worst = max(worst, abs(total - budget))
+        infeasible += not feasible
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 5.0
-    report(8, "solver round trip", ok, f"worst |total-budget| = {worst:.2e} W, {elapsed:.2f}s")
+    ok = worst <= 1e-6 and not infeasible and elapsed < 5.0
+    report(8, "solver round trip", ok, f"worst |total-budget| = {worst:.2e} W, "
+           f"{infeasible} infeasible, {elapsed:.2f}s")
 
 
 def test_criterion_9_bitwise_determinism(tmp_path):

@@ -27,7 +27,7 @@ from fwcsim.geometry import (
     ASSOCIATION_MODES, LAYOUT_RNG_STREAM, Area, distance_matrix, generate_layout,
     layout_stream, udn_association,
 )
-from fwcsim.optics import Scheme, fronthaul_snr_db
+from fwcsim.optics import Scheme, fiber_axis, fronthaul_snr_db
 from fwcsim.power import solve_tx_power
 from fwcsim.units import db_to_linear
 from fwcsim.wireless import (
@@ -385,16 +385,13 @@ def m_major_sweep(cfg):
     radio = cfg.scheme_params
     noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
-    fh_snr_db = {s: fronthaul_snr_db(s, radio, cfg.fiber) for s in cfg.schemes}
+    fiber_km = fiber_axis([cfg.fiber.length_km])
+    fh_snr_db = {s: fronthaul_snr_db(s, radio, cfg.fiber, fiber_km)[0] for s in cfg.schemes}
     p_tx, feasible = {}, {}
     for s in cfg.schemes:
         for m in cfg.sweep.m_values:
-            try:
-                p_tx[(s, m)] = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w, cfg.power)
-                feasible[(s, m)] = True
-            except InfeasibleBudgetError:
-                p_tx[(s, m)] = 0.0
-                feasible[(s, m)] = False
+            (p_tx[(s, m)],), (feasible[(s, m)],) = solve_tx_power(
+                s, radio, m, cfg.fiber, cfg.budget_w, cfg.power, fiber_km)
     if not any(feasible.values()):
         raise InfeasibleBudgetError("no feasible point")
     caps = {

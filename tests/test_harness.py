@@ -14,7 +14,7 @@ from fwcsim.cli import main
 from fwcsim.config import ExperimentConfig, SweepParams, config_from_dict, load_config
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
 from fwcsim.geometry import Area
-from fwcsim.optics import Scheme, dispersion_fading_db, null_lengths, recovery_lengths
+from fwcsim.optics import Scheme, fading_db_over, fiber_axis, null_lengths, recovery_lengths
 from fwcsim.power import solve_tx_power
 from fwcsim.sweeps import (
     run_beam_pattern,
@@ -117,8 +117,8 @@ def test_dispersion_sweep_matches_optics():
         if scheme == "bbof":
             assert fading == 0.0
         else:
-            fib = dataclasses.replace(cfg.fiber, length_km=fiber_km)
-            assert fading == pytest.approx(dispersion_fading_db(fib, f_hz), rel=1e-12)
+            (want,) = fading_db_over(cfg.fiber, f_hz, fiber_axis([fiber_km]))
+            assert fading == pytest.approx(want, rel=1e-12)
     ifof_rows = [r for r in table.rows if r[0] == "ifof"]
     assert all(r[1] == 125e6 for r in ifof_rows)
 
@@ -171,8 +171,10 @@ def test_throughput_sweep_structure_and_solver():
     for arch, scheme, m, j, drops, p_tx, mean, ci in table.rows:
         assert j == m // 2
         assert drops == 3
-        expected_p = solve_tx_power(scheme, cfg.scheme_params, m, cfg.fiber, cfg.budget_w,
-                                    cfg.power)
+        (expected_p,), (feasible,) = solve_tx_power(scheme, cfg.scheme_params, m, cfg.fiber,
+                                                    cfg.budget_w, cfg.power,
+                                                    fiber_axis([cfg.fiber.length_km]))
+        assert feasible is True
         assert p_tx == pytest.approx(expected_p, abs=1e-9)
         assert mean > 0.0
 

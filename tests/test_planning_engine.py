@@ -23,6 +23,7 @@ from fwcsim.optics import (
     SchemeParams,
     fading_db_over,
     fiber_axis,
+    fronthaul_snr_db,
     null_lengths,
 )
 from fwcsim.power import (
@@ -31,6 +32,7 @@ from fwcsim.power import (
     crossover_length,
     pa_input_power,
     power_over,
+    solve_tx_power,
 )
 from fwcsim.tables import Repeat, ResultTable, _column_text, _json_safe
 from fwcsim.units import SPEED_OF_LIGHT_M_S, db_to_linear
@@ -154,6 +156,19 @@ def reference_system_power(scheme, radio, num_raps, p_tx_w, fiber, params):
     return cu, rap, comp, overhead, functional + overhead
 
 
+def null_lengths_or_none(fiber, carrier, k_max) -> list[float]:
+    """The first ``k_max`` null lengths at ``carrier``: none without a carrier
+    or dispersion, or where the fading period passes the float range (the
+    ValidationError that ``null_lengths`` raises there)."""
+    if carrier is None or fiber.dispersion_ps_nm_km == 0.0:
+        return []
+    try:
+        return null_lengths(fiber, carrier, k_max)
+    except ValidationError as exc:
+        assert "fading period past the float range" in str(exc)
+        return []
+
+
 def same_bits(got, want) -> bool:
     """Equal including the sign of zero and the exact type; NaN equals NaN."""
     return type(got) is type(want) and (repr(got) == repr(want))
@@ -172,7 +187,7 @@ power_params = st.builds(
 )
 fibers = st.builds(
     FiberParams,
-    dispersion_ps_nm_km=st.one_of(st.sampled_from([17.0, -0.0, 0.0, -100.0]),
+    dispersion_ps_nm_km=st.one_of(st.sampled_from([17.0, -0.0, 0.0, -100.0, 5e-324]),
                                   st.floats(-200.0, 200.0)),
     wavelength_nm=st.floats(800.0, 1700.0),
     attenuation_db_per_km=st.one_of(st.just(0), st.floats(0.0, 2.0)),
@@ -192,9 +207,8 @@ lengths = st.lists(st.one_of(st.floats(0.0, 1000.0), st.sampled_from([0.0, -0.0,
 def test_array_power_columns_match_scalar_model(scheme, radio, fiber, km, null_k, params,
                                                 num_raps, p_tx):
     carrier = radio.analog_carrier_hz(scheme)
-    if carrier is not None and abs(fiber.dispersion_ps_nm_km) > 1e-3:
-        # exact nulls (infinite loss), short enough that the old 10 ** (dB / 10) stays finite
-        km = km + [x for x in null_lengths(fiber, carrier, null_k) if x <= 1000.0]
+    # exact nulls (infinite loss), short enough that the old 10 ** (dB / 10) stays finite
+    km = km + [x for x in null_lengths_or_none(fiber, carrier, null_k) if x <= 1000.0]
     axis = fiber_axis(km)
     cu, rap, fading_col, comp, overhead, total = power_over(scheme, radio, num_raps, p_tx,
                                                             fiber, params, axis)
@@ -275,6 +289,66 @@ def test_crossover_scan_matches_scalar_scan(fiber, params, num_raps, p_tx, f_hz,
     radio = SchemeParams(rf_carrier_hz=f_hz)
     args = (Scheme.RFOF, Scheme.BBOF, radio, fiber, num_raps, p_tx, span, params)
     assert same_bits(crossover_length(*args), reference_crossover(*args))
+
+
+# The one-length fronthaul SNR and budget solver as they stood before the
+# length axis: each read ``FiberParams.length_km``, and the solver raised
+# InfeasibleBudgetError (read here as infeasible at 0 W).
+def previous_fronthaul_snr_db(scheme, radio, fiber):
+    if Scheme(scheme) is Scheme.BBOF:
+        return math.inf
+    fading = fading_db_over(fiber, radio.analog_carrier_hz(scheme),
+                            fiber_axis([fiber.length_km]))[0]
+    if math.isinf(fading):
+        return -math.inf
+    return radio.fronthaul_snr0_db - fiber.attenuation_db_per_km * fiber.length_km - fading
+
+
+def previous_solve_tx_power(scheme, radio, num_raps, fiber, budget_w, params):
+    fixed = power_over(scheme, radio, num_raps, 0.0, fiber, params,
+                       fiber_axis([fiber.length_km]))[-1][0]
+    if not math.isfinite(fixed) or budget_w < fixed - 1e-9:
+        return 0.0, False
+    slope = (params.overhead_multiplier * num_raps
+             / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss)))
+    return max(0.0, (budget_w - fixed) / slope), True
+
+
+# Offsets from a fixed power: inside the solver's 1e-9 W tolerance, on its
+# edge, past it, and anywhere within 100 W.
+budget_offsets = st.one_of(st.sampled_from([-5e-10, -1e-10, 0.0, -2e-9, 1e-9]),
+                           st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(schemes, radios, fibers, lengths, st.integers(1, 4), power_params, st.integers(1, 1024),
+       st.data())
+def test_length_axis_snr_and_solver_match_one_length_calls(scheme, radio, fiber, km, null_k,
+                                                           params, num_raps, data):
+    """Each element of ``fronthaul_snr_db`` and ``solve_tx_power`` over an axis
+    with exact nulls is, bit for bit, the one-length call and the scalar form it
+    replaced, at budgets on both sides of some length's fixed power."""
+    km = km + [x for x in null_lengths_or_none(fiber, radio.analog_carrier_hz(scheme), null_k)
+               if x <= 1e300]  # the phase of a longer null passes the float range
+    axis = fiber_axis(km)
+    fixed = [f for f in power_over(scheme, radio, num_raps, 0.0, fiber, params, axis)[-1]
+             if math.isfinite(f)]
+    budgets = st.one_of(st.integers(1, 10**4), st.floats(0.0, 1e6))
+    if fixed:
+        budgets = st.builds(float.__add__, st.sampled_from(fixed), budget_offsets) | budgets
+    budget = data.draw(budgets)
+    snr = fronthaul_snr_db(scheme, radio, fiber, axis)
+    p_tx, feasible = solve_tx_power(scheme, radio, num_raps, fiber, budget, params, axis)
+    assert len(snr) == len(p_tx) == len(feasible) == len(km)
+    for i, length in enumerate(km):
+        one = fiber_axis([length])
+        fib = dataclasses.replace(fiber, length_km=length)
+        assert same_bits(snr[i], fronthaul_snr_db(scheme, radio, fiber, one)[0])
+        assert same_bits(snr[i], previous_fronthaul_snr_db(scheme, radio, fib))
+        (p_one,), (ok_one,) = solve_tx_power(scheme, radio, num_raps, fiber, budget, params, one)
+        assert same_bits(p_tx[i], p_one) and feasible[i] is ok_one
+        p_old, ok_old = previous_solve_tx_power(scheme, radio, num_raps, fib, budget, params)
+        assert same_bits(p_tx[i], p_old) and feasible[i] is ok_old
 
 
 def test_db_to_linear_past_the_float_range_is_inf():
@@ -358,10 +432,11 @@ def assert_same_outcome(got, want):
 
 
 # Axes with 0, exact nulls (infinite loss), one element, and lengths whose
-# attenuation passes the float range of 10 ** (dB / 10) or of the phase.
+# attenuation passes the float range of 10 ** (dB / 10) or of the phase;
+# dispersions whose fading period passes the float range have no nulls.
 edge_fibers = st.builds(
     FiberParams,
-    dispersion_ps_nm_km=st.one_of(st.sampled_from([17.0, -17.0, -0.0, 0.0]),
+    dispersion_ps_nm_km=st.one_of(st.sampled_from([17.0, -17.0, -0.0, 0.0, -5e-324, 1e-300]),
                                   st.floats(-200.0, 200.0)),
     wavelength_nm=st.one_of(st.just(1553.6), st.floats(800.0, 1700.0)),
     attenuation_db_per_km=st.one_of(st.sampled_from([0, 0.3, 1000.0, 1e300]),
@@ -381,8 +456,7 @@ def test_libm_maps_match_per_element_loops(scheme, radio, fiber, km, null_k, one
     dispersion, a one-element axis as ``solve_tx_power`` passes, and losses
     whose power of ten or phase passes the float range."""
     carrier = radio.analog_carrier_hz(scheme)
-    if carrier is not None and abs(fiber.dispersion_ps_nm_km) > 1e-3:
-        km = km + null_lengths(fiber, carrier, null_k)
+    km = km + null_lengths_or_none(fiber, carrier, null_k)
     axis = fiber_axis(km[:1] if one else km)
     if carrier is not None:
         assert_same_outcome(outcome(fading_db_over, fiber, carrier, axis),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fwcsim.errors import InfeasibleBudgetError, ValidationError
+from fwcsim.errors import ValidationError
 from fwcsim.optics import FiberParams, Scheme, SchemeParams, fiber_axis, null_lengths
 from fwcsim.power import (
     PowerParams,
@@ -105,21 +105,37 @@ def test_monotone_in_p_tx_and_m():
 
 
 def test_solve_tx_power_bbof_case_study():
-    # independent algebraic rearrangement of the affine model
+    # independent algebraic rearrangement of the affine model; BBoF ignores the length
     m, budget = 100, 2100.0
     expected = ((budget / 1.35 - 59.0) / m - 14.0) / 8.0
-    got = solve_tx_power(BBOF, RADIO, m, FIBER, budget, PARAMS)
-    assert got == pytest.approx(expected, abs=1e-9)
+    got, feasible = solve_tx_power(BBOF, RADIO, m, FIBER, budget, PARAMS,
+                                   fiber_axis([0.0, 19.0, 1e3]))
+    assert got == pytest.approx([expected] * 3, abs=1e-9) and feasible == [True] * 3
 
 
 def test_solve_tx_power_edge_cases():
     fixed = power_at(RFOF, RADIO, 8, 0.0, FIBER, PARAMS)[-1]
-    assert solve_tx_power(RFOF, RADIO, 8, FIBER, fixed, PARAMS) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(InfeasibleBudgetError):
-        solve_tx_power(RFOF, RADIO, 8, FIBER, fixed - 1.0, PARAMS)
-    null_fiber = dataclasses.replace(FIBER, length_km=null_lengths(FIBER, 20e9, 1)[0])
-    with pytest.raises(InfeasibleBudgetError):
-        solve_tx_power(RFOF, RADIO, 8, null_fiber, 1e9, PARAMS)
+    null = null_lengths(FIBER, 20e9, 1)[0]
+    axis = fiber_axis([19.0, null])
+    p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, fixed, PARAMS, axis)
+    assert p_tx[0] == pytest.approx(0.0, abs=1e-9) and feasible[0] is True
+    # a dispersion null has infinite fixed power: infeasible at any budget
+    assert p_tx[1] == 0.0 and feasible[1] is False
+    assert solve_tx_power(RFOF, RADIO, 8, FIBER, 1e300, PARAMS, fiber_axis([null])) == (
+        [0.0], [False])
+    # below the fixed power, beyond the solver tolerance
+    p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, fixed - 1.0, PARAMS, axis)
+    assert p_tx == [0.0, 0.0] and feasible[0] is False and feasible[1] is False
+    # within the tolerance: feasible at 0 W
+    p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, fixed - 5e-10, PARAMS, axis[:1])
+    assert p_tx == [0.0] and feasible == [True]
+    assert solve_tx_power(RFOF, RADIO, 8, FIBER, fixed, PARAMS, fiber_axis([])) == ([], [])
+    # a link loss past the float range at zero drive power: 0 * inf makes the fixed power NaN
+    lossy = FiberParams(attenuation_db_per_km=1000.0)
+    no_drive = dataclasses.replace(PARAMS, p_link0_w=0.0)
+    assert math.isnan(power_over(RFOF, RADIO, 8, 0.0, lossy, no_drive, fiber_axis([5.0]))[-1][0])
+    assert solve_tx_power(RFOF, RADIO, 8, lossy, 1e300, no_drive, fiber_axis([5.0])) == (
+        [0.0], [False])
 
 
 def test_solve_round_trip():
@@ -130,9 +146,10 @@ def test_solve_round_trip():
             fiber = dataclasses.replace(FIBER, length_km=float(rng.uniform(0.0, 8.0)))
             fixed = power_at(scheme, RADIO, m, 0.0, fiber, PARAMS)[-1]
             budget = fixed + float(rng.uniform(0.01, 5000.0))
-            p = solve_tx_power(scheme, RADIO, m, fiber, budget, PARAMS)
+            (p,), (feasible,) = solve_tx_power(scheme, RADIO, m, fiber, budget, PARAMS,
+                                               fiber_axis([fiber.length_km]))
             total = power_at(scheme, RADIO, m, p, fiber, PARAMS)[-1]
-            assert abs(total - budget) <= 1e-6
+            assert feasible is True and abs(total - budget) <= 1e-6
 
 
 def test_crossover_identical_schemes():

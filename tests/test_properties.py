@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fwcsim.config import config_from_dict
-from fwcsim.optics import FiberParams, Scheme, SchemeParams
+from fwcsim.optics import FiberParams, Scheme, SchemeParams, fiber_axis
 from fwcsim.power import PowerParams, solve_tx_power
 from fwcsim.sweeps import run_throughput_sweep
 from fwcsim.wireless import combine_fronthaul_noise
@@ -41,8 +41,9 @@ def test_solved_tx_power_spends_the_budget(scheme, radio, num_raps, length_km, p
     fixed = power_at(scheme, radio, num_raps, 0.0, fiber, params)[-1]
     assume(math.isfinite(fixed))  # a dispersion null has no feasible budget
     budget = fixed + headroom
-    p_tx = solve_tx_power(scheme, radio, num_raps, fiber, budget, params)
-    assert p_tx >= 0.0
+    (p_tx,), (feasible,) = solve_tx_power(scheme, radio, num_raps, fiber, budget, params,
+                                          fiber_axis([length_km]))
+    assert feasible is True and p_tx >= 0.0
     total = power_at(scheme, radio, num_raps, p_tx, fiber, params)[-1]
     assert math.isclose(total, budget, rel_tol=1e-12, abs_tol=1e-9)
 
