@@ -58,11 +58,6 @@ class ArrayGeometry:
     def num_elements(self) -> int:
         return len(self.element_positions)
 
-    def projections(self, theta_rad: float) -> np.ndarray:
-        """Element projections onto the unit direction u = (sin t, cos t)."""
-        xy = self.element_positions
-        return xy[:, 0] * math.sin(theta_rad) + xy[:, 1] * math.cos(theta_rad)
-
 
 @dataclass(frozen=True)
 class BeamformerSpec:
@@ -157,7 +152,7 @@ def array_factor_patterns(
 def phase_only_weights(geom: ArrayGeometry, theta0_rad: float) -> BeamformerSpec:
     """Narrowband steering: w_m = exp(-j*2*pi*f0*(p_m . u0)/c) at f0 = center_freq_hz."""
     f0_hz = geom.center_freq_hz
-    proj = geom.projections(theta0_rad)
+    proj = _projections(geom, [theta0_rad])[:, 0]
     weights = tuple(
         complex(cmath.exp(-2j * math.pi * f0_hz * p / SPEED_OF_LIGHT_M_S)) for p in proj
     )
@@ -170,7 +165,7 @@ def ttd_weights(geom: ArrayGeometry, theta0_rad: float) -> BeamformerSpec:
     tau_m = (p_m . u0 - min projection)/c keeps the applied phase linear in
     frequency, so |AF(theta0, f)| = N across the whole band.
     """
-    proj = geom.projections(theta0_rad)
+    proj = _projections(geom, [theta0_rad])[:, 0]
     tau = (proj - proj.min()) / SPEED_OF_LIGHT_M_S
     return BeamformerSpec(
         weights=(complex(1.0),) * geom.num_elements,

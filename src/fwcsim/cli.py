@@ -17,18 +17,26 @@ from .sweeps import (
     run_power_sweep,
     run_throughput_sweep,
 )
-from .tables import ResultTable, meta_path_for
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NULL = 4
 
+# Per subcommand: the default --out, the runner, and the options it takes
+# beyond --config and --out; only a runner that reads a value gets its option.
 _RUNNERS = {
-    "dispersion-sweep": ("dispersion_sweep.csv", run_dispersion_sweep, True),
-    "power-sweep": ("power_sweep.csv", run_power_sweep, True),
-    "throughput-sweep": ("throughput_sweep.csv", run_throughput_sweep, False),
-    "beam-pattern": ("beam_pattern.csv", run_beam_pattern, False),
+    "dispersion-sweep": ("dispersion_sweep.csv", run_dispersion_sweep, ("--allow-null",)),
+    "power-sweep": ("power_sweep.csv", run_power_sweep, ("--allow-null",)),
+    "throughput-sweep": ("throughput_sweep.csv", run_throughput_sweep, ("--seed", "--drops")),
+    "beam-pattern": ("beam_pattern.csv", run_beam_pattern, ()),
+}
+# --seed and --drops override config values; any other option goes to the runner.
+_OPTIONS = {
+    "--seed": {"type": int, "help": "override base_seed"},
+    "--drops": {"type": int, "help": "override monte_carlo_drops"},
+    "--allow-null": {"action": "store_true",
+                     "help": "emit infinite-loss sentinels instead of failing"},
 }
 
 
@@ -38,55 +46,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fiber-wireless fronthaul simulator sweeps (CSV + meta.json out)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (default_out, _, takes_null) in _RUNNERS.items():
+    for name, (default_out, _, options) in _RUNNERS.items():
         cmd = sub.add_parser(name, help=f"run the {name.replace('-', ' ')}")
         cmd.add_argument("--config", type=Path, default=None,
                          help="JSON config; omitted keys use documented defaults")
         cmd.add_argument("--out", type=Path, default=Path(default_out))
-        cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
-        cmd.add_argument("--drops", type=int, default=None,
-                         help="override monte_carlo_drops")
-        if takes_null:
-            cmd.add_argument("--allow-null", action="store_true",
-                             help="emit infinite-loss sentinels instead of failing")
+        for option in options:
+            cmd.add_argument(option, **_OPTIONS[option])
     return parser
 
 
-def _write_crossovers(table: ResultTable, out: Path) -> None:
-    crossings = table.metadata.get("crossovers")
-    if not crossings:
-        return
-    companion = ResultTable(
-        "power_crossovers",
-        ("scheme_a", "scheme_b", "f_rf_hz", "crossover_km", "found"),
-    )
-    for c in crossings:
-        found = c["crossover_km"] is not None
-        companion.append(
-            c["scheme_a"], c["scheme_b"], c["f_rf_hz"],
-            c["crossover_km"] if found else "", found,
-        )
-    companion.write_csv(out.with_name(out.stem + "_crossovers.csv"))
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = vars(_build_parser().parse_args(argv))
+    command, config, out = options.pop("command"), options.pop("config"), options.pop("out")
     try:
-        cfg = load_config(args.config, seed=args.seed, drops=args.drops)
-        if not args.out.parent.is_dir():
-            raise ValidationError(f"cannot write {args.out}: no directory {args.out.parent}")
-        _, runner, takes_null = _RUNNERS[args.command]
-        if takes_null:
-            table = runner(cfg, allow_null=args.allow_null)
-        else:
-            table = runner(cfg)
+        cfg = load_config(config, seed=options.pop("seed", None), drops=options.pop("drops", None))
+        if not out.parent.is_dir():
+            raise ValidationError(f"cannot write {out}: no directory {out.parent}")
+        table = _RUNNERS[command][1](cfg, **options)
         try:
-            table.write_csv(args.out)
-            table.write_meta(meta_path_for(args.out))
-            if args.command == "power-sweep":
-                _write_crossovers(table, args.out)
+            table.write_csv(out)
+            table.write_meta(out.with_suffix(".meta.json"))
+            for suffix, companion in table.companions.items():
+                companion.write_csv(out.with_name(f"{out.stem}_{suffix}.csv"))
         except OSError as exc:
-            raise ValidationError(f"cannot write {exc.filename or args.out}: "
+            raise ValidationError(f"cannot write {exc.filename or out}: "
                                   f"{exc.strerror or exc}") from exc
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)

@@ -127,9 +127,6 @@ class ExperimentConfig:
         """Every knob, defaults included, as plain JSON-ready values."""
         return _plain(self)
 
-    def config_hash(self) -> str:
-        return hash_resolved(self.resolved())
-
 
 def hash_resolved(resolved: dict) -> str:
     """The 12-hex-digit digest of a ``resolved()`` echo."""

@@ -82,9 +82,17 @@ class PowerParams:
                 raise ValidationError(f"{name} must be in (0, 1], got {eff}")
         if not 0.0 <= self.feeder_loss < 1.0:
             raise ValidationError(f"feeder_loss must be in [0, 1), got {self.feeder_loss}")
+        for scheme, (_, _, name) in PLACEMENT.items():
+            if self.pa_to_antenna_efficiency(scheme) == 0.0:
+                raise ValidationError(f"{name} * (1 - feeder_loss) underflows to 0, got "
+                                      f"{getattr(self, name)} and {self.feeder_loss}")
 
     def pa_efficiency(self, scheme: Scheme) -> float:
         return getattr(self, PLACEMENT[Scheme(scheme)][2])
+
+    def pa_to_antenna_efficiency(self, scheme: Scheme) -> float:
+        """Antenna-port watts per PA input watt: PA efficiency after the feeder loss."""
+        return self.pa_efficiency(scheme) * (1.0 - self.feeder_loss)
 
     @property
     def overhead_multiplier(self) -> float:
@@ -96,7 +104,7 @@ def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -
     """DC input drawing of the PA delivering p_tx at the antenna port."""
     if p_tx_antenna_w < 0:
         raise ValidationError(f"transmit power must be >= 0, got {p_tx_antenna_w}")
-    return p_tx_antenna_w / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
+    return p_tx_antenna_w / params.pa_to_antenna_efficiency(scheme)
 
 
 def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float,
@@ -151,8 +159,7 @@ def solve_tx_power(scheme: Scheme, radio: SchemeParams, num_raps: int, fiber: Fi
     infinite (a dispersion null) or above the budget is infeasible, with p_tx 0.0.
     """
     fixed = power_over(scheme, radio, num_raps, 0.0, fiber, params, lengths_km)[-1]
-    slope = params.overhead_multiplier * num_raps / (
-        params.pa_efficiency(scheme) * (1.0 - params.feeder_loss))
+    slope = params.overhead_multiplier * num_raps / params.pa_to_antenna_efficiency(scheme)
     feasible = [math.isfinite(f) and not budget_w < f - _SOLVER_TOL_W for f in fixed]
     p_tx = [max(0.0, (budget_w - f) / slope) if ok else 0.0 for f, ok in zip(fixed, feasible)]
     return p_tx, feasible

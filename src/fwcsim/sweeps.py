@@ -49,6 +49,7 @@ DISPERSION_COLUMNS = ("scheme", "f_hz", "fiber_km", "fading_db")
 POWER_COLUMNS = (
     "scheme", "f_rf_hz", "fiber_km", "p_tx_w", "cu_w", "rap_w", "fiber_comp_w", "total_w"
 )
+CROSSOVER_COLUMNS = ("scheme_a", "scheme_b", "f_rf_hz", "crossover_km", "found")
 THROUGHPUT_COLUMNS = (
     "arch", "scheme", "M", "J", "drops", "p_tx_w", "mean_sumrate_bps", "ci95_bps"
 )
@@ -83,10 +84,11 @@ def _admit_throughput(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> None:
            32 * cfg.monte_carlo_drops * sum(j_of_m.values()), MAX_ARRAY_BYTES, "bytes")
 
 
-def _admit_beam(cfg: ExperimentConfig) -> None:
-    """The size bounds on the peak search's projections and steering over its
-    90-degree grid, the pattern grid's projections, phase and steering, and the
-    CSV rows."""
+def _admit_beam(cfg: ExperimentConfig) -> float:
+    """The element spacing, after the size bounds on the peak search's projections
+    and steering over its 90-degree grid, the pattern grid's projections, phase
+    and steering, and the CSV rows, and a check that the largest phase before
+    the division by c, 2*pi*f_hi*(N - 1)*spacing, is finite."""
     start, stop, step = cfg.sweep.theta_grid_deg
     angles, n = (stop - start) / step + 1.0, cfg.sweep.array_elements  # up to rounding
     _admit("sweep.array_elements", "peak-search arrays",
@@ -94,6 +96,14 @@ def _admit_beam(cfg: ExperimentConfig) -> None:
     _admit("sweep.theta_grid_deg", "pattern arrays", 32 * n * angles, MAX_ARRAY_BYTES, "bytes")
     _admit("sweep.theta_grid_deg and sweep.num_band_points", "a CSV",
            2 * cfg.sweep.num_band_points * angles, MAX_CSV_ROWS, "rows")
+    (f_lo, f_hi), spacing = cfg.sweep.band_hz, cfg.sweep.array_spacing_m
+    key = "sweep.array_spacing_m"
+    if spacing is None:  # half a wavelength at the band start
+        spacing, key = SPEED_OF_LIGHT_M_S / f_lo / 2.0, "sweep.band_hz"
+    if not math.isfinite(2 * math.pi * f_hi * ((n - 1) * spacing)):
+        raise ConfigError(f"{key} gives an element spacing of {spacing:.4g} m, so the "
+                          f"{n}-element array's largest phase at {f_hi:.4g} Hz is not finite")
+    return spacing
 
 
 def _base_metadata(cfg: ExperimentConfig, kind: str) -> dict:
@@ -130,8 +140,7 @@ def _unless_null(column: list, fading: list, allow_null: bool, scheme: Scheme,
 
 def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTable:
     """Fading-vs-length curves per scheme; RFoF gets one curve per frequency."""
-    table = ResultTable("dispersion_sweep", DISPERSION_COLUMNS,
-                        metadata=_base_metadata(cfg, "dispersion_sweep"))
+    table = ResultTable(DISPERSION_COLUMNS, metadata=_base_metadata(cfg, "dispersion_sweep"))
     lengths = fiber_axis(cfg.sweep.fiber_km)
     km = lengths.tolist()  # one list object: every curve shares its formatted text
     for scheme, radio in _curves(cfg):
@@ -147,8 +156,7 @@ def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> Res
 
 def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTable:
     """System power vs fiber length per scheme, plus RFoF/BBoF crossovers."""
-    table = ResultTable("power_sweep", POWER_COLUMNS,
-                        metadata=_base_metadata(cfg, "power_sweep"))
+    table = ResultTable(POWER_COLUMNS, metadata=_base_metadata(cfg, "power_sweep"))
     m = cfg.sweep.power_num_raps
     p_tx = cfg.sweep.power_p_tx_w
     lengths = fiber_axis(cfg.sweep.fiber_km)
@@ -161,8 +169,9 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
             Repeat(rap), comp, _unless_null(total, fading, allow_null, scheme, radio, km),
         )
 
-    crossovers = []
+    crossovers = table.metadata["crossovers"] = []
     if Scheme.RFOF in cfg.schemes and Scheme.BBOF in cfg.schemes:
+        companion = table.companions["crossovers"] = ResultTable(CROSSOVER_COLUMNS)
         for f_hz in cfg.sweep.frequencies_hz:
             found = crossover_length(
                 Scheme.RFOF, Scheme.BBOF,
@@ -173,7 +182,8 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
                 {"scheme_a": "rfof", "scheme_b": "bbof", "f_rf_hz": float(f_hz),
                  "crossover_km": found}
             )
-    table.metadata["crossovers"] = crossovers
+            companion.append("rfof", "bbof", float(f_hz), "" if found is None else found,
+                             found is not None)
     return table
 
 
@@ -244,8 +254,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     """
     j_of_m = _ue_counts(cfg.sweep.m_values)
     _admit_throughput(cfg, j_of_m)
-    table = ResultTable("throughput_sweep", THROUGHPUT_COLUMNS,
-                        metadata=_base_metadata(cfg, "throughput_sweep"))
+    table = ResultTable(THROUGHPUT_COLUMNS, metadata=_base_metadata(cfg, "throughput_sweep"))
     radio = cfg.scheme_params
     noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
@@ -287,12 +296,9 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
     """|AF| over a (frequency, angle) grid for phase-only and TTD steering."""
-    _admit_beam(cfg)
+    spacing = _admit_beam(cfg)
     sweep = cfg.sweep
     f_lo, f_hi = sweep.band_hz
-    spacing = sweep.array_spacing_m
-    if spacing is None:
-        spacing = SPEED_OF_LIGHT_M_S / f_lo / 2.0
     geom = ArrayGeometry.ula(sweep.array_elements, spacing, f_lo, band_hz=(f_lo, f_hi))
     theta0 = math.radians(sweep.steer_theta_deg)
     specs = {
@@ -302,8 +308,7 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
     freqs = np.linspace(f_lo, f_hi, sweep.num_band_points).tolist()
     thetas_deg = angle_grid(*sweep.theta_grid_deg)
 
-    table = ResultTable("beam_pattern", BEAM_COLUMNS,
-                        metadata=_base_metadata(cfg, "beam_pattern"))
+    table = ResultTable(BEAM_COLUMNS, metadata=_base_metadata(cfg, "beam_pattern"))
     patterns = array_factor_patterns(geom, specs.values(), freqs, np.radians(thetas_deg))
     # Peak trajectory, searched on the steering side to dodge grating lobes.
     window = (0.0, math.pi / 2) if theta0 >= 0 else (-math.pi / 2, 0.0)

@@ -38,26 +38,17 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# Cells of exactly these types format as format_cell would, without its checks;
-# bool, numpy scalars and any other type still go through format_cell.
-_EXACT_FORMAT = {float: float.__repr__, str: str, int: int.__repr__}
-
-
 def _column_text(column) -> list[str]:
-    """Each cell of ``column`` as format_cell writes it; one map when all share a type.
+    """Each cell of ``column`` as format_cell writes it.
 
     A column of floats (numpy float64 included, whose float repr format_cell
     writes) is one map of ``float.__repr__``, which raises TypeError at the first
-    cell that is no float.
+    cell that is no float; any other column goes cell by cell.
     """
     try:
         return list(map(float.__repr__, column))
     except TypeError:
-        pass
-    kinds = set(map(type, column))
-    if len(kinds) == 1 and (fmt := _EXACT_FORMAT.get(kinds.pop())):
-        return list(map(fmt, column))
-    return [_EXACT_FORMAT.get(type(v), format_cell)(v) for v in column]
+        return list(map(format_cell, column))
 
 
 @dataclass(frozen=True)
@@ -74,11 +65,12 @@ class ResultTable:
     Each block is (row count, one entry per column). An entry is a sequence
     with one cell per row or a ``Repeat`` of one cell. A sequence object that
     several blocks share, such as a common axis, is formatted once per write.
+    ``companions`` maps a file-name suffix to a table written beside this one.
     """
 
-    kind: str
     columns: tuple[str, ...]
     metadata: dict = field(default_factory=dict)
+    companions: dict[str, "ResultTable"] = field(default_factory=dict)
     blocks: list[tuple[int, tuple]] = field(default_factory=list, repr=False)
 
     @property
@@ -123,7 +115,3 @@ class ResultTable:
         """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""
         text = json.dumps(_json_safe(self.metadata), sort_keys=True, indent=2, allow_nan=False)
         Path(path).write_text(text + "\n")
-
-
-def meta_path_for(csv_path: str | Path) -> Path:
-    return Path(csv_path).with_suffix(".meta.json")

@@ -306,6 +306,26 @@ def test_subset_trig_and_zeroed_product_keep_full_width_bits(case, data):
                               bits(np.abs(feed @ full)[keep]))
 
 
+def reference_steer_projections(geom, theta_rad):
+    """The steering direction's projections as the weights computed them before
+    they read the grid routine: one expression per element, scalar trig."""
+    xy = geom.element_positions
+    return xy[:, 0] * math.sin(theta_rad) + xy[:, 1] * math.cos(theta_rad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.floats(1e-4, 1.0),
+       st.one_of(st.sampled_from([-90.0, -0.0, 0.0, 90.0]), st.floats(-90.0, 90.0)))
+def test_one_angle_projections_match_scalar_reference_bits(n, spacing, theta_deg):
+    """The phase-only and TTD weights read the steering direction's projections
+    from the grid routine, one column wide; on a ULA each keeps the bits of the
+    scalar expression they used before."""
+    geom = ArrayGeometry.ula(n, spacing, 1e10)
+    theta = math.radians(theta_deg)
+    got = _projections(geom, [theta])[:, 0]
+    assert np.array_equal(bits(got), bits(reference_steer_projections(geom, theta)))
+
+
 @PROPERTY
 @given(st.integers(2, 64), st.floats(1e9, 5e10), st.sampled_from([90.0, -90.0]))
 def test_ttd_endfire_grating_lobe_tie_goes_to_steering_angle(n, f_lo, theta0_deg):
@@ -425,7 +445,7 @@ cells = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(cells, cells, cells), max_size=8))
 def test_write_csv_fast_path_matches_format_cell(tmp_path_factory, rows):
-    table = ResultTable("mixed", ("a", "b", "c"))
+    table = ResultTable(("a", "b", "c"))
     for row in rows:
         table.append(*row)
     out = tmp_path_factory.mktemp("csv") / "mixed.csv"
@@ -435,7 +455,7 @@ def test_write_csv_fast_path_matches_format_cell(tmp_path_factory, rows):
 
 
 def test_extend_columns_appends_rows_and_checks_shape():
-    table = ResultTable("t", ("x", "y"))
+    table = ResultTable(("x", "y"))
     table.extend_columns(["a", "b"], [1.0, 2.0])
     assert table.rows == [("a", 1.0), ("b", 2.0)]
     with pytest.raises(ValueError):

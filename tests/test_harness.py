@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 from fwcsim import config as config_module
-from fwcsim import sweeps
+from fwcsim import cli, sweeps
 from fwcsim.cli import main
-from fwcsim.config import ExperimentConfig, SweepParams, config_from_dict, load_config
+from fwcsim.config import (
+    ExperimentConfig,
+    SweepParams,
+    config_from_dict,
+    hash_resolved,
+    load_config,
+)
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
 from fwcsim.geometry import Area
 from fwcsim.optics import Scheme, fading_db_over, fiber_axis, null_lengths, recovery_lengths
@@ -22,7 +28,7 @@ from fwcsim.sweeps import (
     run_power_sweep,
     run_throughput_sweep,
 )
-from fwcsim.tables import ResultTable, meta_path_for
+from fwcsim.tables import ResultTable
 from test_planning_engine import reference_system_power
 
 SMALL_SWEEP = {
@@ -49,7 +55,7 @@ def test_defaults_resolve_completely():
     assert resolved["power"]["p_link0_w"] == pytest.approx(0.1834)
     assert resolved["sweep"]["association_mode"] == "rap_nearest"
     assert resolved["scenario"] == {"area_width_m": 1000.0, "area_height_m": 1000.0}
-    assert len(cfg.config_hash()) == 12
+    assert len(hash_resolved(cfg.resolved())) == 12
 
 
 def test_config_rejects_unknown_keys():
@@ -237,9 +243,9 @@ def test_csv_format_contract(tmp_path):
     lines = raw.decode().splitlines()
     assert lines[0] == "scheme,f_hz,fiber_km,fading_db"
     assert len(lines) == len(table.rows) + 1
-    table.write_meta(meta_path_for(out))
-    meta = json.loads(meta_path_for(out).read_text())
-    assert meta["config_hash"] == cfg.config_hash()
+    table.write_meta(out.with_suffix(".meta.json"))
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert meta["config_hash"] == hash_resolved(cfg.resolved())
     assert meta["config"]["power"]["p_link0_w"] == pytest.approx(0.1834)
 
 
@@ -254,7 +260,7 @@ def test_cli_success_and_outputs(tmp_path):
     out = tmp_path / "tp.csv"
     code = main(["throughput-sweep", "--config", str(cfg_path), "--out", str(out)])
     assert code == 0
-    assert out.exists() and meta_path_for(out).exists()
+    assert out.exists() and out.with_suffix(".meta.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -267,7 +273,7 @@ def test_cli_weak_links_keep_a_positive_rate(tmp_path, data):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
     out = tmp_path / "tp.csv"
     assert main(["throughput-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    solver = json.loads(meta_path_for(out).read_text())["solver"]
+    solver = json.loads(out.with_suffix(".meta.json").read_text())["solver"]
     header, *rows = (line.split(",") for line in out.read_text().splitlines())
     feasible = [row for row in rows if solver[row[1]][row[2]]["feasible"]]
     assert feasible and all(float(row[header.index("mean_sumrate_bps")]) > 0.0
@@ -398,6 +404,14 @@ def test_cli_config_error_exit_2(tmp_path):
          "digitization_bits_per_sample_pair must be > 0, got 0"),
         ("beam-pattern", {"digitization_bits_per_sample_pair": -1.5},
          "digitization_bits_per_sample_pair must be > 0, got -1.5"),
+        ("power-sweep", {"power": {"pa_eff_rfof": 5e-324, "feeder_loss": 0.5}},
+         "pa_eff_rfof * (1 - feeder_loss) underflows to 0, got 5e-324 and 0.5"),
+        ("throughput-sweep", {"power": {"pa_eff_bbof": 5e-324}},
+         "pa_eff_bbof * (1 - feeder_loss) underflows to 0, got 5e-324 and 0.5"),
+        ("beam-pattern", {"sweep": {"array_spacing_m": 1e300}},
+         "sweep.array_spacing_m gives an element spacing of 1e+300 m, so the 8-element"),
+        ("beam-pattern", {"sweep": {"band_hz": [1e-300, 1e-300]}},
+         "sweep.band_hz gives an element spacing of inf m, so the 8-element array's"),
     ]],
     ids=["out-missing-directory", "out-is-a-directory", "drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -418,7 +432,9 @@ def test_cli_config_error_exit_2(tmp_path):
          "beam-array-spacing-negative", "beam-crossover-range-negative",
          "power-crossover-range-empty", "beam-power-p-tx-negative",
          "throughput-fiber-km-negative", "digitization-negative-ifof-only",
-         "digitization-0-with-bbof", "beam-digitization-negative"],
+         "digitization-0-with-bbof", "beam-digitization-negative",
+         "pa-eff-rfof-feeder-underflow", "pa-eff-bbof-feeder-underflow",
+         "beam-array-spacing-1e300", "beam-band-1e-300"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message, out):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
@@ -448,7 +464,7 @@ def test_cli_beam_pattern_runs_at_endfire(tmp_path, theta0_deg):
     cfg_path = write_cfg(tmp_path, {"sweep": {"steer_theta_deg": theta0_deg}})
     out = tmp_path / "b.csv"
     assert main(["beam-pattern", "--config", str(cfg_path), "--out", str(out)]) == 0
-    peaks = json.loads(meta_path_for(out).read_text())["peaks"]
+    peaks = json.loads(out.with_suffix(".meta.json").read_text())["peaks"]
     assert peaks[0]["mode"] == "phase_only" and peaks[0]["squint_prediction_deg"] == theta0_deg
     assert peaks[0]["peak_deg"] == pytest.approx(theta0_deg, abs=0.011)
 
@@ -509,11 +525,11 @@ def test_cli_power_sweep_null_without_overhead_is_inf(tmp_path):
 
 def test_write_meta_is_strict_json(tmp_path):
     path = tmp_path / "m.meta.json"
-    table = ResultTable("t", ("a",), metadata={"x": [math.inf, -math.inf], "y": {"z": 1.5}})
+    table = ResultTable(("a",), metadata={"x": [math.inf, -math.inf], "y": {"z": 1.5}})
     table.write_meta(path)
     assert json.loads(path.read_text()) == {"x": ["inf", "-inf"], "y": {"z": 1.5}}
     with pytest.raises(ValueError):
-        ResultTable("t", ("a",), metadata={"x": math.nan}).write_meta(path)
+        ResultTable(("a",), metadata={"x": math.nan}).write_meta(path)
 
 
 def test_cli_power_sweep_writes_crossovers(tmp_path):
@@ -526,6 +542,35 @@ def test_cli_power_sweep_writes_crossovers(tmp_path):
     lines = companion.read_text().splitlines()
     assert lines[0] == "scheme_a,scheme_b,f_rf_hz,crossover_km,found"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("schemes", [["bbof", "ifof"], ["ifof", "rfof"]])
+def test_cli_power_sweep_without_rfof_and_bbof_writes_no_crossovers(tmp_path, schemes):
+    cfg_path = write_cfg(tmp_path, {"schemes": schemes, "sweep": {"fiber_km": [0.0, 5.0]}})
+    out = tmp_path / "power.csv"
+    assert main(["power-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "power.csv",
+                                                            "power.meta.json"]
+    assert json.loads(out.with_suffix(".meta.json").read_text())["crossovers"] == []
+
+
+@pytest.mark.parametrize("option", [("--seed", "1"), ("--drops", "2")], ids=["seed", "drops"])
+@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+def test_cli_seed_and_drops_only_on_throughput_sweep(tmp_path, capsys, command, option):
+    # Only the throughput sweep reads base_seed and monte_carlo_drops.
+    out = tmp_path / "o.csv"
+    args = [command, "--config", str(write_cfg(tmp_path, SMALL_SWEEP)), "--out", str(out)]
+    if command == "throughput-sweep":
+        assert main(args + list(option)) == 0
+        echo = json.loads(out.with_suffix(".meta.json").read_text())["config"]
+        seed_and_drops = {"--seed": (1, 3), "--drops": (5, 2)}[option[0]]
+        assert (echo["base_seed"], echo["monte_carlo_drops"]) == seed_and_drops
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(args + list(option))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_subprocess_determinism(tmp_path):

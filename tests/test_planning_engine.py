@@ -76,7 +76,7 @@ uniform_cells = st.one_of(st.floats(allow_nan=True), st.integers(-10**6, 10**6),
 def test_write_csv_matches_rowwise_writer(tmp_path_factory, data):
     width = data.draw(st.integers(1, 5), label="columns")
     axis = data.draw(st.lists(cells, max_size=6), label="axis")  # shared by several blocks
-    table = ResultTable("mixed", tuple(f"c{i}" for i in range(width)))
+    table = ResultTable(tuple(f"c{i}" for i in range(width)))
     rows = []
     for _ in range(data.draw(st.integers(0, 5), label="blocks")):
         n = data.draw(st.sampled_from([len(axis), 0, 1, 3]), label="rows")
@@ -105,7 +105,7 @@ def test_write_csv_matches_rowwise_writer(tmp_path_factory, data):
 
 
 def test_extend_columns_rejects_blocks_without_one_row_count():
-    table = ResultTable("t", ("x", "y"))
+    table = ResultTable(("x", "y"))
     with pytest.raises(ValueError):
         table.extend_columns(Repeat("a"), Repeat(1.0))
     with pytest.raises(ValueError):
