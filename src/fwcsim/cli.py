@@ -1,7 +1,7 @@
 """Command-line interface for the sweep runners.
 
-Exit codes: 0 success, 2 config error or unwritable --out, 3 infeasible budget,
-4 dispersion-null sentinel encountered without --allow-null.
+Exit codes (a failure prints one stderr line): 0 success, 2 usage or config error
+or unwritable --out, 3 infeasible budget, 4 dispersion null without --allow-null.
 """
 from __future__ import annotations
 
@@ -40,8 +40,13 @@ _OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it in one line and returns 2
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fwcsim",
         description="Fiber-wireless fronthaul simulator sweeps (CSV + meta.json out)",
     )
@@ -57,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    options = vars(_build_parser().parse_args(argv))
-    command, config, out = options.pop("command"), options.pop("config"), options.pop("out")
     try:
+        options = vars(_build_parser().parse_args(argv))
+        command, config, out = options.pop("command"), options.pop("config"), options.pop("out")
         cfg = load_config(config, seed=options.pop("seed", None), drops=options.pop("drops", None))
         if not out.parent.is_dir():
             raise ValidationError(f"cannot write {out}: no directory {out.parent}")
@@ -78,8 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     except NullSentinelError as exc:
         print(f"dispersion null: {exc}", file=sys.stderr)
         return EXIT_NULL
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (argparse.ArgumentError, ValidationError) as exc:
+        kind = "usage" if isinstance(exc, argparse.ArgumentError) else "config"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

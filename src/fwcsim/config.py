@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .geometry import ASSOCIATION_MODES, Area
 from .optics import FiberParams, Scheme, SchemeParams
 from .power import PowerParams
+from .tables import _json_ready
 from .wireless import (
     DIGITIZATION_BITS_PER_SAMPLE_PAIR,
     ChannelModel,
@@ -125,7 +126,7 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Every knob, defaults included, as plain JSON-ready values."""
-        return _plain(self)
+        return _json_ready(self)
 
 
 def hash_resolved(resolved: dict) -> str:
@@ -202,23 +203,6 @@ def _checked(value, hint, where: str):
     if not isinstance(value, hint):
         raise ConfigError(f"{where} must be a {hint.__name__}, got {value!r}")
     return value
-
-
-_SCALARS = frozenset({int, float, str, bool, type(None)})  # exact types, so no enum member
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def _plain(value):
-    """Dataclasses as dicts, tuples as lists, enum members as their values."""
-    if type(value) in _SCALARS:
-        return value
-    if isinstance(value, tuple):
-        if _NUMBER_TYPES.issuperset(map(type, value)):  # a numeric axis, whole
-            return list(value)
-        return [_plain(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {name: _plain(getattr(value, name)) for name in _field_hints(type(value))}
-    return value.value if isinstance(value, Enum) else value
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

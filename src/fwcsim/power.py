@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -115,9 +114,9 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
 
     The fiber compensation is p_link0 * 10^(A_dB/10) with A_dB attenuation plus
     carrier fading (BBoF needs none; a dispersion null needs math.inf). The
-    power of ten is ``math.pow`` mapped over the axis, as ``10.0 ** x`` calls
-    it; the sums and products run elementwise in numpy, in the order of the
-    scalar expressions.
+    power of ten is ``db_to_linear`` mapped over the axis: libm's pow through
+    ``10.0 ** x``, and inf past the float range. The sums and products run
+    elementwise in numpy, in the order of the scalar expressions.
     """
     if num_raps < 1:
         raise ValidationError(f"num_raps must be >= 1, got {num_raps}")
@@ -137,11 +136,7 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
             fading = fading_db_over(fiber, radio.analog_carrier_hz(scheme), lengths_km)
             fades = np.array(fading)
             loss_db = fiber.attenuation_db_per_km * lengths_km + fades
-            try:  # 10.0 ** x calls pow, one map over the axis
-                linear = np.fromiter(map(math.pow, repeat(10.0), (loss_db / 10.0).tolist()),
-                                     float, len(fades))
-            except OverflowError:  # some ratio past the float range: db_to_linear gives inf
-                linear = np.fromiter(map(db_to_linear, loss_db.tolist()), float, len(fades))
+            linear = np.fromiter(map(db_to_linear, loss_db.tolist()), float, len(fades))
             comp = np.where(fades == math.inf, math.inf, params.p_link0_w * linear)
         functional = float(cu) + float(num_raps) * (rap + comp)
         # Without overhead fractions an infinite total stays infinite, not 0 * inf.

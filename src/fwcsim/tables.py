@@ -6,27 +6,28 @@ bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from itertools import repeat
 from pathlib import Path
 
 
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def _json_safe(value):
-    """``value`` with every infinite float spelled "inf" or "-inf"."""
+def _json_ready(value):
+    """``value`` as plain JSON values: dataclasses as dicts by field, tuples as
+    lists, enum members as their values and infinite floats as "inf" or "-inf"."""
+    if isinstance(value, float):  # first: most values are the floats of an axis
+        return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        if (_NUMBER_TYPES.issuperset(map(type, value))
-                and math.inf not in value and -math.inf not in value):
-            return list(value)  # all numbers, none infinite: nothing to spell out
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+        return [_json_ready(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_ready(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
 
 
@@ -113,5 +114,5 @@ class ResultTable:
 
     def write_meta(self, path: str | Path) -> None:
         """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""
-        text = json.dumps(_json_safe(self.metadata), sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(_json_ready(self.metadata), sort_keys=True, indent=2, allow_nan=False)
         Path(path).write_text(text + "\n")

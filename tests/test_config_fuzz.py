@@ -76,3 +76,35 @@ def test_random_config_values_exit_cleanly(tmp_path_factory, capsys, edits):
         meta = json.loads(out.with_suffix(".meta.json").read_text(),
                           parse_constant=_reject_constant)
         assert isinstance(meta, dict)
+
+
+# Command-line pieces: each subcommand's real options with good and bad values,
+# abbreviations, unknown options and a stray word. "{cfg}" is the tiny config
+# above, "{tmp}" the example's directory.
+ARGV_PIECES = st.sampled_from([
+    ("--config", "{cfg}"), ("--config", "{tmp}/missing.json"), ("--config",),
+    ("--out", "{tmp}/out.csv"), ("--out", "{tmp}/no/out.csv"), ("--out",),
+    ("--seed", "3"), ("--seed", "-1"), ("--seed", "abc"), ("--se", "2"),
+    ("--drops", "2"), ("--drops", "0"), ("--drops", "1.5"), ("--dr", "1"),
+    ("--allow-null",), ("--allow-null", "yes"), ("--bogus",), ("--bogus", "1"), ("-x",),
+    ("extra",),
+])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(COMMANDS + (None, "no-such-sweep")),
+       st.lists(ARGV_PIECES, max_size=4))
+def test_random_argument_lists_exit_cleanly(tmp_path_factory, capsys, monkeypatch, command,
+                                             pieces):
+    tmp = tmp_path_factory.mktemp("argv")
+    monkeypatch.chdir(tmp)  # a default --out lands here
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(BASE))
+    argv = [] if command is None else [command]
+    argv += [token.format(cfg=cfg, tmp=tmp) for piece in pieces for token in piece]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)

@@ -161,3 +161,28 @@ def test_int_valued_planning_bytes_pinned(command, tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir()) if p.name != "cfg.json"}
     assert got == digests
+
+
+# The default fiber at its 20 GHz dispersion null: the RFoF fronthaul SNR is
+# -inf, the one meta value spelled "-inf" (BBoF's "inf" sits beside it).
+NULL_LENGTH_THROUGHPUT = {
+    "fiber": {"length_km": 9.13278785218495},
+    "sweep": {"m_values": [16, 64]},
+}
+NULL_LENGTH_THROUGHPUT_DIGEST = "0b1c535f2eabff25508e5e84ce4041debcd5b2493998d2bfd321aed31d3ffb88"
+NULL_LENGTH_THROUGHPUT_META_DIGEST = (
+    "248f4d921ed099e0df9c0ed8cf7ec1bfcbc9417d019ac295a2cf253aa66d230f"
+)
+
+
+def test_null_length_throughput_bytes_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NULL_LENGTH_THROUGHPUT))
+    out = tmp_path / "throughput.csv"
+    args = ["--config", str(cfg), "--out", str(out), "--drops", "5"]
+    assert main(["throughput-sweep", *args]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NULL_LENGTH_THROUGHPUT_DIGEST
+    meta = out.with_suffix(".meta.json").read_bytes()
+    snr = json.loads(meta)["fronthaul_snr_db"]
+    assert (snr["bbof"], snr["rfof"]) == ("inf", "-inf") and isinstance(snr["ifof"], float)
+    assert hashlib.sha256(meta).hexdigest() == NULL_LENGTH_THROUGHPUT_META_DIGEST

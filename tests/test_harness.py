@@ -566,11 +566,34 @@ def test_cli_seed_and_drops_only_on_throughput_sweep(tmp_path, capsys, command, 
         seed_and_drops = {"--seed": (1, 3), "--drops": (5, 2)}[option[0]]
         assert (echo["base_seed"], echo["monte_carlo_drops"]) == seed_and_drops
         return
-    with pytest.raises(SystemExit) as exc:
-        main(args + list(option))
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert main(args + list(option)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"unrecognized arguments: {' '.join(option)}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["beam-pattern", "--seed", "1"],
+    ["throughput-sweep", "--drops", "abc"],
+    [],
+    ["no-such-sweep"],
+    ["power-sweep", "--config"],
+], ids=["option-elsewhere", "bad-value", "no-subcommand", "unknown-subcommand", "no-value"])
+def test_cli_usage_errors_print_one_line_and_return_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # where each subcommand's default --out would go
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["beam-pattern", "-h"]])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: fwcsim" in capsys.readouterr().out
 
 
 def test_cli_subprocess_determinism(tmp_path):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwcsim.config import ExperimentConfig, _plain
+from fwcsim.config import ExperimentConfig, config_from_dict
 from fwcsim.errors import ValidationError
 from fwcsim.optics import (
     FiberParams,
@@ -34,7 +34,13 @@ from fwcsim.power import (
     power_over,
     solve_tx_power,
 )
-from fwcsim.tables import Repeat, ResultTable, _column_text, _json_safe
+from fwcsim.sweeps import (
+    run_beam_pattern,
+    run_dispersion_sweep,
+    run_power_sweep,
+    run_throughput_sweep,
+)
+from fwcsim.tables import Repeat, ResultTable, _column_text, _json_ready
 from fwcsim.units import SPEED_OF_LIGHT_M_S, db_to_linear
 
 
@@ -480,8 +486,8 @@ def test_libm_maps_match_per_element_loops_on_a_planning_grid():
 
 
 def test_power_of_ten_past_the_float_range_is_inf_in_the_map():
-    """One overflowing length makes the whole map fall back to db_to_linear,
-    so that length reads inf and the others keep their bits."""
+    """db_to_linear, mapped over the axis, gives inf at the lengths whose power
+    of ten passes the float range, and the others keep their bits."""
     fiber = FiberParams(attenuation_db_per_km=1000.0)
     axis = fiber_axis([0.0, 1.0, 4.0, 19.0])
     args = (Scheme.IFOF, SchemeParams(), 2, 1.0, fiber, PowerParams(), axis)
@@ -490,7 +496,8 @@ def test_power_of_ten_past_the_float_range_is_inf_in_the_map():
     assert got[3][2:] == [math.inf, math.inf] and math.isfinite(got[3][1])
 
 
-# The table and config-echo walkers as they stood before their whole-column paths.
+# The table writer and the two JSON walkers (meta and config echo) as they
+# stood before their whole-column paths.
 def previous_column_text(column):
     exact = {float: float.__repr__, str: str, int: int.__repr__}
     kinds = set(map(type, column))
@@ -524,8 +531,8 @@ echo_scalars = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
     st.integers(-5, 5).map(np.int64), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
 )
-# Whole-number columns (the fast paths) next to mixed ones, nested in lists,
-# tuples, dicts and config groups.
+# Number columns next to mixed ones, nested in lists, tuples, dicts and
+# config groups.
 number_columns = st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                                     st.integers(-10**6, 10**6)), max_size=6)
 echo_values = st.recursive(
@@ -546,20 +553,68 @@ def test_column_text_matches_per_cell_formatting(column):
     assert previous_column_text(column) == _column_text(column)
 
 
+def reference_json_walk(value):
+    """The one JSON walker's rules, element by element: a dataclass as a dict by
+    field, a dict as a dict, a list or tuple as a list, an enum member as its
+    value, an infinite float (numpy's included) as "inf" or "-inf"."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: reference_json_walk(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: reference_json_walk(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_json_walk(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float) and value in (math.inf, -math.inf):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 @settings(max_examples=300, deadline=None)
 @given(echo_values)
 def test_json_safe_and_plain_match_element_walks(value):
     """Every echo value, from an empty column to mixed float/int/bool/
-    np.float64/str/enum ones with NaN and infinities, walks to the same
-    result, types and float bits included."""
-    assert repr(_json_safe(value)) == repr(previous_json_safe(value))
-    assert repr(_plain(value)) == repr(previous_plain(value))
-    assert (json.dumps(_json_safe(value), default=repr)
-            == json.dumps(previous_json_safe(value), default=repr))
+    np.float64/str/enum ones with NaN and infinities, walks to the element
+    walk's result, types and float bits included."""
+    assert repr(_json_ready(value)) == repr(reference_json_walk(value))
+    assert (json.dumps(_json_ready(value), default=repr)
+            == json.dumps(reference_json_walk(value), default=repr))
+
+
+def assert_one_walk_is_the_two(value):
+    """On config echoes and runner metadata, the one walker gives what the
+    meta writer's walk of the echo walk gave."""
+    walked = _json_ready(value)
+    assert repr(walked) == repr(reference_json_walk(value))
+    assert repr(walked) == repr(previous_json_safe(previous_plain(value)))
 
 
 def test_echo_walkers_on_the_default_config():
     cfg = ExperimentConfig()
     resolved = cfg.resolved()
     assert repr(resolved) == repr(previous_plain(cfg))
-    assert repr(_json_safe(resolved)) == repr(previous_json_safe(resolved))
+    assert_one_walk_is_the_two(cfg)
+    assert_one_walk_is_the_two(resolved)
+
+
+SMALL_RUNS = {
+    "sweep": {"fiber_km": [0.0, 9.13278785218495], "frequencies_hz": [10e9, 20e9],
+              "m_values": [4], "num_band_points": 2, "theta_grid_deg": [-90.0, 90.0, 15.0]},
+    "fiber": {"length_km": 9.13278785218495},  # the 20 GHz null: RFoF's SNR is -inf
+    "scheme_params": {"rf_carrier_hz": 20e9},
+    "monte_carlo_drops": 2,
+}
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: run_dispersion_sweep(cfg, allow_null=True),
+    lambda cfg: run_power_sweep(cfg, allow_null=True),
+    run_throughput_sweep,
+    run_beam_pattern,
+], ids=["dispersion", "power", "throughput", "beam"])
+def test_echo_walkers_on_runner_metadata(run):
+    cfg = config_from_dict(SMALL_RUNS)
+    metadata = run(cfg).metadata
+    assert_one_walk_is_the_two(cfg)
+    assert_one_walk_is_the_two(metadata)
