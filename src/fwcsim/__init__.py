@@ -21,7 +21,6 @@ from .errors import (
     InfeasibleBudgetError,
     NoRealBeamError,
     NullSentinelError,
-    UndefinedModelError,
     ValidationError,
 )
 from .geometry import (
@@ -35,8 +34,6 @@ from .optics import (
     SchemeParams,
     fiber_axis,
     fronthaul_snr_db,
-    null_lengths,
-    recovery_lengths,
 )
 from .power import (
     PowerParams,

@@ -41,7 +41,7 @@ class ArrayGeometry:
         num_elements: int,
         spacing_m: float,
         center_freq_hz: float,
-        band_hz: tuple[float, float] | None = None,
+        band_hz: tuple[float, float],
     ) -> "ArrayGeometry":
         """Uniform linear array along x starting at the origin."""
         if num_elements < 1:
@@ -50,8 +50,6 @@ class ArrayGeometry:
             raise ValidationError("spacing must be > 0")
         xs = np.arange(num_elements) * spacing_m
         positions = np.column_stack([xs, np.zeros(num_elements)])
-        if band_hz is None:
-            band_hz = (center_freq_hz, center_freq_hz)
         return cls(positions, center_freq_hz, band_hz)
 
     @property

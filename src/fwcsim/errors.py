@@ -13,10 +13,6 @@ class ConfigError(ValidationError):
     """Unreadable config file or a config key/value outside the schema."""
 
 
-class UndefinedModelError(FwcError):
-    """The model has no answer for these inputs (e.g. zero dispersion)."""
-
-
 class InfeasibleBudgetError(FwcError):
     """Power budget is below the fixed, transmit-independent consumption."""
 

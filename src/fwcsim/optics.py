@@ -1,5 +1,5 @@
 """Fronthaul schemes and their radio constants; analog optical-link impairments
-over a fiber-length axis: dispersion fading, null/recovery planning, fronthaul SNR."""
+over a fiber-length axis: dispersion fading and fronthaul SNR."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedModelError, ValidationError
+from .errors import ConfigError, ValidationError
 from .units import SPEED_OF_LIGHT_M_S
 
 # |cos|^2 at or below this counts as an exact fading null (infinite loss).
@@ -116,37 +116,6 @@ def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> l
     loss = -10.0 * np.fromiter(logs, float, len(phase))
     return np.where(cos_sq <= NULL_COS_SQ_FLOOR, math.inf,
                     np.where(loss > 0.0, loss, 0.0)).tolist()
-
-
-def _fading_period_km(fiber: FiberParams, f_hz: float, k_max: int) -> float:
-    if f_hz <= 0:
-        raise ValidationError(f"frequency must be > 0, got {f_hz}")
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    if fiber.dispersion_ps_nm_km == 0.0:
-        raise UndefinedModelError("zero dispersion: fading has no length structure")
-    d_si = abs(fiber.dispersion_ps_nm_km) * 1e-6
-    lam_si = fiber.wavelength_nm * 1e-9
-    try:
-        period = SPEED_OF_LIGHT_M_S / (d_si * lam_si**2 * f_hz**2) / 1e3
-    except (OverflowError, ZeroDivisionError):  # a factor past the float range
-        period = math.inf
-    if not 0.0 < period < math.inf:
-        raise ValidationError(f"fading period past the float range at {fiber.dispersion_ps_nm_km}"
-                              f" ps/(nm km), {fiber.wavelength_nm} nm, {f_hz:g} Hz")
-    return period
-
-
-def recovery_lengths(fiber: FiberParams, f_hz: float, k_max: int) -> list[float]:
-    """Fiber lengths with zero fading: L_k = k*c/(D*lambda^2*f^2), k=1..k_max."""
-    period = _fading_period_km(fiber, f_hz, k_max)
-    return [k * period for k in range(1, k_max + 1)]
-
-
-def null_lengths(fiber: FiberParams, f_hz: float, k_max: int) -> list[float]:
-    """Fiber lengths with total fading: L = (2k-1)*c/(2*D*lambda^2*f^2)."""
-    period = _fading_period_km(fiber, f_hz, k_max)
-    return [(2 * k - 1) * period / 2.0 for k in range(1, k_max + 1)]
 
 
 def fronthaul_snr_db(scheme: Scheme, radio: SchemeParams, fiber: FiberParams,

@@ -276,7 +276,7 @@ def test_one_candidate_phase_is_a_full_grid_column(theta0_deg):
 def test_one_candidate_column(monkeypatch, hi_deg, step_deg):
     """On a two-angle grid the coarse pass covers every angle, and only the
     main-lobe one is a candidate; on a one-angle grid that angle is."""
-    geom = ArrayGeometry.ula(16, SPEED_OF_LIGHT_M_S / 10e9 / 2, 10e9)
+    geom = ArrayGeometry.ula(16, SPEED_OF_LIGHT_M_S / 10e9 / 2, 10e9, (10e9, 10e9))
     spec = phase_only_weights(geom, math.radians(0.6))
     window = (0.0, math.radians(hi_deg))
     numpy = CountingNumpy()
@@ -320,7 +320,7 @@ def test_one_angle_projections_match_scalar_reference_bits(n, spacing, theta_deg
     """The phase-only and TTD weights read the steering direction's projections
     from the grid routine, one column wide; on a ULA each keeps the bits of the
     scalar expression they used before."""
-    geom = ArrayGeometry.ula(n, spacing, 1e10)
+    geom = ArrayGeometry.ula(n, spacing, 1e10, (1e10, 1e10))
     theta = math.radians(theta_deg)
     got = _projections(geom, [theta])[:, 0]
     assert np.array_equal(bits(got), bits(reference_steer_projections(geom, theta)))
@@ -372,7 +372,7 @@ def test_peak_search_takes_trig_of_under_an_eighth_of_the_grid(monkeypatch, swee
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(0.01), math.nan, math.inf, -math.inf])
 def test_bad_peak_search_step_raises_validation_error(step):
-    geom = ArrayGeometry.ula(4, 0.01, 10e9)
+    geom = ArrayGeometry.ula(4, 0.01, 10e9, (10e9, 10e9))
     with pytest.raises(ValidationError, match="angle step"):
         peak_directions(geom, (ttd_weights(geom, 0.1),), [10e9], 0.0, 1.0, step)
     with pytest.raises(ValidationError, match="angle step"):

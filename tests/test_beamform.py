@@ -121,7 +121,7 @@ def test_ttd_delays_geometry():
     deltas = np.diff(spec.delays_s)
     assert np.allclose(np.abs(deltas), expected_step, rtol=1e-12)
     assert min(spec.delays_s) == 0.0
-    single = ttd_weights(ArrayGeometry.ula(1, d, F0), 0.3)
+    single = ttd_weights(ArrayGeometry.ula(1, d, F0, (F0, F0)), 0.3)
     assert single.delays_s == (0.0,)
 
 
@@ -153,7 +153,7 @@ def test_energy_conserved_under_delay_changes():
 
 def test_geometry_and_spec_validation():
     with pytest.raises(ValidationError):
-        ArrayGeometry.ula(0, 0.01, F0)
+        ArrayGeometry.ula(0, 0.01, F0, (F0, F0))
     with pytest.raises(ValidationError):
         ArrayGeometry.ula(4, 0.01, F0, band_hz=(2 * F0, F0))
     with pytest.raises(ValidationError):

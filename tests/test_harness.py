@@ -1,13 +1,17 @@
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fwcsim
 from fwcsim import config as config_module
 from fwcsim import cli, sweeps
 from fwcsim.cli import main
@@ -20,7 +24,7 @@ from fwcsim.config import (
 )
 from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
 from fwcsim.geometry import Area
-from fwcsim.optics import Scheme, fading_db_over, fiber_axis, null_lengths, recovery_lengths
+from fwcsim.optics import Scheme, fading_db_over, fiber_axis
 from fwcsim.power import solve_tx_power
 from fwcsim.sweeps import (
     run_beam_pattern,
@@ -29,6 +33,7 @@ from fwcsim.sweeps import (
     run_throughput_sweep,
 )
 from fwcsim.tables import ResultTable
+from test_optics import fading_period_km, null_lengths
 from test_planning_engine import reference_system_power
 
 SMALL_SWEEP = {
@@ -130,7 +135,7 @@ def test_dispersion_sweep_matches_optics():
 
 
 def test_dispersion_sweep_recovery_row():
-    l1 = recovery_lengths(ExperimentConfig().fiber, 30e9, 1)[0]
+    l1 = fading_period_km(ExperimentConfig().fiber, 30e9)
     cfg = small_config(sweep={"fiber_km": [l1], "frequencies_hz": [30e9], "m_values": [4]})
     table = run_dispersion_sweep(cfg)
     rfof = [r for r in table.rows if r[0] == "rfof"]
@@ -261,6 +266,44 @@ def test_cli_success_and_outputs(tmp_path):
     code = main(["throughput-sweep", "--config", str(cfg_path), "--out", str(out)])
     assert code == 0
     assert out.exists() and out.with_suffix(".meta.json").exists()
+
+
+def test_every_src_function_is_reached_by_a_subcommand(tmp_path):
+    """Every function and method written in src/fwcsim runs in the four
+    subcommands on the CI's tiny config, or in a dispersion sweep without a
+    config (the default fiber grid). Code reached only by tests fails here."""
+    tiny = {"sweep": {"fiber_km": [0.0, 19.0], "m_values": [4, 8], "num_band_points": 2,
+                      "theta_grid_deg": [-90, 90, 1.0]}, "monte_carlo_drops": 2}
+    cfg_path = write_cfg(tmp_path, tiny)
+    called = set()
+    sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+    try:
+        for cmd in ("dispersion-sweep", "power-sweep", "throughput-sweep", "beam-pattern"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
+        assert main(["dispersion-sweep", "--out", str(tmp_path / "default.csv")]) == 0
+    finally:
+        sys.setprofile(None)
+    src = os.path.dirname(fwcsim.__file__)
+    unreached = set()
+
+    def visit(code, name):  # a function and the named functions defined in it
+        if code not in called:
+            unreached.add(name)
+        for inner in code.co_consts:
+            if inspect.iscode(inner) and not inner.co_name.startswith("<"):
+                visit(inner, f"{name}.<locals>.{inner.co_name}")
+
+    for info in pkgutil.iter_modules(fwcsim.__path__):
+        for value in vars(importlib.import_module(f"fwcsim.{info.name}")).values():
+            for fn in (value, *vars(value).values()) if inspect.isclass(value) else (value,):
+                fn = getattr(fn, "__func__", getattr(fn, "fget", fn))  # methods and properties
+                code = getattr(fn, "__code__", None)  # dataclass-made methods live in "<string>"
+                if code is not None and os.path.dirname(code.co_filename) == src:
+                    visit(code, f"{fn.__module__}.{fn.__qualname__}")
+    assert unreached == {
+        "fwcsim.cli._Parser.error",  # the usage-error path
+        "fwcsim.tables.ResultTable.rows",  # the benchmark's row counter reads it
+    }
 
 
 @pytest.mark.parametrize(

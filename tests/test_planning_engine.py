@@ -24,7 +24,6 @@ from fwcsim.optics import (
     fading_db_over,
     fiber_axis,
     fronthaul_snr_db,
-    null_lengths,
 )
 from fwcsim.power import (
     PLACEMENT,
@@ -42,6 +41,8 @@ from fwcsim.sweeps import (
 )
 from fwcsim.tables import Repeat, ResultTable, _column_text, _json_ready
 from fwcsim.units import SPEED_OF_LIGHT_M_S, db_to_linear
+
+from test_optics import null_lengths
 
 
 def reference_format_cell(value) -> str:
@@ -162,19 +163,6 @@ def reference_system_power(scheme, radio, num_raps, p_tx_w, fiber, params):
     return cu, rap, comp, overhead, functional + overhead
 
 
-def null_lengths_or_none(fiber, carrier, k_max) -> list[float]:
-    """The first ``k_max`` null lengths at ``carrier``: none without a carrier
-    or dispersion, or where the fading period passes the float range (the
-    ValidationError that ``null_lengths`` raises there)."""
-    if carrier is None or fiber.dispersion_ps_nm_km == 0.0:
-        return []
-    try:
-        return null_lengths(fiber, carrier, k_max)
-    except ValidationError as exc:
-        assert "fading period past the float range" in str(exc)
-        return []
-
-
 def same_bits(got, want) -> bool:
     """Equal including the sign of zero and the exact type; NaN equals NaN."""
     return type(got) is type(want) and (repr(got) == repr(want))
@@ -214,7 +202,7 @@ def test_array_power_columns_match_scalar_model(scheme, radio, fiber, km, null_k
                                                 num_raps, p_tx):
     carrier = radio.analog_carrier_hz(scheme)
     # exact nulls (infinite loss), short enough that the old 10 ** (dB / 10) stays finite
-    km = km + [x for x in null_lengths_or_none(fiber, carrier, null_k) if x <= 1000.0]
+    km = km + [x for x in null_lengths(fiber, carrier, null_k) if x <= 1000.0]
     axis = fiber_axis(km)
     cu, rap, fading_col, comp, overhead, total = power_over(scheme, radio, num_raps, p_tx,
                                                             fiber, params, axis)
@@ -334,7 +322,7 @@ def test_length_axis_snr_and_solver_match_one_length_calls(scheme, radio, fiber,
     """Each element of ``fronthaul_snr_db`` and ``solve_tx_power`` over an axis
     with exact nulls is, bit for bit, the one-length call and the scalar form it
     replaced, at budgets on both sides of some length's fixed power."""
-    km = km + [x for x in null_lengths_or_none(fiber, radio.analog_carrier_hz(scheme), null_k)
+    km = km + [x for x in null_lengths(fiber, radio.analog_carrier_hz(scheme), null_k)
                if x <= 1e300]  # the phase of a longer null passes the float range
     axis = fiber_axis(km)
     fixed = [f for f in power_over(scheme, radio, num_raps, 0.0, fiber, params, axis)[-1]
@@ -462,7 +450,7 @@ def test_libm_maps_match_per_element_loops(scheme, radio, fiber, km, null_k, one
     dispersion, a one-element axis as ``solve_tx_power`` passes, and losses
     whose power of ten or phase passes the float range."""
     carrier = radio.analog_carrier_hz(scheme)
-    km = km + null_lengths_or_none(fiber, carrier, null_k)
+    km = km + null_lengths(fiber, carrier, null_k)
     axis = fiber_axis(km[:1] if one else km)
     if carrier is not None:
         assert_same_outcome(outcome(fading_db_over, fiber, carrier, axis),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fwcsim.errors import ValidationError
-from fwcsim.optics import FiberParams, Scheme, SchemeParams, fiber_axis, null_lengths
+from fwcsim.optics import FiberParams, Scheme, SchemeParams, fiber_axis
 from fwcsim.power import (
     PowerParams,
     crossover_length,
@@ -13,6 +13,8 @@ from fwcsim.power import (
     power_over,
     solve_tx_power,
 )
+
+from test_optics import null_lengths
 
 PARAMS = PowerParams()
 FIBER = FiberParams()
