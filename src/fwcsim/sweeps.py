@@ -55,8 +55,8 @@ THROUGHPUT_COLUMNS = (
 )
 BEAM_COLUMNS = ("mode", "f_hz", "theta_deg", "af_mag", "af_phase_rad")
 
-# Size bounds (README, "Size bounds"): a throughput or beam-pattern config whose
-# largest arrays or CSV row count pass these fails before any allocation.
+# Size bounds (README, "Size bounds"): a config whose largest arrays or CSV row
+# count pass these fails before any allocation.
 MAX_ARRAY_BYTES = 2**30
 MAX_CSV_ROWS = 2_000_000
 
@@ -106,6 +106,17 @@ def _admit_beam(cfg: ExperimentConfig) -> float:
     return spacing
 
 
+def _admit_planning(cfg: ExperimentConfig) -> None:
+    """The size bounds on one curve's arrays and lists over the fiber axis, 256
+    bytes per length (a power curve peaks at about 232), and on the CSV rows,
+    one per curve and length."""
+    lengths = len(cfg.sweep.fiber_km)
+    curves = sum(len(cfg.sweep.frequencies_hz) if s is Scheme.RFOF else 1 for s in cfg.schemes)
+    _admit("sweep.fiber_km", "per-curve arrays", 256 * lengths, MAX_ARRAY_BYTES, "bytes")
+    _admit("sweep.fiber_km and sweep.frequencies_hz", "a CSV", curves * lengths,
+           MAX_CSV_ROWS, "rows")
+
+
 def _base_metadata(cfg: ExperimentConfig, kind: str) -> dict:
     resolved = cfg.resolved()
     return {"kind": kind, "config_hash": hash_resolved(resolved), "config": resolved}
@@ -140,6 +151,7 @@ def _unless_null(column: list, fading: list, allow_null: bool, scheme: Scheme,
 
 def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTable:
     """Fading-vs-length curves per scheme; RFoF gets one curve per frequency."""
+    _admit_planning(cfg)
     table = ResultTable(DISPERSION_COLUMNS, metadata=_base_metadata(cfg, "dispersion_sweep"))
     lengths = fiber_axis(cfg.sweep.fiber_km)
     km = lengths.tolist()  # one list object: every curve shares its formatted text
@@ -156,6 +168,7 @@ def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> Res
 
 def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTable:
     """System power vs fiber length per scheme, plus RFoF/BBoF crossovers."""
+    _admit_planning(cfg)
     table = ResultTable(POWER_COLUMNS, metadata=_base_metadata(cfg, "power_sweep"))
     m = cfg.sweep.power_num_raps
     p_tx = cfg.sweep.power_p_tx_w

@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -50,6 +52,33 @@ def _column_text(column) -> list[str]:
         return list(map(float.__repr__, column))
     except TypeError:
         return list(map(format_cell, column))
+
+
+# Rows from which write_csv formats the second half of a table in a forked
+# helper. The fork, the copy-on-write faults it brings and the reaping cost
+# several ms against about 1 us to format a row of floats: on a 2-vCPU VM the
+# split broke even between 15,000 and 60,000 rows, by table shape and load.
+SPLIT_ROWS = 20_000
+
+
+def _blocks_text(blocks):
+    """The CSV text of each of ``blocks`` in turn, as bytes; a sequence object
+    that several blocks share is formatted once."""
+    texts = {}  # id(sequence) -> its formatted cells
+    for n, cells in blocks:
+        # Cell j of a row sits at 2j, its "," or final "\n" at 2j + 1; each
+        # column fills its slots by one slice assignment. No columns: "\n" rows.
+        width = 2 * len(cells) or 1
+        lines = [","] * (width * n)
+        lines[width - 1::width] = ["\n"] * n
+        for j, cell in enumerate(cells):
+            if isinstance(cell, Repeat):
+                lines[2 * j::width] = _column_text([cell.value]) * n
+                continue
+            if id(cell) not in texts:
+                texts[id(cell)] = _column_text(cell)
+            lines[2 * j::width] = texts[id(cell)]
+        yield "".join(lines).encode()
 
 
 @dataclass(frozen=True)
@@ -94,23 +123,64 @@ class ResultTable:
         self.blocks.append((lengths.pop(), columns))
 
     def write_csv(self, path: str | Path) -> None:
-        texts = {}  # id(sequence) -> its formatted cells
-        with open(path, "wb") as fh:
-            fh.write((",".join(self.columns) + "\n").encode())
+        """The header, then the rows. From SPLIT_ROWS rows, where ``os.fork``
+        exists, a forked helper formats the rows from the midpoint on while this
+        process formats the rows before it; a block across the midpoint is cut
+        in two. Both halves go through ``_blocks_text`` and CSV rows do not
+        depend on each other, so the bytes are those of a serial write. If the
+        fork fails or the helper's bytes do not all arrive, this process formats
+        the second half too. The helper is reaped on every path."""
+        head, tail, pid = self.blocks, [], None
+        total = sum(n for n, _ in self.blocks)
+        if total >= SPLIT_ROWS and hasattr(os, "fork"):
+            head, done = [], 0
             for n, cells in self.blocks:
-                # Cell j of a row sits at 2j, its "," or final "\n" at 2j + 1; each
-                # column fills its slots by one slice assignment. No columns: "\n" rows.
-                width = 2 * len(cells) or 1
-                lines = [","] * (width * n)
-                lines[width - 1::width] = ["\n"] * n
-                for j, cell in enumerate(cells):
-                    if isinstance(cell, Repeat):
-                        lines[2 * j::width] = _column_text([cell.value]) * n
-                        continue
-                    if id(cell) not in texts:
-                        texts[id(cell)] = _column_text(cell)
-                    lines[2 * j::width] = texts[id(cell)]
-                fh.write("".join(lines).encode())
+                k = min(max(total // 2 - done, 0), n)  # rows of this block in the head
+                done += n
+                if 0 < k < n:
+                    head.append((k, tuple(c if isinstance(c, Repeat) else c[:k] for c in cells)))
+                    tail.append((n - k, tuple(c if isinstance(c, Repeat) else c[k:]
+                                              for c in cells)))
+                else:
+                    (head if k else tail).append((n, cells))
+            read_fd, write_fd = os.pipe()
+            try:
+                # Python 3.12+ warns that fork in a process with threads (OpenBLAS
+                # keeps a pool in every fwcsim process) may deadlock the child. The
+                # helper calls no BLAS: it formats Python floats it already holds
+                # and leaves through os._exit, so the warning does not apply here.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no helper: this process formats the tail as well
+                os.close(read_fd)
+            if pid == 0:  # the helper; it never touches this process's files
+                code = 1
+                try:
+                    os.close(read_fd)
+                    text = b"".join(_blocks_text(tail))  # all of it before the pipe fills
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(len(text).to_bytes(8, "big"))
+                        pipe.write(text)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            reader = open(read_fd, "rb", buffering=0) if pid else None
+        try:
+            with open(path, "wb") as fh:
+                fh.write((",".join(self.columns) + "\n").encode())
+                fh.writelines(_blocks_text(head))
+                if pid:
+                    text = reader.readall()  # the tail's length in 8 bytes, then the tail
+                    if int.from_bytes(text[:8], "big") == len(text) - 8:
+                        fh.write(memoryview(text)[8:])
+                        tail = []
+                fh.writelines(_blocks_text(tail))
+        finally:
+            if pid:  # after the file write, so the helper's exit overlaps it
+                reader.close()
+                os.waitpid(pid, 0)
 
     def write_meta(self, path: str | Path) -> None:
         """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""

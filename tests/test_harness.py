@@ -652,8 +652,11 @@ def test_cli_subprocess_determinism(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+# 20,000 fiber lengths and 2,000 carriers: 4e7 planning rows from a 0.2 MB config.
+PLANNING_PROBE = {"sweep": {"fiber_km": [i * 1e-3 for i in range(20000)],
+                            "frequencies_hz": [1e9 + 1e6 * i for i in range(2000)]}}
 # Configs that each once ended in a numpy MemoryError traceback (13.4 GiB,
-# 298 GiB and 763 MiB asked for) or filled memory.
+# 298 GiB and 763 MiB asked for; the planning rows after 14 s) or filled memory.
 SIZE_PROBES = {
     "theta-step-1e-7": ("beam-pattern", {"sweep": {"theta_grid_deg": [-90.0, 90.0, 1e-7]}},
                         "sweep.theta_grid_deg"),
@@ -661,6 +664,9 @@ SIZE_PROBES = {
                  "sweep.m_values"),
     "elements-1e8": ("beam-pattern", {"sweep": {"array_elements": 100_000_000}},
                      "sweep.array_elements"),
+    "planning-dispersion": ("dispersion-sweep", PLANNING_PROBE,
+                            "sweep.fiber_km and sweep.frequencies_hz"),
+    "planning-power": ("power-sweep", PLANNING_PROBE, "sweep.fiber_km and sweep.frequencies_hz"),
 }
 # The probe's address space: a case the size bounds miss fails with a
 # MemoryError here instead of swapping.
@@ -710,6 +716,7 @@ def test_default_and_bench_configs_are_admitted(data):
     cfg = config_from_dict(data)
     sweeps._admit_throughput(cfg, sweeps._ue_counts(cfg.sweep.m_values))
     sweeps._admit_beam(cfg)
+    sweeps._admit_planning(cfg)
 
 
 @pytest.mark.parametrize("data, key", [
@@ -723,3 +730,19 @@ def test_size_bounds_name_the_key(data, key):
     with pytest.raises(ConfigError, match=f"^{key} asks for"):
         sweeps._admit_throughput(cfg, sweeps._ue_counts(cfg.sweep.m_values))
         sweeps._admit_beam(cfg)
+
+
+@pytest.mark.parametrize("bound, data, key", [
+    (None, {"sweep": {"frequencies_hz": [1e9 + i for i in range(19800)]}},
+     "sweep.fiber_km and sweep.frequencies_hz asks for a CSV"),
+    (256 * 100, {}, "sweep.fiber_km asks for per-curve arrays"),
+], ids=["rows", "per-curve-arrays"])
+def test_planning_size_bounds_name_the_keys(monkeypatch, bound, data, key):
+    """The default 101 lengths: 19,802 curves (2,000,002 rows) pass the row
+    bound by one curve, and a byte bound one length short of the axis."""
+    if bound is not None:
+        monkeypatch.setattr(sweeps, "MAX_ARRAY_BYTES", bound)
+    cfg = config_from_dict(data)
+    for run in (run_dispersion_sweep, run_power_sweep):
+        with pytest.raises(ConfigError, match=f"^{key} of "):
+            run(cfg)
