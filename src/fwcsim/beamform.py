@@ -15,12 +15,9 @@ from .units import SPEED_OF_LIGHT_M_S
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Element positions, an (N, 2) array in meters, with a center frequency
-    and operating band."""
+    """Element positions, an (N, 2) array in meters."""
 
     element_positions: np.ndarray
-    center_freq_hz: float
-    band_hz: tuple[float, float]
 
     def __post_init__(self):
         xy = np.array(self.element_positions, dtype=float)
@@ -28,29 +25,14 @@ class ArrayGeometry:
             raise ValidationError("array needs at least one (x, y) element position")
         xy.flags.writeable = False
         object.__setattr__(self, "element_positions", xy)
-        f_lo, f_hi = self.band_hz
-        if not 0 < f_lo <= self.center_freq_hz <= f_hi:
-            raise ValidationError(
-                f"band must satisfy 0 < f_lo <= f0 <= f_hi, got {self.band_hz} around "
-                f"{self.center_freq_hz}"
-            )
 
     @classmethod
-    def ula(
-        cls,
-        num_elements: int,
-        spacing_m: float,
-        center_freq_hz: float,
-        band_hz: tuple[float, float],
-    ) -> "ArrayGeometry":
+    def ula(cls, num_elements: int, spacing_m: float) -> "ArrayGeometry":
         """Uniform linear array along x starting at the origin."""
-        if num_elements < 1:
-            raise ValidationError("num_elements must be >= 1")
         if spacing_m <= 0:
             raise ValidationError("spacing must be > 0")
         xs = np.arange(num_elements) * spacing_m
-        positions = np.column_stack([xs, np.zeros(num_elements)])
-        return cls(positions, center_freq_hz, band_hz)
+        return cls(np.column_stack([xs, np.zeros(num_elements)]))
 
     @property
     def num_elements(self) -> int:
@@ -104,13 +86,12 @@ def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 
 def _feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec], f_hz: float) -> list:
-    """w_m * exp(-j*2*pi*f*tau_m) per spec, checked against the array and its band."""
+    """w_m * exp(-j*2*pi*f*tau_m) per spec, checked against the array, at f > 0."""
     for spec in specs:
         if len(spec.weights) != geom.num_elements:
             raise ValidationError("spec length does not match element count")
-    f_lo, f_hi = geom.band_hz
-    if not f_lo <= f_hz <= f_hi:
-        raise ValidationError(f"frequency {f_hz} outside band {geom.band_hz}")
+    if not f_hz > 0:
+        raise ValidationError(f"frequency must be > 0, got {f_hz}")
     return [np.asarray(spec.weights, dtype=complex)
             * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s)) for spec in specs]
 
@@ -147,9 +128,8 @@ def array_factor_patterns(
     return patterns
 
 
-def phase_only_weights(geom: ArrayGeometry, theta0_rad: float) -> BeamformerSpec:
-    """Narrowband steering: w_m = exp(-j*2*pi*f0*(p_m . u0)/c) at f0 = center_freq_hz."""
-    f0_hz = geom.center_freq_hz
+def phase_only_weights(geom: ArrayGeometry, theta0_rad: float, f0_hz: float) -> BeamformerSpec:
+    """Narrowband steering at f0: w_m = exp(-j*2*pi*f0*(p_m . u0)/c)."""
     proj = _projections(geom, [theta0_rad])[:, 0]
     weights = tuple(
         complex(cmath.exp(-2j * math.pi * f0_hz * p / SPEED_OF_LIGHT_M_S)) for p in proj
@@ -209,12 +189,12 @@ def peak_directions(
     ``freqs_hz``, one angle per spec; a tie breaks to the angle nearest
     ``toward_rad`` (by default the lowest).
 
-    The grid, its coarse-pass bookkeeping and the projections of both grids are
-    computed once per call. Per frequency, a coarse pass bounds where the peak
-    can be, and only those angles get their cos and sin. The product and |AF|
-    stay full width, on one steering buffer whose other columns are zero, so
-    each angle has the bits of the full search, ties included (README,
-    "Beam-pattern engine").
+    The grid, its coarse-pass bookkeeping and its projections are computed once
+    per call. Per frequency, a coarse pass (``array_factor_patterns`` on every
+    32nd angle) bounds where the peak can be, and only those angles get their
+    cos and sin. The product and |AF| stay full width, on one steering buffer
+    whose other columns are zero, so each angle has the bits of the full search,
+    ties included (README, "Beam-pattern engine").
 
     Grating lobes of equal height appear outside the mainlobe half-plane for
     wideband sweeps of half-wavelength arrays; restrict the window to the
@@ -232,7 +212,7 @@ def peak_directions(
     # is at most k sum_m |feed_m| |p_m - q|. Phase, trig, product and abs each err
     # far below the margin.
     radii, far = np.hypot(*(xy - xy.mean(axis=0)).T), np.hypot(*xy.T).max()
-    fine, coarse = _projections(geom, thetas), _projections(geom, thetas[at])
+    fine = _projections(geom, thetas)
     steering = np.zeros((len(xy), len(thetas)), dtype=complex)
     candidate = np.zeros(len(thetas), bool)
     peaks = []
@@ -240,9 +220,10 @@ def peak_directions(
         steering[:, candidate] = 0.0  # the previous band point's columns
         candidate = np.zeros(len(thetas), bool)
         k = 2 * math.pi * f_hz / SPEED_OF_LIGHT_M_S
-        coarse_steering = _unit_phasors(_phase(coarse, f_hz))
-        for feed in feeds:
-            mags, weight = np.abs(feed @ coarse_steering), np.abs(feed)
+        # One band point at a time, so the coarse patterns never pile up over the band.
+        coarse = array_factor_patterns(geom, specs, [f_hz], thetas[at])[0]
+        for feed, coarse_af in zip(feeds, coarse):
+            mags, weight = np.abs(coarse_af), np.abs(feed)
             slope, margin = k * (weight @ radii), 1e-9 * (len(xy) + k * far) * weight.sum()
             candidate |= mags[nearer] + slope * reach + 2 * margin >= mags.max()
         steering[:, candidate] = _unit_phasors(_phase(fine[:, candidate], f_hz))

@@ -22,8 +22,9 @@ class Area:
 
     def __post_init__(self):
         w, h = self.area_width_m, self.area_height_m
-        if w <= 0 or h <= 0:
-            raise ValidationError("area dimensions must be positive")
+        for name, side in (("area_width_m", w), ("area_height_m", h)):
+            if side <= 0:
+                raise ValidationError(f"scenario.{name} must be > 0, got {side!r}")
         # Infinite sides are left to the config's finiteness check, which names the key.
         if w * w + h * h == math.inf and max(w, h) < math.inf:
             raise ValidationError(f"area {w!r} m x {h!r} m is too large: its diagonal "

@@ -35,13 +35,14 @@ class FiberParams:
 
     def __post_init__(self):
         if not math.isfinite(self.dispersion_ps_nm_km):
-            raise ValidationError("dispersion must be finite")
+            raise ValidationError("fiber.dispersion_ps_nm_km must be finite")
         if self.wavelength_nm <= 0:
-            raise ValidationError(f"wavelength must be > 0, got {self.wavelength_nm}")
+            raise ValidationError(f"fiber.wavelength_nm must be > 0, got {self.wavelength_nm!r}")
         if self.attenuation_db_per_km < 0:
-            raise ValidationError("attenuation must be >= 0")
+            raise ValidationError("fiber.attenuation_db_per_km must be >= 0, "
+                                  f"got {self.attenuation_db_per_km!r}")
         if self.length_km < 0:
-            raise ValidationError("length must be >= 0")
+            raise ValidationError(f"fiber.length_km must be >= 0, got {self.length_km!r}")
 
 
 @dataclass(frozen=True)

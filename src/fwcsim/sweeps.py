@@ -24,7 +24,6 @@ from .config import ExperimentConfig, hash_resolved
 from .errors import (
     ConfigError,
     InfeasibleBudgetError,
-    NoRealBeamError,
     NullSentinelError,
     ValidationError,
 )
@@ -312,10 +311,10 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
     spacing = _admit_beam(cfg)
     sweep = cfg.sweep
     f_lo, f_hi = sweep.band_hz
-    geom = ArrayGeometry.ula(sweep.array_elements, spacing, f_lo, band_hz=(f_lo, f_hi))
+    geom = ArrayGeometry.ula(sweep.array_elements, spacing)
     theta0 = math.radians(sweep.steer_theta_deg)
     specs = {
-        "phase_only": phase_only_weights(geom, theta0),
+        "phase_only": phase_only_weights(geom, theta0, f_lo),
         "ttd": ttd_weights(geom, theta0),
     }
     freqs = np.linspace(f_lo, f_hi, sweep.num_band_points).tolist()
@@ -336,14 +335,10 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
                 Repeat(mode), Repeat(f_hz), theta_col,
                 np.hypot(values.real, values.imag).tolist(), np.angle(values).tolist(),
             )
-            try:
-                predicted = math.degrees(beam_squint_direction(f_hz, f_lo, theta0))
-            except NoRealBeamError:
-                predicted = None
-            peak_rows.append(
-                {"mode": mode, "f_hz": f_hz,
-                 "peak_deg": math.degrees(measured),
-                 "squint_prediction_deg": predicted if mode == "phase_only" else None}
-            )
+            # Every band point has f >= f_lo, so the squint has a real direction.
+            predicted = (math.degrees(beam_squint_direction(f_hz, f_lo, theta0))
+                         if mode == "phase_only" else None)
+            peak_rows.append({"mode": mode, "f_hz": f_hz, "peak_deg": math.degrees(measured),
+                              "squint_prediction_deg": predicted})
     table.metadata["peaks"] = peak_rows
     return table

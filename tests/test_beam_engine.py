@@ -72,9 +72,10 @@ def reference_beam_rows(cfg):
     spacing = sweep.array_spacing_m
     if spacing is None:
         spacing = SPEED_OF_LIGHT_M_S / f_lo / 2.0
-    geom = ArrayGeometry.ula(sweep.array_elements, spacing, f_lo, band_hz=(f_lo, f_hi))
+    geom = ArrayGeometry.ula(sweep.array_elements, spacing)
     theta0 = math.radians(sweep.steer_theta_deg)
-    specs = {"phase_only": phase_only_weights(geom, theta0), "ttd": ttd_weights(geom, theta0)}
+    specs = {"phase_only": phase_only_weights(geom, theta0, f_lo),
+             "ttd": ttd_weights(geom, theta0)}
     freqs = np.linspace(f_lo, f_hi, sweep.num_band_points)
     lo_deg, hi_deg, step_deg = sweep.theta_grid_deg
     count = math.floor((hi_deg - lo_deg) / step_deg + 1e-9) + 1
@@ -97,28 +98,29 @@ def reference_beam_rows(cfg):
 
 @st.composite
 def arrays_and_grids(draw):
-    """A ULA, or an arbitrary planar array, with a frequency in its band and
-    a grid of directions reaching past +-90 degrees."""
+    """A ULA, or an arbitrary planar array, with a band (f_lo, f_hi), a frequency
+    in it and a grid of directions reaching past +-90 degrees; the phase-only
+    weights steer at f_lo."""
     n = draw(st.integers(1, 64))
     f_lo = draw(st.floats(1e9, 1e11))
     f_hi = f_lo * draw(st.floats(1.0, 4.0))
     f_hz = min(f_hi, f_lo + (f_hi - f_lo) * draw(st.floats(0.0, 1.0)))
     if draw(st.booleans()):
         spacing = draw(st.floats(1e-4, 0.2))
-        geom = ArrayGeometry.ula(n, spacing, f_lo, band_hz=(f_lo, f_hi))
+        geom = ArrayGeometry.ula(n, spacing)
     else:
         xy = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                            min_size=n, max_size=n))
-        geom = ArrayGeometry(np.array(xy), f_lo, (f_lo, f_hi))
+        geom = ArrayGeometry(np.array(xy))
     thetas = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=80)))
     theta0 = draw(st.floats(-math.pi / 2, math.pi / 2))
-    return geom, f_hz, thetas, theta0
+    return geom, (f_lo, f_hi), f_hz, thetas, theta0
 
 
 @PROPERTY
 @given(arrays_and_grids())
 def test_steering_matrix_matches_complex_exp_bits(case):
-    geom, f_hz, thetas, _ = case
+    geom, _, f_hz, thetas, _ = case
     u = np.stack([np.sin(thetas), np.cos(thetas)])
     proj = geom.element_positions @ u
     expected = np.exp(2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S)
@@ -130,8 +132,8 @@ def test_steering_matrix_matches_complex_exp_bits(case):
 @PROPERTY
 @given(arrays_and_grids())
 def test_pattern_matches_reference_bits(case):
-    geom, f_hz, thetas, theta0 = case
-    for spec in (phase_only_weights(geom, theta0), ttd_weights(geom, theta0)):
+    geom, (f0, _), f_hz, thetas, theta0 = case
+    for spec in (phase_only_weights(geom, theta0, f0), ttd_weights(geom, theta0)):
         got = array_factor_patterns(geom, (spec,), [f_hz], thetas)[0][0]
         assert np.array_equal(bits(got), bits(reference_pattern(geom, spec, f_hz, thetas)))
 
@@ -139,8 +141,9 @@ def test_pattern_matches_reference_bits(case):
 @PROPERTY
 @given(arrays_and_grids())
 def test_hypot_magnitude_matches_scalar_abs_bits(case):
-    geom, f_hz, thetas, theta0 = case
-    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), [f_hz], thetas)[0][0]
+    geom, (f0, _), f_hz, thetas, theta0 = case
+    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0, f0),), [f_hz],
+                                   thetas)[0][0]
     expected = [float(abs(af)) for af in values]
     assert np.array_equal(bits(np.hypot(values.real, values.imag)), bits(expected))
 
@@ -148,8 +151,9 @@ def test_hypot_magnitude_matches_scalar_abs_bits(case):
 @PROPERTY
 @given(arrays_and_grids())
 def test_array_angle_matches_scalar_angle_bits(case):
-    geom, f_hz, thetas, theta0 = case
-    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0),), [f_hz], thetas)[0][0]
+    geom, (f0, _), f_hz, thetas, theta0 = case
+    values = array_factor_patterns(geom, (phase_only_weights(geom, theta0, f0),), [f_hz],
+                                   thetas)[0][0]
     expected = [float(np.angle(af)) for af in values]
     assert np.array_equal(bits(np.angle(values)), bits(expected))
 
@@ -165,10 +169,10 @@ WINDOWS = {"positive": (0.0, math.pi / 2), "negative": (-math.pi / 2, 0.0),
 def test_shared_peaks_match_per_spec_peak_bits(case, step_deg, window, toward_steering):
     """The shared, coarse-bounded search returns each spec's full-grid argmax,
     ties included, at the CLI's 0.01 degree step and at coarser ones."""
-    geom, f_hz, _, theta0 = case
+    geom, (f0, _), f_hz, _, theta0 = case
     step = math.radians(step_deg)
     toward = theta0 if toward_steering else -math.inf
-    specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
+    specs = (phase_only_weights(geom, theta0, f0), ttd_weights(geom, theta0))
     got = peak_directions(geom, specs, [f_hz], *WINDOWS[window], step, toward)[0]
     assert got == [reference_peak(geom, spec, f_hz, *WINDOWS[window], step, toward)
                    for spec in specs]
@@ -178,11 +182,10 @@ def test_shared_peaks_match_per_spec_peak_bits(case, step_deg, window, toward_st
 def arrays_and_bands(draw):
     """``arrays_and_grids`` with 1-6 band points in the array's band (repeats
     allowed) in place of its one frequency."""
-    geom, _, thetas, theta0 = draw(arrays_and_grids())
-    f_lo, f_hi = geom.band_hz
+    geom, (f_lo, f_hi), _, thetas, theta0 = draw(arrays_and_grids())
     freqs = [min(f_hi, f_lo + (f_hi - f_lo) * u)
              for u in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))]
-    return geom, freqs, thetas, theta0
+    return geom, (f_lo, f_hi), freqs, thetas, theta0
 
 
 @settings(max_examples=20, deadline=None)
@@ -194,10 +197,10 @@ def test_band_call_matches_per_frequency_references(case, step_deg, window, tie,
     argmax (ties to ``toward_rad`` included) and the per-frequency
     ``feed @ steering`` pattern, bit for bit: the shared projections, the
     reused buffers and the columns zeroed between band points move nothing."""
-    geom, freqs, thetas, theta0 = case
+    geom, (f0, _), freqs, thetas, theta0 = case
     step = math.radians(step_deg)
     toward = {"lowest": -math.inf, "steering": theta0, "drawn": drawn}[tie]
-    specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
+    specs = (phase_only_weights(geom, theta0, f0), ttd_weights(geom, theta0))
     peaks = peak_directions(geom, specs, freqs, *WINDOWS[window], step, toward)
     assert peaks == [[reference_peak(geom, spec, f_hz, *WINDOWS[window], step, toward)
                       for spec in specs] for f_hz in freqs]
@@ -256,18 +259,17 @@ def exact_pass_phases_are_full_grid_columns(geom, specs, freqs, window, step):
 def test_exact_pass_takes_trig_of_full_grid_phase_columns(case, step_deg, window):
     """The projections come from one product over the whole grid, scaled per
     frequency; a product over the candidate columns alone would move some bits."""
-    geom, freqs, _, theta0 = case
-    assert exact_pass_phases_are_full_grid_columns(
-        geom, (phase_only_weights(geom, theta0),), freqs, WINDOWS[window], math.radians(step_deg))
+    geom, (f0, _), freqs, _, theta0 = case
+    assert exact_pass_phases_are_full_grid_columns(geom, (phase_only_weights(geom, theta0, f0),),
+                                                   freqs, WINDOWS[window], math.radians(step_deg))
 
 
 @pytest.mark.parametrize("theta0_deg", [0.0, 0.6])
 def test_one_candidate_phase_is_a_full_grid_column(theta0_deg):
     """A planar 64-element array on a two-angle grid: one candidate per band
     point, whose phase a one-column product would give with other bits."""
-    geom = ArrayGeometry(np.random.default_rng(7).uniform(-0.2, 0.2, (64, 2)), 10e9,
-                         (10e9, 20e9))
-    spec = phase_only_weights(geom, math.radians(theta0_deg))
+    geom = ArrayGeometry(np.random.default_rng(7).uniform(-0.2, 0.2, (64, 2)))
+    spec = phase_only_weights(geom, math.radians(theta0_deg), 10e9)
     assert exact_pass_phases_are_full_grid_columns(
         geom, (spec,), [10e9, 14e9, 20e9], (0.0, math.radians(1.0)), math.radians(0.6))
 
@@ -276,8 +278,8 @@ def test_one_candidate_phase_is_a_full_grid_column(theta0_deg):
 def test_one_candidate_column(monkeypatch, hi_deg, step_deg):
     """On a two-angle grid the coarse pass covers every angle, and only the
     main-lobe one is a candidate; on a one-angle grid that angle is."""
-    geom = ArrayGeometry.ula(16, SPEED_OF_LIGHT_M_S / 10e9 / 2, 10e9, (10e9, 10e9))
-    spec = phase_only_weights(geom, math.radians(0.6))
+    geom = ArrayGeometry.ula(16, SPEED_OF_LIGHT_M_S / 10e9 / 2)
+    spec = phase_only_weights(geom, math.radians(0.6), 10e9)
     window = (0.0, math.radians(hi_deg))
     numpy = CountingNumpy()
     monkeypatch.setattr(beamform, "np", numpy)
@@ -292,7 +294,7 @@ def test_subset_trig_and_zeroed_product_keep_full_width_bits(case, data):
     """cos and sin of the scaled phase of some columns of the full-width
     projections give the columns of the steering matrix, and a full-width
     product with the other columns zeroed gives those columns' |AF| bit for bit."""
-    geom, f_hz, thetas, theta0 = case
+    geom, (f0, _), f_hz, thetas, theta0 = case
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(thetas),
                                        max_size=len(thetas))))
     full = engine_steering(geom, f_hz, thetas)
@@ -300,7 +302,7 @@ def test_subset_trig_and_zeroed_product_keep_full_width_bits(case, data):
     assert np.array_equal(bits(subset), bits(np.ascontiguousarray(full[:, keep])))
     zeroed = np.zeros_like(full)
     zeroed[:, keep] = subset
-    specs = (phase_only_weights(geom, theta0), ttd_weights(geom, theta0))
+    specs = (phase_only_weights(geom, theta0, f0), ttd_weights(geom, theta0))
     for feed in _feeds(geom, specs, f_hz):
         assert np.array_equal(bits(np.abs(feed @ zeroed)[keep]),
                               bits(np.abs(feed @ full)[keep]))
@@ -320,7 +322,7 @@ def test_one_angle_projections_match_scalar_reference_bits(n, spacing, theta_deg
     """The phase-only and TTD weights read the steering direction's projections
     from the grid routine, one column wide; on a ULA each keeps the bits of the
     scalar expression they used before."""
-    geom = ArrayGeometry.ula(n, spacing, 1e10, (1e10, 1e10))
+    geom = ArrayGeometry.ula(n, spacing)
     theta = math.radians(theta_deg)
     got = _projections(geom, [theta])[:, 0]
     assert np.array_equal(bits(got), bits(reference_steer_projections(geom, theta)))
@@ -332,7 +334,7 @@ def test_ttd_endfire_grating_lobe_tie_goes_to_steering_angle(n, f_lo, theta0_deg
     """A half-wavelength TTD array steered to endfire has a grating lobe at
     broadside as high as the main lobe at twice its design frequency; the
     search still reports the steering angle."""
-    geom = ArrayGeometry.ula(n, SPEED_OF_LIGHT_M_S / f_lo / 2, f_lo, (f_lo, 2 * f_lo))
+    geom = ArrayGeometry.ula(n, SPEED_OF_LIGHT_M_S / f_lo / 2)
     theta0 = math.radians(theta0_deg)
     spec = ttd_weights(geom, theta0)
     window = (0.0, math.pi / 2) if theta0 > 0 else (-math.pi / 2, 0.0)
@@ -372,7 +374,7 @@ def test_peak_search_takes_trig_of_under_an_eighth_of_the_grid(monkeypatch, swee
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(0.01), math.nan, math.inf, -math.inf])
 def test_bad_peak_search_step_raises_validation_error(step):
-    geom = ArrayGeometry.ula(4, 0.01, 10e9, (10e9, 10e9))
+    geom = ArrayGeometry.ula(4, 0.01)
     with pytest.raises(ValidationError, match="angle step"):
         peak_directions(geom, (ttd_weights(geom, 0.1),), [10e9], 0.0, 1.0, step)
     with pytest.raises(ValidationError, match="angle step"):

@@ -224,11 +224,12 @@ def test_beam_pattern_matches_array_factor():
         sweep={"theta_grid_deg": [-10.0, 40.0, 1.0], "num_band_points": 3, "m_values": [4]}
     )
     table = run_beam_pattern(cfg)
-    f_lo, f_hi = cfg.sweep.band_hz
+    f_lo = cfg.sweep.band_hz[0]
     spacing = SPEED_OF_LIGHT_M_S / f_lo / 2.0
-    geom = ArrayGeometry.ula(cfg.sweep.array_elements, spacing, f_lo, band_hz=(f_lo, f_hi))
+    geom = ArrayGeometry.ula(cfg.sweep.array_elements, spacing)
     theta0 = math.radians(cfg.sweep.steer_theta_deg)
-    specs = {"phase_only": phase_only_weights(geom, theta0), "ttd": ttd_weights(geom, theta0)}
+    specs = {"phase_only": phase_only_weights(geom, theta0, f_lo),
+             "ttd": ttd_weights(geom, theta0)}
     rng = np.random.default_rng(0)
     rows = [table.rows[int(i)] for i in rng.integers(0, len(table.rows), size=40)]
     for mode, f_hz, theta_deg, mag, phase in rows:
@@ -455,6 +456,30 @@ def test_cli_config_error_exit_2(tmp_path):
          "sweep.array_spacing_m gives an element spacing of 1e+300 m, so the 8-element"),
         ("beam-pattern", {"sweep": {"band_hz": [1e-300, 1e-300]}},
          "sweep.band_hz gives an element spacing of inf m, so the 8-element array's"),
+        ("throughput-sweep", {"fiber": {"length_km": -1}}, "fiber.length_km must be >= 0, got -1"),
+        ("throughput-sweep", {"budget_w": 0}, "budget_w must be finite and > 0, got 0"),
+        ("throughput-sweep", {"sweep": {"m_values": [0]}},
+         "m_values must be integers >= 1, got (0,)"),
+        ("power-sweep", {"schemes": []}, "schemes list must be nonempty"),
+        ("throughput-sweep", {"sweep": {"association_mode": 5}},
+         "sweep.association_mode must be a str, got 5"),
+        ("beam-pattern", [1, 2], "top-level config must be a JSON object"),
+        ("dispersion-sweep", {"fiber": {"wavelength_nm": 0}},
+         "fiber.wavelength_nm must be > 0, got 0"),
+        ("power-sweep", {"fiber": {"attenuation_db_per_km": -0.1}},
+         "fiber.attenuation_db_per_km must be >= 0, got -0.1"),
+        ("throughput-sweep", {"scenario": {"area_width_m": 0}},
+         "scenario.area_width_m must be > 0, got 0"),
+        ("throughput-sweep", {"scenario": {"area_height_m": -2.0}},
+         "scenario.area_height_m must be > 0, got -2.0"),
+        ("power-sweep", {"power": {"p_bbu_w": -1}}, "p_bbu_w must be >= 0"),
+        ("power-sweep", {"power": {"pa_eff_rfof": 0}}, "pa_eff_rfof must be in (0, 1], got 0"),
+        ("throughput-sweep", {"power": {"feeder_loss": 1}},
+         "feeder_loss must be in [0, 1), got 1"),
+        ("dispersion-sweep", {"scheme_params": {"if_carrier_hz": 0}},
+         "if_carrier_hz must be finite and > 0, got 0"),
+        ("throughput-sweep", {"schemes": ["xfof"]},
+         "schemes[0] must be one of ['bbof', 'ifof', 'rfof'], got 'xfof'"),
     ]],
     ids=["out-missing-directory", "out-is-a-directory", "drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -477,10 +502,13 @@ def test_cli_config_error_exit_2(tmp_path):
          "throughput-fiber-km-negative", "digitization-negative-ifof-only",
          "digitization-0-with-bbof", "beam-digitization-negative",
          "pa-eff-rfof-feeder-underflow", "pa-eff-bbof-feeder-underflow",
-         "beam-array-spacing-1e300", "beam-band-1e-300"],
+         "beam-array-spacing-1e300", "beam-band-1e-300", "fiber-length-negative", "budget-0",
+         "m_values-0", "schemes-empty", "association-mode-int", "top-level-list",
+         "wavelength-0", "attenuation-negative", "area-width-0", "area-height-negative",
+         "p-bbu-negative", "pa-eff-rfof-0", "feeder-loss-1", "if-carrier-0", "schemes-unknown"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message, out):
-    cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data})
+    cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data} if isinstance(data, dict) else data)
     args = [command, "--config", str(cfg_path), "--out", str(tmp_path / out)]
     # a config error stays one, with or without --allow-null
     takes_null = command in ("dispersion-sweep", "power-sweep")
