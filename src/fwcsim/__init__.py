@@ -15,14 +15,7 @@ from .beamform import (
     ttd_weights,
 )
 from .config import ExperimentConfig, load_config
-from .errors import (
-    ConfigError,
-    FwcError,
-    InfeasibleBudgetError,
-    NoRealBeamError,
-    NullSentinelError,
-    ValidationError,
-)
+from .errors import FwcError, InfeasibleBudgetError, NullSentinelError, ValidationError
 from .geometry import (
     distance_matrix,
     generate_layout,

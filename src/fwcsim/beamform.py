@@ -9,7 +9,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .errors import NoRealBeamError, ValidationError
+from .errors import ValidationError
 from .units import SPEED_OF_LIGHT_M_S
 
 
@@ -157,7 +157,7 @@ def beam_squint_direction(f_hz: float, f0_hz: float, theta0_rad: float) -> float
         raise ValidationError("frequencies must be > 0")
     arg = (f0_hz / f_hz) * math.sin(theta0_rad)
     if abs(arg) > 1.0:
-        raise NoRealBeamError(
+        raise ValidationError(
             f"(f0/f)*sin(theta0) = {arg:.4f} leaves no real steering direction"
         )
     return math.asin(arg)

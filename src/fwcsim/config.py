@@ -17,7 +17,7 @@ from enum import Enum
 from numbers import Integral, Real
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ValidationError
 from .geometry import ASSOCIATION_MODES, Area
 from .optics import FiberParams, Scheme, SchemeParams
 from .power import PowerParams
@@ -59,36 +59,39 @@ class SweepParams:
     def __post_init__(self):
         for name in ("fiber_km", "frequencies_hz", "m_values"):
             if not getattr(self, name):
-                raise ConfigError(f"{name} must be nonempty")
+                raise ValidationError(f"{name} must be nonempty")
         if any(f <= 0 for f in self.frequencies_hz):
-            raise ConfigError(f"frequencies_hz must be > 0, got {self.frequencies_hz!r}")
+            raise ValidationError(f"frequencies_hz must be > 0, got {self.frequencies_hz!r}")
         if self.association_mode not in ASSOCIATION_MODES:
-            raise ConfigError(f"association_mode must be one of {list(ASSOCIATION_MODES)}, "
-                              f"got {self.association_mode!r}")
+            raise ValidationError(f"association_mode must be one of {list(ASSOCIATION_MODES)}, "
+                                  f"got {self.association_mode!r}")
         if any(m < 1 for m in self.m_values):
-            raise ConfigError(f"m_values must be integers >= 1, got {self.m_values!r}")
+            raise ValidationError(f"m_values must be integers >= 1, got {self.m_values!r}")
         if len(set(self.m_values)) != len(self.m_values):
-            raise ConfigError(f"m_values has duplicates: {self.m_values!r}")
+            raise ValidationError(f"m_values has duplicates: {self.m_values!r}")
         for name in ("power_num_raps", "array_elements", "num_band_points"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+                raise ValidationError(f"{name} must be an integer >= 1, "
+                                      f"got {getattr(self, name)!r}")
         if any(km < 0 for km in self.fiber_km):
-            raise ConfigError(f"fiber_km must be >= 0, got {self.fiber_km!r}")
+            raise ValidationError(f"fiber_km must be >= 0, got {self.fiber_km!r}")
         if self.power_p_tx_w < 0:
-            raise ConfigError(f"power_p_tx_w must be >= 0, got {self.power_p_tx_w!r}")
+            raise ValidationError(f"power_p_tx_w must be >= 0, got {self.power_p_tx_w!r}")
         if not 0 <= self.crossover_range_km[0] < self.crossover_range_km[1]:
-            raise ConfigError("crossover_range_km must satisfy 0 <= start < stop, "
-                              f"got {self.crossover_range_km!r}")
+            raise ValidationError("crossover_range_km must satisfy 0 <= start < stop, "
+                                  f"got {self.crossover_range_km!r}")
         if self.array_spacing_m is not None and self.array_spacing_m <= 0:
-            raise ConfigError(f"array_spacing_m must be > 0 or null, got {self.array_spacing_m!r}")
+            raise ValidationError("array_spacing_m must be > 0 or null, "
+                                  f"got {self.array_spacing_m!r}")
         if not -90.0 <= self.steer_theta_deg <= 90.0:
-            raise ConfigError(f"steer_theta_deg must be in [-90, 90], got {self.steer_theta_deg}")
+            raise ValidationError("steer_theta_deg must be in [-90, 90], "
+                                  f"got {self.steer_theta_deg}")
         if not 0 < self.band_hz[0] <= self.band_hz[1]:
-            raise ConfigError(f"band_hz must satisfy 0 < start <= stop, got {self.band_hz!r}")
+            raise ValidationError(f"band_hz must satisfy 0 < start <= stop, got {self.band_hz!r}")
         start, stop, step = self.theta_grid_deg
         if step == 0 or (stop - start) * step < 0:
-            raise ConfigError("theta_grid_deg step must be nonzero and lead from start to "
-                              f"stop, got {self.theta_grid_deg!r}")
+            raise ValidationError("theta_grid_deg step must be nonzero and lead from start to "
+                                  f"stop, got {self.theta_grid_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -107,22 +110,23 @@ class ExperimentConfig:
     base_seed: int = 1
 
     def __post_init__(self):
-        if not _PRECHECKED.get():  # a JSON build checked each value on the way in
-            _checked(self, ExperimentConfig, "")
+        if not _PRECHECKED.get():  # built in Python: take the fields of a copy built as JSON is
+            built = _checked(self, ExperimentConfig, "")
+            for name in _field_hints(ExperimentConfig):
+                object.__setattr__(self, name, getattr(built, name))
+            return
         if not self.schemes:
-            raise ConfigError("schemes list must be nonempty")
+            raise ValidationError("schemes list must be nonempty")
         if len(set(self.schemes)) != len(self.schemes):
-            raise ConfigError(
-                f"schemes has duplicates: {[Scheme(s).value for s in self.schemes]}"
-            )
+            raise ValidationError(f"schemes has duplicates: {[s.value for s in self.schemes]}")
         for name, least in (("monte_carlo_drops", 1), ("base_seed", 0)):
             if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
+                raise ValidationError(f"{name} must be >= {least}")
         if self.budget_w <= 0:
-            raise ConfigError(f"budget_w must be finite and > 0, got {self.budget_w!r}")
+            raise ValidationError(f"budget_w must be finite and > 0, got {self.budget_w!r}")
         if self.digitization_bits_per_sample_pair <= 0:
-            raise ConfigError("digitization_bits_per_sample_pair must be > 0, "
-                              f"got {self.digitization_bits_per_sample_pair!r}")
+            raise ValidationError("digitization_bits_per_sample_pair must be > 0, "
+                                  f"got {self.digitization_bits_per_sample_pair!r}")
 
     def resolved(self) -> dict:
         """Every knob, defaults included, as plain JSON-ready values."""
@@ -152,12 +156,13 @@ def _check_numbers(values, hint, where: str, indexed: bool) -> None:
             fault = "must be finite"
         else:
             continue
-        raise ConfigError(f"{where}{f'[{i}]' if indexed else ''} {fault}, got {v!r}")
+        raise ValidationError(f"{where}{f'[{i}]' if indexed else ''} {fault}, got {v!r}")
 
 
 def _checked(value, hint, where: str):
     """``value`` held to the annotation ``hint``: lists become tuples, names become
-    enum members and objects become groups; anything else is a ConfigError."""
+    enum members, and objects and group instances (by their fields) become groups;
+    anything else is a ValidationError."""
     if hint in (int, float):
         _check_numbers((value,), hint, where, indexed=False)
         return value
@@ -166,25 +171,23 @@ def _checked(value, hint, where: str):
         size = None if args[-1] is Ellipsis else len(args)
         if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
             count = f" of {size} items" if size else ""
-            raise ConfigError(f"{where} must be a list{count}, got {value!r}")
+            raise ValidationError(f"{where} must be a list{count}, got {value!r}")
         if args[0] in (int, float):
             _check_numbers(value, args[0], where, indexed=True)
             return tuple(value)
         return tuple(_checked(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
     if type(None) in args:  # X | None
         return None if value is None else _checked(value, args[0], where)
-    if dataclasses.is_dataclass(hint):  # a group: a JSON object, or an instance to check
+    if dataclasses.is_dataclass(hint):  # a group: a JSON object, or an instance as its fields
         hints = _field_hints(hint)
         if isinstance(value, hint):
-            for name, field_hint in hints.items():
-                _checked(getattr(value, name), field_hint, f"{where}.{name}".lstrip("."))
-            return value
+            value = {name: getattr(value, name) for name in hints}
         place = f"config group {where!r}" if where else "the top-level config"
         if not isinstance(value, dict):
-            raise ConfigError(f"{place} must be an object")
+            raise ValidationError(f"{place} must be an object")
         unknown = set(value) - set(hints)
         if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {place}")
+            raise ValidationError(f"unknown key(s) {sorted(unknown)} in {place}")
         values = {  # every value is checked before the group's own range checks run
             key: _checked(v, hints[key], f"{where}.{key}".lstrip("."))
             for key, v in value.items()
@@ -199,9 +202,9 @@ def _checked(value, hint, where: str):
             return hint(value)
         except ValueError:
             names = [m.value for m in hint]
-            raise ConfigError(f"{where} must be one of {names}, got {value!r}") from None
+            raise ValidationError(f"{where} must be one of {names}, got {value!r}") from None
     if not isinstance(value, hint):
-        raise ConfigError(f"{where} must be a {hint.__name__}, got {value!r}")
+        raise ValidationError(f"{where} must be a {hint.__name__}, got {value!r}")
     return value
 
 
@@ -222,11 +225,11 @@ def load_config(
             with open(path, "r") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ValidationError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError("top-level config must be a JSON object")
+            raise ValidationError("top-level config must be a JSON object")
     overrides = {"base_seed": seed, "monte_carlo_drops": drops}
     data.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(data)

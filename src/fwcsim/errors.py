@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator: one class per CLI exit code."""
 
 
 class FwcError(Exception):
@@ -6,21 +6,12 @@ class FwcError(Exception):
 
 
 class ValidationError(FwcError, ValueError):
-    """Invalid parameter, argument, or configuration value."""
-
-
-class ConfigError(ValidationError):
-    """Unreadable config file or a config key/value outside the schema."""
+    """Invalid parameter, argument, or configuration value (exit 2)."""
 
 
 class InfeasibleBudgetError(FwcError):
-    """Power budget is below the fixed, transmit-independent consumption."""
+    """Power budget is below the fixed, transmit-independent consumption (exit 3)."""
 
 
 class NullSentinelError(FwcError):
-    """A sweep point landed on a dispersion null (infinite-loss sentinel)."""
-
-
-class NoRealBeamError(FwcError):
-    """Requested squint frequency has no real steering direction."""
-
+    """A sweep point landed on a dispersion null, the infinite-loss sentinel (exit 4)."""

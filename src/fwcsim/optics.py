@@ -9,7 +9,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .units import SPEED_OF_LIGHT_M_S
 
 # |cos|^2 at or below this counts as an exact fading null (infinite loss).
@@ -67,7 +67,7 @@ class SchemeParams:
                      "fiber_bit_rate_bps"):
             value = getattr(self, name)
             if value <= 0:
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
     def analog_carrier_hz(self, scheme: Scheme) -> float | None:
         """Frequency riding the fiber: RF for RFoF, IF for IFoF, none for BBoF."""

@@ -21,12 +21,7 @@ from .beamform import (
     ttd_weights,
 )
 from .config import ExperimentConfig, hash_resolved
-from .errors import (
-    ConfigError,
-    InfeasibleBudgetError,
-    NullSentinelError,
-    ValidationError,
-)
+from .errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from .geometry import distance_matrix, generate_layout, layout_stream, udn_association
 from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
@@ -61,10 +56,12 @@ MAX_CSV_ROWS = 2_000_000
 
 
 def _admit(key: str, what: str, size: float, bound: int, unit: str) -> None:
-    """ConfigError naming ``key`` when ``size`` passes ``bound``."""
+    """ValidationError naming ``key`` when ``size`` passes ``bound``. The size
+    prints whole and rounded up, so an estimate past the bound never reads as it."""
     if size > bound:
-        raise ConfigError(f"{key} asks for {what} of {size:.4g} {unit}, over the "
-                          f"size bound of {bound} {unit}")
+        shown = math.ceil(size) if math.isfinite(size) else size
+        raise ValidationError(f"{key} asks for {what} of {shown} {unit}, over the "
+                              f"size bound of {bound} {unit}")
 
 
 def _ue_counts(m_values) -> dict[int, int]:
@@ -100,8 +97,8 @@ def _admit_beam(cfg: ExperimentConfig) -> float:
     if spacing is None:  # half a wavelength at the band start
         spacing, key = SPEED_OF_LIGHT_M_S / f_lo / 2.0, "sweep.band_hz"
     if not math.isfinite(2 * math.pi * f_hi * ((n - 1) * spacing)):
-        raise ConfigError(f"{key} gives an element spacing of {spacing:.4g} m, so the "
-                          f"{n}-element array's largest phase at {f_hi:.4g} Hz is not finite")
+        raise ValidationError(f"{key} gives an element spacing of {spacing:.4g} m, so the "
+                              f"{n}-element array's largest phase at {f_hi:.4g} Hz is not finite")
     return spacing
 
 
@@ -184,17 +181,14 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     crossovers = table.metadata["crossovers"] = []
     if Scheme.RFOF in cfg.schemes and Scheme.BBOF in cfg.schemes:
         companion = table.companions["crossovers"] = ResultTable(CROSSOVER_COLUMNS)
-        for f_hz in cfg.sweep.frequencies_hz:
-            found = crossover_length(
-                Scheme.RFOF, Scheme.BBOF,
-                dataclasses.replace(cfg.scheme_params, rf_carrier_hz=float(f_hz)),
-                cfg.fiber, m, p_tx, cfg.sweep.crossover_range_km, cfg.power,
-            )
+        for radio in (radio for scheme, radio in _curves(cfg) if scheme is Scheme.RFOF):
+            f_hz = radio.rf_carrier_hz
+            found = crossover_length(Scheme.RFOF, Scheme.BBOF, radio, cfg.fiber, m, p_tx,
+                                     cfg.sweep.crossover_range_km, cfg.power)
             crossovers.append(
-                {"scheme_a": "rfof", "scheme_b": "bbof", "f_rf_hz": float(f_hz),
-                 "crossover_km": found}
+                {"scheme_a": "rfof", "scheme_b": "bbof", "f_rf_hz": f_hz, "crossover_km": found}
             )
-            companion.append("rfof", "bbof", float(f_hz), "" if found is None else found,
+            companion.append("rfof", "bbof", f_hz, "" if found is None else found,
                              found is not None)
     return table
 

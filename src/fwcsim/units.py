@@ -14,10 +14,3 @@ def db_to_linear(value_db: float) -> float:
         return 10.0 ** (value_db / 10.0)  # -inf gives 0.0, +inf gives inf
     except OverflowError:
         return math.inf
-
-
-def thermal_noise_w(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
-    """Receiver noise power k*T*B scaled by the noise figure."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
-    return BOLTZMANN_J_K * ROOM_TEMPERATURE_K * bandwidth_hz * db_to_linear(noise_figure_db)

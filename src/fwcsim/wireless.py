@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .units import db_to_linear, thermal_noise_w
+from .units import BOLTZMANN_J_K, ROOM_TEMPERATURE_K, db_to_linear
 
 CHANNEL_RNG_STREAM = 1
 MIN_PATH_DISTANCE_M = 1.0  # clamp below the pathloss reference distance
@@ -39,8 +39,10 @@ class ChannelModel:
             )
 
     def noise_power_w(self, bandwidth_hz: float) -> float:
-        """Receiver noise power over ``bandwidth_hz``; finite and > 0."""
-        noise = thermal_noise_w(bandwidth_hz, self.noise_figure_db)
+        """Receiver noise power k*T*B over ``bandwidth_hz``, scaled by the noise
+        figure; finite and > 0."""
+        noise = (BOLTZMANN_J_K * ROOM_TEMPERATURE_K * bandwidth_hz
+                 * db_to_linear(self.noise_figure_db))
         if not 0.0 < noise < math.inf:
             raise ValidationError(
                 f"channel.noise_figure_db {self.noise_figure_db!r} gives a noise power of "

@@ -13,7 +13,7 @@ from fwcsim.beamform import (
     phase_only_weights,
     ttd_weights,
 )
-from fwcsim.errors import NoRealBeamError, ValidationError
+from fwcsim.errors import ValidationError
 from fwcsim.units import SPEED_OF_LIGHT_M_S
 
 F0 = 10e9
@@ -100,7 +100,7 @@ def test_squint_closed_form():
     assert DEG(beam_squint_direction(2 * F0, F0, theta0)) == pytest.approx(
         DEG(math.asin(0.25)), abs=1e-9
     )
-    with pytest.raises(NoRealBeamError):
+    with pytest.raises(ValidationError):
         beam_squint_direction(0.4 * F0, F0, math.radians(80.0))
 
 

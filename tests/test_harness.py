@@ -13,7 +13,7 @@ import pytest
 
 import fwcsim
 from fwcsim import config as config_module
-from fwcsim import cli, sweeps
+from fwcsim import cli, errors, sweeps
 from fwcsim.cli import main
 from fwcsim.config import (
     ExperimentConfig,
@@ -22,7 +22,7 @@ from fwcsim.config import (
     hash_resolved,
     load_config,
 )
-from fwcsim.errors import ConfigError, InfeasibleBudgetError, NullSentinelError
+from fwcsim.errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from fwcsim.geometry import Area
 from fwcsim.optics import Scheme, fading_db_over, fiber_axis
 from fwcsim.power import solve_tx_power
@@ -64,22 +64,22 @@ def test_defaults_resolve_completely():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         config_from_dict({"schemes": ["bbof"], "budget": 100})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         config_from_dict({"fiber": {"dispersion": 17}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         config_from_dict({"schemes": ["bbof", "xfof"]})
 
 
 def test_direct_config_is_type_checked():
-    with pytest.raises(ConfigError, match="budget_w must be finite"):
+    with pytest.raises(ValidationError, match="budget_w must be finite"):
         ExperimentConfig(budget_w=math.nan)
-    with pytest.raises(ConfigError, match=r"sweep\.m_values\[1\] must be an integer"):
+    with pytest.raises(ValidationError, match=r"sweep\.m_values\[1\] must be an integer"):
         ExperimentConfig(sweep=SweepParams(m_values=(4, True)))
-    with pytest.raises(ConfigError, match=r"scenario\.area_width_m must be finite"):
+    with pytest.raises(ValidationError, match=r"scenario\.area_width_m must be finite"):
         ExperimentConfig(scenario=Area(area_width_m=math.inf))
-    with pytest.raises(ConfigError, match=r"schemes\[0\] must be one of"):
+    with pytest.raises(ValidationError, match=r"schemes\[0\] must be one of"):
         ExperimentConfig(schemes=("xfof",))
     assert ExperimentConfig(sweep=SweepParams(array_spacing_m=None)).sweep.array_spacing_m is None
 
@@ -99,8 +99,34 @@ def test_json_values_are_checked_once(monkeypatch):
     seen.clear()
     ExperimentConfig(sweep=cfg.sweep)  # a directly built config is walked whole
     assert seen.count("sweep.fiber_km") == 1
-    with pytest.raises(ConfigError, match=r"sweep\.fiber_km\[1\] must be finite"):
+    with pytest.raises(ValidationError, match=r"sweep\.fiber_km\[1\] must be finite"):
         config_from_dict({"sweep": {"fiber_km": [0.0, math.inf]}})
+
+
+def bit_rows(table):
+    """The rows of ``table`` with each cell as its repr: equal only bit for bit."""
+    return [tuple(map(repr, row)) for row in table.rows]
+
+
+def test_python_config_is_normalised_like_json():
+    """A config built in Python, with scheme names and list axes, holds the
+    members and tuples a JSON build holds, hashes the same and runs the same.
+    (``Scheme`` is a str enum, so ``==`` cannot tell a name from a member.)"""
+    sweep = {"m_values": [4, 8], "fiber_km": [0.0, 1.0, 19.0], "frequencies_hz": [10e9, 20e9],
+             "num_band_points": 2, "theta_grid_deg": [-90.0, 90.0, 5.0]}
+    data = {"schemes": ["bbof", "rfof"], "sweep": sweep, "monte_carlo_drops": 2}
+    built = ExperimentConfig(schemes=["bbof", "rfof"], sweep=SweepParams(**sweep),
+                             monte_carlo_drops=2)
+    read = config_from_dict(json.loads(json.dumps(data)))
+    for cfg in (built, read):
+        assert [type(s) for s in cfg.schemes] == [Scheme, Scheme]
+        assert type(cfg.schemes) is tuple
+        assert all(type(getattr(cfg.sweep, key)) is tuple
+                   for key, value in sweep.items() if type(value) is list)
+    assert hash(built) == hash(read)
+    assert hash_resolved(built.resolved()) == hash_resolved(read.resolved())
+    for run in (run_dispersion_sweep, run_power_sweep, run_throughput_sweep, run_beam_pattern):
+        assert bit_rows(run(built)) == bit_rows(run(read)), run.__name__
 
 
 def test_load_config_overrides(tmp_path):
@@ -114,9 +140,9 @@ def test_load_config_overrides(tmp_path):
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         load_config(path)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         load_config(tmp_path / "missing.json")
 
 
@@ -561,6 +587,23 @@ def test_cli_null_sentinel_exit_4(tmp_path):
     assert "inf" in out.read_text()
 
 
+def test_every_error_class_has_an_exit_code(tmp_path, capsys, monkeypatch):
+    """Each simulator error class leaves main with its own documented exit code
+    and one stderr line, never a traceback."""
+    classes = [value for value in vars(errors).values() if isinstance(value, type)
+               and issubclass(value, errors.FwcError) and value is not errors.FwcError]
+    codes = {}
+    for cls in classes:
+        def fail(cfg, cls=cls):
+            raise cls("no such point")
+
+        monkeypatch.setitem(cli._RUNNERS, "beam-pattern", ("o.csv", fail, ()))
+        codes[cls] = main(["beam-pattern", "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("no such point\n"), (cls, err)
+    assert sorted(codes.values()) == [2, 3, 4], codes
+
+
 def test_cli_power_sweep_null_sentinel_exit_4(tmp_path, capsys):
     ln = null_lengths(ExperimentConfig().fiber, 30e9, 1)[0]
     cfg_path = write_cfg(tmp_path, {"sweep": {"fiber_km": [ln], "frequencies_hz": [30e9]}})
@@ -755,7 +798,7 @@ def test_default_and_bench_configs_are_admitted(data):
 ], ids=["drops", "m-7000", "band-points", "subnormal-step"])
 def test_size_bounds_name_the_key(data, key):
     cfg = config_from_dict(data)
-    with pytest.raises(ConfigError, match=f"^{key} asks for"):
+    with pytest.raises(ValidationError, match=f"^{key} asks for"):
         sweeps._admit_throughput(cfg, sweeps._ue_counts(cfg.sweep.m_values))
         sweeps._admit_beam(cfg)
 
@@ -772,5 +815,24 @@ def test_planning_size_bounds_name_the_keys(monkeypatch, bound, data, key):
         monkeypatch.setattr(sweeps, "MAX_ARRAY_BYTES", bound)
     cfg = config_from_dict(data)
     for run in (run_dispersion_sweep, run_power_sweep):
-        with pytest.raises(ConfigError, match=f"^{key} of "):
+        with pytest.raises(ValidationError, match=f"^{key} of "):
             run(cfg)
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"sweep": {"fiber_km": [0.0], "frequencies_hz": [1e9 + i for i in range(20_000)]}},
+     "sweep.fiber_km and sweep.frequencies_hz"),
+    ({"sweep": {"num_band_points": 10_001, "theta_grid_deg": [0.0, 0.0, 1.0]}},
+     "sweep.theta_grid_deg and sweep.num_band_points"),
+], ids=["carriers", "band-points"])
+def test_size_bound_messages_print_the_size_past_the_bound(monkeypatch, data, key):
+    """20,002 rows over a bound of 20,000 print whole, not as 2e+04, and a size a
+    fraction past the bound rounds up, so no size reads as the bound itself."""
+    monkeypatch.setattr(sweeps, "MAX_CSV_ROWS", 20_000)
+    cfg = config_from_dict(data)
+    run = run_beam_pattern if "num_band_points" in data["sweep"] else run_dispersion_sweep
+    with pytest.raises(ValidationError, match=f"^{key} asks for a CSV of 20002 rows, over "
+                                              "the size bound of 20000 rows$"):
+        run(cfg)
+    with pytest.raises(ValidationError, match="^k asks for a CSV of 20001 rows, over"):
+        sweeps._admit("k", "a CSV", 20_000.25, 20_000, "rows")

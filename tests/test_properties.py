@@ -3,7 +3,8 @@
 The power solver inverts the system power model, and fronthaul noise only
 ever degrades the wireless SINR. Through the sweep runners: a cleaner
 fronthaul or a larger budget never lowers the throughput, a longer fiber
-never raises an IFoF row, a true-time-delay beam stays on its steering
+never raises an IFoF row and never moves a BBoF row, RFoF fading repeats
+with the dispersion period, a true-time-delay beam stays on its steering
 angle across the band, and a phase-only beam follows the squint closed form.
 """
 import dataclasses
@@ -17,9 +18,10 @@ from fwcsim.config import config_from_dict
 from fwcsim.errors import InfeasibleBudgetError
 from fwcsim.optics import FiberParams, Scheme, SchemeParams, fiber_axis
 from fwcsim.power import PowerParams, solve_tx_power
-from fwcsim.sweeps import run_beam_pattern, run_throughput_sweep
+from fwcsim.sweeps import run_beam_pattern, run_dispersion_sweep, run_throughput_sweep
 from fwcsim.units import SPEED_OF_LIGHT_M_S
 from fwcsim.wireless import combine_fronthaul_noise
+from test_optics import fading_period_km
 from test_power import power_at
 
 wattage = st.floats(0.0, 100.0)
@@ -145,6 +147,38 @@ def test_ifof_throughput_never_rises_with_fiber_length(a_km, b_km, budget_w, see
     assert [row[:5] for row in short.rows] == [row[:5] for row in long.rows]
     for before, after in zip(short.rows, long.rows):
         assert after[6] <= before[6], (before, after)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(0, 1000),
+       st.sampled_from(["ue_nearest", "rap_nearest"]))
+def test_bbof_throughput_does_not_depend_on_fiber_length(a_km, b_km, seed, mode):
+    """BBoF carries bits: the fiber's attenuation and dispersion reach neither
+    its fronthaul SNR nor its power, so its rows keep their bits at any length."""
+    def sweep(length_km):
+        table = throughput_table(schemes=["bbof"], budget_w=1e5, base_seed=seed,
+                                 fiber={"length_km": length_km},
+                                 sweep={"association_mode": mode})
+        return [tuple(map(repr, row)) for row in table.rows]
+
+    assert sweep(a_km) == sweep(b_km)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(1e9, 40e9), st.floats(0.0, 50.0))
+def test_rfof_fading_repeats_with_the_dispersion_period(f_hz, length_km):
+    """cos^2 of the dispersion phase repeats each c/(|D| lambda^2 f^2): the
+    dispersion sweep's RFoF fading is the same one, two and three periods on."""
+    period = fading_period_km(FiberParams(), f_hz)
+    table = run_dispersion_sweep(config_from_dict({
+        "schemes": ["rfof"],
+        "sweep": {"frequencies_hz": [f_hz],
+                  "fiber_km": [length_km + k * period for k in range(4)]},
+    }), allow_null=True)
+    first, *later = [row[3] for row in table.rows]
+    assume(first < 30.0)  # near a null the fading is too steep to compare
+    for k, fading in enumerate(later, 1):
+        assert math.isclose(fading, first, abs_tol=1e-6), (k, fading, first)
 
 
 @st.composite
