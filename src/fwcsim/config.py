@@ -1,7 +1,8 @@
 """Experiment configuration: JSON loading, centralized defaults, resolution.
 
 The dataclass field annotations are the schema: they drive the JSON builder,
-the type check that runs before any range check, and the ``resolved()`` echo.
+the type check that runs before any range check (also for the config and its
+groups built in Python), and the ``resolved()`` echo.
 """
 from __future__ import annotations
 
@@ -109,12 +110,7 @@ class ExperimentConfig:
     monte_carlo_drops: int = 100
     base_seed: int = 1
 
-    def __post_init__(self):
-        if not _PRECHECKED.get():  # built in Python: take the fields of a copy built as JSON is
-            built = _checked(self, ExperimentConfig, "")
-            for name in _field_hints(ExperimentConfig):
-                object.__setattr__(self, name, getattr(built, name))
-            return
+    def __post_init__(self):  # the range checks, after the type checks
         if not self.schemes:
             raise ValidationError("schemes list must be nonempty")
         if len(set(self.schemes)) != len(self.schemes):
@@ -206,6 +202,29 @@ def _checked(value, hint, where: str):
     if not isinstance(value, hint):
         raise ValidationError(f"{where} must be a {hint.__name__}, got {value!r}")
     return value
+
+
+_RANGE_CHECKS: dict[type, tuple] = {}  # group -> (its own __post_init__, its config key)
+
+
+def _typed_post_init(self) -> None:
+    """The ``__post_init__`` of the config and its groups. Built from checked
+    values, a group runs its own range checks. Built in Python, it takes the
+    fields of a copy built as a JSON config's would be, so a value of the wrong
+    type is a ValidationError that names its key before any range check runs."""
+    range_checks, key = _RANGE_CHECKS[type(self)]
+    if _PRECHECKED.get():
+        range_checks(self)
+        return
+    built = _checked(self, type(self), key)
+    for name in _field_hints(type(self)):
+        object.__setattr__(self, name, getattr(built, name))
+
+
+for _key, _group in (("", ExperimentConfig), *_field_hints(ExperimentConfig).items()):
+    if dataclasses.is_dataclass(_group):
+        _RANGE_CHECKS[_group] = _group.__post_init__, _key
+        _group.__post_init__ = _typed_post_init
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -5,8 +5,10 @@ base_seed + i at every M, and drops reduce in index order.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from .geometry import distance_matrix, generate_layout, layout_stream, udn_association
 from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
-from .tables import Repeat, ResultTable
+from .tables import Repeat, ResultTable, _forked
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
 from .wireless import (
     bbof_per_rap_cap_bps,
@@ -53,6 +55,14 @@ BEAM_COLUMNS = ("mode", "f_hz", "theta_deg", "af_mag", "af_phase_rad")
 # count pass these fails before any allocation.
 MAX_ARRAY_BYTES = 2**30
 MAX_CSV_ROWS = 2_000_000
+
+# Drop work, drops x the sum of M*J over the sweep, from which the drops split
+# across two processes (``_drop_components``). The fork, its page faults and
+# the reaping cost several ms. On a 2-vCPU VM (in-process sweeps, median of 5
+# alternations) the split lost at 65k-262k for 2-8 drops at M = 128-512 (M =
+# 256, 4 drops: 15.1 -> 17.3 ms) and won at every shape tried from 327k up (M =
+# 256, 10 drops: 30.5 -> 26.0 ms; the case study's 4.4M: 406 -> 247 ms).
+SPLIT_DROP_WORK = 300_000
 
 
 def _admit(key: str, what: str, size: float, bound: int, unit: str) -> None:
@@ -225,6 +235,40 @@ def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, streams: tuple,
     }
 
 
+@contextlib.contextmanager
+def _one_blas_thread(wanted: bool):
+    """Yield whether the drops split in two, and run BLAS at one thread while
+    they do. They split when ``wanted``, ``os.fork`` exists, this process may
+    use two CPUs or more, and the BLAS that numpy links exports OpenBLAS's
+    thread-count getter and setter; the previous count comes back on exit."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if not wanted or not hasattr(os, "fork") or cpus < 2:
+        yield False
+        return
+    import ctypes  # only here: runs that never split do not load it
+
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
+    # dlsym on numpy's extension module searches its dependencies, the BLAS among them.
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            break
+    else:
+        yield False
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    threads = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(threads)
+
+
 def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tuple, np.ndarray]:
     """Per (arch, M), the per-watt signal and interference of every drop as
     one (2, drops, J) array; it depends on no scheme, fiber or budget value.
@@ -232,6 +276,14 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
     Drops run seed by seed: each seed draws its layout and channel streams
     once, and every M reads its draws from their prefixes. The largest M
     draws the channel entries past the kept prefix itself.
+
+    When ``_one_blas_thread`` splits the drops, a helper from
+    ``tables._forked`` runs the seeds from drops // 2 on and sends its slices
+    of every array back as float64 bytes, while this process runs the seeds
+    before, both at one BLAS thread. Every seed has its own streams, so the
+    arrays are those of the serial loop at one BLAS thread. (The Gram
+    product's last bits depend on the thread count for most M above 128 that
+    are not multiples of 8.)
     """
     drops = cfg.monte_carlo_drops
     largest = max(j_of_m)
@@ -239,13 +291,30 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
     prefix = max((2 * m * j for m, j in j_of_m.items() if m != largest), default=0)
     components = {(arch, m): np.empty((2, drops, j))
                   for arch in ("udn", "cellfree") for m, j in j_of_m.items()}
-    for i in range(drops):
-        seed = cfg.base_seed + i
-        streams = (layout_stream(seed, largest + j_of_m[largest]),
-                   channel_stream(seed, prefix))
-        for m, buffers in views.items():
-            for arch, parts in _throughput_drop(cfg, seed, streams, buffers).items():
-                components[(arch, m)][:, i] = parts
+
+    def run(seeds):
+        for i in seeds:
+            seed = cfg.base_seed + i
+            streams = (layout_stream(seed, largest + j_of_m[largest]),
+                       channel_stream(seed, prefix))
+            for m, buffers in views.items():
+                for arch, parts in _throughput_drop(cfg, seed, streams, buffers).items():
+                    components[(arch, m)][:, i] = parts
+
+    def tail_bytes():
+        run(range(half, drops))
+        return b"".join(c[:, half:].tobytes() for c in components.values())
+
+    work = drops * sum(m * j for m, j in j_of_m.items())
+    with _one_blas_thread(drops > 1 and work >= SPLIT_DROP_WORK) as split:
+        half = drops // 2 if split else drops
+        with _forked(tail_bytes) if split else contextlib.nullcontext(tail_bytes) as tail:
+            run(range(half))
+            data = np.frombuffer(tail(), float)
+    for c in components.values():  # the helper's slices; none without a split
+        part = c[:, half:]
+        part[...] = data[:part.size].reshape(part.shape)
+        data = data[part.size:]
     return components
 
 

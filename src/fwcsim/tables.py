@@ -6,10 +6,12 @@ bytes.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import signal
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,19 +19,28 @@ from itertools import repeat
 from pathlib import Path
 
 
+class _Walked(dict):
+    """A dict that ``_json_ready`` built; walking it again returns it as it is."""
+
+
 def _json_ready(value):
     """``value`` as plain JSON values: dataclasses as dicts by field, tuples as
-    lists, enum members as their values and infinite floats as "inf" or "-inf"."""
+    lists, enum members as their values and infinite floats as "inf" or "-inf".
+    A dict this function built, such as the config echo inside a table's
+    metadata, is not walked twice."""
     if isinstance(value, float):  # first: most values are the floats of an axis
         return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
+    if isinstance(value, _Walked):
+        return value
     if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
+        return _Walked({k: _json_ready(v) for k, v in value.items()})
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
     if isinstance(value, Enum):
         return value.value
     if dataclasses.is_dataclass(value):
-        return {f.name: _json_ready(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return _Walked({f.name: _json_ready(getattr(value, f.name))
+                        for f in dataclasses.fields(value)})
     return value
 
 
@@ -81,6 +92,61 @@ def _blocks_text(blocks):
         yield "".join(lines).encode()
 
 
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work()``, which returns bytes, in a helper process forked on entry,
+    and yield a function that returns those bytes once the helper has sent them.
+    If the fork fails, or the helper's bytes do not all arrive (``work`` raised
+    or the helper was killed), that function runs ``work()`` in this process
+    instead, so a failure there raises here as it would without a helper. The
+    helper is reaped on every path, and killed first if the block raises. It
+    leaves through ``os._exit``: it runs no exit handler, flushes no inherited
+    buffer and never touches this process's files."""
+    read_fd, write_fd = os.pipe()
+    try:
+        # Python 3.12+ warns that fork in a process with threads may deadlock the
+        # child. fwcsim's only other threads are OpenBLAS's pool, and OpenBLAS's own
+        # fork handler (pthread_atfork) stops that pool before the fork, so the
+        # helper inherits no lock a pool thread holds; its first threaded BLAS call
+        # would start a pool of its own.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no helper: this process does the work as well
+        os.close(read_fd)
+        os.close(write_fd)
+        yield work
+        return
+    if pid == 0:  # the helper
+        code = 1
+        try:
+            os.close(read_fd)
+            data = work()  # all of it before the pipe fills
+            with open(write_fd, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "big"))
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reader = open(read_fd, "rb", buffering=0)
+
+    def result():
+        data = reader.readall()  # the length in 8 bytes, then the data
+        if int.from_bytes(data[:8], "big") == len(data) - 8:
+            return memoryview(data)[8:]
+        return work()
+
+    try:
+        yield result
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:  # after the caller's block, so the helper's exit overlaps it
+        reader.close()
+        os.waitpid(pid, 0)
+
+
 @dataclass(frozen=True)
 class Repeat:
     """One cell value repeated down every row of a column block."""
@@ -124,13 +190,12 @@ class ResultTable:
 
     def write_csv(self, path: str | Path) -> None:
         """The header, then the rows. From SPLIT_ROWS rows, where ``os.fork``
-        exists, a forked helper formats the rows from the midpoint on while this
-        process formats the rows before it; a block across the midpoint is cut
-        in two. Both halves go through ``_blocks_text`` and CSV rows do not
-        depend on each other, so the bytes are those of a serial write. If the
-        fork fails or the helper's bytes do not all arrive, this process formats
-        the second half too. The helper is reaped on every path."""
-        head, tail, pid = self.blocks, [], None
+        exists, a helper from ``_forked`` formats the rows from the midpoint on
+        while this process formats the rows before it; a block across the
+        midpoint is cut in two. Both halves go through ``_blocks_text`` and CSV
+        rows do not depend on each other, so the bytes are those of a serial
+        write."""
+        head, tail = self.blocks, []
         total = sum(n for n, _ in self.blocks)
         if total >= SPLIT_ROWS and hasattr(os, "fork"):
             head, done = [], 0
@@ -143,44 +208,15 @@ class ResultTable:
                                               for c in cells)))
                 else:
                     (head if k else tail).append((n, cells))
-            read_fd, write_fd = os.pipe()
-            try:
-                # Python 3.12+ warns that fork in a process with threads (OpenBLAS
-                # keeps a pool in every fwcsim process) may deadlock the child. The
-                # helper calls no BLAS: it formats Python floats it already holds
-                # and leaves through os._exit, so the warning does not apply here.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:  # no helper: this process formats the tail as well
-                os.close(read_fd)
-            if pid == 0:  # the helper; it never touches this process's files
-                code = 1
-                try:
-                    os.close(read_fd)
-                    text = b"".join(_blocks_text(tail))  # all of it before the pipe fills
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(len(text).to_bytes(8, "big"))
-                        pipe.write(text)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            reader = open(read_fd, "rb", buffering=0) if pid else None
-        try:
+
+        def tail_text():
+            return b"".join(_blocks_text(tail))
+
+        with _forked(tail_text) if tail else contextlib.nullcontext(tail_text) as tail_bytes:
             with open(path, "wb") as fh:
                 fh.write((",".join(self.columns) + "\n").encode())
                 fh.writelines(_blocks_text(head))
-                if pid:
-                    text = reader.readall()  # the tail's length in 8 bytes, then the tail
-                    if int.from_bytes(text[:8], "big") == len(text) - 8:
-                        fh.write(memoryview(text)[8:])
-                        tail = []
-                fh.writelines(_blocks_text(tail))
-        finally:
-            if pid:  # after the file write, so the helper's exit overlaps it
-                reader.close()
-                os.waitpid(pid, 0)
+                fh.write(tail_bytes())
 
     def write_meta(self, path: str | Path) -> None:
         """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""

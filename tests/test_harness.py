@@ -13,7 +13,7 @@ import pytest
 
 import fwcsim
 from fwcsim import config as config_module
-from fwcsim import cli, errors, sweeps
+from fwcsim import cli, errors, sweeps, tables
 from fwcsim.cli import main
 from fwcsim.config import (
     ExperimentConfig,
@@ -24,7 +24,7 @@ from fwcsim.config import (
 )
 from fwcsim.errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from fwcsim.geometry import Area
-from fwcsim.optics import Scheme, fading_db_over, fiber_axis
+from fwcsim.optics import FiberParams, Scheme, fading_db_over, fiber_axis
 from fwcsim.power import solve_tx_power
 from fwcsim.sweeps import (
     run_beam_pattern,
@@ -82,6 +82,31 @@ def test_direct_config_is_type_checked():
     with pytest.raises(ValidationError, match=r"schemes\[0\] must be one of"):
         ExperimentConfig(schemes=("xfof",))
     assert ExperimentConfig(sweep=SweepParams(array_spacing_m=None)).sweep.array_spacing_m is None
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SweepParams(m_values=("a",)), r"sweep\.m_values\[0\] must be an integer, got 'a'"),
+    (lambda: FiberParams(length_km="x"), r"fiber\.length_km must be a number, got 'x'"),
+], ids=["SweepParams", "FiberParams"])
+def test_a_group_built_in_python_with_a_wrong_type_names_its_key(build, message):
+    """A group's own range checks would compare the value and raise TypeError;
+    the type check runs first, as for a JSON config."""
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_cli_walks_the_config_echo_once(tmp_path, monkeypatch):
+    """The echo that ``_base_metadata`` builds for the hash is written as it is."""
+    walks, walk = [], tables._json_ready
+
+    def counted(value):
+        if isinstance(value, (list, tuple)) and len(value) == 101:  # the default fiber grid
+            walks.append(value)
+        return walk(value)
+
+    monkeypatch.setattr(tables, "_json_ready", counted)
+    assert main(["dispersion-sweep", "--out", str(tmp_path / "d.csv")]) == 0
+    assert len(walks) == 1
 
 
 def test_json_values_are_checked_once(monkeypatch):
