@@ -6,7 +6,6 @@ groups built in Python), and the ``resolved()`` echo.
 """
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import functools
 import hashlib
@@ -136,7 +135,6 @@ def hash_resolved(resolved: dict) -> str:
 
 
 _FLOAT_MAX = sys.float_info.max
-_PRECHECKED = contextvars.ContextVar("prechecked", default=False)  # building checked values
 _NUMBERS = {int: ((int,), Integral, "an integer"), float: ((float, int), Real, "a number")}
 _field_hints = functools.cache(typing.get_type_hints)  # field name -> evaluated annotation
 
@@ -157,8 +155,9 @@ def _check_numbers(values, hint, where: str, indexed: bool) -> None:
 
 def _checked(value, hint, where: str):
     """``value`` held to the annotation ``hint``: lists become tuples, names become
-    enum members, and objects and group instances (by their fields) become groups;
-    anything else is a ValidationError."""
+    enum members, objects become groups (whose ``__post_init__`` checks their
+    values) and a group instance stays as it is; anything else is a
+    ValidationError."""
     if hint in (int, float):
         _check_numbers((value,), hint, where, indexed=False)
         return value
@@ -174,25 +173,16 @@ def _checked(value, hint, where: str):
         return tuple(_checked(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
     if type(None) in args:  # X | None
         return None if value is None else _checked(value, args[0], where)
-    if dataclasses.is_dataclass(hint):  # a group: a JSON object, or an instance as its fields
-        hints = _field_hints(hint)
-        if isinstance(value, hint):
-            value = {name: getattr(value, name) for name in hints}
+    if dataclasses.is_dataclass(hint):  # a group: an instance, or a JSON object
+        if isinstance(value, hint):  # its own __post_init__ has checked it
+            return value
         place = f"config group {where!r}" if where else "the top-level config"
         if not isinstance(value, dict):
             raise ValidationError(f"{place} must be an object")
-        unknown = set(value) - set(hints)
+        unknown = set(value) - set(_field_hints(hint))
         if unknown:
             raise ValidationError(f"unknown key(s) {sorted(unknown)} in {place}")
-        values = {  # every value is checked before the group's own range checks run
-            key: _checked(v, hints[key], f"{where}.{key}".lstrip("."))
-            for key, v in value.items()
-        }
-        token = _PRECHECKED.set(True)
-        try:
-            return hint(**values)
-        finally:
-            _PRECHECKED.reset(token)
+        return hint(**value)
     if issubclass(hint, Enum):
         try:
             return hint(value)
@@ -208,17 +198,14 @@ _RANGE_CHECKS: dict[type, tuple] = {}  # group -> (its own __post_init__, its co
 
 
 def _typed_post_init(self) -> None:
-    """The ``__post_init__`` of the config and its groups. Built from checked
-    values, a group runs its own range checks. Built in Python, it takes the
-    fields of a copy built as a JSON config's would be, so a value of the wrong
-    type is a ValidationError that names its key before any range check runs."""
+    """The ``__post_init__`` of the config and its groups: each field held to its
+    annotation, so a value of the wrong type is a ValidationError that names its
+    key before any range check runs, then the group's own range checks."""
     range_checks, key = _RANGE_CHECKS[type(self)]
-    if _PRECHECKED.get():
-        range_checks(self)
-        return
-    built = _checked(self, type(self), key)
-    for name in _field_hints(type(self)):
-        object.__setattr__(self, name, getattr(built, name))
+    for name, hint in _field_hints(type(self)).items():
+        value = _checked(getattr(self, name), hint, f"{key}.{name}".lstrip("."))
+        object.__setattr__(self, name, value)
+    range_checks(self)
 
 
 for _key, _group in (("", ExperimentConfig), *_field_hints(ExperimentConfig).items()):

@@ -6,9 +6,9 @@ base_seed + i at every M, and drops reduce in index order.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import math
-import os
 
 import numpy as np
 
@@ -56,13 +56,17 @@ BEAM_COLUMNS = ("mode", "f_hz", "theta_deg", "af_mag", "af_phase_rad")
 MAX_ARRAY_BYTES = 2**30
 MAX_CSV_ROWS = 2_000_000
 
-# Drop work, drops x the sum of M*J over the sweep, from which the drops split
-# across two processes (``_drop_components``). The fork, its page faults and
-# the reaping cost several ms. On a 2-vCPU VM (in-process sweeps, median of 5
-# alternations) the split lost at 65k-262k for 2-8 drops at M = 128-512 (M =
-# 256, 4 drops: 15.1 -> 17.3 ms) and won at every shape tried from 327k up (M =
-# 256, 10 drops: 30.5 -> 26.0 ms; the case study's 4.4M: 406 -> 247 ms).
-SPLIT_DROP_WORK = 300_000
+# Drop work, drops x the sum over the sweep's M of M*J + DROP_FIXED_WORK, from
+# which the drops split across two processes (``_drop_components``).
+# DROP_FIXED_WORK is the cost of one drop at one M that does not grow with M*J,
+# about 0.2 ms of Python, in M*J units. The fork, its page faults and the
+# reaping cost several ms. On a 2-vCPU VM (in-process sweeps at one BLAS thread,
+# median of 11-15 alternations) the split lost or tied up to 141k (M = 256, 4
+# drops: 11.3 -> 12.5 ms; M = 64, 20 drops: 7.9 -> 9.7 ms) and won at every
+# shape tried from 175k up (M = 130, 16 drops: 17.3 -> 14.4 ms; M = 64, 80
+# drops: 66.1 -> 42.4 ms; M = 512, 2 drops: 37.7 -> 26.3 ms).
+SPLIT_DROP_WORK = 200_000
+DROP_FIXED_WORK = 2_500
 
 
 def _admit(key: str, what: str, size: float, bound: int, unit: str) -> None:
@@ -236,18 +240,11 @@ def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, streams: tuple,
 
 
 @contextlib.contextmanager
-def _one_blas_thread(wanted: bool):
-    """Yield whether the drops split in two, and run BLAS at one thread while
-    they do. They split when ``wanted``, ``os.fork`` exists, this process may
-    use two CPUs or more, and the BLAS that numpy links exports OpenBLAS's
-    thread-count getter and setter; the previous count comes back on exit."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if not wanted or not hasattr(os, "fork") or cpus < 2:
-        yield False
-        return
-    import ctypes  # only here: runs that never split do not load it
-
+def _one_blas_thread():
+    """Run BLAS at one thread for the block and yield True, through the
+    thread-count getter and setter of OpenBLAS in the BLAS that numpy links;
+    the previous count comes back on exit. Yield False, and change nothing,
+    where that BLAS exports neither."""
     core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
     # dlsym on numpy's extension module searches its dependencies, the BLAS among them.
     lib = ctypes.CDLL(core._multiarray_umath.__file__)
@@ -277,13 +274,14 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
     once, and every M reads its draws from their prefixes. The largest M
     draws the channel entries past the kept prefix itself.
 
-    When ``_one_blas_thread`` splits the drops, a helper from
-    ``tables._forked`` runs the seeds from drops // 2 on and sends its slices
-    of every array back as float64 bytes, while this process runs the seeds
-    before, both at one BLAS thread. Every seed has its own streams, so the
-    arrays are those of the serial loop at one BLAS thread. (The Gram
-    product's last bits depend on the thread count for most M above 128 that
-    are not multiples of 8.)
+    Every seed runs at one BLAS thread (``_one_blas_thread``), split or not:
+    the Gram product's last bits depend on the thread count for most M above
+    128 that are not multiples of 8, so this gives the one-thread arrays on
+    every host. From SPLIT_DROP_WORK, where the thread count can be set, a
+    helper from ``tables._forked`` runs the seeds from drops // 2 on and sends
+    its slices of every array back as float64 bytes, while this process runs
+    the seeds before. Every seed has its own streams, so the arrays are those
+    of the serial loop.
     """
     drops = cfg.monte_carlo_drops
     largest = max(j_of_m)
@@ -305,10 +303,11 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
         run(range(half, drops))
         return b"".join(c[:, half:].tobytes() for c in components.values())
 
-    work = drops * sum(m * j for m, j in j_of_m.items())
-    with _one_blas_thread(drops > 1 and work >= SPLIT_DROP_WORK) as split:
+    work = drops * sum(m * j + DROP_FIXED_WORK for m, j in j_of_m.items())
+    with _one_blas_thread() as single:
+        split = single and drops > 1 and work >= SPLIT_DROP_WORK
         half = drops // 2 if split else drops
-        with _forked(tail_bytes) if split else contextlib.nullcontext(tail_bytes) as tail:
+        with _forked(tail_bytes, split) as tail:
             run(range(half))
             data = np.frombuffer(tail(), float)
     for c in components.values():  # the helper's slices; none without a split

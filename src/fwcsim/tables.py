@@ -93,15 +93,23 @@ def _blocks_text(blocks):
 
 
 @contextlib.contextmanager
-def _forked(work):
+def _forked(work, wanted: bool):
     """Run ``work()``, which returns bytes, in a helper process forked on entry,
     and yield a function that returns those bytes once the helper has sent them.
-    If the fork fails, or the helper's bytes do not all arrive (``work`` raised
-    or the helper was killed), that function runs ``work()`` in this process
-    instead, so a failure there raises here as it would without a helper. The
-    helper is reaped on every path, and killed first if the block raises. It
-    leaves through ``os._exit``: it runs no exit handler, flushes no inherited
-    buffer and never touches this process's files."""
+    This is the one place that decides whether a job runs in two processes: it
+    forks only when ``wanted``, ``os.fork`` exists and this process may use two
+    CPUs or more, and otherwise yields ``work`` itself. If the fork fails, or
+    the helper's bytes do not all arrive (``work`` raised or the helper was
+    killed), that function runs ``work()`` in this process instead, so a
+    failure there raises here as it would without a helper. The helper is
+    reaped on every path, and killed first if the block raises. It leaves
+    through ``os._exit``: it runs no exit handler, flushes no inherited buffer
+    and never touches this process's files."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if not wanted or not hasattr(os, "fork") or cpus < 2:
+        yield work
+        return
     read_fd, write_fd = os.pipe()
     try:
         # Python 3.12+ warns that fork in a process with threads may deadlock the
@@ -189,15 +197,14 @@ class ResultTable:
         self.blocks.append((lengths.pop(), columns))
 
     def write_csv(self, path: str | Path) -> None:
-        """The header, then the rows. From SPLIT_ROWS rows, where ``os.fork``
-        exists, a helper from ``_forked`` formats the rows from the midpoint on
-        while this process formats the rows before it; a block across the
-        midpoint is cut in two. Both halves go through ``_blocks_text`` and CSV
-        rows do not depend on each other, so the bytes are those of a serial
-        write."""
+        """The header, then the rows. From SPLIT_ROWS rows the table is cut at
+        its midpoint, a block across it in two, and a helper from ``_forked``
+        formats the rows from the midpoint on while this process formats the
+        rows before it. Both halves go through ``_blocks_text`` and CSV rows do
+        not depend on each other, so the bytes are those of a serial write."""
         head, tail = self.blocks, []
         total = sum(n for n, _ in self.blocks)
-        if total >= SPLIT_ROWS and hasattr(os, "fork"):
+        if total >= SPLIT_ROWS:
             head, done = [], 0
             for n, cells in self.blocks:
                 k = min(max(total // 2 - done, 0), n)  # rows of this block in the head
@@ -212,7 +219,7 @@ class ResultTable:
         def tail_text():
             return b"".join(_blocks_text(tail))
 
-        with _forked(tail_text) if tail else contextlib.nullcontext(tail_text) as tail_bytes:
+        with _forked(tail_text, bool(tail)) as tail_bytes:
             with open(path, "wb") as fh:
                 fh.write((",".join(self.columns) + "\n").encode())
                 fh.writelines(_blocks_text(head))

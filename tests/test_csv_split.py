@@ -23,13 +23,17 @@ def serial_bytes(table: ResultTable) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the helpers write_csv forks while the test runs. A helper
     that is never reaped would block the test: after 60 s SIGALRM ends the
     run instead."""
-    if not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
+    if not hasattr(os, "fork") or USABLE_CPUS < 2:
+        pytest.skip("the write splits only where os.fork exists and two CPUs are usable")
     pids, fork = [], os.fork
 
     def counted():
@@ -109,6 +113,22 @@ def test_without_fork_the_write_is_serial(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     table = shared_axis(5, SPLIT_ROWS // 4 + 3)
     table.write_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == serial_bytes(table)
+
+
+def test_one_usable_cpu_writes_serially_with_no_helper(tmp_path, monkeypatch):
+    """On one CPU the split is slower than the serial write: no fork is tried."""
+    forks = []
+
+    def failed_fork():  # a fork would leave the write serial, and is recorded
+        forks.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failed_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    table = shared_axis(5, SPLIT_ROWS // 4 + 3)
+    table.write_csv(tmp_path / "t.csv")
+    assert forks == []
     assert (tmp_path / "t.csv").read_bytes() == serial_bytes(table)
 
 

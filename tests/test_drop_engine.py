@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -317,9 +318,11 @@ def test_cellfree_zero_gain_raises_with_out():
 @pytest.mark.parametrize("mode", ASSOCIATION_MODES)
 def test_drops_allocate_at_most_one_complex_array(monkeypatch, mode):
     """After the first drop of a sweep, no drop's allocations peak above M*J*16
-    bytes of its largest M; the smaller Ms run in views of its buffers."""
+    bytes of its largest M; the smaller Ms run in views of its buffers. Every
+    drop runs in this process: tracemalloc sees no forked helper."""
     peaks = []
     drop = sweeps._throughput_drop
+    monkeypatch.setattr(sweeps, "SPLIT_DROP_WORK", math.inf)
 
     def measured(cfg, drop_seed, streams, buffers):
         tracemalloc.reset_peak()
@@ -486,3 +489,33 @@ def test_sweep_builds_two_generators_per_seed(monkeypatch):
     assert sorted(built) == sorted(
         (seed, stream) for seed in seeds for stream in (LAYOUT_RNG_STREAM, CHANNEL_RNG_STREAM)
     )
+
+
+@pytest.mark.parametrize("m, drops", [(300, 4), (130, 16)])
+def test_serial_sweep_bytes_do_not_follow_the_blas_thread_count(monkeypatch, m, drops):
+    """Below the split threshold the drops run in this process, still at one
+    BLAS thread: at M = 300 and 130 the Gram product's last bits differ
+    between one and two threads, and the components must not."""
+    from test_drop_split import components_bytes, openblas_threads
+
+    forks = []
+
+    def failed_fork():  # a fork would leave the loop serial, and is recorded
+        forks.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failed_fork, raising=False)
+    cfg = config_from_dict({"sweep": {"m_values": [m]}, "monte_carlo_drops": drops,
+                            "budget_w": 1e5})
+    get, set_ = openblas_threads()
+    threads = get()
+    try:
+        seen = []
+        for count in (2, 1):
+            set_(count)
+            seen.append(components_bytes(cfg))
+            assert get() == count
+    finally:
+        set_(threads)
+    assert seen[0] == seen[1]
+    assert forks == []  # the serial loop

@@ -95,24 +95,20 @@ def split_config(drops, small, extra, mode, seed):
 @example(drops=2, small=[], extra=1, mode="rap_nearest", seed=0)
 @example(drops=7, small=[33, 1], extra=40, mode="ue_nearest", seed=1000)
 def test_split_drops_match_the_serial_bytes(drops, small, extra, mode, seed):
-    """Against the serial loop at one BLAS thread, and against the fallback,
-    where the fork fails and this process runs the helper's seeds too. The
-    serial loop runs at one thread because the Gram product's last bits depend
-    on the count for most M past 128 (M = 548, the first example, is one)."""
+    """Against the serial loop, and against the fallback, where the fork fails
+    and this process runs the helper's seeds too. Both run at one BLAS thread
+    whatever the host's count, as the split does: the Gram product's last bits
+    depend on the count for most M past 128 (M = 548, the first example, is
+    one)."""
     cfg = split_config(drops, small, extra, mode, seed)
-    get, set_ = openblas_threads()
-    pids, fork, threads = [], os.fork, get()
+    pids, fork = [], os.fork
     with pytest.MonkeyPatch.context() as patch:  # hypothesis takes no function fixture
         patch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
         split = components_bytes(cfg)
         patch.setattr(os, "fork", failed_fork)
         fallback = components_bytes(cfg)
         patch.setattr(sweeps, "SPLIT_DROP_WORK", math.inf)
-        set_(1)
-        try:
-            serial = components_bytes(cfg)
-        finally:
-            set_(threads)
+        serial = components_bytes(cfg)
     assert len(pids) == 1
     assert split == serial == fallback
     assert_no_child_left()
@@ -125,6 +121,19 @@ def test_one_drop_or_little_work_runs_no_helper(forks):
     components_bytes(one_drop)
     components_bytes(little)
     assert forks == []
+
+
+def test_each_drops_fixed_cost_counts_toward_the_split(forks):
+    """Each drop at each M costs about 0.2 ms that M*J does not count: 80 drops
+    at M = 64 and 100 at M = 16 split, 4 drops at M = 256 stay serial."""
+    split = []
+    for m, drops in ((64, 80), (16, 100), (256, 4)):
+        before = len(forks)
+        components_bytes(config_from_dict({"sweep": {"m_values": [m]},
+                                           "monte_carlo_drops": drops}))
+        split.append(len(forks) > before)
+    assert split == [True, True, False]
+    assert_no_child_left()
 
 
 def test_one_cpu_or_no_fork_keeps_the_loop_serial(monkeypatch, forks):

@@ -122,10 +122,12 @@ def test_json_values_are_checked_once(monkeypatch):
     assert seen.count("sweep.fiber_km") == 1 and seen.count("budget_w") == 1
     assert cfg.sweep.fiber_km == (0, 1.5)
     seen.clear()
-    ExperimentConfig(sweep=cfg.sweep)  # a directly built config is walked whole
-    assert seen.count("sweep.fiber_km") == 1
+    ExperimentConfig(sweep=cfg.sweep)  # a built group has been checked: not again
+    assert "sweep.fiber_km" not in seen and seen.count("budget_w") == 1
     with pytest.raises(ValidationError, match=r"sweep\.fiber_km\[1\] must be finite"):
         config_from_dict({"sweep": {"fiber_km": [0.0, math.inf]}})
+    with pytest.raises(ValidationError, match=r"sweep\.fiber_km\[1\] must be finite"):
+        SweepParams(fiber_km=[0.0, math.inf])
 
 
 def bit_rows(table):
