@@ -29,10 +29,6 @@ from .wireless import (
 )
 
 
-def _default_fiber_grid() -> tuple[float, ...]:
-    return tuple(round(0.25 * i, 6) for i in range(0, 101))  # 0..25 km
-
-
 @dataclass(frozen=True)
 class SweepParams:
     """Axes and knobs for the four sweep kinds; every field is checked, and
@@ -42,7 +38,7 @@ class SweepParams:
     (every RAP transmits toward its closest UE).
     """
 
-    fiber_km: tuple[float, ...] = field(default_factory=_default_fiber_grid)
+    fiber_km: tuple[float, ...] = tuple(round(0.25 * i, 6) for i in range(101))  # 0..25 km
     frequencies_hz: tuple[float, ...] = (10e9, 20e9, 30e9)
     m_values: tuple[int, ...] = (16, 32, 64, 128, 256)
     association_mode: str = "rap_nearest"
@@ -194,23 +190,27 @@ def _checked(value, hint, where: str):
     return value
 
 
-_RANGE_CHECKS: dict[type, tuple] = {}  # group -> (its own __post_init__, its config key)
+_GROUPS: dict[type, tuple] = {}  # group -> (own __post_init__, key, (name, hint, default)s)
 
 
 def _typed_post_init(self) -> None:
     """The ``__post_init__`` of the config and its groups: each field held to its
     annotation, so a value of the wrong type is a ValidationError that names its
-    key before any range check runs, then the group's own range checks."""
-    range_checks, key = _RANGE_CHECKS[type(self)]
-    for name, hint in _field_hints(type(self)).items():
-        value = _checked(getattr(self, name), hint, f"{key}.{name}".lstrip("."))
-        object.__setattr__(self, name, value)
+    key before any range check runs, then the group's own range checks. A value
+    that is its field's declared default is taken as it is: the defaults are
+    constants of their annotations' types."""
+    range_checks, key, fields = _GROUPS[type(self)]
+    for name, hint, default in fields:
+        value = getattr(self, name)
+        if value is not default:
+            object.__setattr__(self, name, _checked(value, hint, f"{key}.{name}".lstrip(".")))
     range_checks(self)
 
 
 for _key, _group in (("", ExperimentConfig), *_field_hints(ExperimentConfig).items()):
     if dataclasses.is_dataclass(_group):
-        _RANGE_CHECKS[_group] = _group.__post_init__, _key
+        _GROUPS[_group] = _group.__post_init__, _key, tuple(
+            (f.name, _field_hints(_group)[f.name], f.default) for f in dataclasses.fields(_group))
         _group.__post_init__ = _typed_post_init
 
 

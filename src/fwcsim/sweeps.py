@@ -277,13 +277,14 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
     Every seed runs at one BLAS thread (``_one_blas_thread``), split or not:
     the Gram product's last bits depend on the thread count for most M above
     128 that are not multiples of 8, so this gives the one-thread arrays on
-    every host. From SPLIT_DROP_WORK, where the thread count can be set, a
-    helper from ``tables._forked`` runs the seeds from drops // 2 on and sends
-    its slices of every array back as float64 bytes, while this process runs
-    the seeds before. Every seed has its own streams, so the arrays are those
-    of the serial loop.
+    every host. From SPLIT_DROP_WORK, where the thread count can be set and
+    ``tables._forked`` forks a helper, the helper runs the seeds from drops // 2
+    on and sends its slices of every array back as float64 bytes, while this
+    process runs the seeds before. Every seed has its own streams, so the
+    arrays are those of the serial loop.
     """
     drops = cfg.monte_carlo_drops
+    half = drops // 2
     largest = max(j_of_m)
     views = _drop_buffers(j_of_m)
     prefix = max((2 * m * j for m, j in j_of_m.items() if m != largest), default=0)
@@ -305,12 +306,13 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
 
     work = drops * sum(m * j + DROP_FIXED_WORK for m, j in j_of_m.items())
     with _one_blas_thread() as single:
-        split = single and drops > 1 and work >= SPLIT_DROP_WORK
-        half = drops // 2 if split else drops
-        with _forked(tail_bytes, split) as tail:
+        with _forked(tail_bytes, single and drops > 1 and work >= SPLIT_DROP_WORK) as tail:
+            if tail is None:  # the serial loop
+                run(range(drops))
+                return components
             run(range(half))
             data = np.frombuffer(tail(), float)
-    for c in components.values():  # the helper's slices; none without a split
+    for c in components.values():  # the helper's slices
         part = c[:, half:]
         part[...] = data[:part.size].reshape(part.shape)
         data = data[part.size:]

@@ -92,23 +92,36 @@ def _blocks_text(blocks):
         yield "".join(lines).encode()
 
 
+def _row_range(blocks, start: int, stop: int):
+    """The blocks of rows ``start`` to ``stop`` of ``blocks``; a block across
+    either end is cut, and every other block is yielded as it is."""
+    done = 0
+    for n, cells in blocks:
+        lo, hi = max(start - done, 0), min(stop - done, n)
+        done += n
+        if (lo, hi) == (0, n):
+            yield n, cells
+        elif lo < hi:
+            yield hi - lo, tuple(c if isinstance(c, Repeat) else c[lo:hi] for c in cells)
+
+
 @contextlib.contextmanager
 def _forked(work, wanted: bool):
     """Run ``work()``, which returns bytes, in a helper process forked on entry,
     and yield a function that returns those bytes once the helper has sent them.
     This is the one place that decides whether a job runs in two processes: it
     forks only when ``wanted``, ``os.fork`` exists and this process may use two
-    CPUs or more, and otherwise yields ``work`` itself. If the fork fails, or
-    the helper's bytes do not all arrive (``work`` raised or the helper was
-    killed), that function runs ``work()`` in this process instead, so a
-    failure there raises here as it would without a helper. The helper is
-    reaped on every path, and killed first if the block raises. It leaves
-    through ``os._exit``: it runs no exit handler, flushes no inherited buffer
-    and never touches this process's files."""
+    CPUs or more, and otherwise yields None and runs nothing, so the caller does
+    the whole job itself. If the fork fails, or the helper's bytes do not all
+    arrive (``work`` raised or the helper was killed), that function runs
+    ``work()`` in this process instead, so a failure there raises here as it
+    would without a helper. The helper is reaped on every path, and killed first
+    if the block raises. It leaves through ``os._exit``: it runs no exit handler,
+    flushes no inherited buffer and never touches this process's files."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if not wanted or not hasattr(os, "fork") or cpus < 2:
-        yield work
+        yield None
         return
     read_fd, write_fd = os.pipe()
     try:
@@ -197,33 +210,23 @@ class ResultTable:
         self.blocks.append((lengths.pop(), columns))
 
     def write_csv(self, path: str | Path) -> None:
-        """The header, then the rows. From SPLIT_ROWS rows the table is cut at
-        its midpoint, a block across it in two, and a helper from ``_forked``
-        formats the rows from the midpoint on while this process formats the
-        rows before it. Both halves go through ``_blocks_text`` and CSV rows do
-        not depend on each other, so the bytes are those of a serial write."""
-        head, tail = self.blocks, []
+        """The header, then the rows. From SPLIT_ROWS rows, where ``_forked``
+        forks a helper, the helper formats the rows from the midpoint on while
+        this process formats the rows before it. Both halves go through
+        ``_blocks_text`` and CSV rows do not depend on each other, so the bytes
+        are those of a serial write."""
         total = sum(n for n, _ in self.blocks)
-        if total >= SPLIT_ROWS:
-            head, done = [], 0
-            for n, cells in self.blocks:
-                k = min(max(total // 2 - done, 0), n)  # rows of this block in the head
-                done += n
-                if 0 < k < n:
-                    head.append((k, tuple(c if isinstance(c, Repeat) else c[:k] for c in cells)))
-                    tail.append((n - k, tuple(c if isinstance(c, Repeat) else c[k:]
-                                              for c in cells)))
-                else:
-                    (head if k else tail).append((n, cells))
 
         def tail_text():
-            return b"".join(_blocks_text(tail))
+            return b"".join(_blocks_text(_row_range(self.blocks, total // 2, total)))
 
-        with _forked(tail_text, bool(tail)) as tail_bytes:
+        with _forked(tail_text, total >= SPLIT_ROWS) as tail_bytes:
             with open(path, "wb") as fh:
                 fh.write((",".join(self.columns) + "\n").encode())
-                fh.writelines(_blocks_text(head))
-                fh.write(tail_bytes())
+                fh.writelines(_blocks_text(
+                    _row_range(self.blocks, 0, total // 2 if tail_bytes else total)))
+                if tail_bytes:
+                    fh.write(tail_bytes())
 
     def write_meta(self, path: str | Path) -> None:
         """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""
