@@ -1,8 +1,9 @@
 """Experiment configuration: JSON loading, centralized defaults, resolution.
 
 The dataclass field annotations are the schema: they drive the JSON builder,
-the type check that runs before any range check (also for the config and its
-groups built in Python), and the ``resolved()`` echo.
+the one pass that holds each value to its type and bound, such as
+``Annotated[float, "in (0, 1]"]`` (also for a config built in Python), and the
+``resolved()`` echo. A group's own ``__post_init__`` only relates items.
 """
 from __future__ import annotations
 
@@ -10,15 +11,18 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
+import reprlib
 import sys
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral, Real
 from pathlib import Path
+from typing import Annotated
 
 from .errors import ValidationError
-from .geometry import ASSOCIATION_MODES, Area
+from .geometry import AssociationMode, Area
 from .optics import FiberParams, Scheme, SchemeParams
 from .power import PowerParams
 from .tables import _json_ready
@@ -38,56 +42,33 @@ class SweepParams:
     (every RAP transmits toward its closest UE).
     """
 
-    fiber_km: tuple[float, ...] = tuple(round(0.25 * i, 6) for i in range(101))  # 0..25 km
-    frequencies_hz: tuple[float, ...] = (10e9, 20e9, 30e9)
-    m_values: tuple[int, ...] = (16, 32, 64, 128, 256)
-    association_mode: str = "rap_nearest"
-    power_num_raps: int = 1
-    power_p_tx_w: float = 1.0
-    crossover_range_km: tuple[float, float] = (0.5, 25.0)
-    array_elements: int = 8
-    array_spacing_m: float | None = None  # None: half wavelength at band start
-    steer_theta_deg: float = 30.0
-    band_hz: tuple[float, float] = (10e9, 20e9)
-    num_band_points: int = 5
+    fiber_km: tuple[Annotated[float, ">= 0"], ...] = tuple(0.25 * i for i in range(101))  # 0..25
+    frequencies_hz: tuple[Annotated[float, "> 0"], ...] = (10e9, 20e9, 30e9)
+    m_values: tuple[Annotated[int, ">= 1"], ...] = (16, 32, 64, 128, 256)
+    association_mode: AssociationMode = "rap_nearest"
+    power_num_raps: Annotated[int, ">= 1"] = 1
+    power_p_tx_w: Annotated[float, ">= 0"] = 1.0
+    crossover_range_km: tuple[Annotated[float, ">= 0"], Annotated[float, ">= 0"]] = (0.5, 25.0)
+    array_elements: Annotated[int, ">= 1"] = 8
+    array_spacing_m: Annotated[float, "> 0"] | None = None  # None: half wavelength at band start
+    steer_theta_deg: Annotated[float, "in [-90, 90]"] = 30.0
+    band_hz: tuple[Annotated[float, "> 0"], Annotated[float, "> 0"]] = (10e9, 20e9)
+    num_band_points: Annotated[int, ">= 1"] = 5
     theta_grid_deg: tuple[float, float, float] = (-90.0, 90.0, 0.1)
 
     def __post_init__(self):
         for name in ("fiber_km", "frequencies_hz", "m_values"):
-            if not getattr(self, name):
-                raise ValidationError(f"{name} must be nonempty")
-        if any(f <= 0 for f in self.frequencies_hz):
-            raise ValidationError(f"frequencies_hz must be > 0, got {self.frequencies_hz!r}")
-        if self.association_mode not in ASSOCIATION_MODES:
-            raise ValidationError(f"association_mode must be one of {list(ASSOCIATION_MODES)}, "
-                                  f"got {self.association_mode!r}")
-        if any(m < 1 for m in self.m_values):
-            raise ValidationError(f"m_values must be integers >= 1, got {self.m_values!r}")
-        if len(set(self.m_values)) != len(self.m_values):
-            raise ValidationError(f"m_values has duplicates: {self.m_values!r}")
-        for name in ("power_num_raps", "array_elements", "num_band_points"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, "
-                                      f"got {getattr(self, name)!r}")
-        if any(km < 0 for km in self.fiber_km):
-            raise ValidationError(f"fiber_km must be >= 0, got {self.fiber_km!r}")
-        if self.power_p_tx_w < 0:
-            raise ValidationError(f"power_p_tx_w must be >= 0, got {self.power_p_tx_w!r}")
-        if not 0 <= self.crossover_range_km[0] < self.crossover_range_km[1]:
-            raise ValidationError("crossover_range_km must satisfy 0 <= start < stop, "
+            _listed(getattr(self, name), f"sweep.{name}", distinct=name == "m_values")
+        if not self.crossover_range_km[0] < self.crossover_range_km[1]:
+            raise ValidationError("sweep.crossover_range_km must satisfy start < stop, "
                                   f"got {self.crossover_range_km!r}")
-        if self.array_spacing_m is not None and self.array_spacing_m <= 0:
-            raise ValidationError("array_spacing_m must be > 0 or null, "
-                                  f"got {self.array_spacing_m!r}")
-        if not -90.0 <= self.steer_theta_deg <= 90.0:
-            raise ValidationError("steer_theta_deg must be in [-90, 90], "
-                                  f"got {self.steer_theta_deg}")
-        if not 0 < self.band_hz[0] <= self.band_hz[1]:
-            raise ValidationError(f"band_hz must satisfy 0 < start <= stop, got {self.band_hz!r}")
+        if not self.band_hz[0] <= self.band_hz[1]:
+            raise ValidationError("sweep.band_hz must satisfy start <= stop, "
+                                  f"got {self.band_hz!r}")
         start, stop, step = self.theta_grid_deg
         if step == 0 or (stop - start) * step < 0:
-            raise ValidationError("theta_grid_deg step must be nonzero and lead from start to "
-                                  f"stop, got {self.theta_grid_deg!r}")
+            raise ValidationError("sweep.theta_grid_deg step must be nonzero and lead from start "
+                                  f"to stop, got {self.theta_grid_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -100,24 +81,14 @@ class ExperimentConfig:
     channel: ChannelModel = field(default_factory=ChannelModel)
     overhead: OverheadModel = field(default_factory=OverheadModel)
     sweep: SweepParams = field(default_factory=SweepParams)
-    digitization_bits_per_sample_pair: float = DIGITIZATION_BITS_PER_SAMPLE_PAIR
-    budget_w: float = 2100.0
-    monte_carlo_drops: int = 100
-    base_seed: int = 1
+    digitization_bits_per_sample_pair: Annotated[float, "> 0"] = (
+        DIGITIZATION_BITS_PER_SAMPLE_PAIR)
+    budget_w: Annotated[float, "> 0"] = 2100.0
+    monte_carlo_drops: Annotated[int, ">= 1"] = 100
+    base_seed: Annotated[int, ">= 0"] = 1
 
-    def __post_init__(self):  # the range checks, after the type checks
-        if not self.schemes:
-            raise ValidationError("schemes list must be nonempty")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ValidationError(f"schemes has duplicates: {[s.value for s in self.schemes]}")
-        for name, least in (("monte_carlo_drops", 1), ("base_seed", 0)):
-            if getattr(self, name) < least:
-                raise ValidationError(f"{name} must be >= {least}")
-        if self.budget_w <= 0:
-            raise ValidationError(f"budget_w must be finite and > 0, got {self.budget_w!r}")
-        if self.digitization_bits_per_sample_pair <= 0:
-            raise ValidationError("digitization_bits_per_sample_pair must be > 0, "
-                                  f"got {self.digitization_bits_per_sample_pair!r}")
+    def __post_init__(self):  # the checks that relate items, after each is held to its bound
+        _listed(tuple(scheme.value for scheme in self.schemes), "schemes")
 
     def resolved(self) -> dict:
         """Every knob, defaults included, as plain JSON-ready values."""
@@ -130,31 +101,60 @@ def hash_resolved(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+def _listed(values: tuple, where: str, distinct: bool = True) -> None:
+    """``values`` nonempty and, if ``distinct``, free of repeats, one named by its index."""
+    if not values:
+        raise ValidationError(f"{where} must be nonempty")
+    if distinct and len(set(values)) < len(values):
+        i, v = next((i, v) for i, v in enumerate(values) if values.index(v) < i)
+        raise ValidationError(f"{where}[{i}] must be distinct, got {_shown(v)} again")
+
+
 _FLOAT_MAX = sys.float_info.max
 _NUMBERS = {int: ((int,), Integral, "an integer"), float: ((float, int), Real, "a number")}
-_field_hints = functools.cache(typing.get_type_hints)  # field name -> evaluated annotation
+_shown = reprlib.repr  # a value in a message, a long list or string cut short
+# field name -> evaluated annotation, ``Annotated`` bounds included
+_field_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
+
+
+@functools.cache
+def _limits(bound: str) -> tuple[float, float]:
+    """The least and the greatest number within a bound written "> a", ">= a" or
+    "in [a, b)": an open end is the float next to it, inward."""
+    if bound.startswith(">"):
+        bound = f"in {'[' if bound[1] == '=' else '('}{bound.split()[1]}, inf]"
+    low, high = map(float, bound[4:-1].split(","))
+    return (low if bound[3] == "[" else math.nextafter(low, math.inf),
+            high if bound[-1] == "]" else math.nextafter(high, -math.inf))
 
 
 def _check_numbers(values, hint, where: str, indexed: bool) -> None:
-    """Hold each of ``values``, in one pass, to a config int (a non-bool
-    Integral) or float (a non-bool finite Real)."""
-    exact, kind, noun = _NUMBERS[hint]
+    """Hold each of ``values``, in one pass, to a config int (a non-bool Integral)
+    or float (a non-bool finite Real), then all of them, in one C-level min and
+    max, to the bound of an ``Annotated`` hint; only a miss looks for its index."""
+    base, (bound,) = getattr(hint, "__origin__", hint), getattr(hint, "__metadata__", (">= -inf",))
+    exact, kind, noun = _NUMBERS[base]
     for i, v in enumerate(values):
         if type(v) not in exact and (isinstance(v, bool) or not isinstance(v, kind)):
             fault = f"must be {noun}"
-        elif hint is float and not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+        elif base is float and not -_FLOAT_MAX <= v <= _FLOAT_MAX:
             fault = "must be finite"
         else:
             continue
-        raise ValidationError(f"{where}{f'[{i}]' if indexed else ''} {fault}, got {v!r}")
+        raise ValidationError(f"{where}{f'[{i}]' if indexed else ''} {fault}, got {_shown(v)}")
+    low, high = _limits(bound)
+    if values and not low <= min(values) <= max(values) <= high:
+        i, v = next((i, v) for i, v in enumerate(values) if not low <= v <= high)
+        raise ValidationError(f"{where}{f'[{i}]' if indexed else ''} must be {bound}, "
+                              f"got {_shown(v)}")
 
 
 def _checked(value, hint, where: str):
-    """``value`` held to the annotation ``hint``: lists become tuples, names become
-    enum members, objects become groups (whose ``__post_init__`` checks their
-    values) and a group instance stays as it is; anything else is a
-    ValidationError."""
-    if hint in (int, float):
+    """``value`` held to the annotation ``hint``, its type and any bound: lists
+    become tuples, names become enum members, objects become groups (whose
+    ``__post_init__`` checks their values) and a group instance stays as it is;
+    anything else is a ValidationError."""
+    if getattr(hint, "__origin__", hint) in _NUMBERS:  # int or float, bare or with a bound
         _check_numbers((value,), hint, where, indexed=False)
         return value
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -162,8 +162,8 @@ def _checked(value, hint, where: str):
         size = None if args[-1] is Ellipsis else len(args)
         if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
             count = f" of {size} items" if size else ""
-            raise ValidationError(f"{where} must be a list{count}, got {value!r}")
-        if args[0] in (int, float):
+            raise ValidationError(f"{where} must be a list{count}, got {_shown(value)}")
+        if getattr(args[0], "__origin__", args[0]) in _NUMBERS:
             _check_numbers(value, args[0], where, indexed=True)
             return tuple(value)
         return tuple(_checked(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
@@ -177,16 +177,15 @@ def _checked(value, hint, where: str):
             raise ValidationError(f"{place} must be an object")
         unknown = set(value) - set(_field_hints(hint))
         if unknown:
-            raise ValidationError(f"unknown key(s) {sorted(unknown)} in {place}")
+            raise ValidationError(f"unknown key(s) {_shown(sorted(unknown))} in {place}")
         return hint(**value)
-    if issubclass(hint, Enum):
-        try:
-            return hint(value)
-        except ValueError:
-            names = [m.value for m in hint]
-            raise ValidationError(f"{where} must be one of {names}, got {value!r}") from None
+    if origin is typing.Literal or issubclass(hint, Enum):  # one of a few names
+        names = list(args) or [m.value for m in hint]
+        if value not in names:
+            raise ValidationError(f"{where} must be one of {names}, got {_shown(value)}")
+        return value if args else hint(value)
     if not isinstance(value, hint):
-        raise ValidationError(f"{where} must be a {hint.__name__}, got {value!r}")
+        raise ValidationError(f"{where} must be a {hint.__name__}, got {_shown(value)}")
     return value
 
 
@@ -195,16 +194,14 @@ _GROUPS: dict[type, tuple] = {}  # group -> (own __post_init__, key, (name, hint
 
 def _typed_post_init(self) -> None:
     """The ``__post_init__`` of the config and its groups: each field held to its
-    annotation, so a value of the wrong type is a ValidationError that names its
-    key before any range check runs, then the group's own range checks. A value
-    that is its field's declared default is taken as it is: the defaults are
-    constants of their annotations' types."""
-    range_checks, key, fields = _GROUPS[type(self)]
+    annotation, type and bound, then the group's own checks that relate items. A
+    field's declared default is taken as it is: it holds to its annotation."""
+    own_checks, key, fields = _GROUPS[type(self)]
     for name, hint, default in fields:
         value = getattr(self, name)
         if value is not default:
             object.__setattr__(self, name, _checked(value, hint, f"{key}.{name}".lstrip(".")))
-    range_checks(self)
+    own_checks(self)
 
 
 for _key, _group in (("", ExperimentConfig), *_field_hints(ExperimentConfig).items()):

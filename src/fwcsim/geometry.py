@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
@@ -10,24 +11,21 @@ from .errors import ValidationError
 
 # rng stream tags so placement and channel draws never share a stream
 LAYOUT_RNG_STREAM = 0
-ASSOCIATION_MODES = ("ue_nearest", "rap_nearest")
+AssociationMode = Literal["ue_nearest", "rap_nearest"]
+ASSOCIATION_MODES = get_args(AssociationMode)
 
 
 @dataclass(frozen=True)
 class Area:
     """Rectangular deployment area in meters."""
 
-    area_width_m: float = 1000.0
-    area_height_m: float = 1000.0
+    area_width_m: Annotated[float, "> 0"] = 1000.0
+    area_height_m: Annotated[float, "> 0"] = 1000.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # each side is finite and > 0 by its annotation
         w, h = self.area_width_m, self.area_height_m
-        for name, side in (("area_width_m", w), ("area_height_m", h)):
-            if side <= 0:
-                raise ValidationError(f"scenario.{name} must be > 0, got {side!r}")
-        # Infinite sides are left to the config's finiteness check, which names the key.
-        if w * w + h * h == math.inf and max(w, h) < math.inf:
-            raise ValidationError(f"area {w!r} m x {h!r} m is too large: its diagonal "
+        if w * w + h * h == math.inf:
+            raise ValidationError(f"scenario area {w!r} m x {h!r} m is too large: its diagonal "
                                   "overflows the float range")
 
 

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from typing import Annotated
 
 import numpy as np
 
@@ -29,20 +30,12 @@ class FiberParams:
     """Standard single-mode fiber constants; negative dispersion models DCF."""
 
     dispersion_ps_nm_km: float = 17.0
-    wavelength_nm: float = 1553.6
-    attenuation_db_per_km: float = 0.3
-    length_km: float = 19.0
+    wavelength_nm: Annotated[float, "> 0"] = 1553.6
+    attenuation_db_per_km: Annotated[float, ">= 0"] = 0.3
+    length_km: Annotated[float, ">= 0"] = 19.0
 
     def __post_init__(self):
-        if not math.isfinite(self.dispersion_ps_nm_km):
-            raise ValidationError("fiber.dispersion_ps_nm_km must be finite")
-        if self.wavelength_nm <= 0:
-            raise ValidationError(f"fiber.wavelength_nm must be > 0, got {self.wavelength_nm!r}")
-        if self.attenuation_db_per_km < 0:
-            raise ValidationError("fiber.attenuation_db_per_km must be >= 0, "
-                                  f"got {self.attenuation_db_per_km!r}")
-        if self.length_km < 0:
-            raise ValidationError(f"fiber.length_km must be >= 0, got {self.length_km!r}")
+        """The hook of the config's type and bound checks; no field relates to another."""
 
 
 @dataclass(frozen=True)
@@ -56,18 +49,14 @@ class SchemeParams:
     "Calibration and defaults".
     """
 
-    rf_carrier_hz: float = 20e9
-    if_carrier_hz: float = 125e6
-    wireless_bandwidth_hz: float = 100e6
-    fiber_bit_rate_bps: float = 2.5e9
+    rf_carrier_hz: Annotated[float, "> 0"] = 20e9
+    if_carrier_hz: Annotated[float, "> 0"] = 125e6
+    wireless_bandwidth_hz: Annotated[float, "> 0"] = 100e6
+    fiber_bit_rate_bps: Annotated[float, "> 0"] = 2.5e9
     fronthaul_snr0_db: float = 40.0
 
     def __post_init__(self):
-        for name in ("rf_carrier_hz", "if_carrier_hz", "wireless_bandwidth_hz",
-                     "fiber_bit_rate_bps"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+        """The hook of the config's type and bound checks; no field relates to another."""
 
     def analog_carrier_hz(self, scheme: Scheme) -> float | None:
         """Frequency riding the fiber: RF for RFoF, IF for IFoF, none for BBoF."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -50,41 +51,28 @@ PLACEMENT = {
 class PowerParams:
     """Catalogue wattages and loss fractions for commercial FWC hardware."""
 
-    p_bbu_w: float = 58.0
-    p_ifm_w: float = 2.0
-    p_duc_w: float = 3.0
-    p_dpd_w: float = 5.0
-    p_dac_w: float = 2.0
-    p_rfu_w: float = 2.0
-    p_cm_w: float = 1.0
-    p_eo_w: float = 1.0  # E-O interface, not catalogued; configurable
-    p_oe_w: float = 1.0  # O-E interface, not catalogued; configurable
-    pa_eff_bbof: float = 0.25
-    pa_eff_ifof: float = 0.15
-    pa_eff_rfof: float = 0.15
-    feeder_loss: float = 0.5  # fraction lost in the PA-to-antenna coax
-    supply_loss_frac: float = 0.15
-    cooling_frac: float = 0.2
-    p_link0_w: float = DEFAULT_P_LINK0_W
+    p_bbu_w: Annotated[float, ">= 0"] = 58.0
+    p_ifm_w: Annotated[float, ">= 0"] = 2.0
+    p_duc_w: Annotated[float, ">= 0"] = 3.0
+    p_dpd_w: Annotated[float, ">= 0"] = 5.0
+    p_dac_w: Annotated[float, ">= 0"] = 2.0
+    p_rfu_w: Annotated[float, ">= 0"] = 2.0
+    p_cm_w: Annotated[float, ">= 0"] = 1.0
+    p_eo_w: Annotated[float, ">= 0"] = 1.0  # E-O interface, not catalogued; configurable
+    p_oe_w: Annotated[float, ">= 0"] = 1.0  # O-E interface, not catalogued; configurable
+    pa_eff_bbof: Annotated[float, "in (0, 1]"] = 0.25
+    pa_eff_ifof: Annotated[float, "in (0, 1]"] = 0.15
+    pa_eff_rfof: Annotated[float, "in (0, 1]"] = 0.15
+    feeder_loss: Annotated[float, "in [0, 1)"] = 0.5  # fraction lost in the PA-to-antenna coax
+    supply_loss_frac: Annotated[float, ">= 0"] = 0.15
+    cooling_frac: Annotated[float, ">= 0"] = 0.2
+    p_link0_w: Annotated[float, ">= 0"] = DEFAULT_P_LINK0_W
 
-    def __post_init__(self):
-        for name in (
-            "p_bbu_w", "p_ifm_w", "p_duc_w", "p_dpd_w", "p_dac_w", "p_rfu_w",
-            "p_cm_w", "p_eo_w", "p_oe_w", "supply_loss_frac", "cooling_frac",
-            "p_link0_w",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        for name in ("pa_eff_bbof", "pa_eff_ifof", "pa_eff_rfof"):
-            eff = getattr(self, name)
-            if not 0.0 < eff <= 1.0:
-                raise ValidationError(f"{name} must be in (0, 1], got {eff}")
-        if not 0.0 <= self.feeder_loss < 1.0:
-            raise ValidationError(f"feeder_loss must be in [0, 1), got {self.feeder_loss}")
+    def __post_init__(self):  # each field is within its bound by its annotation
         for scheme, (_, _, name) in PLACEMENT.items():
             if self.pa_to_antenna_efficiency(scheme) == 0.0:
-                raise ValidationError(f"{name} * (1 - feeder_loss) underflows to 0, got "
-                                      f"{getattr(self, name)} and {self.feeder_loss}")
+                raise ValidationError(f"power.{name} * (1 - power.feeder_loss) underflows to 0, "
+                                      f"got {getattr(self, name)} and {self.feeder_loss}")
 
     def pa_efficiency(self, scheme: Scheme) -> float:
         return getattr(self, PLACEMENT[Scheme(scheme)][2])

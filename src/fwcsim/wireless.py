@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
@@ -23,15 +23,11 @@ class ChannelModel:
     """Log-distance pathloss with Rayleigh small-scale fading; the config's
     ``channel`` group."""
 
-    pathloss_exponent: float = 3.5
+    pathloss_exponent: Annotated[float, "> 2"] = 3.5
     ref_loss_db: float = 40.0  # at 1 m
     noise_figure_db: float = 9.0  # UE receiver, over thermal noise
 
     def __post_init__(self):
-        if self.pathloss_exponent <= 2.0:
-            raise ValidationError(
-                f"channel.pathloss_exponent must exceed 2, got {self.pathloss_exponent}"
-            )
         if not 0.0 < db_to_linear(-self.ref_loss_db) < math.inf:
             raise ValidationError(
                 f"channel.ref_loss_db must keep the 1 m gain within the float range, "
@@ -189,16 +185,11 @@ def combine_fronthaul_noise(
 class OverheadModel:
     """Pilot overhead growing with the UE count over a coherence block."""
 
-    coherence_block_symbols: float = 200.0
-    max_fraction: float = 0.95
+    coherence_block_symbols: Annotated[float, "> 0"] = 200.0
+    max_fraction: Annotated[float, "in [0, 1)"] = 0.95
 
     def __post_init__(self):
-        if self.coherence_block_symbols <= 0:
-            raise ValidationError(
-                f"coherence_block_symbols must be > 0, got {self.coherence_block_symbols}"
-            )
-        if not 0.0 <= self.max_fraction < 1.0:
-            raise ValidationError(f"max_fraction must be in [0, 1), got {self.max_fraction}")
+        """The hook of the config's type and bound checks; no field relates to another."""
 
     def fraction(self, num_ues: int) -> float:
         return min(num_ues / self.coherence_block_symbols, self.max_fraction)

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -133,13 +134,85 @@ def test_json_values_are_checked_once(monkeypatch):
         SweepParams(fiber_km=[0.0, math.inf])
 
 
+def bounded_fields():
+    """(group key, field name, item annotation, wrap) of each config field whose
+    numbers carry a bound; ``wrap`` turns one item into a field value, the
+    rest of a list taken from the field's default."""
+    for _, key, fields in config_module._GROUPS.values():
+        for name, hint, default in fields:
+            args = typing.get_args(hint)
+            if typing.get_origin(hint) is tuple:
+                item, wrap = args[0], (lambda v, rest=default[1:]: [v, *rest])
+            else:
+                item, wrap = (args[0] if type(None) in args else hint), (lambda v: v)
+            if typing.get_origin(item) is typing.Annotated:
+                yield key, name, item, wrap
+
+
 def test_every_declared_default_holds_to_its_annotation():
-    """Groups take a value that is its field's declared default unchecked."""
+    """Groups take a value that is its field's declared default unchecked, so
+    this is the one check that a default is of its type and within its bound."""
+    assert ("overhead", "max_fraction") in {(key, name) for key, name, *_ in bounded_fields()}
     for group, (_, key, fields) in config_module._GROUPS.items():
         for name, hint, default in fields:
             if default is not dataclasses.MISSING:
                 held = config_module._checked(default, hint, f"{key}.{name}")
                 assert held == default and type(held) is type(default), (group, name)
+
+
+def bound_edges(bound):
+    """(edge, inclusive, outward) of each end of a bound written "> a", ">= a"
+    or "in [a, b)"."""
+    if bound.startswith(">"):
+        return [(float(bound.split()[1]), bound.startswith(">="), -math.inf)]
+    low, high = map(float, bound[4:-1].split(","))
+    return [(low, bound[3] == "[", -math.inf), (high, bound[-1] == "]", math.inf)]
+
+
+@pytest.mark.parametrize("key, name, item, wrap", [
+    pytest.param(*field, id=f"{field[0]}.{field[1]}".lstrip(".")) for field in bounded_fields()
+])
+def test_one_step_outside_each_bound_names_its_key(key, name, item, wrap):
+    """The number one ulp (an int: one) outside each end of a field's bound fails
+    with a message that starts with the field's dotted key and names the bound
+    and the value; an inclusive end itself is accepted."""
+    base, bound = typing.get_args(item)
+    dotted = f"{key}.{name}".lstrip(".")
+
+    def build(value):
+        return config_from_dict({key: {name: wrap(value)}} if key else {name: wrap(value)})
+
+    for edge, inclusive, outward in bound_edges(bound):
+        if base is int:
+            edge, outside = int(edge), int(edge) + (1 if outward > 0 else -1)
+        else:
+            outside = math.nextafter(edge, outward)
+        outside = outside if inclusive else edge
+        with pytest.raises(ValidationError) as caught:
+            build(outside)
+        message = str(caught.value)
+        assert message.startswith(dotted) and message.endswith(
+            f" must be {bound}, got {outside!r}"), message
+        if inclusive:
+            build(edge)
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("dispersion-sweep", {"fiber_km": [0.001 * i for i in range(5000)] + [-1]},
+     "sweep.fiber_km[5000] must be >= 0, got -1"),
+    ("throughput-sweep", {"m_values": list(range(1, 5001)) + [7]},
+     "sweep.m_values[5000] must be distinct, got 7 again"),
+    ("beam-pattern", {"theta_grid_deg": [0.0] * 5001},
+     "sweep.theta_grid_deg must be a list of 3 items, got [0.0, 0.0,"),
+    ("power-sweep", {f"k{i}": 0 for i in range(5000)}, "unknown key(s) ['k0', 'k1', 'k10',"),
+], ids=["fiber_km-negative", "m_values-duplicate", "theta_grid-length", "unknown-keys"])
+def test_cli_long_axis_error_names_one_item(tmp_path, capsys, command, data, message):
+    """A config error in a list of 5,000 items or more is one short line: it names
+    the item, and never echoes the whole list."""
+    cfg_path = write_cfg(tmp_path, {"sweep": data})
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200 and message in err, err
 
 
 def bit_rows(table):
@@ -411,7 +484,7 @@ def test_cli_config_error_exit_2(tmp_path):
         ("power-sweep", {}, "cannot write {tmp}: Is a directory", "."),
         ("throughput-sweep", {"monte_carlo_drops": 2.5}, "monte_carlo_drops must be an integer"),
         ("throughput-sweep", {"base_seed": 1.5}, "base_seed must be an integer"),
-        ("throughput-sweep", {"base_seed": -1}, "base_seed must be >= 0"),
+        ("throughput-sweep", {"base_seed": -1}, "base_seed must be >= 0, got -1"),
         ("throughput-sweep", {"workers": 1}, "unknown key"),
         ("throughput-sweep", {"budget_w": math.nan}, "budget_w must be finite"),
         ("throughput-sweep", {"budget_w": math.inf}, "budget_w must be finite"),
@@ -421,27 +494,33 @@ def test_cli_config_error_exit_2(tmp_path):
         ("dispersion-sweep", {"scenario": {"fiber_length_km": 19.0}}, "unknown key"),
         ("power-sweep", {"power": {"pa_gain_db": 10.0}}, "unknown key"),
         ("throughput-sweep", {"scheme_params": {"wireless_bandwidth_hz": 0}},
-         "wireless_bandwidth_hz must be finite and > 0"),
+         "scheme_params.wireless_bandwidth_hz must be > 0, got 0"),
         ("beam-pattern", {"sweep": {"theta_grid_deg": [-90.0, 90.0, 0.0]}},
          "theta_grid_deg step must be nonzero"),
         ("beam-pattern", {"sweep": {"num_band_points": 0}},
-         "num_band_points must be an integer >= 1"),
-        ("throughput-sweep", {"schemes": ["bbof", "rfof", "bbof"]}, "schemes has duplicates"),
-        ("throughput-sweep", {"sweep": {"m_values": [4, 8, 4]}}, "m_values has duplicates"),
-        ("throughput-sweep", {"sweep": {"m_values": []}}, "m_values must be nonempty"),
-        ("dispersion-sweep", {"sweep": {"fiber_km": []}}, "fiber_km must be nonempty"),
+         "sweep.num_band_points must be >= 1, got 0"),
+        ("throughput-sweep", {"schemes": ["bbof", "rfof", "bbof"]},
+         "schemes[2] must be distinct, got 'bbof' again"),
+        ("throughput-sweep", {"sweep": {"m_values": [4, 8, 4]}},
+         "sweep.m_values[2] must be distinct, got 4 again"),
+        ("throughput-sweep", {"sweep": {"m_values": []}}, "sweep.m_values must be nonempty"),
+        ("dispersion-sweep", {"sweep": {"fiber_km": []}}, "sweep.fiber_km must be nonempty"),
         ("throughput-sweep", {"overhead": {"coherence_block_symbols": 0}},
-         "coherence_block_symbols must be > 0"),
+         "overhead.coherence_block_symbols must be > 0, got 0"),
         ("throughput-sweep", {"overhead": {"max_fraction": 1.5}},
-         "max_fraction must be in [0, 1)"),
-        ("power-sweep", {"sweep": {"frequencies_hz": []}}, "frequencies_hz must be nonempty"),
-        ("dispersion-sweep", {"sweep": {"frequencies_hz": [0]}}, "frequencies_hz must be > 0"),
+         "overhead.max_fraction must be in [0, 1), got 1.5"),
+        ("power-sweep", {"sweep": {"frequencies_hz": []}},
+         "sweep.frequencies_hz must be nonempty"),
+        ("dispersion-sweep", {"sweep": {"frequencies_hz": [0]}},
+         "sweep.frequencies_hz[0] must be > 0, got 0"),
         ("dispersion-sweep", {"sweep": {"frequencies_hz": [-5e9]}},
-         "frequencies_hz must be > 0"),
-        ("power-sweep", {"sweep": {"frequencies_hz": [0]}}, "frequencies_hz must be > 0"),
-        ("power-sweep", {"sweep": {"frequencies_hz": [-5e9]}}, "frequencies_hz must be > 0"),
+         "sweep.frequencies_hz[0] must be > 0, got -5000000000.0"),
+        ("power-sweep", {"sweep": {"frequencies_hz": [10e9, 0]}},
+         "sweep.frequencies_hz[1] must be > 0, got 0"),
+        ("power-sweep", {"sweep": {"frequencies_hz": [-5e9]}},
+         "sweep.frequencies_hz[0] must be > 0, got -5000000000.0"),
         ("dispersion-sweep", {"sweep": {"association_mode": "closest"}},
-         "association_mode must be one of ['ue_nearest', 'rap_nearest'], got 'closest'"),
+         "sweep.association_mode must be one of ['ue_nearest', 'rap_nearest'], got 'closest'"),
         ("throughput-sweep", {"channel": {"noise_figure_db": math.nan}},
          "channel.noise_figure_db must be finite"),
         ("throughput-sweep", {"channel": {"pathloss_exponent": "abc"}},
@@ -457,7 +536,7 @@ def test_cli_config_error_exit_2(tmp_path):
         ("throughput-sweep", {"sweep": {"m_values": [2.5]}},
          "sweep.m_values[0] must be an integer"),
         ("beam-pattern", {"sweep": {"band_hz": [0.0, 1e9]}},
-         "band_hz must satisfy 0 < start <= stop"),
+         "sweep.band_hz[0] must be > 0, got 0.0"),
         ("power-sweep", {"sweep": {"power_p_tx_w": 1e308}, "schemes": ["bbof"]},
          "bbof total power is not finite at 0.0 km"),
         ("power-sweep", {"fiber": {"attenuation_db_per_km": 1000},
@@ -482,7 +561,7 @@ def test_cli_config_error_exit_2(tmp_path):
         ("throughput-sweep", {"channel": {"noise_figure_db": -1e308}},
          "channel.noise_figure_db -1e+308 gives a noise power of 0.0 W"),
         ("dispersion-sweep", {"channel": {"pathloss_exponent": 2.0}},
-         "channel.pathloss_exponent must exceed 2"),
+         "channel.pathloss_exponent must be > 2, got 2.0"),
         ("throughput-sweep", {"scenario": {"area_width_m": 1e308}},
          "area 1e+308 m x 1000.0 m is too large"),
         ("throughput-sweep", {"scenario": {"area_width_m": 1e150}},
@@ -490,27 +569,27 @@ def test_cli_config_error_exit_2(tmp_path):
         ("throughput-sweep", {"channel": {"pathloss_exponent": 1e300}},
          "lower channel.pathloss_exponent, channel.ref_loss_db or the scenario area"),
         ("beam-pattern", {"sweep": {"steer_theta_deg": 200.0}},
-         "steer_theta_deg must be in [-90, 90], got 200.0"),
+         "sweep.steer_theta_deg must be in [-90, 90], got 200.0"),
         ("beam-pattern", {"sweep": {"steer_theta_deg": -90.5}},
-         "steer_theta_deg must be in [-90, 90], got -90.5"),
+         "sweep.steer_theta_deg must be in [-90, 90], got -90.5"),
         ("power-sweep", {"sweep": {"power_num_raps": 0}},
-         "power_num_raps must be an integer >= 1, got 0"),
+         "sweep.power_num_raps must be >= 1, got 0"),
         ("throughput-sweep", {"sweep": {"power_num_raps": 0}},
-         "power_num_raps must be an integer >= 1, got 0"),
+         "sweep.power_num_raps must be >= 1, got 0"),
         ("power-sweep", {"sweep": {"array_elements": 0}},
-         "array_elements must be an integer >= 1, got 0"),
+         "sweep.array_elements must be >= 1, got 0"),
         ("dispersion-sweep", {"sweep": {"array_spacing_m": 0.0}},
-         "array_spacing_m must be > 0 or null, got 0.0"),
+         "sweep.array_spacing_m must be > 0, got 0.0"),
         ("beam-pattern", {"sweep": {"array_spacing_m": -0.01}},
-         "array_spacing_m must be > 0 or null, got -0.01"),
+         "sweep.array_spacing_m must be > 0, got -0.01"),
         ("beam-pattern", {"sweep": {"crossover_range_km": [-1, 5]}},
-         "crossover_range_km must satisfy 0 <= start < stop, got (-1, 5)"),
+         "sweep.crossover_range_km[0] must be >= 0, got -1"),
         ("power-sweep", {"sweep": {"crossover_range_km": [5, 5]}},
-         "crossover_range_km must satisfy 0 <= start < stop, got (5, 5)"),
+         "sweep.crossover_range_km must satisfy start < stop, got (5, 5)"),
         ("beam-pattern", {"sweep": {"power_p_tx_w": -1.0}},
-         "power_p_tx_w must be >= 0, got -1.0"),
+         "sweep.power_p_tx_w must be >= 0, got -1.0"),
         ("throughput-sweep", {"sweep": {"fiber_km": [0.0, -1.0]}},
-         "fiber_km must be >= 0, got (0.0, -1.0)"),
+         "sweep.fiber_km[1] must be >= 0, got -1.0"),
         ("throughput-sweep", {"digitization_bits_per_sample_pair": -30, "schemes": ["ifof"]},
          "digitization_bits_per_sample_pair must be > 0, got -30"),
         ("throughput-sweep", {"digitization_bits_per_sample_pair": 0},
@@ -518,20 +597,20 @@ def test_cli_config_error_exit_2(tmp_path):
         ("beam-pattern", {"digitization_bits_per_sample_pair": -1.5},
          "digitization_bits_per_sample_pair must be > 0, got -1.5"),
         ("power-sweep", {"power": {"pa_eff_rfof": 5e-324, "feeder_loss": 0.5}},
-         "pa_eff_rfof * (1 - feeder_loss) underflows to 0, got 5e-324 and 0.5"),
+         "power.pa_eff_rfof * (1 - power.feeder_loss) underflows to 0, got 5e-324 and 0.5"),
         ("throughput-sweep", {"power": {"pa_eff_bbof": 5e-324}},
-         "pa_eff_bbof * (1 - feeder_loss) underflows to 0, got 5e-324 and 0.5"),
+         "power.pa_eff_bbof * (1 - power.feeder_loss) underflows to 0, got 5e-324 and 0.5"),
         ("beam-pattern", {"sweep": {"array_spacing_m": 1e300}},
          "sweep.array_spacing_m gives an element spacing of 1e+300 m, so the 8-element"),
         ("beam-pattern", {"sweep": {"band_hz": [1e-300, 1e-300]}},
          "sweep.band_hz gives an element spacing of inf m, so the 8-element array's"),
         ("throughput-sweep", {"fiber": {"length_km": -1}}, "fiber.length_km must be >= 0, got -1"),
-        ("throughput-sweep", {"budget_w": 0}, "budget_w must be finite and > 0, got 0"),
+        ("throughput-sweep", {"budget_w": 0}, "budget_w must be > 0, got 0"),
         ("throughput-sweep", {"sweep": {"m_values": [0]}},
-         "m_values must be integers >= 1, got (0,)"),
-        ("power-sweep", {"schemes": []}, "schemes list must be nonempty"),
+         "sweep.m_values[0] must be >= 1, got 0"),
+        ("power-sweep", {"schemes": []}, "schemes must be nonempty"),
         ("throughput-sweep", {"sweep": {"association_mode": 5}},
-         "sweep.association_mode must be a str, got 5"),
+         "sweep.association_mode must be one of ['ue_nearest', 'rap_nearest'], got 5"),
         ("beam-pattern", [1, 2], "top-level config must be a JSON object"),
         ("dispersion-sweep", {"fiber": {"wavelength_nm": 0}},
          "fiber.wavelength_nm must be > 0, got 0"),
@@ -541,12 +620,13 @@ def test_cli_config_error_exit_2(tmp_path):
          "scenario.area_width_m must be > 0, got 0"),
         ("throughput-sweep", {"scenario": {"area_height_m": -2.0}},
          "scenario.area_height_m must be > 0, got -2.0"),
-        ("power-sweep", {"power": {"p_bbu_w": -1}}, "p_bbu_w must be >= 0"),
-        ("power-sweep", {"power": {"pa_eff_rfof": 0}}, "pa_eff_rfof must be in (0, 1], got 0"),
+        ("power-sweep", {"power": {"p_bbu_w": -1}}, "power.p_bbu_w must be >= 0, got -1"),
+        ("power-sweep", {"power": {"pa_eff_rfof": 0}},
+         "power.pa_eff_rfof must be in (0, 1], got 0"),
         ("throughput-sweep", {"power": {"feeder_loss": 1}},
-         "feeder_loss must be in [0, 1), got 1"),
+         "power.feeder_loss must be in [0, 1), got 1"),
         ("dispersion-sweep", {"scheme_params": {"if_carrier_hz": 0}},
-         "if_carrier_hz must be finite and > 0, got 0"),
+         "scheme_params.if_carrier_hz must be > 0, got 0"),
         ("throughput-sweep", {"schemes": ["xfof"]},
          "schemes[0] must be one of ['bbof', 'ifof', 'rfof'], got 'xfof'"),
     ]],
