@@ -16,7 +16,6 @@ import reprlib
 import sys
 import typing
 from dataclasses import dataclass, field
-from enum import Enum
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Annotated
@@ -150,8 +149,9 @@ def _check_numbers(values, hint, where: str, indexed: bool) -> None:
 
 
 def _checked(value, hint, where: str):
-    """``value`` held to the annotation ``hint``, its type and any bound: lists
-    become tuples, names become enum members, objects become groups (whose
+    """``value`` held to the annotation ``hint`` (a number, tuple, optional,
+    group, ``Literal`` or ``Enum``), its type and any bound: lists become
+    tuples, names become enum members, objects become groups (whose
     ``__post_init__`` checks their values) and a group instance stays as it is;
     anything else is a ValidationError."""
     if getattr(hint, "__origin__", hint) in _NUMBERS:  # int or float, bare or with a bound
@@ -179,14 +179,10 @@ def _checked(value, hint, where: str):
         if unknown:
             raise ValidationError(f"unknown key(s) {_shown(sorted(unknown))} in {place}")
         return hint(**value)
-    if origin is typing.Literal or issubclass(hint, Enum):  # one of a few names
-        names = list(args) or [m.value for m in hint]
-        if value not in names:
-            raise ValidationError(f"{where} must be one of {names}, got {_shown(value)}")
-        return value if args else hint(value)
-    if not isinstance(value, hint):
-        raise ValidationError(f"{where} must be a {hint.__name__}, got {_shown(value)}")
-    return value
+    names = list(args) or [m.value for m in hint]  # a Literal or an Enum: one of a few names
+    if value not in names:
+        raise ValidationError(f"{where} must be one of {names}, got {_shown(value)}")
+    return value if args else hint(value)
 
 
 _GROUPS: dict[type, tuple] = {}  # group -> (own __post_init__, key, (name, hint, default)s)

@@ -114,9 +114,9 @@ def fronthaul_snr_db(scheme: Scheme, radio: SchemeParams, fiber: FiberParams,
     array ``lengths_km``: BBoF gives +inf, a dispersion null -inf, and IFoF/RFoF
     otherwise the back-to-back SNR less attenuation alpha * L and the carrier's
     fading, elementwise in numpy in the scalar operation order."""
-    if Scheme(scheme) is Scheme.BBOF:
+    if (carrier := radio.analog_carrier_hz(scheme)) is None:  # BBoF: no analog link
         return [math.inf] * len(lengths_km)
-    fading = np.array(fading_db_over(fiber, radio.analog_carrier_hz(scheme), lengths_km))
+    fading = np.array(fading_db_over(fiber, carrier, lengths_km))
     with np.errstate(over="ignore"):  # alpha * L past the float range is inf, as on floats
         return (radio.fronthaul_snr0_db - fiber.attenuation_db_per_km * lengths_km
                 - fading).tolist()

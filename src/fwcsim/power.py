@@ -74,12 +74,9 @@ class PowerParams:
                 raise ValidationError(f"power.{name} * (1 - power.feeder_loss) underflows to 0, "
                                       f"got {getattr(self, name)} and {self.feeder_loss}")
 
-    def pa_efficiency(self, scheme: Scheme) -> float:
-        return getattr(self, PLACEMENT[Scheme(scheme)][2])
-
     def pa_to_antenna_efficiency(self, scheme: Scheme) -> float:
         """Antenna-port watts per PA input watt: PA efficiency after the feeder loss."""
-        return self.pa_efficiency(scheme) * (1.0 - self.feeder_loss)
+        return getattr(self, PLACEMENT[Scheme(scheme)][2]) * (1.0 - self.feeder_loss)
 
     @property
     def overhead_multiplier(self) -> float:
@@ -117,11 +114,11 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
     overhead_frac = params.overhead_multiplier - 1.0
     # overflow gives inf and 0 * inf nan, as on Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        if scheme is Scheme.BBOF:
+        if (carrier := radio.analog_carrier_hz(scheme)) is None:  # BBoF: no analog link
             fading = [0.0] * len(lengths_km)
             comp = np.zeros(len(lengths_km))
         else:
-            fading = fading_db_over(fiber, radio.analog_carrier_hz(scheme), lengths_km)
+            fading = fading_db_over(fiber, carrier, lengths_km)
             fades = np.array(fading)
             loss_db = fiber.attenuation_db_per_km * lengths_km + fades
             linear = np.fromiter(map(db_to_linear, loss_db.tolist()), float, len(fades))

@@ -348,9 +348,8 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
         raise InfeasibleBudgetError(
             f"budget {cfg.budget_w} W infeasible for every scheme and RAP count"
         )
-    if Scheme.BBOF in cfg.schemes:  # the BBoF digitization limit per RAP
-        bbof_cap = bbof_per_rap_cap_bps(radio.fiber_bit_rate_bps,
-                                        cfg.digitization_bits_per_sample_pair)
+    bbof_cap = bbof_per_rap_cap_bps(radio.fiber_bit_rate_bps,  # the digitization limit per RAP
+                                    cfg.digitization_bits_per_sample_pair)
 
     components = _drop_components(cfg, j_of_m)
     for arch in ("udn", "cellfree"):
@@ -361,7 +360,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
                 per_drop = sum_throughput(
                     combine_fronthaul_noise(sinr, db_to_linear(fh_snr_db[s.value])),
                     radio.wireless_bandwidth_hz, m, cfg.overhead,
-                    per_rap_cap_bps=bbof_cap if s is Scheme.BBOF else None,
+                    per_rap_cap_bps=bbof_cap if radio.analog_carrier_hz(s) is None else None,
                 )
                 ci95 = (float(1.96 * per_drop.std(ddof=1) / math.sqrt(drops))
                         if drops > 1 else 0.0)

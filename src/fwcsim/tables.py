@@ -111,10 +111,10 @@ def _forked(work, wanted: bool):
     and yield a function that returns those bytes once the helper has sent them.
     This is the one place that decides whether a job runs in two processes: it
     forks only when ``wanted``, ``os.fork`` exists and this process may use two
-    CPUs or more, and otherwise yields None and runs nothing, so the caller does
-    the whole job itself. If the fork fails, or the helper's bytes do not all
-    arrive (``work`` raised or the helper was killed), that function runs
-    ``work()`` in this process instead, so a failure there raises here as it
+    CPUs or more. Wherever no helper runs (a failed fork too) it yields None and
+    runs nothing, so the caller does the whole job itself. If the helper's bytes
+    do not all arrive (``work`` raised or the helper was killed), that function
+    runs ``work()`` in this process instead, so a failure there raises here as it
     would without a helper. The helper is reaped on every path, and killed first
     if the block raises. It leaves through ``os._exit``: it runs no exit handler,
     flushes no inherited buffer and never touches this process's files."""
@@ -133,10 +133,10 @@ def _forked(work, wanted: bool):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
-    except OSError:  # no helper: this process does the work as well
+    except OSError:  # no helper: the caller does the whole job
         os.close(read_fd)
         os.close(write_fd)
-        yield work
+        yield None
         return
     if pid == 0:  # the helper
         code = 1

@@ -519,3 +519,38 @@ def test_serial_sweep_bytes_do_not_follow_the_blas_thread_count(monkeypatch, m, 
         set_(threads)
     assert seen[0] == seen[1]
     assert forks == []  # the serial loop
+
+
+def test_a_failed_fork_runs_the_plain_serial_loop(monkeypatch):
+    """Where ``os.fork`` raises, no helper exists, even with two CPUs usable:
+    ``tables._forked`` yields None and never runs the work, and a sweep past the
+    split threshold runs the plain serial loop, with no cut at half the seeds
+    and no copy back through bytes."""
+    from fwcsim import tables
+
+    with sweeps._one_blas_thread() as single:
+        if not single:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+    forks, ran, copies, frombuffer = [], [], [], np.frombuffer
+
+    def failed_fork():
+        forks.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failed_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with tables._forked(lambda: ran.append(1) or b"", True) as tail:
+        assert tail is None
+    assert forks == [1] and ran == []
+
+    cfg = config_from_dict({"sweep": {"m_values": [450]}, "monte_carlo_drops": 4,
+                            "budget_w": 1e5})
+    j_of_m = sweeps._ue_counts(cfg.sweep.m_values)
+    assert 4 * (450 * 225 + sweeps.DROP_FIXED_WORK) >= sweeps.SPLIT_DROP_WORK
+    monkeypatch.setattr(np, "frombuffer", lambda *a, **k: copies.append(1) or frombuffer(*a, **k))
+    attempted = sweeps._drop_components(cfg, j_of_m)
+    assert forks == [1, 1] and copies == []
+    monkeypatch.setattr(sweeps, "SPLIT_DROP_WORK", math.inf)
+    serial = sweeps._drop_components(cfg, j_of_m)
+    assert forks == [1, 1]
+    assert all(attempted[key].tobytes() == serial[key].tobytes() for key in serial)

@@ -304,7 +304,7 @@ def previous_solve_tx_power(scheme, radio, num_raps, fiber, budget_w, params):
     if not math.isfinite(fixed) or budget_w < fixed - 1e-9:
         return 0.0, False
     slope = (params.overhead_multiplier * num_raps
-             / (params.pa_efficiency(scheme) * (1.0 - params.feeder_loss)))
+             / params.pa_to_antenna_efficiency(scheme))
     return max(0.0, (budget_w - fixed) / slope), True
 
 
