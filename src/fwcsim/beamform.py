@@ -10,6 +10,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .tables import _one_blas_thread
 from .units import SPEED_OF_LIGHT_M_S
 
 
@@ -85,6 +86,20 @@ def _unit_phasors(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return phasors
 
 
+def _products(feeds: list, steering: np.ndarray) -> np.ndarray:
+    """feed @ steering per feed, one row each, at one BLAS thread, with the bits of
+    OpenBLAS's two-thread zgemv on any host: from N*T = 4096 that zgemv cuts the
+    columns at max(4, ceil(T/2)), and each column's sum order follows the cut."""
+    n, t = steering.shape
+    cut = max(4, (t + 1) // 2) if n * t >= 4096 else t
+    out = np.empty((len(feeds), t), dtype=complex)
+    with _one_blas_thread():
+        for feed, row in zip(feeds, out):
+            np.matmul(feed, steering[:, :cut], out=row[:cut])
+            np.matmul(feed, steering[:, cut:], out=row[cut:])
+    return out
+
+
 def _feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec], f_hz: float) -> list:
     """w_m * exp(-j*2*pi*f*tau_m) per spec, checked against the array, at f > 0."""
     for spec in specs:
@@ -94,12 +109,6 @@ def _feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec], f_hz: float) 
         raise ValidationError(f"frequency must be > 0, got {f_hz}")
     return [np.asarray(spec.weights, dtype=complex)
             * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s)) for spec in specs]
-
-
-def _band_feeds(geom: ArrayGeometry, specs: Collection[BeamformerSpec],
-                freqs_hz: Sequence[float]) -> list[tuple[float, list]]:
-    """(f, the feeds of every spec at f) per band point, all checked before any is used."""
-    return [(f_hz, _feeds(geom, specs, f_hz)) for f_hz in map(float, freqs_hz)]
 
 
 def array_factor_patterns(
@@ -115,16 +124,16 @@ def array_factor_patterns(
     The projections p_m . u are computed once per call. Per frequency they are
     scaled into one phase buffer, and cos and sin fill one steering buffer that
     every spec shares. Each spec applies its feed vector in its own
-    matrix-vector product; one stacked matrix product would not promise the
-    same bits.
+    matrix-vector product (``_products``); one stacked matrix product would not
+    promise the same bits.
     """
-    band = _band_feeds(geom, specs, freqs_hz)
+    band = [(f, _feeds(geom, specs, f)) for f in map(float, freqs_hz)]  # all checked first
     proj = _projections(geom, thetas_rad)
     phase, steering = np.empty_like(proj), np.empty(proj.shape, dtype=complex)
     patterns = []
     for f_hz, feeds in band:
         _unit_phasors(_phase(proj, f_hz, out=phase), out=steering)
-        patterns.append([feed @ steering for feed in feeds])
+        patterns.append(list(_products(feeds, steering)))
     return patterns
 
 
@@ -203,7 +212,7 @@ def peak_directions(
     if not theta_lo_rad < theta_hi_rad:
         raise ValidationError("empty search window")
     thetas = angle_grid(theta_lo_rad, theta_hi_rad, step_rad)
-    band = _band_feeds(geom, specs, freqs_hz)
+    band = [(f, _feeds(geom, specs, f)) for f in map(float, freqs_hz)]  # all checked first
     at = np.append(np.arange(0, len(thetas) - 1, _COARSE_STRIDE), len(thetas) - 1)
     nearer = np.searchsorted((at[:-1] + at[1:]) / 2, np.arange(len(thetas)))
     reach = np.abs(thetas - thetas[at[nearer]])  # to the nearer coarse angle
@@ -227,7 +236,7 @@ def peak_directions(
             slope, margin = k * (weight @ radii), 1e-9 * (len(xy) + k * far) * weight.sum()
             candidate |= mags[nearer] + slope * reach + 2 * margin >= mags.max()
         steering[:, candidate] = _unit_phasors(_phase(fine[:, candidate], f_hz))
-        mags = [np.where(candidate, np.abs(feed @ steering), -np.inf) for feed in feeds]
+        mags = [np.where(candidate, np.abs(af), -np.inf) for af in _products(feeds, steering)]
         ties = [thetas[m == m.max()] for m in mags]
         peaks.append([float(t[np.argmin(np.abs(t - toward_rad))]) for t in ties])
     return peaks

@@ -5,8 +5,6 @@ base_seed + i at every M, and drops reduce in index order.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import dataclasses
 import math
 
@@ -27,7 +25,7 @@ from .errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from .geometry import distance_matrix, generate_layout, layout_stream, udn_association
 from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
-from .tables import Repeat, ResultTable, _forked
+from .tables import Repeat, ResultTable, _forked, _one_blas_thread
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
 from .wireless import (
     bbof_per_rap_cap_bps,
@@ -67,6 +65,12 @@ MAX_CSV_ROWS = 2_000_000
 # drops: 66.1 -> 42.4 ms; M = 512, 2 drops: 37.7 -> 26.3 ms).
 SPLIT_DROP_WORK = 200_000
 DROP_FIXED_WORK = 2_500
+
+# Beam work, band points x N x T, from which the band splits (``run_beam_pattern``).
+# Cold runs on a 2-vCPU VM, one BLAS thread, median of 9: the split lost or tied up
+# to 461k (12 x 8 x 1,801: 17.8 -> 24.2 ms; 2 x 64 x 3,601: 23.3 -> 24.2 ms) and won
+# from 576k (4 x 8 x 18,001: 34.6 -> 30.5 ms; 21 x 64 x 3,601: 219.8 -> 142.5 ms).
+SPLIT_BEAM_WORK = 500_000
 
 
 def _admit(key: str, what: str, size: float, bound: int, unit: str) -> None:
@@ -239,33 +243,6 @@ def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, streams: tuple,
     }
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run BLAS at one thread for the block and yield True, through the
-    thread-count getter and setter of OpenBLAS in the BLAS that numpy links;
-    the previous count comes back on exit. Yield False, and change nothing,
-    where that BLAS exports neither."""
-    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
-    # dlsym on numpy's extension module searches its dependencies, the BLAS among them.
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
-                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-        get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
-        if get is not None and set_ is not None:
-            break
-    else:
-        yield False
-        return
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    threads = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(threads)
-
-
 def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tuple, np.ndarray]:
     """Per (arch, M), the per-watt signal and interference of every drop as
     one (2, drops, J) array; it depends on no scheme, fiber or budget value.
@@ -274,14 +251,10 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
     once, and every M reads its draws from their prefixes. The largest M
     draws the channel entries past the kept prefix itself.
 
-    Every seed runs at one BLAS thread (``_one_blas_thread``), split or not:
-    the Gram product's last bits depend on the thread count for most M above
-    128 that are not multiples of 8, so this gives the one-thread arrays on
-    every host. From SPLIT_DROP_WORK, where the thread count can be set and
-    ``tables._forked`` forks a helper, the helper runs the seeds from drops // 2
-    on and sends its slices of every array back as float64 bytes, while this
-    process runs the seeds before. Every seed has its own streams, so the
-    arrays are those of the serial loop.
+    Every seed runs at one BLAS thread, so the Gram products have the same bits
+    on every host. From SPLIT_DROP_WORK, where the thread count can be set and
+    ``tables._forked`` forks a helper, it runs the seeds from drops // 2 on and
+    sends its slices back as float64 bytes; every seed has its own streams.
     """
     drops = cfg.monte_carlo_drops
     half = drops // 2
@@ -370,38 +343,51 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 
 def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
-    """|AF| over a (frequency, angle) grid for phase-only and TTD steering."""
+    """|AF| over a (frequency, angle) grid for phase-only and TTD steering, at one
+    BLAS thread. From SPLIT_BEAM_WORK, where ``tables._forked`` forks a helper, it
+    runs the band points from n // 2 on and sends their cells back as float64 bytes."""
     spacing = _admit_beam(cfg)
     sweep = cfg.sweep
     f_lo, f_hi = sweep.band_hz
     geom = ArrayGeometry.ula(sweep.array_elements, spacing)
     theta0 = math.radians(sweep.steer_theta_deg)
-    specs = {
-        "phase_only": phase_only_weights(geom, theta0, f_lo),
-        "ttd": ttd_weights(geom, theta0),
-    }
+    specs = {"phase_only": phase_only_weights(geom, theta0, f_lo),
+             "ttd": ttd_weights(geom, theta0)}
     freqs = np.linspace(f_lo, f_hi, sweep.num_band_points).tolist()
     thetas_deg = angle_grid(*sweep.theta_grid_deg)
-
-    table = ResultTable(BEAM_COLUMNS, metadata=_base_metadata(cfg, "beam_pattern"))
-    patterns = array_factor_patterns(geom, specs.values(), freqs, np.radians(thetas_deg))
     # Peak trajectory, searched on the steering side to dodge grating lobes.
     window = (0.0, math.pi / 2) if theta0 >= 0 else (-math.pi / 2, 0.0)
-    peaks = peak_directions(geom, specs.values(), freqs, *window, toward_rad=theta0)
+    half, t = len(freqs) // 2, len(thetas_deg)
 
+    def run(band):
+        """Per band point and mode, the |AF| column, the phase column and the peak."""
+        patterns = array_factor_patterns(geom, specs.values(), band, np.radians(thetas_deg))
+        peaks = peak_directions(geom, specs.values(), band, *window, toward_rad=theta0)
+        # hypot has the bits of the scalar abs(); np.abs takes a SIMD path that does not.
+        return np.array([[np.concatenate([np.hypot(v.real, v.imag), np.angle(v), [peak]])
+                          for v, peak in zip(*point)] for point in zip(patterns, peaks)])
+
+    def tail_bytes():
+        return run(freqs[half:]).tobytes()
+
+    work = len(freqs) * sweep.array_elements * t
+    with (_one_blas_thread() as single,
+          _forked(tail_bytes, single and half > 0 and work >= SPLIT_BEAM_WORK) as tail):
+        cells = run(freqs[:half] if tail else freqs)
+        if tail:  # the helper's band points
+            cells = np.concatenate([cells, np.frombuffer(tail()).reshape(-1, *cells.shape[1:])])
+
+    table = ResultTable(BEAM_COLUMNS, metadata=_base_metadata(cfg, "beam_pattern"))
     theta_col = thetas_deg.tolist()
     peak_rows = []
-    for mode, mode_patterns, mode_peaks in zip(specs, zip(*patterns), zip(*peaks)):
-        for f_hz, values, measured in zip(freqs, mode_patterns, mode_peaks):
-            # hypot has the bits of the scalar abs(); np.abs takes a SIMD path that does not.
-            table.extend_columns(
-                Repeat(mode), Repeat(f_hz), theta_col,
-                np.hypot(values.real, values.imag).tolist(), np.angle(values).tolist(),
-            )
+    for k, mode in enumerate(specs):
+        for f_hz, cell in zip(freqs, cells[:, k]):
+            table.extend_columns(Repeat(mode), Repeat(f_hz), theta_col, cell[:t].tolist(),
+                                 cell[t:-1].tolist())
             # Every band point has f >= f_lo, so the squint has a real direction.
             predicted = (math.degrees(beam_squint_direction(f_hz, f_lo, theta0))
                          if mode == "phase_only" else None)
-            peak_rows.append({"mode": mode, "f_hz": f_hz, "peak_deg": math.degrees(measured),
+            peak_rows.append({"mode": mode, "f_hz": f_hz, "peak_deg": math.degrees(cell[-1]),
                               "squint_prediction_deg": predicted})
     table.metadata["peaks"] = peak_rows
     return table

@@ -7,7 +7,9 @@ bytes.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -17,6 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 
 class _Walked(dict):
@@ -103,6 +107,38 @@ def _row_range(blocks, start: int, stop: int):
             yield n, cells
         elif lo < hi:
             yield hi - lo, tuple(c if isinstance(c, Repeat) else c[lo:hi] for c in cells)
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's thread-count getter and setter in numpy's BLAS, or None."""
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
+    # dlsym on numpy's extension module searches its dependencies, the BLAS among them.
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS at one thread for the block and yield True, or yield False where
+    ``_openblas_threads`` finds nothing. A count of one is not set again: in a
+    forked helper OpenBLAS's first set starts a pool thread that can spin."""
+    get, set_ = _openblas_threads() or (lambda: 1, None)
+    threads = get()
+    if threads != 1:
+        set_(1)
+    try:
+        yield set_ is not None
+    finally:
+        if threads != 1:
+            set_(threads)
 
 
 @contextlib.contextmanager

@@ -200,8 +200,6 @@ def bbof_per_rap_cap_bps(
     digitization_factor: float = DIGITIZATION_BITS_PER_SAMPLE_PAIR,
 ) -> float:
     """Wireless rate one digitized fronthaul can feed through a single RAP."""
-    if fiber_bit_rate_bps <= 0 or digitization_factor <= 0:
-        raise ValidationError("fiber bit rate and digitization factor must be > 0")
     return fiber_bit_rate_bps / digitization_factor
 
 

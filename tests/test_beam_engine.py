@@ -8,7 +8,10 @@ reproduce, bit for bit, the per-frequency, per-spec and per-element code it
 replaced (copied below as references), so the beam-pattern CSV and meta
 bytes cannot move.
 """
+import contextlib
+import ctypes
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from fwcsim.beamform import (
     ArrayGeometry,
     _feeds,
     _phase,
+    _products,
     _projections,
     _unit_phasors,
     array_factor_patterns,
@@ -45,14 +49,60 @@ def engine_steering(geom, f_hz, thetas_rad):
     return _unit_phasors(_phase(_projections(geom, thetas_rad), f_hz))
 
 
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def openblas_threads():
+    """OpenBLAS's thread-count getter and setter, looked up apart from fwcsim,
+    or None where numpy's BLAS exports neither."""
+    core = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(count):
+    """BLAS at ``count`` threads for the block, where the count can be set."""
+    threads = openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def two_half_product(feed, steering):
+    """feed @ steering as OpenBLAS's two-thread zgemv splits it: from N*T = 4096
+    the columns from max(4, ceil(T/2)) on are a second product. Both products
+    run at one BLAS thread, so the bits do not follow the host's thread count."""
+    n, t = steering.shape
+    cut = max(4, (t + 1) // 2) if n * t >= 4096 else t
+    with blas_threads(1):
+        return np.concatenate([feed @ steering[:, :cut], feed @ steering[:, cut:]])
+
+
 def reference_pattern(geom, spec, f_hz, thetas_rad):
-    """The array factor as computed before the shared steering matrix."""
+    """The array factor as computed before the shared steering matrix, with the
+    product of the two-half rule."""
     thetas = np.asarray(thetas_rad, dtype=float)
     u = np.stack([np.sin(thetas), np.cos(thetas)])  # (2, T)
     proj = geom.element_positions @ u  # (N, T)
     w = np.asarray(spec.weights, dtype=complex)
     feed = w * np.exp(-2j * math.pi * f_hz * np.asarray(spec.delays_s))
-    return feed @ np.exp(2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S)
+    return two_half_product(feed, np.exp(2j * math.pi * f_hz * proj / SPEED_OF_LIGHT_M_S))
 
 
 def reference_peak(geom, spec, f_hz, theta_lo_rad, theta_hi_rad, step_rad, toward_rad=None):
@@ -368,8 +418,62 @@ def test_peak_search_takes_trig_of_under_an_eighth_of_the_grid(monkeypatch, swee
     peak = beamform.peak_directions
     monkeypatch.setattr(beamform, "np", numpy)
     monkeypatch.setattr(sweeps, "peak_directions", counted)
+    # Every band point runs in this process: the count does not see a forked helper.
+    monkeypatch.setattr(sweeps, "SPLIT_BEAM_WORK", math.inf)
     run_beam_pattern(cfg)
     assert len(calls) == 1 and len(calls[0]) == cfg.sweep.num_band_points
+
+
+@st.composite
+def product_shapes(draw):
+    """(N, T) with T >= 6, N*T on either side of 4096, and a seed."""
+    t = draw(st.integers(6, 3000))
+    if draw(st.booleans()):  # below 4096: OpenBLAS runs one thread
+        n = draw(st.integers(1, 4095 // t))
+    else:
+        n = draw(st.integers(-(-4096 // t), max(-(-4096 // t), 300_000 // t)))
+    return n, t, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2 or openblas_threads() is None,
+                    reason="needs two usable CPUs and OpenBLAS's thread-count functions")
+@settings(max_examples=60, deadline=None)
+@given(product_shapes(), st.booleans())
+def test_one_thread_halves_give_the_two_thread_product(shape, view):
+    """numpy's feed @ steering at two BLAS threads has the bits of ``_products``
+    at one, which leaves the count at two; so do the columns of a wider buffer,
+    as the peak search's full-width steering."""
+    n, t, seed = shape
+    rng = np.random.default_rng(seed)
+    feed = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    steering = np.exp(1j * rng.uniform(-10.0, 10.0, (n, t + 7 * view)))[:, :t]
+    get, _ = openblas_threads()
+    with blas_threads(2):
+        two = feed @ steering
+        got = _products([feed], steering)
+        assert get() == 2
+    assert got.shape == (1, t)
+    assert np.array_equal(bits(got[0]), bits(two))
+
+
+# At T <= 5 the rule gives other bits than a two-thread run. At T = 5 numpy
+# sends the one-column half to a dot product; at T = 2 to 4 from N*T of about
+# 9,300 OpenBLAS's threads split the element sum instead of the columns. These
+# shapes differed on a 2-CPU host; their bits are still the same on every host.
+SMALL_T_SHAPES = [(881, 5), (1024, 5), (2366, 4), (3091, 3), (4670, 2)]
+
+
+@pytest.mark.parametrize("n, t", SMALL_T_SHAPES)
+def test_small_t_products_do_not_follow_the_thread_count(n, t):
+    rng = np.random.default_rng(n)
+    feed = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    steering = np.exp(1j * rng.uniform(-10.0, 10.0, (n, t)))
+    runs = []
+    for count in (1, 2):
+        with blas_threads(count):
+            runs.append(_products([feed], steering)[0])
+    assert np.array_equal(bits(runs[0]), bits(runs[1]))
+    assert np.array_equal(bits(runs[0]), bits(two_half_product(feed, steering)))
 
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(0.01), math.nan, math.inf, -math.inf])

@@ -212,9 +212,9 @@ def test_blas_runs_at_one_thread_during_the_split_and_its_count_comes_back(monke
 
 
 def test_beam_pattern_after_a_split_sweep_keeps_its_golden_bytes(tmp_path, forks):
-    """Beam-pattern bytes depend on the BLAS thread count (the golden digest
-    holds from two threads up), so a count left at one after the drops would
-    move them. The sweep is the default one at 100 drops, seed 1: the
+    """The beam pattern keeps its golden bytes after a split sweep, with the
+    count the drops restore; its products run at one BLAS thread whatever
+    that count is. The sweep is the default one at 100 drops, seed 1: the
     benchmark's case study, which splits, with the digest the benchmark
     records."""
     get, set_ = openblas_threads()

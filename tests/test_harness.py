@@ -446,6 +446,7 @@ def test_every_src_function_is_reached_by_a_subcommand(tmp_path):
         # see a helper's calls. test_csv_split and test_drop_split check their bytes.
         "fwcsim.tables.ResultTable.write_csv.<locals>.tail_text",
         "fwcsim.sweeps._drop_components.<locals>.tail_bytes",
+        "fwcsim.sweeps.run_beam_pattern.<locals>.tail_bytes",  # test_beam_split checks it
     }
 
 
