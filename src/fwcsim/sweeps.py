@@ -25,7 +25,7 @@ from .errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from .geometry import distance_matrix, generate_layout, layout_stream, udn_association
 from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
-from .tables import Repeat, ResultTable, _forked, _one_blas_thread
+from .tables import Repeat, ResultTable, _rows_in_two
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
 from .wireless import (
     bbof_per_rap_cap_bps,
@@ -112,7 +112,7 @@ def _admit_beam(cfg: ExperimentConfig) -> float:
            2 * cfg.sweep.num_band_points * angles, MAX_CSV_ROWS, "rows")
     (f_lo, f_hi), spacing = cfg.sweep.band_hz, cfg.sweep.array_spacing_m
     key = "sweep.array_spacing_m"
-    if spacing is None:  # half a wavelength at the band start
+    if spacing is None:  # lambda / 2 at the band start
         spacing, key = SPEED_OF_LIGHT_M_S / f_lo / 2.0, "sweep.band_hz"
     if not math.isfinite(2 * math.pi * f_hi * ((n - 1) * spacing)):
         raise ValidationError(f"{key} gives an element spacing of {spacing:.4g} m, so the "
@@ -244,28 +244,28 @@ def _throughput_drop(cfg: ExperimentConfig, drop_seed: int, streams: tuple,
 
 
 def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tuple, np.ndarray]:
-    """Per (arch, M), the per-watt signal and interference of every drop as
-    one (2, drops, J) array; it depends on no scheme, fiber or budget value.
+    """Per (arch, M), the per-watt signal and interference of every drop, a
+    (2, drops, J) view of one (drops, arch, 2, sum of J) array; it depends on no
+    scheme, fiber or budget value.
 
     Drops run seed by seed: each seed draws its layout and channel streams
     once, and every M reads its draws from their prefixes. The largest M
-    draws the channel entries past the kept prefix itself.
-
-    Every seed runs at one BLAS thread, so the Gram products have the same bits
-    on every host. From SPLIT_DROP_WORK, where the thread count can be set and
-    ``tables._forked`` forks a helper, it runs the seeds from drops // 2 on and
-    sends its slices back as float64 bytes; every seed has its own streams.
+    draws the channel entries past the kept prefix itself. The seeds run through
+    ``tables._rows_in_two``, so a helper may run those from drops // 2 on; every
+    seed has its own streams.
     """
     drops = cfg.monte_carlo_drops
-    half = drops // 2
     largest = max(j_of_m)
     views = _drop_buffers(j_of_m)
     prefix = max((2 * m * j for m, j in j_of_m.items() if m != largest), default=0)
-    components = {(arch, m): np.empty((2, drops, j))
-                  for arch in ("udn", "cellfree") for m, j in j_of_m.items()}
+    cells = np.empty((drops, 2, 2, sum(j_of_m.values())))
+    ends = np.cumsum([0, *j_of_m.values()]).tolist()
+    components = {(arch, m): cells[:, a, :, lo:hi].transpose(1, 0, 2)
+                  for a, arch in enumerate(("udn", "cellfree"))
+                  for m, lo, hi in zip(j_of_m, ends, ends[1:])}
 
-    def run(seeds):
-        for i in seeds:
+    def fill(lo, hi):
+        for i in range(lo, hi):
             seed = cfg.base_seed + i
             streams = (layout_stream(seed, largest + j_of_m[largest]),
                        channel_stream(seed, prefix))
@@ -273,22 +273,8 @@ def _drop_components(cfg: ExperimentConfig, j_of_m: dict[int, int]) -> dict[tupl
                 for arch, parts in _throughput_drop(cfg, seed, streams, buffers).items():
                     components[(arch, m)][:, i] = parts
 
-    def tail_bytes():
-        run(range(half, drops))
-        return b"".join(c[:, half:].tobytes() for c in components.values())
-
     work = drops * sum(m * j + DROP_FIXED_WORK for m, j in j_of_m.items())
-    with _one_blas_thread() as single:
-        with _forked(tail_bytes, single and drops > 1 and work >= SPLIT_DROP_WORK) as tail:
-            if tail is None:  # the serial loop
-                run(range(drops))
-                return components
-            run(range(half))
-            data = np.frombuffer(tail(), float)
-    for c in components.values():  # the helper's slices
-        part = c[:, half:]
-        part[...] = data[:part.size].reshape(part.shape)
-        data = data[part.size:]
+    _rows_in_two(fill, cells, work >= SPLIT_DROP_WORK)
     return components
 
 
@@ -343,9 +329,9 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 
 def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
-    """|AF| over a (frequency, angle) grid for phase-only and TTD steering, at one
-    BLAS thread. From SPLIT_BEAM_WORK, where ``tables._forked`` forks a helper, it
-    runs the band points from n // 2 on and sends their cells back as float64 bytes."""
+    """|AF| over a (frequency, angle) grid for phase-only and TTD steering. The
+    band points run through ``tables._rows_in_two``: at one BLAS thread, and from
+    SPLIT_BEAM_WORK with a helper that runs the band points from n // 2 on."""
     spacing = _admit_beam(cfg)
     sweep = cfg.sweep
     f_lo, f_hi = sweep.band_hz
@@ -357,25 +343,19 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
     thetas_deg = angle_grid(*sweep.theta_grid_deg)
     # Peak trajectory, searched on the steering side to dodge grating lobes.
     window = (0.0, math.pi / 2) if theta0 >= 0 else (-math.pi / 2, 0.0)
-    half, t = len(freqs) // 2, len(thetas_deg)
+    t = len(thetas_deg)
 
-    def run(band):
+    def fill(lo, hi):
         """Per band point and mode, the |AF| column, the phase column and the peak."""
+        band = freqs[lo:hi]
         patterns = array_factor_patterns(geom, specs.values(), band, np.radians(thetas_deg))
         peaks = peak_directions(geom, specs.values(), band, *window, toward_rad=theta0)
         # hypot has the bits of the scalar abs(); np.abs takes a SIMD path that does not.
-        return np.array([[np.concatenate([np.hypot(v.real, v.imag), np.angle(v), [peak]])
-                          for v, peak in zip(*point)] for point in zip(patterns, peaks)])
+        cells[lo:hi] = [[np.concatenate([np.hypot(v.real, v.imag), np.angle(v), [peak]])
+                         for v, peak in zip(*point)] for point in zip(patterns, peaks)]
 
-    def tail_bytes():
-        return run(freqs[half:]).tobytes()
-
-    work = len(freqs) * sweep.array_elements * t
-    with (_one_blas_thread() as single,
-          _forked(tail_bytes, single and half > 0 and work >= SPLIT_BEAM_WORK) as tail):
-        cells = run(freqs[:half] if tail else freqs)
-        if tail:  # the helper's band points
-            cells = np.concatenate([cells, np.frombuffer(tail()).reshape(-1, *cells.shape[1:])])
+    cells = np.empty((len(freqs), len(specs), 2 * t + 1))
+    _rows_in_two(fill, cells, len(freqs) * sweep.array_elements * t >= SPLIT_BEAM_WORK)
 
     table = ResultTable(BEAM_COLUMNS, metadata=_base_metadata(cfg, "beam_pattern"))
     theta_col = thetas_deg.tolist()

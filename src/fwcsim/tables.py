@@ -142,23 +142,23 @@ def _one_blas_thread():
 
 
 @contextlib.contextmanager
-def _forked(work, wanted: bool):
-    """Run ``work()``, which returns bytes, in a helper process forked on entry,
-    and yield a function that returns those bytes once the helper has sent them.
-    This is the one place that decides whether a job runs in two processes: it
-    forks only when ``wanted``, ``os.fork`` exists and this process may use two
-    CPUs or more. Wherever no helper runs (a failed fork too) it yields None and
-    runs nothing, so the caller does the whole job itself. If the helper's bytes
-    do not all arrive (``work`` raised or the helper was killed), that function
-    runs ``work()`` in this process instead, so a failure there raises here as it
-    would without a helper. The helper is reaped on every path, and killed first
-    if the block raises. It leaves through ``os._exit``: it runs no exit handler,
-    flushes no inherited buffer and never touches this process's files."""
+def _forked(n: int, part, wanted: bool):
+    """Split a job of ``n`` rows in two: a helper forked on entry runs ``part(n // 2,
+    n)``, which returns bytes, and this yields ``(n // 2, tail)``; ``tail()`` returns
+    those bytes once they have come. This alone decides whether a job forks: only
+    when ``wanted``, ``n >= 2``, ``os.fork`` exists and two or more CPUs are usable.
+    With no helper (a failed fork too) it yields ``(n, None)`` and runs nothing. If
+    the helper's bytes fall short (``part`` raised or the helper was killed),
+    ``tail`` runs ``part`` here, so a failure raises as it would serially. The
+    helper is reaped on every path, killed first if the block raises, and leaves
+    through ``os._exit``: it runs no exit handler, flushes no inherited buffer and
+    never touches this process's files."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if not wanted or not hasattr(os, "fork") or cpus < 2:
-        yield None
+    if not wanted or n < 2 or not hasattr(os, "fork") or cpus < 2:
+        yield n, None
         return
+    stop = n // 2
     read_fd, write_fd = os.pipe()
     try:
         # Python 3.12+ warns that fork in a process with threads may deadlock the
@@ -169,16 +169,16 @@ def _forked(work, wanted: bool):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
-    except OSError:  # no helper: the caller does the whole job
+    except OSError:  # no helper: the caller does every row
         os.close(read_fd)
         os.close(write_fd)
-        yield None
+        yield n, None
         return
     if pid == 0:  # the helper
         code = 1
         try:
             os.close(read_fd)
-            data = work()  # all of it before the pipe fills
+            data = part(stop, n)  # all of it before the pipe fills
             with open(write_fd, "wb") as pipe:
                 pipe.write(len(data).to_bytes(8, "big"))
                 pipe.write(data)
@@ -188,20 +188,37 @@ def _forked(work, wanted: bool):
     os.close(write_fd)
     reader = open(read_fd, "rb", buffering=0)
 
-    def result():
+    def tail():
         data = reader.readall()  # the length in 8 bytes, then the data
         if int.from_bytes(data[:8], "big") == len(data) - 8:
             return memoryview(data)[8:]
-        return work()
+        return part(stop, n)
 
     try:
-        yield result
+        yield stop, tail
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:  # after the caller's block, so the helper's exit overlaps it
         reader.close()
         os.waitpid(pid, 0)
+
+
+def _rows_in_two(fill, cells: np.ndarray, wanted: bool) -> None:
+    """Fill every row of the float64 array ``cells`` in place through ``fill(lo,
+    hi)``, which fills rows ``[lo, hi)``, at one BLAS thread. Where ``_forked``
+    forks a helper (only where the thread count can be set, so the helper runs at
+    one thread too), the helper fills the rows from ``len(cells) // 2`` on and one
+    slice assignment copies them in."""
+    def part(lo, hi):
+        fill(lo, hi)
+        return cells[lo:hi].tobytes()
+
+    with (_one_blas_thread() as single,
+          _forked(len(cells), part, single and wanted) as (stop, tail)):
+        fill(0, stop)
+        if tail:
+            cells[stop:] = np.frombuffer(tail()).reshape(cells[stop:].shape)
 
 
 @dataclass(frozen=True)
@@ -253,16 +270,15 @@ class ResultTable:
         are those of a serial write."""
         total = sum(n for n, _ in self.blocks)
 
-        def tail_text():
-            return b"".join(_blocks_text(_row_range(self.blocks, total // 2, total)))
+        def text(lo, hi):
+            return b"".join(_blocks_text(_row_range(self.blocks, lo, hi)))
 
-        with _forked(tail_text, total >= SPLIT_ROWS) as tail_bytes:
+        with _forked(total, text, total >= SPLIT_ROWS) as (stop, tail):
             with open(path, "wb") as fh:
                 fh.write((",".join(self.columns) + "\n").encode())
-                fh.writelines(_blocks_text(
-                    _row_range(self.blocks, 0, total // 2 if tail_bytes else total)))
-                if tail_bytes:
-                    fh.write(tail_bytes())
+                fh.writelines(_blocks_text(_row_range(self.blocks, 0, stop)))
+                if tail:
+                    fh.write(tail())
 
     def write_meta(self, path: str | Path) -> None:
         """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""

@@ -9,6 +9,7 @@ from typing import Annotated, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .tables import _one_blas_thread
 from .units import BOLTZMANN_J_K, ROOM_TEMPERATURE_K, db_to_linear
 
 CHANNEL_RNG_STREAM = 1
@@ -150,7 +151,8 @@ def cellfree_sinr_components(
     sqrt_eta = 1.0 / np.sqrt(denom)
     weights = np.conj(gains, out=weights)  # p2 is not read past this line
     weights *= sqrt_eta[:, None]  # in place: no second (M, J) complex temporary
-    cross = np.matmul(gains.T, weights, out=cross)  # (J, J)
+    with _one_blas_thread():  # the Gram product's last bits follow the thread count
+        cross = np.matmul(gains.T, weights, out=cross)  # (J, J)
     amp = np.real(np.diag(cross))
     signal = amp**2
     inter_sq = np.square(np.abs(cross, out=inter_sq), out=inter_sq)

@@ -1,7 +1,8 @@
 """The two-way band split of the beam-pattern sweep: from ``sweeps.SPLIT_BEAM_WORK``
 a forked helper runs the second half of the band points. Its rows, peaks and
 meta must be those of the serial run, a helper that dies must leave its band
-points to this process, every helper must be reaped, and nothing may fork on
+points to this process, a failing band point must fail as it does there, every
+helper must be reaped, and nothing may fork on
 one CPU, at one band point, below the threshold or without OpenBLAS's
 thread-count functions.
 """
@@ -14,7 +15,8 @@ import pytest
 
 from fwcsim import sweeps, tables
 from fwcsim.config import config_from_dict
-from test_drop_split import assert_no_child_left
+from fwcsim.errors import ValidationError
+from test_drop_split import assert_no_child_left, failed_fork
 
 
 @pytest.fixture
@@ -91,6 +93,33 @@ def test_a_killed_helper_leaves_its_band_points_to_this_process(monkeypatch, for
     assert beam_output(cfg) == serial
     assert len(forks) == 1
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("half", ["helper", "parent"])
+def test_a_failing_band_point_raises_the_serial_message(monkeypatch, forks, half):
+    """One band point raises: in the helper's half the helper fails and this
+    process runs its band points again; in this process's half the helper is
+    killed. Either way the error is the serial run's."""
+    cfg = beam_config(*SPLIT_CONFIGS["odd-points"])  # the helper takes points 1 and 2
+    f_lo, f_hi = cfg.sweep.band_hz
+    bad = f_hi if half == "helper" else f_lo
+    patterns = sweeps.array_factor_patterns
+
+    def failing_at_bad(geom, specs, band, thetas):
+        if bad in band:
+            raise ValidationError(f"band point {bad!r} fails")
+        return patterns(geom, specs, band, thetas)
+
+    monkeypatch.setattr(sweeps, "array_factor_patterns", failing_at_bad)
+    with pytest.raises(ValidationError) as split:
+        beam_output(cfg)
+    assert len(forks) == 1
+    assert_no_child_left()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", failed_fork)
+        with pytest.raises(ValidationError) as serial:
+            beam_output(cfg)
+    assert str(split.value) == str(serial.value) == f"band point {bad!r} fails"
 
 
 def test_one_cpu_one_band_point_little_work_or_no_setter_forks_nothing(monkeypatch, forks):

@@ -523,12 +523,12 @@ def test_serial_sweep_bytes_do_not_follow_the_blas_thread_count(monkeypatch, m, 
 
 def test_a_failed_fork_runs_the_plain_serial_loop(monkeypatch):
     """Where ``os.fork`` raises, no helper exists, even with two CPUs usable:
-    ``tables._forked`` yields None and never runs the work, and a sweep past the
+    ``tables._forked`` yields no tail and never runs the work, and a sweep past the
     split threshold runs the plain serial loop, with no cut at half the seeds
     and no copy back through bytes."""
     from fwcsim import tables
 
-    with sweeps._one_blas_thread() as single:
+    with tables._one_blas_thread() as single:
         if not single:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
     forks, ran, copies, frombuffer = [], [], [], np.frombuffer
@@ -539,8 +539,8 @@ def test_a_failed_fork_runs_the_plain_serial_loop(monkeypatch):
 
     monkeypatch.setattr(os, "fork", failed_fork, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with tables._forked(lambda: ran.append(1) or b"", True) as tail:
-        assert tail is None
+    with tables._forked(4, lambda lo, hi: ran.append(1) or b"", True) as (stop, tail):
+        assert (stop, tail) == (4, None)
     assert forks == [1] and ran == []
 
     cfg = config_from_dict({"sweep": {"m_values": [450]}, "monte_carlo_drops": 4,

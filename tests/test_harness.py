@@ -443,10 +443,10 @@ def test_every_src_function_is_reached_by_a_subcommand(tmp_path):
         "fwcsim.cli._Parser.error",  # the usage-error path
         "fwcsim.tables.ResultTable.rows",  # the benchmark's row counter reads it
         # The forked helpers' work, past the tiny config's sizes; this profile does not
-        # see a helper's calls. test_csv_split and test_drop_split check their bytes.
-        "fwcsim.tables.ResultTable.write_csv.<locals>.tail_text",
-        "fwcsim.sweeps._drop_components.<locals>.tail_bytes",
-        "fwcsim.sweeps.run_beam_pattern.<locals>.tail_bytes",  # test_beam_split checks it
+        # see a helper's calls. test_csv_split, test_drop_split and test_beam_split
+        # check their bytes.
+        "fwcsim.tables.ResultTable.write_csv.<locals>.text",
+        "fwcsim.tables._rows_in_two.<locals>.part",
     }
 
 

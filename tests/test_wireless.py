@@ -24,6 +24,7 @@ from fwcsim.wireless import (
     sum_throughput,
     udn_sinr_components,
 )
+from test_beam_engine import USABLE_CPUS, bits, blas_threads, openblas_threads
 
 MODEL = ChannelModel(noise_figure_db=9.0)
 NOISE_W = MODEL.noise_power_w(10e6)
@@ -251,3 +252,22 @@ def test_channel_model_validation():
     for ref_loss_db in (-1e308, 1e308):  # the 1 m gain overflows, then underflows
         with pytest.raises(ValidationError, match="channel.ref_loss_db"):
             ChannelModel(ref_loss_db=ref_loss_db)
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2 or openblas_threads() is None,
+                    reason="needs two usable CPUs and OpenBLAS's thread-count functions")
+@pytest.mark.parametrize("m, j", [(450, 225), (300, 150), (130, 65)])
+def test_cellfree_gram_does_not_follow_the_thread_count(m, j):
+    """A direct call runs its Gram product at one BLAS thread, as the drop
+    engine does, and leaves the count as it found it: at these shapes a
+    two-thread product has other last bits."""
+    rng = np.random.default_rng(m)
+    gains = rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j))
+    get, _ = openblas_threads()
+    runs = []
+    for count in (1, 2):
+        with blas_threads(count):
+            runs.append(cellfree_sinr_components(gains, np.abs(gains) ** 2))
+            assert get() == count
+    for one, two in zip(*runs):
+        assert np.array_equal(bits(one), bits(two))
