@@ -25,7 +25,6 @@ from .optics import (
     FiberParams,
     Scheme,
     SchemeParams,
-    fiber_axis,
     fronthaul_snr_db,
 )
 from .power import (

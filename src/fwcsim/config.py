@@ -65,7 +65,7 @@ class SweepParams:
             raise ValidationError("sweep.band_hz must satisfy start <= stop, "
                                   f"got {self.band_hz!r}")
         start, stop, step = self.theta_grid_deg
-        if step == 0 or (stop - start) * step < 0:
+        if step == 0 or (stop - start) * math.copysign(1.0, step) < 0:
             raise ValidationError("sweep.theta_grid_deg step must be nonzero and lead from start "
                                   f"to stop, got {self.theta_grid_deg!r}")
 

@@ -68,14 +68,6 @@ class SchemeParams:
         return None
 
 
-def fiber_axis(lengths_km) -> np.ndarray:
-    """The fiber lengths as one float array, held to FiberParams' length check."""
-    axis = np.array(lengths_km, dtype=float)
-    if (axis < 0).any():
-        raise ValidationError("length must be >= 0")
-    return axis
-
-
 def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> list[float]:
     """Dispersion-induced RF power fading of a double-sideband IM link at each
     length of the float array ``lengths_km``.
@@ -88,8 +80,6 @@ def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> l
     promise the bits of libm's; the null floor, -10*x and max(0, x) are IEEE
     steps and run in numpy. A phase past the float range is a ValidationError.
     """
-    if f_hz <= 0:
-        raise ValidationError(f"frequency must be > 0, got {f_hz}")
     d_si = fiber.dispersion_ps_nm_km * 1e-6  # s/m^2
     lam_si = fiber.wavelength_nm * 1e-9
     try:

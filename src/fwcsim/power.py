@@ -13,7 +13,7 @@ from typing import Annotated
 import numpy as np
 
 from .errors import ValidationError
-from .optics import FiberParams, Scheme, SchemeParams, fading_db_over, fiber_axis
+from .optics import FiberParams, Scheme, SchemeParams, fading_db_over
 from .units import db_to_linear
 
 # Default drive power of the analog optical link at zero fiber loss. Calibrated
@@ -86,8 +86,6 @@ class PowerParams:
 
 def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -> float:
     """DC input drawing of the PA delivering p_tx at the antenna port."""
-    if p_tx_antenna_w < 0:
-        raise ValidationError(f"transmit power must be >= 0, got {p_tx_antenna_w}")
     return p_tx_antenna_w / params.pa_to_antenna_efficiency(scheme)
 
 
@@ -103,8 +101,6 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
     ``10.0 ** x``, and inf past the float range. The sums and products run
     elementwise in numpy, in the order of the scalar expressions.
     """
-    if num_raps < 1:
-        raise ValidationError(f"num_raps must be >= 1, got {num_raps}")
     scheme = Scheme(scheme)
     cu_fields, rap_fields, _ = PLACEMENT[scheme]
     cu = sum(getattr(params, name) for name in cu_fields)
@@ -161,12 +157,10 @@ def crossover_length(
     bracketing segment. Returns None when no crossing exists in range.
     """
     lo, hi = length_range_km
-    if not lo < hi:
-        raise ValidationError(f"bad length range {length_range_km}")
 
     def exceeds(lengths_km) -> list[bool]:
         """Whether scheme_a's total is above scheme_b's (False when both are infinite)."""
-        axis = fiber_axis(lengths_km)
+        axis = np.array(lengths_km, dtype=float)
         totals = [power_over(scheme, radio, num_raps, p_tx_w, fiber, params, axis)[-1]
                   for scheme in (scheme_a, scheme_b)]
         return [a > b for a, b in zip(*totals)]

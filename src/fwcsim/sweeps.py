@@ -23,7 +23,7 @@ from .beamform import (
 from .config import ExperimentConfig, hash_resolved
 from .errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from .geometry import distance_matrix, generate_layout, layout_stream, udn_association
-from .optics import Scheme, SchemeParams, fading_db_over, fiber_axis, fronthaul_snr_db
+from .optics import Scheme, SchemeParams, fading_db_over, fronthaul_snr_db
 from .power import crossover_length, power_over, solve_tx_power
 from .tables import Repeat, ResultTable, _rows_in_two
 from .units import SPEED_OF_LIGHT_M_S, db_to_linear
@@ -167,7 +167,7 @@ def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> Res
     """Fading-vs-length curves per scheme; RFoF gets one curve per frequency."""
     _admit_planning(cfg)
     table = ResultTable(DISPERSION_COLUMNS, metadata=_base_metadata(cfg, "dispersion_sweep"))
-    lengths = fiber_axis(cfg.sweep.fiber_km)
+    lengths = np.array(cfg.sweep.fiber_km, dtype=float)
     km = lengths.tolist()  # one list object: every curve shares its formatted text
     for scheme, radio in _curves(cfg):
         carrier = radio.analog_carrier_hz(scheme)
@@ -186,7 +186,7 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     table = ResultTable(POWER_COLUMNS, metadata=_base_metadata(cfg, "power_sweep"))
     m = cfg.sweep.power_num_raps
     p_tx = cfg.sweep.power_p_tx_w
-    lengths = fiber_axis(cfg.sweep.fiber_km)
+    lengths = np.array(cfg.sweep.fiber_km, dtype=float)
     km = lengths.tolist()
     for scheme, radio in _curves(cfg):
         cu, rap, fading, comp, _, total = power_over(scheme, radio, m, p_tx, cfg.fiber,
@@ -293,7 +293,7 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     radio = cfg.scheme_params
     noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
-    fiber_km = fiber_axis([cfg.fiber.length_km])
+    fiber_km = np.array([cfg.fiber.length_km], dtype=float)
     fh_snr_db = table.metadata["fronthaul_snr_db"] = {
         s.value: fronthaul_snr_db(s, radio, cfg.fiber, fiber_km)[0] for s in cfg.schemes}
 

@@ -111,8 +111,6 @@ def udn_sinr_components(p2: np.ndarray, serve: np.ndarray) -> tuple[np.ndarray, 
     """Per-UE (signal, interference) power coefficients per watt of p_tx, from
     the power gains |g|^2 and the ``udn_association`` serve mask; every RAP
     that serves some UE interferes with the UEs it does not serve."""
-    if serve.shape != p2.shape:
-        raise ValidationError("association does not match the channel dimensions")
     signal = np.add.reduce(p2, axis=0, where=serve, initial=0.0)
     interference = np.add.reduce(p2, axis=0, where=serve.any(axis=1)[:, None] & ~serve,
                                  initial=0.0)
@@ -123,8 +121,6 @@ def sinr_from_components(
     signal: np.ndarray, interference: np.ndarray, p_tx_w: float, noise_power_w: float
 ) -> np.ndarray:
     """SINR = p*s / (p*i + N) from per-watt signal and interference coefficients."""
-    if p_tx_w < 0:
-        raise ValidationError("transmit power must be >= 0")
     return p_tx_w * signal / (p_tx_w * interference + noise_power_w)
 
 
@@ -173,8 +169,6 @@ def combine_fronthaul_noise(
     """
     s = np.asarray(sinr_wireless, dtype=float)
     fh = np.asarray(fronthaul_snr, dtype=float)
-    if np.any(s < 0) or np.any(fh < 0):
-        raise ValidationError("SINR terms must be >= 0")
     with np.errstate(all="ignore"):
         out = 1.0 / (1.0 / s + 1.0 / fh)
     out = np.where((s == 0.0) | (fh == 0.0), 0.0, out)
@@ -220,10 +214,6 @@ def sum_throughput(
     num_raps times the cap (the BBoF digitization limit).
     """
     sinr_arr = np.asarray(sinrs, dtype=float)
-    if np.any(sinr_arr < 0):
-        raise ValidationError("SINRs must be >= 0")
-    if bandwidth_hz <= 0:
-        raise ValidationError("bandwidth must be > 0")
     fraction = overhead.fraction(sinr_arr.shape[-1])
     per_ue = np.log2(1.0 + sinr_arr)
     tiny = (per_ue == 0.0) & (sinr_arr > 0.0)  # 1 + s rounds to 1: take the slope s / ln 2

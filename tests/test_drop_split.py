@@ -10,6 +10,7 @@ import math
 import os
 import signal
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fwcsim import sweeps
 from fwcsim.cli import main
 from fwcsim.config import config_from_dict
 from fwcsim.errors import ValidationError
-from fwcsim.geometry import ASSOCIATION_MODES
+from fwcsim.geometry import AssociationMode
 from test_golden import GOLDEN
 
 EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
@@ -90,7 +91,7 @@ def split_config(drops, small, extra, mode, seed):
 @settings(max_examples=8, deadline=None)
 @given(drops=st.sampled_from([2, 3, 5, 7]),
        small=st.lists(st.integers(1, 40), max_size=2, unique=True),
-       extra=st.integers(1, 40), mode=st.sampled_from(ASSOCIATION_MODES),
+       extra=st.integers(1, 40), mode=st.sampled_from(get_args(AssociationMode)),
        seed=st.integers(0, 1000))
 @example(drops=2, small=[], extra=1, mode="rap_nearest", seed=0)
 @example(drops=7, small=[33, 1], extra=40, mode="ue_nearest", seed=1000)

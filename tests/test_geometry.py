@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fwcsim.config import SweepParams
 from fwcsim.errors import ValidationError
 from fwcsim.geometry import Area, distance_matrix, generate_layout, udn_association
 
@@ -35,9 +36,9 @@ def distances(rap_xy, ue_xy):
     return distance_matrix(np.array(rap_xy, dtype=float), np.array(ue_xy, dtype=float))
 
 
-def drawn_layout(area_width_m=1000.0, area_height_m=1000.0, num_raps=100, num_ues=50):
-    """A layout drawn with seed 1 over an area of the given sides."""
-    return generate_layout(Area(area_width_m, area_height_m), num_raps, num_ues, 1)
+def drawn_layout(area_width_m=1000.0, area_height_m=1000.0):
+    """100 RAPs and 50 UEs drawn with seed 1 over an area of the given sides."""
+    return generate_layout(Area(area_width_m, area_height_m), 100, 50, 1)
 
 
 def serving_raps(serve):
@@ -75,12 +76,8 @@ def test_positions_inside_area_many_seeds():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"num_raps": 0},
-        {"num_ues": 0},
         {"area_width_m": 0.0},
         {"area_height_m": -5.0},
-        {"num_raps": -3},
-        {"num_ues": -1},
         {"area_width_m": -math.inf},
         {"area_height_m": 0.0},
     ],
@@ -131,16 +128,17 @@ def test_ue_nearest_distance_property():
 
 
 def test_unknown_mode_rejected():
-    dist = distance_matrix(*generate_layout(AREA, 2, 1, 0))
-    with pytest.raises(ValidationError, match="association_mode"):
-        udn_association(dist, mode="closest")
+    """udn_association trusts its mode: the config holds it to the two names."""
+    with pytest.raises(ValidationError, match="sweep.association_mode must be one of"):
+        SweepParams(association_mode="closest")
 
 
 def test_empty_layout_rejected():
-    with pytest.raises(ValidationError):
-        generate_layout(AREA, 0, 1, 0)
-    with pytest.raises(ValidationError):
-        generate_layout(AREA, 1, 0, 0)
+    """generate_layout trusts its counts: the config holds each M to >= 1, and the
+    sweep's J = M/2 is at least one."""
+    for m in (0, -3):
+        with pytest.raises(ValidationError, match=r"sweep.m_values\[1\] must be >= 1"):
+            SweepParams(m_values=(4, m))
 
 
 

@@ -26,7 +26,7 @@ from fwcsim.config import (
 )
 from fwcsim.errors import InfeasibleBudgetError, NullSentinelError, ValidationError
 from fwcsim.geometry import Area
-from fwcsim.optics import FiberParams, Scheme, fading_db_over, fiber_axis
+from fwcsim.optics import FiberParams, Scheme, fading_db_over
 from fwcsim.power import solve_tx_power
 from fwcsim.sweeps import (
     run_beam_pattern,
@@ -266,7 +266,7 @@ def test_dispersion_sweep_matches_optics():
         if scheme == "bbof":
             assert fading == 0.0
         else:
-            (want,) = fading_db_over(cfg.fiber, f_hz, fiber_axis([fiber_km]))
+            (want,) = fading_db_over(cfg.fiber, f_hz, np.array([fiber_km], dtype=float))
             assert fading == pytest.approx(want, rel=1e-12)
     ifof_rows = [r for r in table.rows if r[0] == "ifof"]
     assert all(r[1] == 125e6 for r in ifof_rows)
@@ -322,7 +322,7 @@ def test_throughput_sweep_structure_and_solver():
         assert drops == 3
         (expected_p,), (feasible,) = solve_tx_power(scheme, cfg.scheme_params, m, cfg.fiber,
                                                     cfg.budget_w, cfg.power,
-                                                    fiber_axis([cfg.fiber.length_km]))
+                                                    np.array([cfg.fiber.length_km], dtype=float))
         assert feasible is True
         assert p_tx == pytest.approx(expected_p, abs=1e-9)
         assert mean > 0.0
@@ -630,6 +630,12 @@ def test_cli_config_error_exit_2(tmp_path):
          "scheme_params.if_carrier_hz must be > 0, got 0"),
         ("throughput-sweep", {"schemes": ["xfof"]},
          "schemes[0] must be one of ['bbof', 'ifof', 'rfof'], got 'xfof'"),
+        ("beam-pattern", {"sweep": {"band_hz": [20e9, 10e9]}},
+         "sweep.band_hz must satisfy start <= stop, got (20000000000.0, 10000000000.0)"),
+        # (stop - start) * step underflows to -0.0: the signs still disagree
+        ("beam-pattern", {"sweep": {"theta_grid_deg": [0.0, -1e-200, 1e-200]}},
+         "sweep.theta_grid_deg step must be nonzero and lead from start to stop, "
+         "got (0.0, -1e-200, 1e-200)"),
     ]],
     ids=["out-missing-directory", "out-is-a-directory", "drops-2.5", "seed-1.5", "seed-negative", "workers-1", "budget-nan", "budget-inf",
          "scenario.num_raps", "scenario.num_ues", "scenario.rng_seed",
@@ -655,7 +661,8 @@ def test_cli_config_error_exit_2(tmp_path):
          "beam-array-spacing-1e300", "beam-band-1e-300", "fiber-length-negative", "budget-0",
          "m_values-0", "schemes-empty", "association-mode-int", "top-level-list",
          "wavelength-0", "attenuation-negative", "area-width-0", "area-height-negative",
-         "p-bbu-negative", "pa-eff-rfof-0", "feeder-loss-1", "if-carrier-0", "schemes-unknown"],
+         "p-bbu-negative", "pa-eff-rfof-0", "feeder-loss-1", "if-carrier-0", "schemes-unknown",
+         "band-reversed", "theta-step-underflow"],
 )
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, data, message, out):
     cfg_path = write_cfg(tmp_path, {**SMALL_SWEEP, **data} if isinstance(data, dict) else data)

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from fwcsim.config import config_from_dict
 from fwcsim.errors import InfeasibleBudgetError
-from fwcsim.optics import FiberParams, Scheme, SchemeParams, fiber_axis
+from fwcsim.optics import FiberParams, Scheme, SchemeParams
 from fwcsim.power import PowerParams, solve_tx_power
 from fwcsim.sweeps import run_beam_pattern, run_dispersion_sweep, run_throughput_sweep
 from fwcsim.units import SPEED_OF_LIGHT_M_S
@@ -48,7 +48,7 @@ def test_solved_tx_power_spends_the_budget(scheme, radio, num_raps, length_km, p
     assume(math.isfinite(fixed))  # a dispersion null has no feasible budget
     budget = fixed + headroom
     (p_tx,), (feasible,) = solve_tx_power(scheme, radio, num_raps, fiber, budget, params,
-                                          fiber_axis([length_km]))
+                                          np.array([length_km], dtype=float))
     assert feasible is True and p_tx >= 0.0
     total = power_at(scheme, radio, num_raps, p_tx, fiber, params)[-1]
     assert math.isclose(total, budget, rel_tol=1e-12, abs_tol=1e-9)

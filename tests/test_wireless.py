@@ -1,4 +1,5 @@
 import math
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fwcsim.errors import ValidationError
 from fwcsim.geometry import (
-    ASSOCIATION_MODES,
+    AssociationMode,
     Area,
     distance_matrix,
     generate_layout,
@@ -102,12 +103,6 @@ def test_udn_single_pair_is_snr():
     assert sinr(udn_sinr_components(p2, serve), p)[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_udn_components_check_shapes():
-    _, p2, serve = drop([[0.0, 0.0], [9.0, 0.0]], [[1.0, 0.0]], 4)
-    with pytest.raises(ValidationError):
-        udn_sinr_components(p2, serve.T)
-
-
 def test_udn_two_cells_hand_computed():
     gains, p2, serve = drop([[0.0, 0.0], [500.0, 0.0]], [[10.0, 0.0], [480.0, 0.0]], 3)
     assert serve.tolist() == [[True, False], [False, True]]
@@ -145,7 +140,7 @@ def test_rap_nearest_mode_powers_add():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(ASSOCIATION_MODES), st.data())
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(get_args(AssociationMode)), st.data())
 def test_one_serve_mask_gives_the_two_mask_components(m, j, mode, data):
     """rap_nearest serves one UE per RAP and ue_nearest one RAP per UE; the
     components read from the serve mask alone equal the formula that also took
@@ -200,8 +195,6 @@ def test_combine_fronthaul_noise():
     assert combine_fronthaul_noise(10.0, 0.0) == 0.0
     assert combine_fronthaul_noise(math.inf, 100.0) == 100.0
     assert math.isinf(combine_fronthaul_noise(math.inf, math.inf))
-    with pytest.raises(ValidationError):
-        combine_fronthaul_noise(-1.0, 10.0)
 
 
 def test_combine_never_increases_and_monotone():
@@ -234,10 +227,6 @@ def test_sum_throughput_cap():
 def test_sum_throughput_validation():
     with pytest.raises(ValidationError):
         sum_throughput([1.0], 10e6, 1, OverheadModel(max_fraction=1.0))
-    with pytest.raises(ValidationError):
-        sum_throughput([-0.5], 10e6, 1, OverheadModel())
-    with pytest.raises(ValidationError):
-        sum_throughput([1.0], 0.0, 1, OverheadModel())
 
 
 def test_overhead_clamps():
