@@ -70,10 +70,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"cannot write {out}: no directory {out.parent}")
         table = _RUNNERS[command][1](cfg, **options)
         try:
-            table.write_csv(out)
-            table.write_meta(out.with_suffix(".meta.json"))
-            for suffix, companion in table.companions.items():
-                companion.write_csv(out.with_name(f"{out.stem}_{suffix}.csv"))
+            table.write(out)
         except OSError as exc:
             raise ValidationError(f"cannot write {exc.filename or out}: "
                                   f"{exc.strerror or exc}") from exc

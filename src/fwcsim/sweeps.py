@@ -358,12 +358,10 @@ def run_beam_pattern(cfg: ExperimentConfig) -> ResultTable:
     _rows_in_two(fill, cells, len(freqs) * sweep.array_elements * t >= SPLIT_BEAM_WORK)
 
     table = ResultTable(BEAM_COLUMNS, metadata=_base_metadata(cfg, "beam_pattern"))
-    theta_col = thetas_deg.tolist()
     peak_rows = []
     for k, mode in enumerate(specs):
         for f_hz, cell in zip(freqs, cells[:, k]):
-            table.extend_columns(Repeat(mode), Repeat(f_hz), theta_col, cell[:t].tolist(),
-                                 cell[t:-1].tolist())
+            table.extend_columns(Repeat(mode), Repeat(f_hz), thetas_deg, cell[:t], cell[t:-1])
             # Every band point has f >= f_lo, so the squint has a real direction.
             predicted = (math.degrees(beam_squint_direction(f_hz, f_lo, theta0))
                          if mode == "phase_only" else None)

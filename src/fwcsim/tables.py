@@ -15,6 +15,7 @@ import math
 import os
 import signal
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -59,10 +60,11 @@ def format_cell(value) -> str:
 def _column_text(column) -> list[str]:
     """Each cell of ``column`` as format_cell writes it.
 
-    A column of floats (numpy float64 included, whose float repr format_cell
-    writes) is one map of ``float.__repr__``, which raises TypeError at the first
-    cell that is no float; any other column goes cell by cell.
+    An ndarray is its ``tolist()``. A column of floats (numpy float64 included) is
+    one map of ``float.__repr__``, which raises TypeError at the first cell that
+    is no float; any other column goes cell by cell.
     """
+    column = column.tolist() if isinstance(column, np.ndarray) else column
     try:
         return list(map(float.__repr__, column))
     except TypeError:
@@ -77,8 +79,10 @@ SPLIT_ROWS = 20_000
 
 
 def _blocks_text(blocks):
-    """The CSV text of each of ``blocks`` in turn, as bytes; a sequence object
-    that several blocks share is formatted once."""
+    """The CSV text of each of ``blocks`` in turn, as bytes; a sequence object that
+    several blocks hold is formatted once, and its text kept until the last of them."""
+    blocks = list(blocks)
+    held = Counter(id(cell) for _, cells in blocks for cell in cells)
     texts = {}  # id(sequence) -> its formatted cells
     for n, cells in blocks:
         # Cell j of a row sits at 2j, its "," or final "\n" at 2j + 1; each
@@ -92,7 +96,8 @@ def _blocks_text(blocks):
                 continue
             if id(cell) not in texts:
                 texts[id(cell)] = _column_text(cell)
-            lines[2 * j::width] = texts[id(cell)]
+            held[id(cell)] -= 1  # the text goes with the last block that holds it
+            lines[2 * j::width] = texts[id(cell)] if held[id(cell)] else texts.pop(id(cell))
         yield "".join(lines).encode()
 
 
@@ -233,9 +238,9 @@ class ResultTable:
     """A table stored as column blocks, written to CSV one column at a time.
 
     Each block is (row count, one entry per column). An entry is a sequence
-    with one cell per row or a ``Repeat`` of one cell. A sequence object that
-    several blocks share, such as a common axis, is formatted once per write.
-    ``companions`` maps a file-name suffix to a table written beside this one.
+    with one cell per row (an ndarray's cells are its ``tolist()``) or a
+    ``Repeat`` of one cell. ``companions`` maps a file-name suffix to a table
+    written beside this one.
     """
 
     columns: tuple[str, ...]
@@ -246,8 +251,9 @@ class ResultTable:
     @property
     def rows(self) -> list[tuple]:
         """The rows as tuples, rebuilt from the blocks on each access."""
-        return [row for n, cells in self.blocks for row in zip(
-            *(repeat(c.value, n) if isinstance(c, Repeat) else c for c in cells))]
+        return [row for n, cells in self.blocks for row in zip(*(
+            repeat(c.value, n) if isinstance(c, Repeat)
+            else c.tolist() if isinstance(c, np.ndarray) else c for c in cells))]
 
     def append(self, *values) -> None:
         self.extend_columns(*([v] for v in values))
@@ -262,12 +268,12 @@ class ResultTable:
             raise ValueError(f"column lengths {sorted(lengths)} are not one row count")
         self.blocks.append((lengths.pop(), columns))
 
-    def write_csv(self, path: str | Path) -> None:
-        """The header, then the rows. From SPLIT_ROWS rows, where ``_forked``
-        forks a helper, the helper formats the rows from the midpoint on while
-        this process formats the rows before it. Both halves go through
-        ``_blocks_text`` and CSV rows do not depend on each other, so the bytes
-        are those of a serial write."""
+    def write_csv(self, path: str | Path, during=lambda: None):
+        """The header, then the rows; returns ``during()``, run once this process
+        has written its rows. From SPLIT_ROWS rows, where ``_forked`` forks a
+        helper, the helper formats the rows from the midpoint on meanwhile. Both
+        halves go through ``_blocks_text`` and CSV rows do not depend on each
+        other, so the bytes are those of a serial write, also if ``during`` raises."""
         total = sum(n for n, _ in self.blocks)
 
         def text(lo, hi):
@@ -277,10 +283,25 @@ class ResultTable:
             with open(path, "wb") as fh:
                 fh.write((",".join(self.columns) + "\n").encode())
                 fh.writelines(_blocks_text(_row_range(self.blocks, 0, stop)))
-                if tail:
-                    fh.write(tail())
+                try:
+                    return during()
+                finally:
+                    if tail:
+                        fh.write(tail())
 
-    def write_meta(self, path: str | Path) -> None:
-        """Strict JSON: infinities are spelled out, and a NaN raises ValueError."""
-        text = json.dumps(_json_ready(self.metadata), sort_keys=True, indent=2, allow_nan=False)
-        Path(path).write_text(text + "\n")
+    def _meta_text(self) -> str:
+        return json.dumps(_json_ready(self.metadata), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+
+    def write_meta(self, path: str | Path, text: str | None = None) -> None:
+        """Strict JSON: infinities are spelled out, and a NaN raises ValueError.
+        ``text`` is that JSON where the caller encoded it already."""
+        Path(path).write_text(text or self._meta_text())
+
+    def write(self, path: Path) -> None:
+        """The CSV at ``path``, then the meta at ``<stem>.meta.json`` and each
+        companion at ``<stem>_<suffix>.csv``. The meta's JSON is encoded while a
+        CSV helper formats its rows, and written after the CSV."""
+        self.write_meta(path.with_suffix(".meta.json"), self.write_csv(path, self._meta_text))
+        for suffix, companion in self.companions.items():
+            companion.write_csv(path.with_name(f"{path.stem}_{suffix}.csv"))

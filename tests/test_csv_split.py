@@ -2,7 +2,11 @@
 formats the second half of a table. Its bytes must be those of the serial
 write at every split point, the helper must be reaped on every path, and a
 failed helper must leave the serial bytes in the file."""
+import contextlib
+import errno
+import gc
 import json
+import math
 import os
 import signal
 
@@ -168,3 +172,130 @@ def test_unwritable_out_exits_2_and_reaps_the_helper(tmp_path, capsys, forks):
     assert len(forks) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert_no_child_left()
+
+
+# The planning subcommands past SPLIT_ROWS: 5 curves x 5,001 lengths (25,005
+# rows) for the dispersion and power sweeps, and 6 band points x 2 modes x
+# 1,801 angles (21,612 rows) for the beam pattern, whose band stays serial.
+PLANNING_SPLITS = {
+    "dispersion-sweep": {"sweep": {"fiber_km": [0.005 * i for i in range(5001)]}},
+    "power-sweep": {"sweep": {"fiber_km": [0.005 * i for i in range(5001)]}},
+    "beam-pattern": {"sweep": {"num_band_points": 6}},
+}
+
+
+def cli_files(tmp_path, command, name):
+    """Run ``command`` on its PLANNING_SPLITS config into a new directory and
+    return the bytes of every file it wrote there."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PLANNING_SPLITS[command]))
+    out = tmp_path / name
+    out.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out / "o.csv")]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", sorted(PLANNING_SPLITS))
+def test_planning_files_are_the_same_with_and_without_a_helper(tmp_path, monkeypatch, forks,
+                                                               command):
+    """The CSV, the meta (its JSON encoded while the CSV helper formats its half)
+    and any companion are the bytes of the one-CPU write."""
+    split = cli_files(tmp_path, command, "split")
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli_files(tmp_path, command, "serial") == split
+    assert len(forks) == 1
+    names = {"o.csv", "o.meta.json"} | ({"o_crossovers.csv"} if command == "power-sweep" else set())
+    assert set(split) == names
+
+
+def test_a_csv_write_failing_in_the_helpers_half_leaves_no_sidecar(tmp_path, monkeypatch, capsys,
+                                                                    forks):
+    """The helper's rows fail to format (here with a full disk, on both sides), so
+    the CSV write fails after the meta's JSON was encoded: exit 2 with one
+    stderr line, no meta and no companion file, the helper reaped."""
+    row_range = tables._row_range
+
+    def full_past_the_midpoint(blocks, start, stop):
+        if start > 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return row_range(blocks, start, stop)
+
+    monkeypatch.setattr(tables, "_row_range", full_past_the_midpoint)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PLANNING_SPLITS["power-sweep"]))
+    out = tmp_path / "power.csv"
+    assert main(["power-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {out}: No space left on device\n"
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "power.csv"]
+
+
+@pytest.mark.parametrize("rows", [SPLIT_ROWS + 1, 3], ids=["helper", "no-helper"])
+def test_during_runs_once_between_this_process_rows_and_the_helpers(tmp_path, monkeypatch,
+                                                                     forks, rows):
+    """``write_csv`` returns what ``during`` returns. ``during`` runs once: after
+    this process formatted its rows, and before it reads the helper's bytes."""
+    events, blocks_text, forked = [], tables._blocks_text, tables._forked
+
+    def recorded_blocks_text(blocks):
+        for text in blocks_text(blocks):
+            events.append("rows")
+            yield text
+
+    @contextlib.contextmanager
+    def recorded_forked(n, part, wanted):
+        with forked(n, part, wanted) as (stop, tail):
+            yield stop, tail and (lambda: events.append("tail") or tail())
+
+    monkeypatch.setattr(tables, "_blocks_text", recorded_blocks_text)
+    monkeypatch.setattr(tables, "_forked", recorded_forked)
+    table = one_block(rows)
+    assert table.write_csv(tmp_path / "t.csv", lambda: events.append("during") or "done") == "done"
+    assert events == ["rows", "during"] + ["tail"] * len(forks)
+    assert len(forks) == (rows >= SPLIT_ROWS)
+    assert (tmp_path / "t.csv").read_bytes() == serial_bytes(table)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("rows", [SPLIT_ROWS + 1, 3], ids=["helper", "no-helper"])
+def test_a_meta_that_fails_to_encode_leaves_the_whole_csv_and_no_meta(tmp_path, forks, rows):
+    """A NaN in the metadata raises while any helper formats its half: the CSV
+    still gets every row, as a serial write leaves it, the helper is reaped, and
+    no meta file is written."""
+    table = one_block(rows)
+    table.metadata["x"] = math.nan
+    with pytest.raises(ValueError):
+        table.write(tmp_path / "t.csv")
+    assert len(forks) == (rows >= SPLIT_ROWS)
+    assert_no_child_left()
+    assert (tmp_path / "t.csv").read_bytes() == serial_bytes(table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_a_sequence_is_formatted_once_and_its_text_kept_while_a_block_still_holds_it(monkeypatch):
+    """The axis that every block holds is formatted once, and its text is let
+    go with the last block; each block's own column is formatted with its block
+    and its text let go at once: then only this test's dict refers to it."""
+    table = shared_axis(3, 4)
+    column_text, texts = tables._column_text, {}
+    lists = {id(c) for _, cells in table.blocks for c in cells if isinstance(c, list)}
+
+    def recorded(column):  # a Repeat's one-cell list is not recorded
+        if id(column) not in lists:
+            return column_text(column)
+        assert id(column) not in texts
+        texts[id(column)] = column_text(column)
+        return texts[id(column)]
+
+    monkeypatch.setattr(tables, "_column_text", recorded)
+    blocks = tables._blocks_text(table.blocks)
+    km = id(table.blocks[0][1][2])
+    for k, (_, cells) in enumerate(table.blocks):
+        next(blocks)
+        assert set(texts) == {km} | {id(c[3]) for _, c in table.blocks[:k + 1]}
+        assert gc.get_referrers(texts[id(cells[3])]) == [texts]
+        assert len(gc.get_referrers(texts[km])) == (2 if k < 2 else 1)
+    assert list(blocks) == []

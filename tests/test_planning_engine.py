@@ -110,6 +110,67 @@ def test_write_csv_matches_rowwise_writer(tmp_path_factory, data):
     assert [tuple(map(repr, r)) for r in table.rows] == [tuple(map(repr, r)) for r in rows]
 
 
+float_cells = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def array_view(data, n, dtype=float):
+    """An ndarray of ``n`` cells: a whole array, a strided or reversed view, a
+    column of a 2-D array, or a row of one, as the beam pattern stores them."""
+    kind = data.draw(st.sampled_from(["whole", "strided", "reversed", "column", "row"]))
+    values = data.draw(st.lists(float_cells if dtype is float else st.integers(-9, 9),
+                                min_size=2 * n + 1, max_size=2 * n + 1))
+    base = np.array(values, dtype=dtype)
+    return {"whole": base[:n], "strided": base[1::2], "reversed": base[::-1][:n],
+            "column": base[:2 * n].reshape(n, 2)[:, 1], "row": base[:2 * n].reshape(2, n)[1]}[kind]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_array_columns_write_and_read_as_their_lists(tmp_path_factory, data):
+    """A table whose columns are ndarrays (views included, mixed with lists,
+    ``Repeat``s and an array axis that several blocks share) writes the bytes
+    and gives the rows of the same table with each array's ``tolist()``, and
+    its array cells come back as exact Python floats and ints."""
+    width = data.draw(st.integers(1, 4), label="columns")
+    axis = array_view(data, data.draw(st.integers(0, 5), label="axis rows"))
+    axis_list = axis.tolist()  # one list object, shared as the array is
+    arrays = ResultTable(tuple(f"c{i}" for i in range(width)))
+    lists = ResultTable(arrays.columns)
+    for _ in range(data.draw(st.integers(0, 4), label="blocks")):
+        n = data.draw(st.sampled_from([len(axis), 0, 1, 3]), label="rows")
+        entries, listed = [], []
+        for _ in range(width):
+            kind = data.draw(st.sampled_from(["float array", "int array", "list", "repeat",
+                                              "axis"]))
+            if kind == "axis" and n == len(axis):
+                entry, as_list = axis, axis_list
+            elif kind.endswith("array"):
+                entry = array_view(data, n, float if kind == "float array" else np.int64)
+                as_list = entry.tolist()
+            elif kind == "list":
+                entry = as_list = data.draw(st.lists(cells, min_size=n, max_size=n))
+            else:
+                entry = as_list = Repeat(data.draw(cells))
+            entries.append(entry)
+            listed.append(as_list)
+        if all(isinstance(e, Repeat) for e in entries):
+            entries[0] = listed[0] = [entries[0].value] * n
+        arrays.extend_columns(*entries)
+        lists.extend_columns(*listed)
+    out = tmp_path_factory.mktemp("arrays")
+    arrays.write_csv(out / "arrays.csv")
+    lists.write_csv(out / "lists.csv")
+    assert (out / "arrays.csv").read_bytes() == (out / "lists.csv").read_bytes()
+    assert [tuple(map(repr, r)) for r in arrays.rows] == [tuple(map(repr, r)) for r in lists.rows]
+    rows, done = arrays.rows, 0
+    for n, entries in arrays.blocks:
+        for j, entry in enumerate(entries):
+            if isinstance(entry, np.ndarray):
+                want = float if entry.dtype == float else int
+                assert all(type(row[j]) is want for row in rows[done:done + n])
+        done += n
+
+
 def test_extend_columns_rejects_blocks_without_one_row_count():
     table = ResultTable(("x", "y"))
     with pytest.raises(ValueError):
