@@ -148,35 +148,36 @@ def _curves(cfg: ExperimentConfig):
 
 
 def _unless_null(column: list, fading: list, allow_null: bool, scheme: Scheme,
-                 radio: SchemeParams, km: list) -> list:
-    """``column``, unless it holds an overflow (an infinite value where ``fading``
-    is finite) or, while nulls are not allowed, a dispersion null sentinel."""
+                 radio: SchemeParams, km: np.ndarray) -> np.ndarray:
+    """``column`` as a float64 array, unless it holds an overflow (an infinite value
+    where ``fading`` is finite) or, while nulls are not allowed, a dispersion null
+    sentinel."""
     for i in range(len(column)) if math.inf in column else ():
         if column[i] == math.inf and fading[i] != math.inf:
-            raise ValidationError(f"{scheme.value} total power is not finite at {km[i]} km")
+            raise ValidationError(f"{scheme.value} total power is not finite at {float(km[i])} km")
         if column[i] == math.inf and not allow_null:
             raise NullSentinelError(
-                f"dispersion null at {km[i]} km for {scheme.value} at "
+                f"dispersion null at {float(km[i])} km for {scheme.value} at "
                 f"{radio.analog_carrier_hz(scheme) / 1e9:g} GHz; "
                 "pass --allow-null to emit the sentinel"
             )
-    return column
+    return np.array(column)
 
 
 def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTable:
     """Fading-vs-length curves per scheme; RFoF gets one curve per frequency."""
     _admit_planning(cfg)
     table = ResultTable(DISPERSION_COLUMNS, metadata=_base_metadata(cfg, "dispersion_sweep"))
+    # One array object: every curve shares its formatted text.
     lengths = np.array(cfg.sweep.fiber_km, dtype=float)
-    km = lengths.tolist()  # one list object: every curve shares its formatted text
     for scheme, radio in _curves(cfg):
         carrier = radio.analog_carrier_hz(scheme)
         if carrier is None:  # BBoF sees no fading
             fading, carrier = Repeat(0.0), 0.0
         else:
             fading = fading_db_over(cfg.fiber, carrier, lengths)
-            _unless_null(fading, fading, allow_null, scheme, radio, km)
-        table.extend_columns(Repeat(scheme.value), Repeat(carrier), km, fading)
+            fading = _unless_null(fading, fading, allow_null, scheme, radio, lengths)
+        table.extend_columns(Repeat(scheme.value), Repeat(carrier), lengths, fading)
     return table
 
 
@@ -187,13 +188,13 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     m = cfg.sweep.power_num_raps
     p_tx = cfg.sweep.power_p_tx_w
     lengths = np.array(cfg.sweep.fiber_km, dtype=float)
-    km = lengths.tolist()
     for scheme, radio in _curves(cfg):
         cu, rap, fading, comp, _, total = power_over(scheme, radio, m, p_tx, cfg.fiber,
                                                      cfg.power, lengths)
         table.extend_columns(
-            Repeat(scheme.value), Repeat(radio.rf_carrier_hz), km, Repeat(p_tx), Repeat(cu),
-            Repeat(rap), comp, _unless_null(total, fading, allow_null, scheme, radio, km),
+            Repeat(scheme.value), Repeat(radio.rf_carrier_hz), lengths, Repeat(p_tx),
+            Repeat(cu), Repeat(rap), np.array(comp),
+            _unless_null(total, fading, allow_null, scheme, radio, lengths),
         )
 
     crossovers = table.metadata["crossovers"] = []

@@ -60,10 +60,13 @@ def format_cell(value) -> str:
 def _column_text(column) -> list[str]:
     """Each cell of ``column`` as format_cell writes it.
 
-    An ndarray is its ``tolist()``. A column of floats (numpy float64 included) is
-    one map of ``float.__repr__``, which raises TypeError at the first cell that
-    is no float; any other column goes cell by cell.
+    A float64 array is formatted in bulk where ``_BULK_REPR`` holds, any other
+    ndarray is its ``tolist()``. A column of floats (numpy float64 included) is one
+    map of ``float.__repr__``, which raises TypeError at the first cell that is no
+    float; any other column goes cell by cell.
     """
+    if _BULK_REPR and isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _float_text(column)
     column = column.tolist() if isinstance(column, np.ndarray) else column
     try:
         return list(map(float.__repr__, column))
@@ -71,10 +74,125 @@ def _column_text(column) -> list[str]:
         return list(map(format_cell, column))
 
 
+# Bulk repr needs x87's 80-bit long double: its 64-bit significand holds y below.
+_BULK_REPR = np.finfo(np.longdouble).nmant == 63
+_CHUNK = 4096  # values per pass, so scratch memory does not grow with a column
+
+
+@functools.cache
+def _repr_tables():
+    """10**0..10**27 in long double (exact: 5**27 < 2**63) and 10**0..10**18; the
+    digits of 0..9999 as 4-byte cells, then with trailing zeros as NUL; and per
+    digit count, which of a 17-digit number's five cells take the NUL ones."""
+    two = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(), np.uint8)
+    two, cut = two.reshape(100, 2), two.reshape(100, 2).copy()
+    cut[::10, 1] = cut[0] = 0
+    quads = np.empty((2, 100, 100, 4), np.uint8)
+    quads[:, :, :, :2], quads[0, :, :, 2:], quads[1, :, :, 2:] = two[:, None], two, cut
+    quads[1, :, 0, :2] = cut
+    return (np.cumprod(np.array([1] + [10] * 27, np.longdouble)),
+            10 ** np.arange(19, dtype=np.int64), quads.view(np.uint32).ravel(),
+            10_000 * ((np.arange(18)[:, None] + 2) // 4 <= np.arange(5)))
+
+
+@functools.cache
+def _layout(key: int):
+    """A (decpt, digit count, sign) key's constant text by the 'r' rules, and the
+    (text column, digit column, length) runs that copy in digits from column 3.
+    Count 0 stands for any with the point before or inside the digits: the runs
+    then copy 17 columns, NUL from the last digit on."""
+    decpt, nd, sign = (key >> 6) - 32, key >> 1 & 31, "-" * (key & 1)
+    s = len(sign)
+    if not nd:
+        text = f"{sign}0.{'0' * -decpt}" if decpt <= 0 else f"{sign}{'X' * decpt}."
+        runs = [(s + 2 - decpt, 3, 17)] if decpt <= 0 else [
+            (s, 3, decpt), (s + decpt + 1, 3 + decpt, 17 - decpt)]
+    elif decpt <= -4 or decpt > 16:
+        text = f"{sign}X{'.' * (nd > 1)}{'X' * (nd - 1)}e{decpt - 1:+03d}"
+        runs = [(s, 3, 1), (s + 2, 4, nd - 1)]
+    else:
+        text, runs = f"{sign}{'X' * nd}{'0' * (decpt - nd)}.0", [(s, 3, nd)]
+    return np.array(text, "S25").view("V25"), [run for run in runs if run[2]]
+
+
+def _float_text(x: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each value of a 1-D float64 array: the shortest digits
+    that round-trip, nearest the value (Ryu's answer, Adams 2018).
+
+    y = |x| * 10**q in [1e16, 1e17) in long double is within 2**-8 of the truth,
+    and the ends of x's rounding interval, scaled, lie 0.55 or more from it. With
+    [A, B] the integers inside, r is the largest power of ten with a multiple in
+    [A, B] and k the multiple nearest y. A tie, or an end near a multiple of 10,
+    within 0.005, and 0, inf, nan and |x| outside [1e-10, 1e16) go to ``repr``.
+    """
+    if len(x) > _CHUNK:
+        return [t for lo in range(0, len(x), _CHUNK)
+                for t in _float_text(x[lo:lo + _CHUNK])]
+    p10, u10, quads, nul = _repr_tables()
+    n, a = len(x), np.abs(x)
+    ok = (a >= 1e-10) & (a < 1e16)
+    a[~ok] = 1.0
+    q = 16 - np.floor(np.log10(a)).astype(np.intp)
+    tens = p10[q]
+    y = a.astype(np.longdouble) * tens
+    near = np.rint(y)
+    K, dy = near.astype(np.int64), (y - near).astype(float)  # exact: 11 bits at most
+    scale = tens.astype(float)  # the half-ulps are powers of two: scaled, near exact
+    lo, hi = dy - (a - np.nextafter(a, 0)) / 2 * scale, dy + np.spacing(a) / 2 * scale
+    A, B = np.ceil(lo), np.floor(hi)
+    ok &= (K >= 10**16) & (K < 14 * 10**16)
+    edge = np.flatnonzero((np.abs(A - lo - 0.5) > 0.495) | (np.abs(hi - B - 0.5) > 0.495))
+    for end in (lo[edge], hi[edge]):  # is an integer this near the end inside?
+        whole = np.rint(end)
+        ok[edge[(np.abs(end - whole) < 0.005) & ((K[edge] + whole.astype(int)) % 10 == 0)]] = False
+    A, B = K + A.astype(np.int64), K + B.astype(np.int64)
+    width = B - A
+    r = (B - B // 10 * 10 <= width).astype(np.intp)
+    up = np.flatnonzero(ok & (B - B // 100 * 100 <= width))
+    while up.size:  # only the values whose r still grows
+        r[up] += 1
+        step, top = u10[r[up] + 1], B[up]
+        up = up[top - top // step * step <= width[up]]
+    step = u10[r]
+    k = K // step
+    f = ((K - k * step).astype(float) + dy) / step  # y / step - k, within 0.5 of 0 at r = 0
+    ok &= np.abs(np.abs(f) - 0.5) > 0.005
+    k += f > 0.5
+    v = k * step
+    k += (v < A).astype(int) - (v > B)  # the multiple nearest y may lie outside [A, B]
+    v = k * step
+    nd = 17 - r + (v >= 10**17) - (v < 10**16)
+    decpt = nd + r - q
+    key = (decpt + 32) << 6 | np.where((decpt > -4) & (decpt < nd), 0, nd) << 1 | np.signbit(x)
+    # Sorted by key, each layout's rows are one run: its text, then its digits.
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    k, nd = k[order] * u10[17 - nd[order]], nd[order]  # 17 digits
+    cells = np.empty((n, 5), np.intp)
+    for j in range(4, 0, -1):
+        high = k // 10_000
+        cells[:, j], k = k - high * 10_000, high
+    cells[:, 0] = k
+    digits = quads[cells + np.take(nul, nd, axis=0)]  # 20 digits; the first in column 3
+    counts, text, start = np.bincount(key), np.empty(n, "V25"), 0
+    for g, stop in zip(np.flatnonzero(counts).tolist(), np.cumsum(counts[counts > 0]).tolist()):
+        template, runs = _layout(g)
+        text[start:stop] = template
+        for t, d, m in runs:
+            np.ndarray(stop - start, f"V{m}", text, 25 * start + t, (25,))[...] = \
+                np.ndarray(stop - start, f"V{m}", digits, 20 * start + d, (20,))
+        start = stop
+    text[order] = text.copy()  # back to the values' order
+    texts = text.view(np.uint8).astype(np.uint32).view("U25").tolist()
+    bad = np.flatnonzero(~ok)
+    for i, v in zip(bad.tolist(), x[bad].tolist()):
+        texts[i] = repr(v)
+    return texts
+
+
 # Rows from which write_csv formats the second half of a table in a forked
 # helper. The fork, the copy-on-write faults it brings and the reaping cost
-# several ms against about 1 us to format a row of floats: on a 2-vCPU VM the
-# split broke even between 15,000 and 60,000 rows, by table shape and load.
+# several ms. On a 2-vCPU VM the split ties or wins at 45,009 rows, also with
+# float64 columns formatted in bulk (README, "Two-way split").
 SPLIT_ROWS = 20_000
 
 

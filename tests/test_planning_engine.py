@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fwcsim.config import ExperimentConfig, config_from_dict
 from fwcsim.errors import ValidationError
@@ -38,9 +39,11 @@ from fwcsim.sweeps import (
     run_power_sweep,
     run_throughput_sweep,
 )
-from fwcsim.tables import Repeat, ResultTable, _column_text, _json_ready
+from fwcsim import tables
+from fwcsim.tables import Repeat, ResultTable, _column_text, _float_text, _json_ready
 from fwcsim.units import SPEED_OF_LIGHT_M_S, db_to_linear
 
+from bulk_repr_check import mismatches, structured_floats
 from test_optics import null_lengths
 
 
@@ -660,3 +663,58 @@ def test_echo_walkers_on_runner_metadata(run):
     metadata = run(cfg).metadata
     assert_one_walk_is_the_two(cfg)
     assert_one_walk_is_the_two(metadata)
+
+
+# The bulk formatter of float64 array columns (``tables._float_text``) against
+# ``float.__repr__``; tests/bulk_repr_check.py runs the same check on 10**7
+# values in CI.
+bulk_path = pytest.mark.skipif(not tables._BULK_REPR,
+                               reason="no x87 long double: float64 arrays take the repr map")
+
+
+@bulk_path
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 5000), elements=st.floats(), fill=st.floats()))
+def test_bulk_float_text_is_repr(values):
+    """Any width, across the chunk size too; subnormals, -0.0, inf and nan included."""
+    assert _float_text(values) == list(map(float.__repr__, values.tolist()))
+
+
+@bulk_path
+def test_bulk_float_text_is_repr_on_the_structured_sample():
+    values = structured_floats()
+    assert len(values) >= 10**5
+    assert mismatches(values) == []
+
+
+@bulk_path
+def test_bulk_float_text_of_views_is_that_of_their_copies():
+    """A row of the beam engine's cells, a strided column, a reversed view and a
+    ``_row_range`` cut format as their contiguous copies do."""
+    scale = 10.0 ** np.arange(-6, 9, 3)[:, None, None]
+    cells = np.random.default_rng(7).standard_normal((5, 2, 2 * 301 + 1)) * scale
+    table = ResultTable(("x", "y"))
+    table.extend_columns(cells[2, 1, :301], Repeat(1.0))
+    (_, (cut, _)), = tables._row_range(table.blocks, 40, 250)
+    for view in (cells[2, 1, :301], cells[2, 1, 301:-1], cells[:, 0, 7], cells[3, 0, ::-3], cut):
+        assert view.base is not None
+        assert _column_text(view) == _column_text(view.copy())
+        assert _column_text(view) == list(map(float.__repr__, view.tolist()))
+
+
+@pytest.mark.parametrize("run", [run_dispersion_sweep, run_power_sweep, run_beam_pattern],
+                         ids=["dispersion", "power", "beam"])
+def test_planning_files_do_not_depend_on_the_bulk_path(tmp_path, monkeypatch, run):
+    """With the platform gate off, every float64 column takes the repr map: the
+    CSV, meta and companion bytes are those of the bulk path."""
+    cfg = config_from_dict({"sweep": {
+        "fiber_km": [round(0.05 * i, 6) for i in range(401)], "frequencies_hz": [10e9, 25e9],
+        "num_band_points": 3, "array_elements": 8, "theta_grid_deg": [-90.0, 90.0, 0.25]}})
+    for gate in (True, False):
+        monkeypatch.setattr(tables, "_BULK_REPR", gate)
+        (tmp_path / str(gate)).mkdir()
+        run(cfg).write(tmp_path / str(gate) / "out.csv")
+    bulk, mapped = (sorted((tmp_path / str(g)).iterdir()) for g in (True, False))
+    assert [p.name for p in bulk] == [p.name for p in mapped] and len(bulk) >= 2
+    for a, b in zip(bulk, mapped):
+        assert a.read_bytes() == b.read_bytes(), a.name
