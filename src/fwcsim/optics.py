@@ -68,9 +68,9 @@ class SchemeParams:
         return None
 
 
-def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> list[float]:
+def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> np.ndarray:
     """Dispersion-induced RF power fading of a double-sideband IM link at each
-    length of the float array ``lengths_km``.
+    length of the float array ``lengths_km``, as a float64 array.
 
     loss_dB = -10*log10(cos^2(pi * D * L * lambda^2 * f^2 / c)), math.inf at
     an exact null: direct detection of both sidebands makes the carrier fade
@@ -94,19 +94,17 @@ def fading_db_over(fiber: FiberParams, f_hz: float, lengths_km: np.ndarray) -> l
                          len(phase))
     logs = map(math.log10, np.maximum(cos_sq, NULL_COS_SQ_FLOOR).tolist())  # a null's is unused
     loss = -10.0 * np.fromiter(logs, float, len(phase))
-    return np.where(cos_sq <= NULL_COS_SQ_FLOOR, math.inf,
-                    np.where(loss > 0.0, loss, 0.0)).tolist()
+    return np.where(cos_sq <= NULL_COS_SQ_FLOOR, math.inf, np.where(loss > 0.0, loss, 0.0))
 
 
 def fronthaul_snr_db(scheme: Scheme, radio: SchemeParams, fiber: FiberParams,
-                     lengths_km: np.ndarray) -> list[float]:
+                     lengths_km: np.ndarray) -> np.ndarray:
     """Lumped analog-link SNR after fiber losses at each length of the float
-    array ``lengths_km``: BBoF gives +inf, a dispersion null -inf, and IFoF/RFoF
-    otherwise the back-to-back SNR less attenuation alpha * L and the carrier's
-    fading, elementwise in numpy in the scalar operation order."""
+    array ``lengths_km``, as a float64 array: BBoF gives +inf, a dispersion null
+    -inf, and IFoF/RFoF otherwise the back-to-back SNR less attenuation alpha * L
+    and the carrier's fading, elementwise in numpy in the scalar operation order."""
     if (carrier := radio.analog_carrier_hz(scheme)) is None:  # BBoF: no analog link
-        return [math.inf] * len(lengths_km)
-    fading = np.array(fading_db_over(fiber, carrier, lengths_km))
+        return np.full(len(lengths_km), math.inf)
+    fading = fading_db_over(fiber, carrier, lengths_km)
     with np.errstate(over="ignore"):  # alpha * L past the float range is inf, as on floats
-        return (radio.fronthaul_snr0_db - fiber.attenuation_db_per_km * lengths_km
-                - fading).tolist()
+        return radio.fronthaul_snr0_db - fiber.attenuation_db_per_km * lengths_km - fading

@@ -92,8 +92,8 @@ def pa_input_power(p_tx_antenna_w: float, scheme: Scheme, params: PowerParams) -
 def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float,
                fiber: FiberParams, params: PowerParams, lengths_km: np.ndarray) -> tuple:
     """Consumption of the CU plus num_raps RAPs at each length of the float array
-    ``lengths_km``: the CU and per-RAP watts, then lists of the carrier fading
-    (dB), compensation, supply/cooling overhead and total watts.
+    ``lengths_km``: the CU and per-RAP watts, then float64 arrays of the carrier
+    fading (dB), compensation, supply/cooling overhead and total watts.
 
     The fiber compensation is p_link0 * 10^(A_dB/10) with A_dB attenuation plus
     carrier fading (BBoF needs none; a dispersion null needs math.inf). The
@@ -111,34 +111,32 @@ def power_over(scheme: Scheme, radio: SchemeParams, num_raps: int, p_tx_w: float
     # overflow gives inf and 0 * inf nan, as on Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         if (carrier := radio.analog_carrier_hz(scheme)) is None:  # BBoF: no analog link
-            fading = [0.0] * len(lengths_km)
-            comp = np.zeros(len(lengths_km))
+            fading, comp = np.zeros(len(lengths_km)), np.zeros(len(lengths_km))
         else:
             fading = fading_db_over(fiber, carrier, lengths_km)
-            fades = np.array(fading)
-            loss_db = fiber.attenuation_db_per_km * lengths_km + fades
-            linear = np.fromiter(map(db_to_linear, loss_db.tolist()), float, len(fades))
-            comp = np.where(fades == math.inf, math.inf, params.p_link0_w * linear)
+            loss_db = fiber.attenuation_db_per_km * lengths_km + fading
+            linear = np.fromiter(map(db_to_linear, loss_db.tolist()), float, len(fading))
+            comp = np.where(fading == math.inf, math.inf, params.p_link0_w * linear)
         functional = float(cu) + float(num_raps) * (rap + comp)
         # Without overhead fractions an infinite total stays infinite, not 0 * inf.
         overhead = overhead_frac * functional if overhead_frac else np.zeros(len(comp))
         total = functional + overhead
-    return cu, rap, fading, comp.tolist(), overhead.tolist(), total.tolist()
+    return cu, rap, fading, comp, overhead, total
 
 
 def solve_tx_power(scheme: Scheme, radio: SchemeParams, num_raps: int, fiber: FiberParams,
                    budget_w: float, params: PowerParams,
-                   lengths_km: np.ndarray) -> tuple[list[float], list[bool]]:
-    """Per-RAP transmit power that spends the budget, and whether the budget is
-    feasible, at each length of the float array ``lengths_km``. The model is
-    affine in p_tx, so the inverse is closed-form. A fixed consumption that is
-    infinite (a dispersion null) or above the budget is infeasible, with p_tx 0.0.
+                   lengths_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-RAP transmit power that spends the budget (a float64 array), and
+    whether the budget is feasible (a bool array), at each length of the float
+    array ``lengths_km``. The model is affine in p_tx, so the inverse is
+    closed-form. A fixed consumption that is not finite (a dispersion null) or
+    above the budget is infeasible, with p_tx 0.0.
     """
     fixed = power_over(scheme, radio, num_raps, 0.0, fiber, params, lengths_km)[-1]
     slope = params.overhead_multiplier * num_raps / params.pa_to_antenna_efficiency(scheme)
-    feasible = [math.isfinite(f) and not budget_w < f - _SOLVER_TOL_W for f in fixed]
-    p_tx = [max(0.0, (budget_w - f) / slope) if ok else 0.0 for f, ok in zip(fixed, feasible)]
-    return p_tx, feasible
+    feasible = np.isfinite(fixed) & ~(budget_w < fixed - _SOLVER_TOL_W)
+    return np.where(feasible, np.maximum(0.0, (budget_w - fixed) / slope), 0.0), feasible
 
 
 def crossover_length(
@@ -158,20 +156,20 @@ def crossover_length(
     """
     lo, hi = length_range_km
 
-    def exceeds(lengths_km) -> list[bool]:
-        """Whether scheme_a's total is above scheme_b's (False when both are infinite)."""
+    def exceeds(lengths_km) -> np.ndarray:
+        """Mask of where scheme_a's total is above scheme_b's (False when both are infinite)."""
         axis = np.array(lengths_km, dtype=float)
-        totals = [power_over(scheme, radio, num_raps, p_tx_w, fiber, params, axis)[-1]
-                  for scheme in (scheme_a, scheme_b)]
-        return [a > b for a, b in zip(*totals)]
+        total_a, total_b = (power_over(scheme, radio, num_raps, p_tx_w, fiber, params, axis)[-1]
+                            for scheme in (scheme_a, scheme_b))
+        return total_a > total_b
 
     # The scan is one pass over all its lengths; only the bisection is per length.
     step = (hi - lo) / (CROSSOVER_SCAN_POINTS - 1)
     scan_l = [lo] + [lo + i * step for i in range(1, CROSSOVER_SCAN_POINTS)]
     above = exceeds(scan_l)
-    if True not in above:
+    if not above.any():
         return None
-    first = above.index(True)
+    first = int(above.argmax())
     if first == 0:
         return lo
 

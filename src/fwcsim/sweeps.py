@@ -121,9 +121,9 @@ def _admit_beam(cfg: ExperimentConfig) -> float:
 
 
 def _admit_planning(cfg: ExperimentConfig) -> None:
-    """The size bounds on one curve's arrays and lists over the fiber axis, 256
-    bytes per length (a power curve peaks at about 232), and on the CSV rows,
-    one per curve and length."""
+    """The size bounds on one curve's arrays over the fiber axis, 256 bytes per
+    length (``power_over`` peaks at 73 for RFoF, a one-curve power sweep with its
+    config echo at 89), and on the CSV rows, one per curve and length."""
     lengths = len(cfg.sweep.fiber_km)
     curves = sum(len(cfg.sweep.frequencies_hz) if s is Scheme.RFOF else 1 for s in cfg.schemes)
     _admit("sweep.fiber_km", "per-curve arrays", 256 * lengths, MAX_ARRAY_BYTES, "bytes")
@@ -147,21 +147,22 @@ def _curves(cfg: ExperimentConfig):
             yield scheme, cfg.scheme_params
 
 
-def _unless_null(column: list, fading: list, allow_null: bool, scheme: Scheme,
+def _unless_null(column: np.ndarray, fading: np.ndarray, allow_null: bool, scheme: Scheme,
                  radio: SchemeParams, km: np.ndarray) -> np.ndarray:
-    """``column`` as a float64 array, unless it holds an overflow (an infinite value
-    where ``fading`` is finite) or, while nulls are not allowed, a dispersion null
-    sentinel."""
-    for i in range(len(column)) if math.inf in column else ():
-        if column[i] == math.inf and fading[i] != math.inf:
+    """``column``, unless it holds an overflow (an infinite value where ``fading``
+    is finite) or, while nulls are not allowed, a dispersion null sentinel; the
+    error names the first length that holds either."""
+    failed = (column == math.inf) & ((fading != math.inf) | (not allow_null))
+    if failed.any():
+        i = failed.argmax()
+        if fading[i] != math.inf:
             raise ValidationError(f"{scheme.value} total power is not finite at {float(km[i])} km")
-        if column[i] == math.inf and not allow_null:
-            raise NullSentinelError(
-                f"dispersion null at {float(km[i])} km for {scheme.value} at "
-                f"{radio.analog_carrier_hz(scheme) / 1e9:g} GHz; "
-                "pass --allow-null to emit the sentinel"
-            )
-    return np.array(column)
+        raise NullSentinelError(
+            f"dispersion null at {float(km[i])} km for {scheme.value} at "
+            f"{radio.analog_carrier_hz(scheme) / 1e9:g} GHz; "
+            "pass --allow-null to emit the sentinel"
+        )
+    return column
 
 
 def run_dispersion_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTable:
@@ -191,9 +192,11 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
     for scheme, radio in _curves(cfg):
         cu, rap, fading, comp, _, total = power_over(scheme, radio, m, p_tx, cfg.fiber,
                                                      cfg.power, lengths)
+        if radio.analog_carrier_hz(scheme) is None:  # BBoF needs no compensation
+            comp = Repeat(0.0)
         table.extend_columns(
             Repeat(scheme.value), Repeat(radio.rf_carrier_hz), lengths, Repeat(p_tx),
-            Repeat(cu), Repeat(rap), np.array(comp),
+            Repeat(cu), Repeat(rap), comp,
             _unless_null(total, fading, allow_null, scheme, radio, lengths),
         )
 
@@ -296,14 +299,14 @@ def run_throughput_sweep(cfg: ExperimentConfig) -> ResultTable:
     drops = cfg.monte_carlo_drops
     fiber_km = np.array([cfg.fiber.length_km], dtype=float)
     fh_snr_db = table.metadata["fronthaul_snr_db"] = {
-        s.value: fronthaul_snr_db(s, radio, cfg.fiber, fiber_km)[0] for s in cfg.schemes}
+        s.value: float(fronthaul_snr_db(s, radio, cfg.fiber, fiber_km)[0]) for s in cfg.schemes}
 
     solver = table.metadata["solver"] = {s.value: {} for s in cfg.schemes}
     for s in cfg.schemes:
         for m in cfg.sweep.m_values:
             (p_tx,), (feasible,) = solve_tx_power(s, radio, m, cfg.fiber, cfg.budget_w,
                                                   cfg.power, fiber_km)
-            solver[s.value][str(m)] = {"p_tx_w": p_tx, "feasible": feasible}
+            solver[s.value][str(m)] = {"p_tx_w": float(p_tx), "feasible": bool(feasible)}
     if not any(point["feasible"] for per_m in solver.values() for point in per_m.values()):
         raise InfeasibleBudgetError(
             f"budget {cfg.budget_w} W infeasible for every scheme and RAP count"

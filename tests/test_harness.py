@@ -43,6 +43,10 @@ SMALL_SWEEP = {
     "monte_carlo_drops": 3,
     "base_seed": 5,
 }
+# One RFoF curve at 1000 dB/km: the 20 GHz null at 9.13... km and, at 5.0 km, a
+# compensation past the float range; the first of them on the axis decides.
+NULL_THEN_OVERFLOW = {"schemes": ["rfof"], "fiber": {"attenuation_db_per_km": 1000},
+                      "sweep": {"frequencies_hz": [20e9], "fiber_km": [9.13278785218495, 5.0]}}
 
 
 def small_config(**extra):
@@ -323,7 +327,7 @@ def test_throughput_sweep_structure_and_solver():
         (expected_p,), (feasible,) = solve_tx_power(scheme, cfg.scheme_params, m, cfg.fiber,
                                                     cfg.budget_w, cfg.power,
                                                     np.array([cfg.fiber.length_km], dtype=float))
-        assert feasible is True
+        assert feasible == True
         assert p_tx == pytest.approx(expected_p, abs=1e-9)
         assert mean > 0.0
 
@@ -543,6 +547,9 @@ def test_cli_config_error_exit_2(tmp_path):
         ("power-sweep", {"fiber": {"attenuation_db_per_km": 1000},
                          "sweep": {"fiber_km": [1.0, 5.0]}},
          "ifof total power is not finite at 5.0 km"),
+        ("power-sweep", {**NULL_THEN_OVERFLOW, "sweep": {"frequencies_hz": [20e9],
+                                                         "fiber_km": [5.0, 9.13278785218495]}},
+         "rfof total power is not finite at 5.0 km"),
         ("dispersion-sweep", {"sweep": {"fiber_km": [1e306]}},
          "dispersion phase is not finite at 1e+306 km"),
         ("power-sweep", {"sweep": {"fiber_km": [1e306]}},
@@ -646,8 +653,9 @@ def test_cli_config_error_exit_2(tmp_path):
          "power-frequencies-negative", "association-mode-unknown",
          "noise-figure-nan", "pathloss-string", "area-width-nan", "wavelength-inf",
          "power-p-tx-nan", "fronthaul-snr0-nan", "m_values-2.5", "band-start-0",
-         "power-p-tx-overflow", "attenuation-overflow", "dispersion-fiber-km-1e306",
-         "power-fiber-km-1e306", "length-km-1e306", "dispersion-carrier-1e200",
+         "power-p-tx-overflow", "attenuation-overflow", "overflow-then-null",
+         "dispersion-fiber-km-1e306", "power-fiber-km-1e306", "length-km-1e306",
+         "dispersion-carrier-1e200",
          "power-carrier-1e200", "rf-carrier-1e200", "ref-loss-neg-1e308",
          "noise-figure-1e308", "noise-figure-neg-1e308", "dispersion-pathloss-2",
          "area-width-1e308", "area-width-1e150-underflow", "pathloss-1e300-underflow",
@@ -703,19 +711,31 @@ def test_cli_infeasible_exit_3(tmp_path):
     assert code == 3
 
 
-def test_cli_null_sentinel_exit_4(tmp_path):
+@pytest.mark.parametrize("command, data, allowed", [
+    ("dispersion-sweep", None, (0, None)),
+    ("dispersion-sweep", NULL_THEN_OVERFLOW, (0, None)),
+    ("power-sweep", NULL_THEN_OVERFLOW, (2, "rfof total power is not finite at 5.0 km")),
+], ids=["30ghz-null", "null-then-overflow", "power-null-then-overflow"])
+def test_cli_null_sentinel_exit_4(tmp_path, capsys, command, data, allowed):
+    """A null exits 4 with one stderr line naming the first null. With
+    --allow-null the sentinel is written, unless a later length's power
+    overflows: then exit 2, naming that length (``data`` None: the default
+    fiber's first 30 GHz null)."""
     ln = null_lengths(ExperimentConfig().fiber, 30e9, 1)[0]
-    cfg_path = write_cfg(
-        tmp_path,
-        {"sweep": {"fiber_km": [ln], "frequencies_hz": [30e9]}},
-    )
+    data = data or {"sweep": {"fiber_km": [ln], "frequencies_hz": [30e9]}}
+    cfg_path = write_cfg(tmp_path, data)
     out = tmp_path / "d.csv"
-    assert main(["dispersion-sweep", "--config", str(cfg_path), "--out", str(out)]) == 4
-    assert (
-        main(["dispersion-sweep", "--config", str(cfg_path), "--out", str(out), "--allow-null"])
-        == 0
-    )
-    assert "inf" in out.read_text()
+    args = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"null at {data['sweep']['fiber_km'][0]} km" in err, err
+    code, message = allowed
+    assert main(args + ["--allow-null"]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and "inf" in out.read_text()
+    else:
+        assert err.count("\n") == 1 and message in err and not out.exists(), err
 
 
 def test_every_error_class_has_an_exit_code(tmp_path, capsys, monkeypatch):

@@ -231,6 +231,13 @@ def same_bits(got, want) -> bool:
     return type(got) is type(want) and (repr(got) == repr(want))
 
 
+def as_lists(result):
+    """A model function's result with each of its arrays as a list."""
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    return tuple(map(as_lists, result)) if isinstance(result, tuple) else result
+
+
 wattage = st.one_of(st.floats(0.0, 100.0), st.integers(0, 100))
 fraction = st.one_of(st.just(0.0), st.just(0), st.floats(0.0, 0.5))
 power_params = st.builds(
@@ -267,9 +274,9 @@ def test_array_power_columns_match_scalar_model(scheme, radio, fiber, km, null_k
     # exact nulls (infinite loss), short enough that the old 10 ** (dB / 10) stays finite
     km = km + [x for x in null_lengths(fiber, carrier, null_k) if x <= 1000.0]
     axis = np.array(km, dtype=float)
-    cu, rap, fading_col, comp, overhead, total = power_over(scheme, radio, num_raps, p_tx,
-                                                            fiber, params, axis)
-    fading = [0.0] * len(km) if carrier is None else fading_db_over(fiber, carrier, axis)
+    cu, rap, *columns = power_over(scheme, radio, num_raps, p_tx, fiber, params, axis)
+    fading_col, comp, overhead, total = (column.tolist() for column in columns)
+    fading = [0.0] * len(km) if carrier is None else fading_db_over(fiber, carrier, axis).tolist()
     for i, length in enumerate(km):
         fib = dataclasses.replace(fiber, length_km=length)
         want = reference_system_power(scheme, radio, num_raps, p_tx, fib, params)
@@ -281,7 +288,7 @@ def test_array_power_columns_match_scalar_model(scheme, radio, fiber, km, null_k
             want = (*want[:3], 0.0, math.inf)  # the old 0 * inf overhead made the total NaN
         assert same_bits(overhead[i], want[3]) and same_bits(total[i], want[4])
         one = power_over(scheme, radio, num_raps, p_tx, fib, params, np.array([length]))
-        assert all(same_bits(got[0], want) for got, want in zip(
+        assert all(same_bits(got.tolist()[0], want) for got, want in zip(
             one[3:], (comp[i], overhead[i], total[i])))
 
 
@@ -355,7 +362,7 @@ def previous_fronthaul_snr_db(scheme, radio, fiber):
     if Scheme(scheme) is Scheme.BBOF:
         return math.inf
     fading = fading_db_over(fiber, radio.analog_carrier_hz(scheme),
-                            np.array([fiber.length_km], dtype=float))[0]
+                            np.array([fiber.length_km], dtype=float)).tolist()[0]
     if math.isinf(fading):
         return -math.inf
     return radio.fronthaul_snr0_db - fiber.attenuation_db_per_km * fiber.length_km - fading
@@ -363,7 +370,7 @@ def previous_fronthaul_snr_db(scheme, radio, fiber):
 
 def previous_solve_tx_power(scheme, radio, num_raps, fiber, budget_w, params):
     fixed = power_over(scheme, radio, num_raps, 0.0, fiber, params,
-                       np.array([fiber.length_km], dtype=float))[-1][0]
+                       np.array([fiber.length_km], dtype=float))[-1].tolist()[0]
     if not math.isfinite(fixed) or budget_w < fixed - 1e-9:
         return 0.0, False
     slope = (params.overhead_multiplier * num_raps
@@ -394,15 +401,16 @@ def test_length_axis_snr_and_solver_match_one_length_calls(scheme, radio, fiber,
     if fixed:
         budgets = st.builds(float.__add__, st.sampled_from(fixed), budget_offsets) | budgets
     budget = data.draw(budgets)
-    snr = fronthaul_snr_db(scheme, radio, fiber, axis)
-    p_tx, feasible = solve_tx_power(scheme, radio, num_raps, fiber, budget, params, axis)
+    snr = fronthaul_snr_db(scheme, radio, fiber, axis).tolist()
+    p_tx, feasible = as_lists(solve_tx_power(scheme, radio, num_raps, fiber, budget, params, axis))
     assert len(snr) == len(p_tx) == len(feasible) == len(km)
     for i, length in enumerate(km):
         one = np.array([length], dtype=float)
         fib = dataclasses.replace(fiber, length_km=length)
-        assert same_bits(snr[i], fronthaul_snr_db(scheme, radio, fiber, one)[0])
+        assert same_bits(snr[i], fronthaul_snr_db(scheme, radio, fiber, one).tolist()[0])
         assert same_bits(snr[i], previous_fronthaul_snr_db(scheme, radio, fib))
-        (p_one,), (ok_one,) = solve_tx_power(scheme, radio, num_raps, fiber, budget, params, one)
+        (p_one,), (ok_one,) = as_lists(
+            solve_tx_power(scheme, radio, num_raps, fiber, budget, params, one))
         assert same_bits(p_tx[i], p_one) and feasible[i] is ok_one
         p_old, ok_old = previous_solve_tx_power(scheme, radio, num_raps, fib, budget, params)
         assert same_bits(p_tx[i], p_old) and feasible[i] is ok_old
@@ -467,9 +475,10 @@ def previous_power_over(scheme, radio, num_raps, p_tx_w, fiber, params, lengths_
 
 
 def outcome(fn, *args):
-    """``fn(*args)``, or the type and message of the error it raised."""
+    """``fn(*args)`` with its arrays as lists, or the type and message of the error
+    it raised."""
     try:
-        return fn(*args)
+        return as_lists(fn(*args))
     except ValidationError as exc:
         return type(exc), str(exc)
 
@@ -524,10 +533,10 @@ def test_libm_maps_match_per_element_loops_on_a_planning_grid():
     fiber, params = FiberParams(), PowerParams()
     for f_hz in np.linspace(10e9, 40e9, 7).tolist():
         radio = SchemeParams(rf_carrier_hz=f_hz)
-        assert repr(fading_db_over(fiber, f_hz, axis)) == repr(
+        assert repr(fading_db_over(fiber, f_hz, axis).tolist()) == repr(
             previous_fading_db_over(fiber, f_hz, axis))
         args = (Scheme.RFOF, radio, 1, 1.0, fiber, params, axis)
-        assert repr(power_over(*args)) == repr(previous_power_over(*args))
+        assert repr(as_lists(power_over(*args))) == repr(previous_power_over(*args))
 
 
 def test_power_of_ten_past_the_float_range_is_inf_in_the_map():
@@ -536,7 +545,7 @@ def test_power_of_ten_past_the_float_range_is_inf_in_the_map():
     fiber = FiberParams(attenuation_db_per_km=1000.0)
     axis = np.array([0.0, 1.0, 4.0, 19.0], dtype=float)
     args = (Scheme.IFOF, SchemeParams(), 2, 1.0, fiber, PowerParams(), axis)
-    got, want = power_over(*args), previous_power_over(*args)
+    got, want = as_lists(power_over(*args)), previous_power_over(*args)
     assert repr(got) == repr(want)
     assert got[3][2:] == [math.inf, math.inf] and math.isfinite(got[3][1])
 
@@ -718,3 +727,16 @@ def test_planning_files_do_not_depend_on_the_bulk_path(tmp_path, monkeypatch, ru
     assert [p.name for p in bulk] == [p.name for p in mapped] and len(bulk) >= 2
     for a, b in zip(bulk, mapped):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_power_sweep_writes_bbof_compensation_as_a_repeat():
+    """BBoF needs no compensation: its block holds one repeated 0.0, as the
+    dispersion sweep's BBoF fading does, so the writer formats no column of
+    zeros; the analog curves hold float64 arrays."""
+    table = run_power_sweep(config_from_dict({"sweep": {"fiber_km": [0.0, 5.0, 19.0]}}))
+    comp = table.columns.index("fiber_comp_w")
+    entries = {cells[0].value: cells[comp] for _, cells in table.blocks}
+    bbof = entries.pop("bbof")
+    assert isinstance(bbof, Repeat) and repr(bbof.value) == "0.0"
+    assert sorted(entries) == ["ifof", "rfof"]
+    assert all(entry.dtype == np.float64 for entry in entries.values())

@@ -110,7 +110,8 @@ def test_solve_tx_power_bbof_case_study():
     expected = ((budget / 1.35 - 59.0) / m - 14.0) / 8.0
     got, feasible = solve_tx_power(BBOF, RADIO, m, FIBER, budget, PARAMS,
                                    np.array([0.0, 19.0, 1e3], dtype=float))
-    assert got == pytest.approx([expected] * 3, abs=1e-9) and feasible == [True] * 3
+    assert got.tolist() == pytest.approx([expected] * 3, abs=1e-9)
+    assert feasible.tolist() == [True] * 3
 
 
 def test_solve_tx_power_edge_cases():
@@ -118,24 +119,26 @@ def test_solve_tx_power_edge_cases():
     null = null_lengths(FIBER, 20e9, 1)[0]
     axis = np.array([19.0, null], dtype=float)
     p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, fixed, PARAMS, axis)
-    assert p_tx[0] == pytest.approx(0.0, abs=1e-9) and feasible[0] is True
+    assert p_tx[0] == pytest.approx(0.0, abs=1e-9) and feasible[0] == True
     # a dispersion null has infinite fixed power: infeasible at any budget
-    assert p_tx[1] == 0.0 and feasible[1] is False
-    assert solve_tx_power(RFOF, RADIO, 8, FIBER, 1e300, PARAMS, np.array([null], dtype=float)) == (
-        [0.0], [False])
+    assert p_tx[1] == 0.0 and feasible[1] == False
+    p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, 1e300, PARAMS,
+                                    np.array([null], dtype=float))
+    assert (p_tx.tolist(), feasible.tolist()) == ([0.0], [False])
     # below the fixed power, beyond the solver tolerance
     p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, fixed - 1.0, PARAMS, axis)
-    assert p_tx == [0.0, 0.0] and feasible[0] is False and feasible[1] is False
+    assert p_tx.tolist() == [0.0, 0.0] and feasible[0] == False and feasible[1] == False
     # within the tolerance: feasible at 0 W
     p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, fixed - 5e-10, PARAMS, axis[:1])
-    assert p_tx == [0.0] and feasible == [True]
-    assert solve_tx_power(RFOF, RADIO, 8, FIBER, fixed, PARAMS, np.array([])) == ([], [])
+    assert p_tx.tolist() == [0.0] and feasible.tolist() == [True]
+    p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, FIBER, fixed, PARAMS, np.array([]))
+    assert (p_tx.tolist(), feasible.tolist()) == ([], [])
     # a link loss past the float range at zero drive power: 0 * inf makes the fixed power NaN
     lossy = FiberParams(attenuation_db_per_km=1000.0)
     no_drive = dataclasses.replace(PARAMS, p_link0_w=0.0)
     assert math.isnan(power_over(RFOF, RADIO, 8, 0.0, lossy, no_drive, np.array([5.0]))[-1][0])
-    assert solve_tx_power(RFOF, RADIO, 8, lossy, 1e300, no_drive, np.array([5.0])) == (
-        [0.0], [False])
+    p_tx, feasible = solve_tx_power(RFOF, RADIO, 8, lossy, 1e300, no_drive, np.array([5.0]))
+    assert (p_tx.tolist(), feasible.tolist()) == ([0.0], [False])
 
 
 def test_solve_round_trip():
@@ -149,7 +152,7 @@ def test_solve_round_trip():
             (p,), (feasible,) = solve_tx_power(scheme, RADIO, m, fiber, budget, PARAMS,
                                                np.array([fiber.length_km], dtype=float))
             total = power_at(scheme, RADIO, m, p, fiber, PARAMS)[-1]
-            assert feasible is True and abs(total - budget) <= 1e-6
+            assert feasible == True and abs(total - budget) <= 1e-6
 
 
 def test_crossover_identical_schemes():

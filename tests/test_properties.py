@@ -49,7 +49,7 @@ def test_solved_tx_power_spends_the_budget(scheme, radio, num_raps, length_km, p
     budget = fixed + headroom
     (p_tx,), (feasible,) = solve_tx_power(scheme, radio, num_raps, fiber, budget, params,
                                           np.array([length_km], dtype=float))
-    assert feasible is True and p_tx >= 0.0
+    assert feasible == True and p_tx >= 0.0
     total = power_at(scheme, radio, num_raps, p_tx, fiber, params)[-1]
     assert math.isclose(total, budget, rel_tol=1e-12, abs_tol=1e-9)
 
