@@ -139,29 +139,26 @@ def solve_tx_power(scheme: Scheme, radio: SchemeParams, num_raps: int, fiber: Fi
     return np.where(feasible, np.maximum(0.0, (budget_w - fixed) / slope), 0.0), feasible
 
 
-def crossover_length(
-    scheme_a: Scheme,
-    scheme_b: Scheme,
-    radio: SchemeParams,
-    fiber: FiberParams,
-    num_raps: int,
-    p_tx_w: float,
-    length_range_km: tuple[float, float],
-    params: PowerParams,
-) -> float | None:
-    """Smallest fiber length where scheme_a's total first exceeds scheme_b's.
+def crossover_length(radio: SchemeParams, fiber: FiberParams, num_raps: int, p_tx_w: float,
+                     length_range_km: tuple[float, float], params: PowerParams) -> float | None:
+    """Smallest fiber length where RFoF's total first exceeds BBoF's, so RFoF
+    draws less power on any shorter fiber.
 
-    Scans CROSSOVER_SCAN_POINTS lengths over the range, then bisects the
-    bracketing segment. Returns None when no crossing exists in range.
+    BBoF has no analog link, so its total is one number at every length; it is
+    read once. RFoF's total is scanned at CROSSOVER_SCAN_POINTS lengths over the
+    range, and the first segment that ends above BBoF is bisected until a probe
+    leaves it narrower than 1e-9 km or no float lies between its ends. So this is
+    the first crossing the scan brackets: a segment holding several crossings
+    yields one of them. Returns lo when RFoF is above at lo, and None when it is
+    above at no scanned length.
     """
     lo, hi = length_range_km
+    bbof = power_over(Scheme.BBOF, radio, num_raps, p_tx_w, fiber, params, np.array([lo]))[-1]
 
     def exceeds(lengths_km) -> np.ndarray:
-        """Mask of where scheme_a's total is above scheme_b's (False when both are infinite)."""
+        """Mask of where RFoF's total is above BBoF's (False when both are infinite)."""
         axis = np.array(lengths_km, dtype=float)
-        total_a, total_b = (power_over(scheme, radio, num_raps, p_tx_w, fiber, params, axis)[-1]
-                            for scheme in (scheme_a, scheme_b))
-        return total_a > total_b
+        return power_over(Scheme.RFOF, radio, num_raps, p_tx_w, fiber, params, axis)[-1] > bbof
 
     # The scan is one pass over all its lengths; only the bisection is per length.
     step = (hi - lo) / (CROSSOVER_SCAN_POINTS - 1)
@@ -174,8 +171,7 @@ def crossover_length(
         return lo
 
     lo_l, hi_l = scan_l[first - 1], scan_l[first]
-    for _ in range(80):
-        mid = 0.5 * (lo_l + hi_l)
+    while lo_l < (mid := 0.5 * (lo_l + hi_l)) < hi_l:
         if exceeds([mid])[0]:
             hi_l = mid
         else:

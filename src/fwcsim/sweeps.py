@@ -205,8 +205,8 @@ def run_power_sweep(cfg: ExperimentConfig, allow_null: bool = False) -> ResultTa
         companion = table.companions["crossovers"] = ResultTable(CROSSOVER_COLUMNS)
         for radio in (radio for scheme, radio in _curves(cfg) if scheme is Scheme.RFOF):
             f_hz = radio.rf_carrier_hz
-            found = crossover_length(Scheme.RFOF, Scheme.BBOF, radio, cfg.fiber, m, p_tx,
-                                     cfg.sweep.crossover_range_km, cfg.power)
+            found = crossover_length(radio, cfg.fiber, m, p_tx, cfg.sweep.crossover_range_km,
+                                     cfg.power)
             crossovers.append(
                 {"scheme_a": "rfof", "scheme_b": "bbof", "f_rf_hz": f_hz, "crossover_km": found}
             )

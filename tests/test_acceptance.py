@@ -104,8 +104,7 @@ def test_criterion_3_bbof_invariance_ifof_monotonic():
 def test_criterion_4_crossover_reproduction():
     start = time.perf_counter()
     c10, c20 = (
-        crossover_length(Scheme.RFOF, Scheme.BBOF, SchemeParams(rf_carrier_hz=f_hz), FIBER, 1,
-                         1.0, (0.5, 25.0), PARAMS)
+        crossover_length(SchemeParams(rf_carrier_hz=f_hz), FIBER, 1, 1.0, (0.5, 25.0), PARAMS)
         for f_hz in (10e9, 20e9)
     )
     elapsed = time.perf_counter() - start

@@ -351,8 +351,39 @@ crossover_params = st.builds(
        st.tuples(st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)), st.floats(6.0, 60.0)))
 def test_crossover_scan_matches_scalar_scan(fiber, params, num_raps, p_tx, f_hz, span):
     radio = SchemeParams(rf_carrier_hz=f_hz)
-    args = (Scheme.RFOF, Scheme.BBOF, radio, fiber, num_raps, p_tx, span, params)
-    assert same_bits(crossover_length(*args), reference_crossover(*args))
+    args = (radio, fiber, num_raps, p_tx, span, params)
+    assert same_bits(crossover_length(*args), reference_crossover(Scheme.RFOF, Scheme.BBOF, *args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(radios, fibers, lengths, st.floats(0.0, 1e300), power_params, st.integers(1, 1024),
+       st.one_of(st.floats(0.0, 1.7976931348623157e308), st.sampled_from([1e300, 1e308])))
+def test_bbof_total_is_one_number_at_every_length(radio, fiber, km, at_km, params, num_raps,
+                                                  p_tx):
+    # crossover_length reads BBoF's total once, at one length, for its whole range;
+    # p_tx past the float range makes that total inf.
+    def bbof_totals(km):
+        return power_over(Scheme.BBOF, radio, num_raps, p_tx, fiber, params,
+                          np.array(km, dtype=float))[-1].tolist()
+
+    (one,) = bbof_totals([at_km])
+    assert all(same_bits(total, one) for total in bbof_totals(km))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(lossy_fibers, fibers), st.one_of(crossover_params, power_params),
+       st.floats(0.0, 1.0), st.integers(1, 64), st.floats(0.0, 5.0), st.floats(5e9, 40e9),
+       st.tuples(st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)), st.floats(6.0, 60.0)))
+def test_crossover_never_lengthens_as_the_link_drive_rises(fiber, params, rise, num_raps, p_tx,
+                                                           f_hz, span):
+    # RFoF's total does not fall as p_link0_w rises and BBoF's does not read it,
+    # so every scan and bisection mask can only gain lengths.
+    low, high = (
+        crossover_length(SchemeParams(rf_carrier_hz=f_hz), fiber, num_raps, p_tx, span, p)
+        for p in (params, dataclasses.replace(params, p_link0_w=params.p_link0_w + rise))
+    )
+    if low is not None:
+        assert high is not None and high <= low
 
 
 # The one-length fronthaul SNR and budget solver as they stood before the

@@ -155,15 +155,9 @@ def test_solve_round_trip():
             assert feasible == True and abs(total - budget) <= 1e-6
 
 
-def test_crossover_identical_schemes():
-    assert crossover_length(BBOF, BBOF, RADIO, FIBER, 1, 1.0, (0.5, 25.0), PARAMS) is None
-
-
 def test_crossover_calibrated_defaults():
-    c10 = crossover_length(RFOF, BBOF, SchemeParams(rf_carrier_hz=10e9), FIBER, 1, 1.0,
-                           (0.5, 25.0), PARAMS)
-    c20 = crossover_length(RFOF, BBOF, SchemeParams(rf_carrier_hz=20e9), FIBER, 1, 1.0,
-                           (0.5, 25.0), PARAMS)
+    c10 = crossover_length(SchemeParams(rf_carrier_hz=10e9), FIBER, 1, 1.0, (0.5, 25.0), PARAMS)
+    c20 = crossover_length(SchemeParams(rf_carrier_hz=20e9), FIBER, 1, 1.0, (0.5, 25.0), PARAMS)
     assert c10 is not None and c20 is not None
     assert 10.0 <= c10 <= 17.0
     assert 4.0 <= c20 <= 8.0
@@ -171,9 +165,17 @@ def test_crossover_calibrated_defaults():
 
 
 def test_crossover_none_when_out_of_range():
-    c = crossover_length(RFOF, BBOF, SchemeParams(rf_carrier_hz=10e9), FIBER, 1, 1.0,
-                         (0.5, 5.0), PARAMS)
+    c = crossover_length(SchemeParams(rf_carrier_hz=10e9), FIBER, 1, 1.0, (0.5, 5.0), PARAMS)
     assert c is None
+
+
+@pytest.mark.parametrize("f_hz", [10e9, 20e9])
+def test_crossover_bisects_a_huge_range_to_the_default_ranges_length(f_hz):
+    # A scan step of 2e297 km: about 1,000 halvings before the bracket is 1e-9 km wide.
+    radio = SchemeParams(rf_carrier_hz=f_hz)
+    default, huge = (crossover_length(radio, FIBER, 1, 1.0, span, PARAMS)
+                     for span in ((0.5, 25.0), (0.0, 1e300)))
+    assert abs(huge - default) <= 1e-9
 
 
 def test_power_params_validation():
